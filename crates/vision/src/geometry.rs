@@ -313,6 +313,50 @@ impl fmt::Display for BoundingBox {
     }
 }
 
+/// A half-open integer pixel rectangle `[x0, x1) x [y0, y1)`.
+///
+/// Used to state which pixels of an image (or pyramid level) a kernel
+/// reads. It may extend past the image or be empty; consumers clip it.
+///
+/// # Example
+///
+/// ```
+/// use adavp_vision::geometry::PixelRect;
+/// let r = PixelRect::new(-3, 2, 5, 4);
+/// assert_eq!(r.clipped(4, 10), Some(PixelRect::new(0, 2, 4, 4)));
+/// assert_eq!(PixelRect::new(8, 0, 9, 1).clipped(4, 10), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PixelRect {
+    /// First column.
+    pub x0: i64,
+    /// First row.
+    pub y0: i64,
+    /// One past the last column.
+    pub x1: i64,
+    /// One past the last row.
+    pub y1: i64,
+}
+
+impl PixelRect {
+    /// Creates the rectangle `[x0, x1) x [y0, y1)`.
+    pub fn new(x0: i64, y0: i64, x1: i64, y1: i64) -> Self {
+        Self { x0, y0, x1, y1 }
+    }
+
+    /// The part of the rectangle inside a `w x h` image, or `None` when
+    /// they do not overlap.
+    pub fn clipped(&self, w: u32, h: u32) -> Option<PixelRect> {
+        let c = PixelRect::new(
+            self.x0.max(0),
+            self.y0.max(0),
+            self.x1.min(w as i64),
+            self.y1.min(h as i64),
+        );
+        (c.x0 < c.x1 && c.y0 < c.y1).then_some(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

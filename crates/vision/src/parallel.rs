@@ -20,13 +20,21 @@
 //! [`map_bands`] with `par_iter` over the band ranges.
 
 use crate::perf;
+use std::sync::OnceLock;
 
 /// Number of worker threads the automatic parallel paths target
 /// (`std::thread::available_parallelism`, 1 when unknown).
+///
+/// Read once per process and cached: on Linux the query reads cgroup
+/// files (tens of microseconds), and it would otherwise run once per
+/// corner scan and once per large Lucas-Kanade call.
 pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Number of bands a row-scan of `rows` rows should fan out over: the

@@ -40,8 +40,11 @@ pub struct KernelCounters {
     pub gaussian_blurs: u64,
     /// 2x2 box downsample passes.
     pub downsamples: u64,
-    /// Scharr gradient fields computed.
+    /// Scharr gradient fields computed whole.
     pub gradient_fields: u64,
+    /// Scharr gradient tiles computed on demand
+    /// ([`crate::gradient::TiledGradients`]).
+    pub gradient_tiles: u64,
     /// Corner-response scans (Shi-Tomasi or FAST score maps).
     pub corner_scans: u64,
     /// Calls into pyramidal Lucas-Kanade (one per tracked frame pair).
@@ -59,7 +62,7 @@ pub struct KernelCounters {
     pub fixed_point_rows: u64,
     /// Nanoseconds spent building pyramids (blur + downsample included).
     pub pyramid_ns: u64,
-    /// Nanoseconds spent computing gradient fields.
+    /// Nanoseconds spent computing gradient fields and tiles.
     pub gradient_ns: u64,
     /// Nanoseconds spent in Lucas-Kanade tracking.
     pub flow_ns: u64,
@@ -73,6 +76,7 @@ macro_rules! for_each_field {
         $macro_body!(gaussian_blurs, $a, $b);
         $macro_body!(downsamples, $a, $b);
         $macro_body!(gradient_fields, $a, $b);
+        $macro_body!(gradient_tiles, $a, $b);
         $macro_body!(corner_scans, $a, $b);
         $macro_body!(lk_calls, $a, $b);
         $macro_body!(lk_points, $a, $b);
@@ -127,6 +131,7 @@ impl KernelCounters {
             gaussian_blurs: self.gaussian_blurs,
             downsamples: self.downsamples,
             gradient_fields: self.gradient_fields,
+            gradient_tiles: self.gradient_tiles,
             corner_scans: self.corner_scans,
             lk_calls: self.lk_calls,
             lk_points: self.lk_points,
@@ -153,8 +158,10 @@ pub struct KernelCounts {
     pub gaussian_blurs: u64,
     /// 2x2 box downsample passes.
     pub downsamples: u64,
-    /// Scharr gradient fields computed.
+    /// Scharr gradient fields computed whole.
     pub gradient_fields: u64,
+    /// Scharr gradient tiles computed on demand.
+    pub gradient_tiles: u64,
     /// Corner-response scans.
     pub corner_scans: u64,
     /// Calls into pyramidal Lucas-Kanade.
@@ -198,6 +205,7 @@ impl KernelCounters {
             gaussian_blurs: 0,
             downsamples: 0,
             gradient_fields: 0,
+            gradient_tiles: 0,
             corner_scans: 0,
             lk_calls: 0,
             lk_points: 0,

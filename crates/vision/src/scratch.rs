@@ -40,15 +40,21 @@ pub struct ScratchPool {
     planes_f32: Vec<Vec<f32>>,
 }
 
-/// Takes the pooled buffer with the largest capacity (best reuse odds), or
-/// allocates fresh. Resizes to `len` either way. A reused buffer that is
-/// already long enough is *truncated*, never re-zeroed: every `take_*`
-/// consumer fully overwrites its buffer, and the clear-then-resize memset
-/// this replaces made pooled pyramid builds slower than fresh allocation
-/// (the OS hands out calloc'd pages for free; re-zeroing reused ones is
-/// pure overhead).
+/// Takes the pooled buffer that fits `len` most tightly (the smallest
+/// capacity that holds it, else the largest, which then grows), or
+/// allocates fresh. Resizes to `len` either way. Best fit keeps a small
+/// request (a coarse pyramid level) from taking the buffer a large one
+/// needs and growing every buffer to the largest size. A reused buffer
+/// that is already long enough is *truncated*, never re-zeroed: every
+/// `take_*` consumer overwrites what it reads, and the clear-then-resize
+/// memset this replaces made pooled pyramid builds slower than fresh
+/// allocation (the OS hands out calloc'd pages for free; re-zeroing reused
+/// ones is pure overhead).
 fn take_sized<T: Default + Clone>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
-    let picked = (0..pool.len()).max_by_key(|&i| pool[i].capacity());
+    let fits = (0..pool.len())
+        .filter(|&i| pool[i].capacity() >= len)
+        .min_by_key(|&i| pool[i].capacity());
+    let picked = fits.or_else(|| (0..pool.len()).max_by_key(|&i| pool[i].capacity()));
     match picked {
         Some(i) => {
             let mut buf = pool.swap_remove(i);
@@ -205,11 +211,24 @@ mod tests {
     }
 
     #[test]
-    fn prefers_largest_parked_buffer() {
+    fn prefers_largest_parked_buffer_when_none_fits() {
         let mut pool = ScratchPool::new();
         pool.recycle_u16(Vec::with_capacity(4));
-        pool.recycle_u16(Vec::with_capacity(100));
+        pool.recycle_u16(Vec::with_capacity(40));
         let big = pool.take_u16(50);
-        assert!(big.capacity() >= 100, "must pick the largest buffer");
+        assert!(big.capacity() >= 50 && pool.parked() == 1);
+        assert_eq!(pool.take_u16(1).capacity(), 4, "the grown one was taken");
+    }
+
+    #[test]
+    fn takes_the_tightest_fitting_buffer() {
+        let mut pool = ScratchPool::new();
+        for cap in [400, 100, 4, 120] {
+            pool.recycle_f32(Vec::with_capacity(cap));
+        }
+        assert_eq!(pool.take_f32(90).capacity(), 100);
+        assert_eq!(pool.take_f32(101).capacity(), 120);
+        assert_eq!(pool.take_f32(3).capacity(), 4);
+        assert_eq!(pool.take_f32(3).capacity(), 400, "only the largest is left");
     }
 }

@@ -49,6 +49,9 @@ fn all_lk_paths_bit_identical_across_shifts() {
     });
     let prev = textured(160, 120, 0.7);
     let prev_pyr = Pyramid::build(&prev, 3);
+    // Each path gets its own reference pyramid, so each computes its own
+    // gradient tiles.
+    let fresh_prev = || Pyramid::build(&prev, 3);
     // Enough points to clear the parallel-dispatch threshold.
     let pts = grid(160, 120, 8, 12);
     assert!(pts.len() >= 64);
@@ -58,7 +61,12 @@ fn all_lk_paths_bit_identical_across_shifts() {
         let next_pyr = Pyramid::build(&next, 3);
 
         let baseline = lk.track_pyramids_baseline(&prev_pyr, &next_pyr, &pts);
-        let sequential = lk.track_pyramids_sequential(&prev_pyr, &next_pyr, &pts);
+        let sequential = lk.track_pyramids_sequential(
+            &mut fresh_prev(),
+            &next_pyr,
+            &pts,
+            &mut ScratchPool::new(),
+        );
         assert_eq!(
             baseline, sequential,
             "optimized sequential diverged from baseline at shift ({dx},{dy})"
@@ -66,7 +74,12 @@ fn all_lk_paths_bit_identical_across_shifts() {
 
         #[cfg(feature = "parallel")]
         {
-            let parallel = lk.track_pyramids_parallel(&prev_pyr, &next_pyr, &pts);
+            let parallel = lk.track_pyramids_parallel(
+                &mut fresh_prev(),
+                &next_pyr,
+                &pts,
+                &mut ScratchPool::new(),
+            );
             assert_eq!(
                 sequential, parallel,
                 "parallel diverged from sequential at shift ({dx},{dy})"
@@ -74,7 +87,7 @@ fn all_lk_paths_bit_identical_across_shifts() {
         }
 
         // The public dispatching entry point agrees with both.
-        let auto = lk.track_pyramids(&prev_pyr, &next_pyr, &pts);
+        let auto = lk.track_pyramids(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new());
         assert_eq!(sequential, auto, "auto dispatch diverged at ({dx},{dy})");
     }
 }
@@ -89,21 +102,21 @@ fn pooled_and_plain_pyramids_track_identically() {
     let next = shifted(&prev, 2, 1);
     let pts = grid(128, 96, 10, 12);
 
-    let plain_prev = Pyramid::build(&prev, 3);
+    let mut plain_prev = Pyramid::build(&prev, 3);
     let plain_next = Pyramid::build(&next, 3);
-    let expected = lk.track_pyramids(&plain_prev, &plain_next, &pts);
+    let expected = lk.track_pyramids(&mut plain_prev, &plain_next, &pts, &mut ScratchPool::new());
 
     // Recycled buffers (including previously-dirtied ones) must not leak
     // into results.
     let mut pool = ScratchPool::new();
-    let warm = Pyramid::build_with(&textured(128, 96, 4.2), 3, &mut pool);
-    warm.gradients_with(&mut pool);
+    let mut warm = Pyramid::build_with(&textured(128, 96, 4.2), 3, &mut pool);
+    let _ = lk.track_pyramids(&mut warm, &plain_next, &grid(128, 96, 4, 8), &mut pool);
     warm.recycle(&mut pool);
-    let pooled_prev = Pyramid::build_with(&prev, 3, &mut pool);
+    let mut pooled_prev = Pyramid::build_with(&prev, 3, &mut pool);
     let pooled_next = Pyramid::build_with(&next, 3, &mut pool);
     assert_eq!(
         expected,
-        lk.track_pyramids(&pooled_prev, &pooled_next, &pts),
+        lk.track_pyramids(&mut pooled_prev, &pooled_next, &pts, &mut pool),
         "pooled pyramids changed LK results"
     );
 }

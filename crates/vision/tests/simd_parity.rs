@@ -6,6 +6,7 @@
 //! and on adversarial shapes alike. Uses no dev-dependencies so it runs under
 //! the offline rustc-direct harness.
 
+use adavp_vision::geometry::PixelRect;
 use adavp_vision::gradient::{
     gaussian_blur_into, gaussian_blur_into_scalar, scharr_gradients_i16_into,
     scharr_gradients_into, scharr_gradients_into_scalar, GradientField, GradientFieldI16,
@@ -194,8 +195,8 @@ fn dirtied_pool_does_not_leak_into_kernel_output() {
     // fresh-buffer scalar runs. `take_sized` hands buffers back un-zeroed, so
     // this proves every kernel overwrites its full output.
     let mut pool = ScratchPool::new();
-    let warm = Pyramid::build_with(&textured(96, 80, 4.2), 3, &mut pool);
-    warm.gradients_with(&mut pool);
+    let mut warm = Pyramid::build_with(&textured(96, 80, 4.2), 3, &mut pool);
+    warm.ensure_gradients(0, &[PixelRect::new(0, 0, 96, 80)], &mut pool);
     warm.recycle(&mut pool);
 
     let img = noisy(77, 41, 0xdead_beef);

@@ -142,7 +142,13 @@ fn parallel_lk_bit_identical_to_sequential() {
                 pts.push(Point2::new(12.0 + gx as f32 * 8.0, 12.0 + gy as f32 * 8.0));
             }
         }
-        let sequential = lk.track_pyramids_sequential(&prev_pyr, &next_pyr, &pts);
+        let fresh_prev = || Pyramid::build(&prev, 3);
+        let sequential = lk.track_pyramids_sequential(
+            &mut fresh_prev(),
+            &next_pyr,
+            &pts,
+            &mut ScratchPool::new(),
+        );
         assert_eq!(
             &sequential,
             &lk.track_pyramids_baseline(&prev_pyr, &next_pyr, &pts),
@@ -151,12 +157,17 @@ fn parallel_lk_bit_identical_to_sequential() {
         #[cfg(feature = "parallel")]
         assert_eq!(
             &sequential,
-            &lk.track_pyramids_parallel(&prev_pyr, &next_pyr, &pts),
+            &lk.track_pyramids_parallel(
+                &mut fresh_prev(),
+                &next_pyr,
+                &pts,
+                &mut ScratchPool::new()
+            ),
             "parallel path diverged from sequential"
         );
         assert_eq!(
             &sequential,
-            &lk.track_pyramids(&prev_pyr, &next_pyr, &pts),
+            &lk.track_pyramids(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new()),
             "dispatching entry point diverged"
         );
     });

@@ -1,6 +1,7 @@
 #!/bin/sh
 # CI gate: build, test, lint, and bench smoke runs that regenerate
-# BENCH_kernels.json (which also re-asserts LK cross-path bit-parity) and
+# BENCH_kernels.json (which also re-asserts LK cross-path bit-parity and
+# demand-driven gradient/Shi-Tomasi parity with the full-field oracles) and
 # BENCH_experiments.json (which asserts parallel-harness result parity).
 #
 # Usage: scripts/ci.sh [--no-bench] [--strict]

@@ -9,11 +9,15 @@
 //! down to the serialized trace bytes.
 
 use adavp::core::export::trace_to_json;
+use adavp::core::metrics::{json_snapshot, MetricsConfig};
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, FrameSource, PipelineConfig,
-    ProcessingTrace, VideoProcessor,
+    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DetectorFault, FrameSource,
+    MarlinConfig, MarlinPipeline, PipelineConfig, ProcessingTrace, VideoProcessor,
 };
+use adavp::core::telemetry::chrome::chrome_trace_json;
+use adavp::core::telemetry::TelemetryConfig;
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
+use adavp::sim::fault::{FaultPlan, FaultProfile};
 use adavp::video::clip::VideoClip;
 use adavp::video::scenario::Scenario;
 
@@ -30,12 +34,7 @@ fn det() -> SimulatedDetector {
 }
 
 fn cascade(cfg: CascadeConfig) -> CascadePipeline<SimulatedDetector> {
-    CascadePipeline::new(
-        det(),
-        ModelSetting::Yolo512,
-        PipelineConfig::default(),
-        cfg,
-    )
+    CascadePipeline::new(det(), ModelSetting::Yolo512, PipelineConfig::default(), cfg)
 }
 
 fn assert_covered(trace: &ProcessingTrace, frames: usize) {
@@ -175,7 +174,12 @@ fn ctd_triggers_on_the_exact_predicted_step() {
         max_cycle_frames: 10_000,
     };
     let c = clip(Scenario::MeetingRoom, 11, 160);
-    let mut p = CtdPipeline::new(det(), ModelSetting::Yolo512, PipelineConfig::default(), ctd_cfg);
+    let mut p = CtdPipeline::new(
+        det(),
+        ModelSetting::Yolo512,
+        PipelineConfig::default(),
+        ctd_cfg,
+    );
     let trace = p.process(&c);
     assert_covered(&trace, 160);
     assert!(trace.cycles.len() >= 2, "need at least one full cycle");
@@ -263,4 +267,133 @@ fn both_schemes_are_byte_reproducible() {
     let (jb, tb) = run_ctd();
     assert_eq!(ta, tb, "CTD traces must be identical");
     assert_eq!(ja, jb, "CTD bytes must be identical");
+}
+
+// ---- Golden pins -----------------------------------------------------------
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digests of the three serialized outputs of one run: the trace JSON, the
+/// Chrome trace of its telemetry, and its metrics snapshot.
+fn golden_digests(trace: &ProcessingTrace) -> [u64; 3] {
+    [
+        fnv1a(trace_to_json(trace, None).as_bytes()),
+        fnv1a(chrome_trace_json(&[(trace.pipeline.as_str(), &trace.telemetry)]).as_bytes()),
+        fnv1a(json_snapshot(&trace.metrics).as_bytes()),
+    ]
+}
+
+/// MARLIN-512 and CTD-512 are pinned to the byte on a highway and a
+/// meeting-room clip, quiet and under the stress fault profile, with
+/// telemetry and metrics recording on. A refactor of the sequential
+/// detect-then-track loop must leave every digest unchanged.
+#[test]
+fn sequential_schemes_match_their_golden_digests() {
+    let golden: [(&str, [u64; 3]); 8] = [
+        (
+            "MARLIN/highway/quiet",
+            [0x67d781aab8150eb6, 0xbbd40bb03fd99342, 0xbfc4b1db62c58f65],
+        ),
+        (
+            "MARLIN/highway/stress",
+            [0xf3747496745aca5c, 0xc774497dbbcc02fc, 0xf1f077f1048a820d],
+        ),
+        (
+            "MARLIN/meeting/quiet",
+            [0xbaf20e30ea4c470d, 0xf1c623cb61595f17, 0xb71d292bff77afe3],
+        ),
+        (
+            "MARLIN/meeting/stress",
+            [0x045acccabd61d6e9, 0x28f71e244419868d, 0x75e5b0d364ac0ac4],
+        ),
+        (
+            "CTD/highway/quiet",
+            [0x2e78a840e55d345a, 0xf722199da7ace5c3, 0xc10dba5ad58161cf],
+        ),
+        (
+            "CTD/highway/stress",
+            [0x36ff0c16d03ece79, 0xffdde196771de136, 0x2ff52b7be73536c1],
+        ),
+        (
+            "CTD/meeting/quiet",
+            [0x5e3e9342f184aa44, 0x0855220bdbb5e6a8, 0x5901961b818eb1fa],
+        ),
+        (
+            "CTD/meeting/stress",
+            [0x7cc39b1fd56a7321, 0x42f98b418eca57c5, 0xcba1d016265dfe1c],
+        ),
+    ];
+    let clips = [
+        ("highway", clip(Scenario::Highway, 23, 120)),
+        ("meeting", clip(Scenario::MeetingRoom, 23, 120)),
+    ];
+    let plans = [
+        ("quiet", FaultPlan::none()),
+        ("stress", FaultPlan::new(FaultProfile::stress(31))),
+    ];
+    let mut got = Vec::new();
+    for scheme in ["MARLIN", "CTD"] {
+        let mut stressed = Vec::new();
+        for (clip_name, c) in &clips {
+            for (plan_name, plan) in &plans {
+                let config = PipelineConfig {
+                    faults: plan.clone(),
+                    telemetry: TelemetryConfig::enabled(),
+                    metrics: MetricsConfig::enabled(),
+                    ..PipelineConfig::default()
+                };
+                let trace = if scheme == "MARLIN" {
+                    MarlinPipeline::new(
+                        det(),
+                        ModelSetting::Yolo512,
+                        config,
+                        MarlinConfig::default(),
+                    )
+                    .process(c)
+                } else {
+                    CtdPipeline::new(det(), ModelSetting::Yolo512, config, CtdConfig::default())
+                        .process(c)
+                };
+                assert_covered(&trace, c.len());
+                got.push((
+                    format!("{scheme}/{clip_name}/{plan_name}"),
+                    golden_digests(&trace),
+                ));
+                if *plan_name == "stress" {
+                    stressed.push(trace);
+                }
+            }
+        }
+        // The stress runs must exercise every fault kind the loop handles.
+        let cycles = || stressed.iter().flat_map(|t| &t.cycles);
+        assert!(
+            cycles().any(|cy| matches!(
+                cy.fault,
+                Some(DetectorFault::Spike { .. } | DetectorFault::Timeout { .. })
+            )),
+            "{scheme}: no latency spike"
+        );
+        assert!(
+            cycles().any(|cy| matches!(
+                cy.fault,
+                Some(DetectorFault::Retried { .. } | DetectorFault::Failed { .. })
+            )),
+            "{scheme}: no detector failure"
+        );
+        assert!(cycles().any(|cy| cy.diverged), "{scheme}: no divergence");
+        assert!(
+            stressed
+                .iter()
+                .flat_map(|t| &t.outputs)
+                .any(|o| o.source == FrameSource::Dropped),
+            "{scheme}: no dropped frame"
+        );
+    }
+    let want: Vec<(String, [u64; 3])> = golden.iter().map(|(k, d)| (k.to_string(), *d)).collect();
+    assert_eq!(got, want, "digests changed; got {got:#x?}");
 }

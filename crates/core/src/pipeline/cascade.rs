@@ -19,7 +19,7 @@
 
 use super::mpdt::{
     fill_held, finish_trace, nearest_delivered, record_arrival, record_detection_span,
-    run_detection_region, to_confidences,
+    run_detection_region, to_confidences, to_labeled,
 };
 use super::{
     CycleRecord, FrameOutput, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor,
@@ -140,8 +140,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
                 outputs,
                 cycles,
                 meter,
-                &gpu,
-                &cpu,
+                (&gpu, &cpu),
                 rec.finish(),
                 self.config.metrics,
             );
@@ -209,11 +208,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
             let (boxes, conf, setting, start, end, fault) = match region {
                 None => {
                     // Gate closed: the tiny pass is the whole cycle.
-                    let boxes: Vec<LabeledBox> = proposal
-                        .detections
-                        .iter()
-                        .map(|d| LabeledBox::new(d.class, d.bbox))
-                        .collect();
+                    let boxes = to_labeled(&proposal);
                     let conf = to_confidences(&proposal);
                     degraded_prev = false;
                     (boxes, conf, self.cascade.proposal_setting, ps, pe, None)
@@ -254,11 +249,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
                             // Refined boxes inside the region supersede the
                             // proposals there; confident proposals outside
                             // survive unchanged.
-                            let mut boxes: Vec<LabeledBox> = refined
-                                .detections
-                                .iter()
-                                .map(|d| LabeledBox::new(d.class, d.bbox))
-                                .collect();
+                            let mut boxes = to_labeled(&refined);
                             let mut conf = to_confidences(&refined);
                             for d in &proposal.detections {
                                 if !region.contains(d.bbox.center()) {
@@ -271,11 +262,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
                         None => {
                             // Degraded refinement: fall back to the
                             // proposal-only output, flagged via the fault.
-                            let boxes: Vec<LabeledBox> = proposal
-                                .detections
-                                .iter()
-                                .map(|d| LabeledBox::new(d.class, d.bbox))
-                                .collect();
+                            let boxes = to_labeled(&proposal);
                             let conf = to_confidences(&proposal);
                             (boxes, conf, full_setting, ps, end, fault)
                         }
@@ -341,8 +328,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
             outputs,
             cycles,
             meter,
-            &gpu,
-            &cpu,
+            (&gpu, &cpu),
             rec.finish(),
             self.config.metrics,
         )

@@ -6,7 +6,7 @@
 //! Used to bound the energy/accuracy trade-off space.
 
 use super::mpdt::{
-    finish_trace, record_arrival, record_detection_span, run_detection, to_confidences,
+    finish_trace, record_arrival, record_detection_span, run_detection, to_confidences, to_labeled,
 };
 use super::{
     CycleRecord, FrameOutput, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor,
@@ -103,14 +103,7 @@ impl<D: Detector> VideoProcessor for ContinuousPipeline<D> {
             let (ds, de) = (outcome.start, outcome.end);
             record_detection_span(&mut rec, cycle_key, frame.index, self.setting, &outcome);
             let (boxes, conf, src) = match &outcome.result {
-                Some(r) => {
-                    let b: Vec<LabeledBox> = r
-                        .detections
-                        .iter()
-                        .map(|d| LabeledBox::new(d.class, d.bbox))
-                        .collect();
-                    (b, to_confidences(r), FrameSource::Detected)
-                }
+                Some(r) => (to_labeled(r), to_confidences(r), FrameSource::Detected),
                 None => (last_good.clone(), last_conf.clone(), FrameSource::Held),
             };
             let overlay = SimTime::from_ms(lat.overlay_ms(boxes.len()));
@@ -146,8 +139,7 @@ impl<D: Detector> VideoProcessor for ContinuousPipeline<D> {
             outputs,
             cycles,
             meter,
-            &gpu,
-            &cpu,
+            (&gpu, &cpu),
             rec.finish(),
             self.config.metrics,
         )

@@ -6,7 +6,7 @@
 
 use super::mpdt::{
     fill_held, finish_trace, nearest_delivered, record_arrival, record_detection_span,
-    run_detection, to_confidences,
+    run_detection, to_confidences, to_labeled,
 };
 use super::{
     CycleRecord, FrameOutput, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor,
@@ -58,8 +58,7 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
                 outputs,
                 cycles,
                 meter,
-                &gpu,
-                &cpu,
+                (&gpu, &cpu),
                 rec.finish(),
                 self.config.metrics,
             );
@@ -103,14 +102,7 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
             let (ds, de) = (outcome.start, outcome.end);
             record_detection_span(&mut rec, cycle_key, cur, setting, &outcome);
             let (boxes, conf, src) = match &outcome.result {
-                Some(r) => {
-                    let b: Vec<LabeledBox> = r
-                        .detections
-                        .iter()
-                        .map(|d| LabeledBox::new(d.class, d.bbox))
-                        .collect();
-                    (b, to_confidences(r), FrameSource::Detected)
-                }
+                Some(r) => (to_labeled(r), to_confidences(r), FrameSource::Detected),
                 // No tracker to fall back on: hold the last detection.
                 None => (last_good.clone(), last_conf.clone(), FrameSource::Held),
             };
@@ -175,8 +167,7 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
             outputs,
             cycles,
             meter,
-            &gpu,
-            &cpu,
+            (&gpu, &cpu),
             rec.finish(),
             self.config.metrics,
         )

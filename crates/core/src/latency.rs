@@ -14,7 +14,6 @@
 //! time uses this model rather than wall-clock measurements — keeping every
 //! experiment deterministic and latency ratios faithful to the paper.
 
-
 /// Calibrated tracker-side latencies, all in milliseconds of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {

@@ -293,12 +293,7 @@ mod tests {
     #[test]
     fn prometheus_escapes_label_values() {
         let mut r = MetricsRegistry::new();
-        r.inc(
-            "x_total",
-            "",
-            LabelSet::new(&[("name", "a\"b\\c\nd")]),
-            1,
-        );
+        r.inc("x_total", "", LabelSet::new(&[("name", "a\"b\\c\nd")]), 1);
         let text = prometheus_text(&r);
         assert!(text.contains("x_total{name=\"a\\\"b\\\\c\\nd\"} 1"));
     }
@@ -307,7 +302,9 @@ mod tests {
     fn json_snapshot_shape_and_full_series() {
         let snap = json_snapshot(&sample_registry());
         assert!(snap.contains("\"name\": \"adavp_cycles_total\""));
-        assert!(snap.contains("\"labels\": {\"class\": \"gold\"}, \"kind\": \"counter\", \"value\": 7"));
+        assert!(
+            snap.contains("\"labels\": {\"class\": \"gold\"}, \"kind\": \"counter\", \"value\": 7")
+        );
         assert!(snap.contains("\"kind\": \"gauge\", \"value\": 0.625"));
         assert!(snap.contains("\"p50\": 50, \"p90\": 500, \"p99\": 500"));
         assert!(snap.contains("\"overflow\": 1"));

@@ -309,9 +309,9 @@ impl MetricsRegistry {
     /// the given pairs (every given pair must be present in the series'
     /// labels).
     pub fn find_series(&self, name: &str, pairs: &[(&str, &str)]) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| {
-            s.name == name && pairs.iter().all(|(k, v)| s.labels.get(k) == Some(*v))
-        })
+        self.series
+            .iter()
+            .find(|s| s.name == name && pairs.iter().all(|(k, v)| s.labels.get(k) == Some(*v)))
     }
 
     /// Folds another registry in: counters add, gauges take the other's
@@ -384,9 +384,24 @@ mod tests {
     #[test]
     fn counters_accumulate_and_read_back() {
         let mut r = MetricsRegistry::new();
-        r.inc("cycles_total", "completed cycles", l(&[("class", "gold")]), 3);
-        r.inc("cycles_total", "completed cycles", l(&[("class", "gold")]), 2);
-        r.inc("cycles_total", "completed cycles", l(&[("class", "bronze")]), 1);
+        r.inc(
+            "cycles_total",
+            "completed cycles",
+            l(&[("class", "gold")]),
+            3,
+        );
+        r.inc(
+            "cycles_total",
+            "completed cycles",
+            l(&[("class", "gold")]),
+            2,
+        );
+        r.inc(
+            "cycles_total",
+            "completed cycles",
+            l(&[("class", "bronze")]),
+            1,
+        );
         assert_eq!(r.counter("cycles_total", &l(&[("class", "gold")])), 5);
         assert_eq!(r.counter("cycles_total", &l(&[("class", "bronze")])), 1);
         assert_eq!(r.counter("cycles_total", &l(&[("class", "silver")])), 0);

@@ -130,9 +130,7 @@ pub fn utilization_report(registry: &MetricsRegistry, bucket_ms: f64) -> String 
         let remaining = registry.gauge(names::SLO_BUDGET_REMAINING, &labels);
         let alerts: u64 = registry
             .iter()
-            .filter(|(n, l, _)| {
-                *n == names::BURN_ALERTS_TOTAL && l.get("class") == Some(&class)
-            })
+            .filter(|(n, l, _)| *n == names::BURN_ALERTS_TOTAL && l.get("class") == Some(&class))
             .map(|(_, _, v)| match v {
                 MetricValue::Counter(c) => *c,
                 _ => 0,
@@ -235,10 +233,7 @@ mod tests {
     #[test]
     fn report_is_deterministic() {
         let r = fleet_like_registry();
-        assert_eq!(
-            utilization_report(&r, 500.0),
-            utilization_report(&r, 500.0)
-        );
+        assert_eq!(utilization_report(&r, 500.0), utilization_report(&r, 500.0));
     }
 
     #[test]

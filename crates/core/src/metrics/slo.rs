@@ -17,7 +17,6 @@
 //! are edge-triggered, not level-triggered, so a long overload produces
 //! two crossing events, not thousands.
 
-
 /// Burn-rate levels that emit one alert event each, on first crossing.
 ///
 /// `1.0` — the stream is on pace to exhaust its budget exactly;

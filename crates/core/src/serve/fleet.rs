@@ -319,7 +319,13 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
             // event: a sample at t reflects the state after every event
             // before t and none at or after it.
             while next_sample < now {
-                take_sample(&mut registry, next_sample, &streams, &sched, in_flight.len());
+                take_sample(
+                    &mut registry,
+                    next_sample,
+                    &streams,
+                    &sched,
+                    in_flight.len(),
+                );
                 next_sample = SimTime::from_ms(next_sample.as_ms() + cadence_ms);
             }
             last_now = now;
@@ -541,9 +547,8 @@ fn assemble_metrics(
     }
 
     // Fleet-wide counters.
-    let sum = |f: fn(&StreamStats) -> u64| -> u64 {
-        stats.iter().filter(|s| s.admitted).map(f).sum()
-    };
+    let sum =
+        |f: fn(&StreamStats) -> u64| -> u64 { stats.iter().filter(|s| s.admitted).map(f).sum() };
     registry.inc(
         names::STREAMS_REQUESTED,
         "streams that requested service",
@@ -685,8 +690,7 @@ fn assemble_metrics(
             if !s.admitted {
                 continue;
             }
-            let labels =
-                LabelSet::new(&[("stream", &spec.name), ("class", spec.class.label())]);
+            let labels = LabelSet::new(&[("stream", &spec.name), ("class", spec.class.label())]);
             registry.inc(
                 names::CYCLES_TOTAL,
                 "completed detection cycles",
@@ -726,9 +730,10 @@ mod tests {
     use adavp_sim::FaultProfile;
 
     fn cfg(n: usize, cycles: usize) -> ServeConfig {
-        let mut c = ServeConfig::default();
-        c.streams = ServeConfig::synthetic_streams(n, cycles, 7);
-        c
+        ServeConfig {
+            streams: ServeConfig::synthetic_streams(n, cycles, 7),
+            ..ServeConfig::default()
+        }
     }
 
     #[test]
@@ -857,13 +862,12 @@ mod tests {
             // Closed-form budget math: burn = violation-rate / budget.
             let burn = reg.gauge(names::SLO_BURN_RATE, &l).expect("burn gauge");
             assert_eq!(burn, cr.violation_rate() / cr.class.error_budget());
-            assert_eq!(
-                reg.gauge(names::SLO_BUDGET_REMAINING, &l),
-                Some(1.0 - burn)
-            );
+            assert_eq!(reg.gauge(names::SLO_BUDGET_REMAINING, &l), Some(1.0 - burn));
         }
         // Sampled series exist and are time-ordered.
-        let q = reg.find_series(names::QUEUE_DEPTH, &[]).expect("queue series");
+        let q = reg
+            .find_series(names::QUEUE_DEPTH, &[])
+            .expect("queue series");
         assert!(!q.points.is_empty());
         for w in q.points.windows(2) {
             assert!(w[0].t_ms < w[1].t_ms, "sample times must increase");

@@ -13,7 +13,7 @@
 
 use super::fleet::{run_fleet, FleetReport};
 use super::stream::ServeScheme;
-use super::ServeConfig;
+use super::{BatchConfig, ServeConfig};
 use crate::metrics::{MetricsConfig, MetricsRegistry};
 use adavp_sim::FaultProfile;
 use adavp_vision::exec::Executor;
@@ -81,19 +81,21 @@ impl SweepConfig {
         streams: usize,
         batched: bool,
     ) -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        cfg.streams = ServeConfig::synthetic_streams(streams, self.cycles, self.seed);
-        cfg.scheme = scheme;
-        cfg.batch.gpus = self.gpus;
-        cfg.batch.max_batch = self.max_batch;
-        cfg.batch.window_ms = self.window_ms;
-        if !batched {
-            cfg.batch = cfg.batch.unbatched();
+        let batch = BatchConfig {
+            gpus: self.gpus,
+            max_batch: self.max_batch,
+            window_ms: self.window_ms,
+            ..BatchConfig::default()
+        };
+        ServeConfig {
+            streams: ServeConfig::synthetic_streams(streams, self.cycles, self.seed),
+            scheme,
+            batch: if batched { batch } else { batch.unbatched() },
+            faults: profile.clone(),
+            seed: self.seed,
+            metrics: self.metrics,
+            ..ServeConfig::default()
         }
-        cfg.faults = profile.clone();
-        cfg.seed = self.seed;
-        cfg.metrics = self.metrics;
-        cfg
     }
 
     /// The cell grid in row order: `profiles × schemes × stream_counts ×
@@ -441,7 +443,10 @@ mod tests {
         let rows = run_sweep(&cfg, &Executor::sequential());
         let csv = sweep_csv(&rows);
         assert!(
-            csv.lines().next().unwrap().contains(",shed,switches,batches,"),
+            csv.lines()
+                .next()
+                .unwrap()
+                .contains(",shed,switches,batches,"),
             "backpressure columns missing from the CSV header"
         );
         let header_cols = csv.lines().next().unwrap().split(',').count();

@@ -15,7 +15,6 @@
 //! never insertion order, so a histogram assembled from parallel shards is
 //! bit-identical to its sequential twin.
 
-
 /// Exact p50/p90/p99 of a recorded distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {

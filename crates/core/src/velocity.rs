@@ -6,7 +6,6 @@
 //! the per-step velocities the tracker reports over a detection cycle into
 //! the single number the adaptation module consumes.
 
-
 /// Aggregates per-step velocity samples over one detection cycle.
 ///
 /// # Example

@@ -78,7 +78,9 @@ pub trait Detector {
         region: &BoundingBox,
     ) -> DetectionResult {
         let mut result = self.detect(frame, setting);
-        result.detections.retain(|d| region.contains(d.bbox.center()));
+        result
+            .detections
+            .retain(|d| region.contains(d.bbox.center()));
         result
     }
 }

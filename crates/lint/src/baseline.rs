@@ -88,7 +88,10 @@ impl Baseline {
                 ));
             }
             let count: usize = fields[1].parse().map_err(|_| {
-                format!("lint.baseline:{lineno}: count `{}` is not a number", fields[1])
+                format!(
+                    "lint.baseline:{lineno}: count `{}` is not a number",
+                    fields[1]
+                )
             })?;
             if count == 0 {
                 return Err(format!(
@@ -152,7 +155,12 @@ mod tests {
     #[test]
     fn baseline_roundtrips_through_render_and_parse() {
         let mut b = Baseline::default();
-        let fp = fingerprint("panic-surface", "crates/vision/src/simd.rs", "blur", "index");
+        let fp = fingerprint(
+            "panic-surface",
+            "crates/vision/src/simd.rs",
+            "blur",
+            "index",
+        );
         b.entries.insert(
             fp.clone(),
             BaselineEntry {

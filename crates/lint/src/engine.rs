@@ -174,7 +174,13 @@ impl Outcome {
         }
         let _ = writeln!(out, "per-rule waiver counts:");
         for (rule, sites) in &per_rule {
-            let _ = writeln!(out, "  {:<20} {:>4}  {}", rule, sites.len(), sites.join(", "));
+            let _ = writeln!(
+                out,
+                "  {:<20} {:>4}  {}",
+                rule,
+                sites.len(),
+                sites.join(", ")
+            );
         }
         out
     }
@@ -325,12 +331,14 @@ pub fn lint_source(rel_path: &str, src: &str, policy: &Policy) -> FileOutcome {
             RuleKind::Forbid(patterns) => patterns
                 .iter()
                 .flat_map(|pat| {
-                    find_sequence(&lexed.tokens, pat).into_iter().map(|line| Candidate {
-                        line,
-                        category: pattern_display(pat),
-                        severity: Severity::Deny,
-                        message: format!("`{}`: {}", pattern_display(pat), rule.summary),
-                    })
+                    find_sequence(&lexed.tokens, pat)
+                        .into_iter()
+                        .map(|line| Candidate {
+                            line,
+                            category: pattern_display(pat),
+                            severity: Severity::Deny,
+                            message: format!("`{}`: {}", pattern_display(pat), rule.summary),
+                        })
                 })
                 .collect(),
             RuleKind::RequireInCrateRoot(pat) => {
@@ -525,9 +533,9 @@ pub fn lint_workspace_with(root: &Path, baseline: Option<&Baseline>) -> Result<O
                 hits,
             }),
     );
-    outcome
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, &a.rule, &a.category).cmp(&(&b.path, b.line, &b.rule, &b.category)));
+    outcome.findings.sort_by(|a, b| {
+        (&a.path, a.line, &a.rule, &a.category).cmp(&(&b.path, b.line, &b.rule, &b.category))
+    });
     outcome
         .waivers
         .sort_by(|a, b| (&a.site, &a.rule).cmp(&(&b.site, &b.rule)));
@@ -579,7 +587,10 @@ pub fn baseline_from(outcome: &Outcome) -> Baseline {
                 rule: f.rule.clone(),
                 path: f.path.clone(),
                 item: f.item.clone(),
-                reason: format!("legacy `{}` site predating the pass; audit before extending", f.category),
+                reason: format!(
+                    "legacy `{}` site predating the pass; audit before extending",
+                    f.category
+                ),
             });
     }
     b

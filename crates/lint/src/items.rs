@@ -213,7 +213,9 @@ fn record_block_item(
     match body_open {
         Some(open) => {
             let close = match_brace(tokens, open, end);
-            out[slot].line_end = tokens.get(close.min(end - 1)).map_or(line_start, |t| t.line);
+            out[slot].line_end = tokens
+                .get(close.min(end - 1))
+                .map_or(line_start, |t| t.line);
             scan(tokens, open + 1, close.min(end), &path, out);
             close + 1
         }
@@ -275,13 +277,15 @@ fn impl_target_name(tokens: &[Token], mut i: usize, end: usize) -> String {
             "<" => angle += 1,
             ">" => angle -= 1,
             "for" if angle == 0 => saw_for = true,
-            t if t.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') => {
-                if angle == 0 {
-                    if saw_for {
-                        after_for_ident = Some(t.to_string());
-                    } else {
-                        last_ident = t.to_string();
-                    }
+            t if angle == 0
+                && t.chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_') =>
+            {
+                if saw_for {
+                    after_for_ident = Some(t.to_string());
+                } else {
+                    last_ident = t.to_string();
                 }
             }
             _ => {}
@@ -376,14 +380,7 @@ impl<T: Clone> Pool<T> {
         let paths: Vec<&str> = idx.items.iter().map(|i| i.path.as_str()).collect();
         assert_eq!(
             paths,
-            vec![
-                "Row",
-                "Row::width",
-                "Row",
-                "Row::fmt",
-                "Pool",
-                "Pool::take"
-            ]
+            vec!["Row", "Row::width", "Row", "Row::fmt", "Pool", "Pool::take"]
         );
         assert_eq!(idx.enclosing(6).unwrap().path, "Row::fmt");
     }

@@ -452,7 +452,11 @@ mod tests {
     fn shebang_is_skipped_but_inner_attrs_are_not() {
         let lexed = lex("#!/usr/bin/env run-cargo-script\nfn main() {}\n");
         assert_eq!(
-            lexed.tokens.iter().map(|t| t.text.as_str()).collect::<Vec<_>>(),
+            lexed
+                .tokens
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect::<Vec<_>>(),
             ["fn", "main", "(", ")", "{", "}"]
         );
         assert_eq!(lexed.tokens[0].line, 2, "shebang still counts as a line");

@@ -128,9 +128,8 @@ pub fn float_determinism(lexed: &Lexed) -> Vec<PassFinding> {
         }
         let method_call =
             i > 0 && t[i - 1].text == "." && t.get(i + 1).is_some_and(|n| n.text == "(");
-        let path_call = i >= 2
-            && t[i - 1].text == "::"
-            && matches!(t[i - 2].text.as_str(), "f32" | "f64");
+        let path_call =
+            i >= 2 && t[i - 1].text == "::" && matches!(t[i - 2].text.as_str(), "f32" | "f64");
         if method_call || path_call {
             out.push(PassFinding {
                 line: tok.line,
@@ -200,7 +199,7 @@ pub fn metrics_vocabulary(lexed: &Lexed, vocab: &[String]) -> Vec<PassFinding> {
             && s.text
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-        if name_shaped && !vocab.iter().any(|v| *v == s.text) {
+        if name_shaped && !vocab.contains(&s.text) {
             out.push(PassFinding {
                 line: s.line,
                 category: s.text.clone(),
@@ -284,7 +283,9 @@ mod tests {
 
     #[test]
     fn float_determinism_ignores_fields_and_unrelated_idents() {
-        let f = float_determinism(&lex("struct P { exp: f32 }\nfn f(p: P) -> f32 { let ln = p.exp; ln }"));
+        let f = float_determinism(&lex(
+            "struct P { exp: f32 }\nfn f(p: P) -> f32 { let ln = p.exp; ln }",
+        ));
         assert!(f.is_empty(), "{f:?}");
     }
 

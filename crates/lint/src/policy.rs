@@ -464,7 +464,11 @@ mod tests {
             WaiverParse::Invalid(_)
         ));
         assert!(matches!(
-            parse_waiver(" adavp-lint: allow(cast-truncation, bound=lots) — x", 1, known),
+            parse_waiver(
+                " adavp-lint: allow(cast-truncation, bound=lots) — x",
+                1,
+                known
+            ),
             WaiverParse::Invalid(_)
         ));
     }

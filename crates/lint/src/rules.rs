@@ -124,12 +124,14 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "panic-surface",
-        summary: "hot paths must be panic-free: no unwrap/expect/panic!/index panics (DESIGN.md §18)",
+        summary:
+            "hot paths must be panic-free: no unwrap/expect/panic!/index panics (DESIGN.md §18)",
         kind: RuleKind::Pass(PassKind::PanicSurface),
     },
     Rule {
         name: "float-determinism",
-        summary: "libm-dependent float calls drift across toolchains; deterministic crates forbid them",
+        summary:
+            "libm-dependent float calls drift across toolchains; deterministic crates forbid them",
         kind: RuleKind::Pass(PassKind::FloatDeterminism),
     },
     Rule {

@@ -68,14 +68,29 @@ fn report_lists_exactly_the_audited_waivers() {
     got.sort();
     use WaiverSource::{Inline, Policy};
     let grants: &[(&str, &str, WaiverSource, usize)] = &[
-        ("cast-truncation", "crates/vision/src/gradient.rs", Inline, 4),
+        (
+            "cast-truncation",
+            "crates/vision/src/gradient.rs",
+            Inline,
+            4,
+        ),
         ("cast-truncation", "crates/vision/src/image.rs", Inline, 3),
         ("cast-truncation", "crates/vision/src/simd.rs", Inline, 7),
         ("env", "crates/bench/src", Policy, 1),
         ("env", "crates/vision/src/bin/kernels_bench.rs", Policy, 1),
         ("env", "src/bin/adavp.rs", Policy, 1),
-        ("float-determinism", "crates/core/src/serve/stream.rs", Inline, 1),
-        ("float-determinism", "crates/detector/src/model.rs", Inline, 1),
+        (
+            "float-determinism",
+            "crates/core/src/serve/stream.rs",
+            Inline,
+            1,
+        ),
+        (
+            "float-determinism",
+            "crates/detector/src/model.rs",
+            Inline,
+            1,
+        ),
         (
             "float-determinism",
             "crates/vision/src/bin/kernels_bench.rs",
@@ -84,17 +99,27 @@ fn report_lists_exactly_the_audited_waivers() {
         ),
         ("panic-surface", "crates/core/src/serve/batch.rs", Inline, 1),
         ("panic-surface", "crates/core/src/serve/fleet.rs", Inline, 1),
-        ("panic-surface", "crates/core/src/serve/stream.rs", Inline, 1),
+        (
+            "panic-surface",
+            "crates/core/src/serve/stream.rs",
+            Inline,
+            1,
+        ),
         ("panic-surface", "crates/vision/src/image.rs", Inline, 1),
         ("panic-surface", "crates/vision/src/pyramid.rs", Inline, 1),
         ("wallclock", "crates/bench/src", Policy, 1),
-        ("wallclock", "crates/vision/src/bin/kernels_bench.rs", Policy, 1),
+        (
+            "wallclock",
+            "crates/vision/src/bin/kernels_bench.rs",
+            Policy,
+            1,
+        ),
         ("wallclock", "crates/vision/src/perf.rs", Inline, 1),
     ];
     let mut expected: Vec<(String, String, WaiverSource)> = grants
         .iter()
         .flat_map(|(rule, file, source, n)| {
-            std::iter::repeat((rule.to_string(), file.to_string(), *source)).take(*n)
+            std::iter::repeat_n((rule.to_string(), file.to_string(), *source), *n)
         })
         .collect();
     expected.sort();

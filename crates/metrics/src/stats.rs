@@ -1,7 +1,6 @@
 //! Summary statistics for the evaluation figures: means, percentiles,
 //! empirical CDFs and histograms.
 
-
 /// Mean of a sample; 0 for an empty sample.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

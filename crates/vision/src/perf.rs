@@ -305,9 +305,11 @@ mod tests {
     #[test]
     fn merge_adds_fieldwise() {
         reset();
-        let mut a = KernelCounters::default();
-        a.pyramid_builds = 2;
-        a.buffers_reused = 7;
+        let a = KernelCounters {
+            pyramid_builds: 2,
+            buffers_reused: 7,
+            ..KernelCounters::default()
+        };
         merge(&a);
         merge(&a);
         let s = snapshot();
@@ -317,21 +319,27 @@ mod tests {
 
     #[test]
     fn merge_saturates_instead_of_wrapping() {
-        let mut a = KernelCounters::default();
-        a.lk_points = u64::MAX - 1;
-        let mut b = KernelCounters::default();
-        b.lk_points = 5;
+        let mut a = KernelCounters {
+            lk_points: u64::MAX - 1,
+            ..KernelCounters::default()
+        };
+        let b = KernelCounters {
+            lk_points: 5,
+            ..KernelCounters::default()
+        };
         a.merge(&b);
         assert_eq!(a.lk_points, u64::MAX, "merge must saturate, not wrap");
     }
 
     #[test]
     fn counts_strips_wall_clock_fields() {
-        let mut c = KernelCounters::default();
-        c.lk_calls = 3;
-        c.buffers_allocated = 1;
-        c.buffers_reused = 3;
-        c.flow_ns = 123_456; // wall-clock noise must not survive
+        let c = KernelCounters {
+            lk_calls: 3,
+            buffers_allocated: 1,
+            buffers_reused: 3,
+            flow_ns: 123_456, // wall-clock noise must not survive
+            ..KernelCounters::default()
+        };
         let k = c.counts();
         assert_eq!(k.lk_calls, 3);
         assert_eq!(k.scratch_hit_rate(), Some(0.75));

@@ -275,7 +275,7 @@ fn box_edges_around_a_tile_boundary_match_reference() {
     let img = noise(80, 72, &mut rng);
     let grad = scharr_gradients(&img);
     let t = 32.0f32;
-    assert!(32 % TILE_W == 0 && 32 % TILE_H == 0);
+    const { assert!(32 % TILE_W == 0 && 32 % TILE_H == 0) };
     for block_radius in 1..=3 {
         let params = GoodFeaturesParams {
             max_corners: 0,

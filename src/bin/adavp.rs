@@ -393,7 +393,9 @@ fn main() -> ExitCode {
                 let schemes: Option<Vec<ServeScheme>> =
                     v.split(',').map(|s| ServeScheme::parse(s.trim())).collect();
                 let Some(schemes) = schemes.filter(|s| !s.is_empty()) else {
-                    eprintln!("--schemes expects a comma-separated subset of mpdt,cascade,ctd: {v}");
+                    eprintln!(
+                        "--schemes expects a comma-separated subset of mpdt,cascade,ctd: {v}"
+                    );
                     return ExitCode::from(2);
                 };
                 sweep.schemes = schemes;
@@ -459,9 +461,11 @@ fn main() -> ExitCode {
                 .get("cycles")
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(20);
-            let mut cfg = ServeConfig::default();
-            cfg.seed = seed;
-            cfg.streams = ServeConfig::synthetic_streams(streams, cycles, seed);
+            let mut cfg = ServeConfig {
+                seed,
+                streams: ServeConfig::synthetic_streams(streams, cycles, seed),
+                ..ServeConfig::default()
+            };
             if let Some(v) = flags.get("gpus").and_then(|v| v.parse().ok()) {
                 cfg.batch.gpus = v;
             }
@@ -517,12 +521,12 @@ fn main() -> ExitCode {
                 report.throughput_dps,
                 report.gpu_utilization * 100.0
             );
-            println!(
-                "telemetry: {} burn-alert events",
-                m.telemetry.events.len()
-            );
+            println!("telemetry: {} burn-alert events", m.telemetry.events.len());
             println!();
-            print!("{}", metrics::report::utilization_report(&m.registry, bucket));
+            print!(
+                "{}",
+                metrics::report::utilization_report(&m.registry, bucket)
+            );
             if let Some(path) = flags.get("prom").map(PathBuf::from) {
                 if let Err(e) = std::fs::write(&path, metrics::prometheus_text(&m.registry)) {
                     eprintln!("failed to write metrics exposition: {e}");

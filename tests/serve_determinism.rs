@@ -9,8 +9,8 @@
 use adavp::core::metrics::{json_snapshot, prometheus_text, MetricsConfig, SloTracker};
 use adavp::core::serve::stream::{DetectionRequest, SloClass};
 use adavp::core::serve::{
-    run_fleet, run_sweep, run_sweep_with_metrics, sweep_csv, sweep_json, BatchConfig,
-    BatchScheduler, ServeConfig, ServeScheme, SweepConfig,
+    run_fleet, run_sweep, run_sweep_with_metrics, sweep_csv, sweep_json, AdmissionPolicy,
+    BatchConfig, BatchScheduler, ServeConfig, ServeScheme, SweepConfig,
 };
 use adavp::sim::{FaultPlan, FaultProfile, SimTime};
 use adavp::vision::exec::Executor;
@@ -148,9 +148,14 @@ fn batch_closes_on_window_deadline_when_underfull() {
 
 #[test]
 fn admission_rejects_overload_and_keeps_gold() {
-    let mut cfg = ServeConfig::default();
-    cfg.streams = ServeConfig::synthetic_streams(240, 4, 11);
-    cfg.batch.gpus = 2;
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(240, 4, 11),
+        batch: BatchConfig {
+            gpus: 2,
+            ..BatchConfig::default()
+        },
+        ..ServeConfig::default()
+    };
     let report = run_fleet(&cfg);
     assert!(report.admitted >= 1);
     assert!(
@@ -173,15 +178,21 @@ fn admission_rejects_overload_and_keeps_gold() {
 
 #[test]
 fn backpressure_sheds_and_steps_settings_down() {
-    let mut cfg = ServeConfig::default();
-    cfg.streams = ServeConfig::synthetic_streams(20, 3, 5);
-    cfg.admission.enabled = false; // force overload through to the queue
-    cfg.batch = BatchConfig {
-        max_batch: 2,
-        window_ms: 10.0,
-        queue_capacity: 2,
-        gpus: 1,
-        ..BatchConfig::default()
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(20, 3, 5),
+        // Force overload through to the queue.
+        admission: AdmissionPolicy {
+            enabled: false,
+            ..AdmissionPolicy::default()
+        },
+        batch: BatchConfig {
+            max_batch: 2,
+            window_ms: 10.0,
+            queue_capacity: 2,
+            gpus: 1,
+            ..BatchConfig::default()
+        },
+        ..ServeConfig::default()
     };
     let report = run_fleet(&cfg);
     assert!(report.shed > 0, "saturated queue must refuse submissions");
@@ -231,10 +242,8 @@ fn metrics_exposition_bytes_identical_across_jobs() {
     // The SLO error-budget burn rates are in both renderings, per class.
     for class in ["gold", "silver", "bronze"] {
         assert!(
-            prom_1
-                .lines()
-                .any(|l| l.starts_with("adavp_slo_burn_rate{")
-                    && l.contains(&format!("class=\"{class}\""))),
+            prom_1.lines().any(|l| l.starts_with("adavp_slo_burn_rate{")
+                && l.contains(&format!("class=\"{class}\""))),
             "burn-rate gauge for {class} missing from exposition"
         );
         assert!(
@@ -263,10 +272,16 @@ fn error_budget_burn_matches_closed_form() {
 
     // Fleet level: the exported gauge equals the closed form derived from
     // the same report's violation counts.
-    let mut cfg = ServeConfig::default();
-    cfg.streams = ServeConfig::synthetic_streams(18, 5, 23);
-    cfg.batch.gpus = 1; // scarce pool so some deadlines actually miss
-    cfg.metrics = MetricsConfig::enabled();
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(18, 5, 23),
+        // Scarce pool so some deadlines actually miss.
+        batch: BatchConfig {
+            gpus: 1,
+            ..BatchConfig::default()
+        },
+        metrics: MetricsConfig::enabled(),
+        ..ServeConfig::default()
+    };
     let report = run_fleet(&cfg);
     let metrics = report.metrics.as_ref().expect("metrics enabled");
     let prom = prometheus_text(&metrics.registry);
@@ -298,9 +313,11 @@ fn error_budget_burn_matches_closed_form() {
 
 #[test]
 fn fleet_brownout_drill_stays_deterministic() {
-    let mut cfg = ServeConfig::default();
-    cfg.streams = ServeConfig::synthetic_streams(24, 4, 9);
-    cfg.faults = FaultProfile::brownout(3);
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(24, 4, 9),
+        faults: FaultProfile::brownout(3),
+        ..ServeConfig::default()
+    };
     let a = run_fleet(&cfg);
     let b = run_fleet(&cfg);
     assert_eq!(

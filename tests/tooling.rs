@@ -340,8 +340,7 @@ fn flow_aware_passes_hold_on_live_workspace() {
     );
     // The machine-readable report is deterministic: no timestamps, stable
     // ordering, so two runs serialize identically byte for byte.
-    let again = adavp_lint::lint_workspace_with(root, baseline.as_ref())
-        .expect("second lint run");
+    let again = adavp_lint::lint_workspace_with(root, baseline.as_ref()).expect("second lint run");
     assert_eq!(
         outcome.json_report(),
         again.json_report(),

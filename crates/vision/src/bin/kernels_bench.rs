@@ -1,27 +1,26 @@
-//! Kernel micro-benchmark harness: times the vision hot-path kernels and
-//! writes `BENCH_kernels.json` (kernel -> ns/op plus a multi-point
-//! pyramidal-LK baseline-vs-optimized comparison). Most kernels run at
-//! 256x256; the demand-driven gradient and masked Shi-Tomasi cases run at
-//! the 640x360 experiment resolution.
+//! Kernel micro-benchmark harness: times the vision hot-path kernels next
+//! to their plain-loop oracles in `adavp_vision::reference`, asserts that
+//! each kernel reproduces its oracle bit for bit, and writes
+//! `BENCH_kernels.json` (kernel -> ns/op plus a multi-point pyramidal-LK
+//! baseline-vs-optimized comparison). Most kernels run at 256x256; the
+//! demand-driven gradient and masked Shi-Tomasi cases run at the 640x360
+//! experiment resolution.
 //!
 //! Run with `cargo run --release -p adavp-vision --bin kernels_bench`
 //! (optionally passing an output path; defaults to `BENCH_kernels.json` in
 //! the current directory). Dependency-free: JSON is emitted by hand.
 
-use adavp_vision::features::{
-    good_features_from_gradients, good_features_from_gradients_reference, good_features_in_boxes,
-    GoodFeaturesParams,
-};
+use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
-use adavp_vision::gradient::{
-    gaussian_blur_into, gaussian_blur_into_scalar, scharr_gradients, scharr_gradients_i16_into,
-    scharr_gradients_into, scharr_gradients_into_scalar, GradientField, GradientFieldI16,
-    TiledGradients, TILE_H, TILE_W,
-};
+use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients, TILE_H, TILE_W};
 use adavp_vision::image::GrayImage;
 use adavp_vision::perf;
 use adavp_vision::pyramid::Pyramid;
+use adavp_vision::reference::{
+    downsample_into_scalar, gaussian_blur_into_scalar, good_features_from_gradients_reference,
+    scharr_gradients, scharr_gradients_into_scalar, track_pyramids_baseline,
+};
 use adavp_vision::scratch::ScratchPool;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -141,7 +140,7 @@ fn main() {
     entries.push(Entry {
         name: "downsample_scalar_256",
         ns_per_op: bench_ns(|| {
-            black_box(&img).downsample_into_scalar(&mut down_scalar_out);
+            downsample_into_scalar(black_box(&img), &mut down_scalar_out);
             black_box(&down_scalar_out);
         }),
         pixels: frame_pixels,
@@ -154,16 +153,8 @@ fn main() {
     );
 
     // --- Scharr gradients --------------------------------------------------
-    let mut field = GradientField::empty();
-    entries.push(Entry {
-        name: "scharr_gradients_into_256",
-        ns_per_op: bench_ns(|| {
-            scharr_gradients_into(black_box(&img), &mut field, &mut pool);
-            black_box(&field);
-        }),
-        pixels: frame_pixels,
-        note: "separable Scharr gx+gy into reused field, 256x256",
-    });
+    // The production Scharr is the demand-driven tile field, timed and
+    // checked against this oracle at 640x360 below.
     let mut field_scalar = GradientField::empty();
     entries.push(Entry {
         name: "scharr_scalar_256",
@@ -172,29 +163,8 @@ fn main() {
             black_box(&field_scalar);
         }),
         pixels: frame_pixels,
-        note: "scalar baseline for the separable Scharr kernel",
+        note: "scalar oracle for the separable Scharr kernel",
     });
-    assert!(
-        field.gx_plane() == field_scalar.gx_plane() && field.gy_plane() == field_scalar.gy_plane(),
-        "vectorized Scharr diverged from scalar baseline"
-    );
-    let mut field_i16 = GradientFieldI16::empty();
-    entries.push(Entry {
-        name: "scharr_i16_256",
-        ns_per_op: bench_ns(|| {
-            scharr_gradients_i16_into(black_box(&img), &mut field_i16, &mut pool);
-            black_box(&field_i16);
-        }),
-        pixels: frame_pixels,
-        note: "fixed-point i16 Scharr (un-normalized taps)",
-    });
-    let mut widened = GradientField::empty();
-    field_i16.to_f32_into(&mut widened);
-    assert!(
-        widened.gx_plane() == field_scalar.gx_plane()
-            && widened.gy_plane() == field_scalar.gy_plane(),
-        "i16 Scharr widened to f32 diverged from scalar baseline"
-    );
 
     // --- Pyramid build: fresh vs pooled ------------------------------------
     entries.push(Entry {
@@ -220,48 +190,9 @@ fn main() {
         note: "steady-state build via ScratchPool (allocation-free)",
     });
 
-    // --- Corner detection ---------------------------------------------------
-    let gft = adavp_vision::features::GoodFeaturesParams::default();
-    entries.push(Entry {
-        name: "good_features_256",
-        ns_per_op: bench_ns(|| {
-            black_box(adavp_vision::features::good_features_to_track(
-                black_box(&img),
-                &gft,
-                None,
-            ));
-        }),
-        pixels: frame_pixels,
-        note: "Shi-Tomasi incl. gradient computation, 256x256",
-    });
-    let cached_grad = adavp_vision::gradient::scharr_gradients(&img);
-    entries.push(Entry {
-        name: "good_features_from_gradients_256",
-        ns_per_op: bench_ns(|| {
-            black_box(adavp_vision::features::good_features_from_gradients(
-                black_box(&cached_grad),
-                &gft,
-                None,
-            ));
-        }),
-        pixels: frame_pixels,
-        note: "Shi-Tomasi over a precomputed gradient field",
-    });
-
     // --- Demand-driven gradients and masked Shi-Tomasi, 640x360 ------------
     let frame = textured(FRAME_W, FRAME_H);
     let frame_px = (FRAME_W * FRAME_H) as u64;
-    let mut full = GradientField::empty();
-    let full_ns = bench_ns(|| {
-        scharr_gradients_into(black_box(&frame), &mut full, &mut pool);
-        black_box(&full);
-    });
-    entries.push(Entry {
-        name: "scharr_gradients_into_640x360",
-        ns_per_op: full_ns,
-        pixels: frame_px,
-        note: "full-frame Scharr gx+gy into reused field, 640x360",
-    });
     let whole = [PixelRect::new(0, 0, FRAME_W as i64, FRAME_H as i64)];
     let mut all_tiles = TiledGradients::new();
     let all_tiles_ns = bench_ns(|| {
@@ -326,7 +257,7 @@ fn main() {
         pixels: tracker_tiles as u64 * u64::from(TILE_W * TILE_H),
         note: "demand-driven Scharr for 3 boxes + 6 LK windows per box on 3 levels, 640x360",
     });
-    // Parity: every computed tile equals the full-frame pass bit for bit.
+    // Parity: every computed tile equals the scalar oracle bit for bit.
     for (level, tiles) in level_tiles.iter().chain([&all_tiles]).enumerate() {
         let img = if level < frame_pyr.levels() {
             frame_pyr.level(level)
@@ -340,7 +271,7 @@ fn main() {
                     assert!(
                         gx.to_bits() == oracle.gx(x, y).to_bits()
                             && gy.to_bits() == oracle.gy(x, y).to_bits(),
-                        "demand-driven Scharr diverged from the full pass at ({x},{y})"
+                        "demand-driven Scharr diverged from the scalar oracle at ({x},{y})"
                     );
                 }
             }
@@ -350,12 +281,6 @@ fn main() {
         all_tiles.tiles_computed() as u32,
         FRAME_W.div_ceil(TILE_W) * FRAME_H.div_ceil(TILE_H)
     );
-    let all_over_full = all_tiles_ns as f64 / full_ns.max(1) as f64;
-    if all_over_full > 1.10 {
-        eprintln!(
-            "WARN: all-tiles Scharr is {all_over_full:.2}x the full-frame pass (budget 1.10x)"
-        );
-    }
 
     // Masked Shi-Tomasi with the tracker's parameters over one 120x80 box.
     let st_params = GoodFeaturesParams {
@@ -365,18 +290,24 @@ fn main() {
         block_radius: 1,
     };
     let one_box = [boxes[0]];
+    let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
+    // The first (warm-up) call computes the box's tiles; the timed calls
+    // find them computed and time the scan and suppression.
     entries.push(Entry {
-        name: "good_features_masked_640x360",
+        name: "good_features_in_boxes_640x360",
         ns_per_op: bench_ns(|| {
-            black_box(good_features_from_gradients(
-                black_box(&full),
+            black_box(good_features_in_boxes(
+                &mut st_pyr,
                 &st_params,
-                Some(&one_box),
+                black_box(&one_box),
+                &mut pool,
             ));
         }),
         pixels: 120 * 80,
-        note: "box-bounded Shi-Tomasi scan + NMS, one 120x80 box, 640x360 field",
+        note: "box-bounded Shi-Tomasi scan + NMS, one 120x80 box, tiles computed, 640x360",
     });
+    st_pyr.recycle(&mut pool);
+    let full = scharr_gradients(&frame);
     entries.push(Entry {
         name: "good_features_masked_reference_640x360",
         ns_per_op: bench_ns(|| {
@@ -387,18 +318,12 @@ fn main() {
             ));
         }),
         pixels: 120 * 80,
-        note: "retained reference: whole-frame masked scan + whole-frame NMS grid",
+        note: "reference: whole-frame masked scan + whole-frame NMS grid",
     });
-    let reference = good_features_from_gradients_reference(&full, &st_params, Some(&one_box));
-    assert_eq!(
-        good_features_from_gradients(&full, &st_params, Some(&one_box)),
-        reference,
-        "box-bounded Shi-Tomasi diverged from the reference"
-    );
     let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
     assert_eq!(
         good_features_in_boxes(&mut st_pyr, &st_params, &one_box, &mut pool),
-        reference,
+        good_features_from_gradients_reference(&full, &st_params, Some(&one_box)),
         "demand-driven Shi-Tomasi diverged from the reference"
     );
     st_pyr.recycle(&mut pool);
@@ -432,7 +357,12 @@ fn main() {
     let next_pyr = Pyramid::build(&next_img, PYRAMID_LEVELS);
 
     let baseline_ns = bench_ns(|| {
-        black_box(lk.track_pyramids_baseline(black_box(&prev_pyr), black_box(&next_pyr), &pts));
+        black_box(track_pyramids_baseline(
+            &lk,
+            black_box(&prev_pyr),
+            black_box(&next_pyr),
+            &pts,
+        ));
     });
     let opt_fresh_ns = bench_ns(|| {
         let mut p = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
@@ -447,7 +377,6 @@ fn main() {
             &mut pool,
         ));
     });
-    #[cfg(feature = "parallel")]
     let parallel_ns = bench_ns(|| {
         black_box(lk.track_pyramids_parallel(
             black_box(&mut prev_pyr),
@@ -456,8 +385,6 @@ fn main() {
             &mut pool,
         ));
     });
-    #[cfg(not(feature = "parallel"))]
-    let parallel_ns = optimized_ns;
 
     // Sanity: all three paths agree bit-for-bit, each on a fresh reference
     // pyramid whose pooled planes hold stale gradients of another frame.
@@ -468,21 +395,18 @@ fn main() {
         stale.ensure_gradients(level, &[r], &mut pool);
     }
     stale.recycle(&mut pool);
-    let a = lk.track_pyramids_baseline(&prev_pyr, &next_pyr, &pts);
+    let a = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
     let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
     let b = lk.track_pyramids_sequential(&mut fresh, &next_pyr, &pts, &mut pool);
     fresh.recycle(&mut pool);
     assert_eq!(a, b, "baseline and optimized LK diverged");
-    #[cfg(feature = "parallel")]
-    {
-        let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-        assert_eq!(
-            b,
-            lk.track_pyramids_parallel(&mut fresh, &next_pyr, &pts, &mut pool),
-            "parallel LK diverged"
-        );
-        fresh.recycle(&mut pool);
-    }
+    let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
+    assert_eq!(
+        b,
+        lk.track_pyramids_parallel(&mut fresh, &next_pyr, &pts, &mut pool),
+        "parallel LK diverged"
+    );
+    fresh.recycle(&mut pool);
 
     let fps = |ns: u64| 1e9 / ns as f64;
     let speedup_opt = baseline_ns as f64 / optimized_ns as f64;
@@ -502,13 +426,8 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"image\": \"{IMG_W}x{IMG_H}\", \"pyramid_levels\": {PYRAMID_LEVELS}, \
-         \"threads\": {}, \"parallel_feature\": {}, \"features\": {{\"parallel\": {}, \
-         \"simd\": {}, \"fixed_point\": {}}}, \"target_isa\": \"{}\"}},",
+         \"threads\": {}, \"target_isa\": \"{}\"}},",
         adavp_vision::parallel::max_threads(),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "parallel"),
-        cfg!(feature = "simd"),
-        cfg!(feature = "fixed-point"),
         // Compile-time ISA level (no runtime probing): reflects the baseline the
         // binary was built for, e.g. the x86-64-v3 pin in .cargo/config.toml.
         if cfg!(target_feature = "avx2") {
@@ -551,8 +470,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"demand_640x360\": {{\"tile\": \"{TILE_W}x{TILE_H}\", \"levels\": {}, \"tiles_total\": \
-         {tiles_total}, \"tracker_tiles\": {tracker_tiles}, \"tracker_tile_share\": {:.3}, \
-         \"all_tiles_over_full_frame\": {all_over_full:.3}}},",
+         {tiles_total}, \"tracker_tiles\": {tracker_tiles}, \"tracker_tile_share\": {:.3}}},",
         frame_pyr.levels(),
         tracker_tiles as f64 / f64::from(tiles_total),
     );

@@ -8,8 +8,7 @@
 //! OpenCV's `goodFeaturesToTrack`.
 
 use crate::geometry::{BoundingBox, PixelRect, Point2};
-use crate::gradient::{scharr_gradients, GradientField};
-use crate::image::GrayImage;
+use crate::gradient::GradientField;
 use crate::perf;
 use crate::pyramid::Pyramid;
 use crate::scratch::ScratchPool;
@@ -25,7 +24,7 @@ pub struct Corner {
     pub response: f32,
 }
 
-/// Parameters for [`good_features_to_track`].
+/// Parameters for [`good_features_in_boxes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoodFeaturesParams {
     /// Maximum number of corners to return (strongest first). 0 means no limit.
@@ -49,11 +48,14 @@ impl Default for GoodFeaturesParams {
     }
 }
 
-/// Detects Shi-Tomasi corners in `img`.
+/// Detects Shi-Tomasi corners inside `boxes` on the base level of `pyr`.
 ///
-/// When `mask` is given, only pixels inside at least one of the mask boxes
-/// are considered — the AdaVP tracker passes the YOLO-detected bounding boxes
-/// here so features are only extracted on objects (§V of the paper).
+/// Only pixels inside at least one box are considered: the AdaVP tracker
+/// passes the detected bounding boxes here, so features are only extracted
+/// on objects (§V of the paper). A box covering the frame scans the whole
+/// image. Only the gradient tiles the scan reads are computed; they are the
+/// pyramid's own, so the Lucas-Kanade steps that track out of this pyramid
+/// reuse them. Gradient buffers come from `pool`.
 ///
 /// Returns corners sorted by descending response, after quality filtering
 /// and minimum-distance suppression.
@@ -61,33 +63,19 @@ impl Default for GoodFeaturesParams {
 /// # Example
 ///
 /// ```
+/// use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
+/// use adavp_vision::geometry::BoundingBox;
 /// use adavp_vision::image::GrayImage;
-/// use adavp_vision::features::{good_features_to_track, GoodFeaturesParams};
+/// use adavp_vision::pyramid::Pyramid;
+/// use adavp_vision::scratch::ScratchPool;
 /// let img = GrayImage::from_fn(64, 64, |x, y| if x > 30 && y > 30 { 220 } else { 10 });
-/// let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
+/// let mut pyr = Pyramid::build(&img, 1);
+/// let boxes = [BoundingBox::new(16.0, 16.0, 32.0, 32.0)];
+/// let params = GoodFeaturesParams::default();
+/// let corners = good_features_in_boxes(&mut pyr, &params, &boxes, &mut ScratchPool::new());
 /// // The single corner of the bright square is found.
 /// assert!(corners.iter().any(|c| (c.point.x - 30.0).abs() < 3.0 && (c.point.y - 30.0).abs() < 3.0));
 /// ```
-pub fn good_features_to_track(
-    img: &GrayImage,
-    params: &GoodFeaturesParams,
-    mask: Option<&[BoundingBox]>,
-) -> Vec<Corner> {
-    if img.width() < 3 || img.height() < 3 {
-        return Vec::new();
-    }
-    let grad = scharr_gradients(img);
-    good_features_from_gradients(&grad, params, mask)
-}
-
-/// [`good_features_to_track`] restricted to `boxes` on the base level of
-/// `pyr`, computing only the gradient tiles the masked scan reads.
-///
-/// The object tracker extracts features inside each detected box of the
-/// frame whose pyramid it keeps as the Lucas-Kanade reference; the tiles
-/// computed here are the pyramid's own, so the tracking steps that follow
-/// reuse them. Gradient buffers come from `pool`. Results are identical to
-/// [`good_features_to_track`] on the base image with `Some(boxes)`.
 pub fn good_features_in_boxes(
     pyr: &mut Pyramid,
     params: &GoodFeaturesParams,
@@ -111,21 +99,10 @@ pub fn good_features_in_boxes(
         })
         .collect();
     pyr.ensure_gradients(0, &rects, pool);
-    pyr.tiled_gradients().first().map_or_else(Vec::new, |g| {
-        good_features_from_gradients(g.field(), params, Some(boxes))
-    })
-}
+    let Some(grad) = pyr.tiled_gradients().first().map(|g| g.field()) else {
+        return Vec::new();
+    };
 
-/// [`good_features_to_track`] over a precomputed Scharr [`GradientField`].
-///
-/// Results are identical to [`good_features_to_track`] on the image the
-/// field was computed from. With a mask, only the rows and columns the
-/// boxes reach are scanned.
-pub fn good_features_from_gradients(
-    grad: &GradientField,
-    params: &GoodFeaturesParams,
-    mask: Option<&[BoundingBox]>,
-) -> Vec<Corner> {
     let _timer = perf::ScopedTimer::new(|c| &mut c.corner_ns);
     perf::record(|c| c.corner_scans += 1);
     let w = grad.width();
@@ -133,39 +110,28 @@ pub fn good_features_from_gradients(
     if w < 3 || h < 3 {
         return Vec::new();
     }
-    let r = params.block_radius as i64;
     let margin = params.block_radius + 1;
 
     let inside_mask = |x: u32, y: u32| -> bool {
-        match mask {
-            None => true,
-            Some(boxes) => {
-                let p = Point2::new(x as f32, y as f32);
-                boxes.iter().any(|b| b.contains(p))
-            }
-        }
+        let p = Point2::new(x as f32, y as f32);
+        boxes.iter().any(|b| b.contains(p))
     };
 
     // Min-eigenvalue response map, scanned in parallel row bands (band
     // results concatenate back to exact raster order, so output is
-    // independent of the band count). Within a band, each row is evaluated
-    // as contiguous x-spans through [`min_eig_span`] — row slices hoisted
-    // once per span, the 3x3 window fully unrolled, responses written to a
-    // row buffer and filtered in a second loop — instead of per-pixel
-    // indexed accessor calls; the per-pixel accumulation order is
-    // unchanged, so responses are bit-identical to the retained
-    // [`good_features_from_gradients_reference`]. With a mask, only the
-    // rows the boxes reach are visited, the spans shrink to a conservative
-    // superset of the masked columns, and the exact `inside_mask` test
-    // still gates every emitted candidate.
+    // independent of the band count). Only the rows the boxes reach are
+    // visited, and each row is evaluated as contiguous x-spans, a
+    // conservative superset of the masked columns, through
+    // [`min_eig_span`]: row slices hoisted once per span, the 3x3 window
+    // fully unrolled, responses written to a row buffer and filtered in a
+    // second loop. The exact `inside_mask` test still gates every emitted
+    // candidate, and the per-pixel accumulation order is that of the
+    // per-pixel reference scan, so responses are bit-identical to it.
     let y_end = h.saturating_sub(margin);
     // Never below `margin`: images narrower than two margins have no
     // interior columns, and the span clamps need `margin <= x_end`.
     let x_end = w.saturating_sub(margin).max(margin);
-    let (row_lo, row_hi) = match mask {
-        None => (margin, y_end),
-        Some(boxes) => mask_rows(boxes, margin, y_end),
-    };
+    let (row_lo, row_hi) = mask_rows(boxes, margin, y_end);
     let scan_rows = row_hi.saturating_sub(row_lo) as usize;
     let per_band =
         crate::parallel::map_bands(scan_rows, crate::parallel::scan_bands(scan_rows), |s, e| {
@@ -174,10 +140,7 @@ pub fn good_features_from_gradients(
             let mut eig: Vec<f32> = Vec::new();
             for y in row_lo + s as u32..row_lo + e as u32 {
                 spans.clear();
-                match mask {
-                    None => spans.push((margin, x_end)),
-                    Some(boxes) => mask_row_spans(boxes, y, margin, x_end, &mut spans),
-                }
+                mask_row_spans(boxes, y, margin, x_end, &mut spans);
                 for &(x0, x1) in &spans {
                     eig.clear();
                     eig.resize(x1.saturating_sub(x0) as usize, 0.0);
@@ -478,124 +441,10 @@ fn mask_rows(boxes: &[BoundingBox], margin: u32, y_end: u32) -> (u32, u32) {
     (lo as u32, hi.max(lo) as u32)
 }
 
-/// The pre-vectorization [`good_features_from_gradients`]: per-pixel
-/// indexed gradient accessors, no span hoisting. Retained verbatim as the
-/// baseline for parity tests and benchmarks; produces identical corners.
-pub fn good_features_from_gradients_reference(
-    grad: &GradientField,
-    params: &GoodFeaturesParams,
-    mask: Option<&[BoundingBox]>,
-) -> Vec<Corner> {
-    let _timer = perf::ScopedTimer::new(|c| &mut c.corner_ns);
-    perf::record(|c| c.corner_scans += 1);
-    let w = grad.width();
-    let h = grad.height();
-    if w < 3 || h < 3 {
-        return Vec::new();
-    }
-    let r = params.block_radius as i64;
-    let margin = params.block_radius + 1;
-
-    let inside_mask = |x: u32, y: u32| -> bool {
-        match mask {
-            None => true,
-            Some(boxes) => {
-                let p = Point2::new(x as f32, y as f32);
-                boxes.iter().any(|b| b.contains(p))
-            }
-        }
-    };
-
-    let y_end = h.saturating_sub(margin);
-    let scan_rows = y_end.saturating_sub(margin) as usize;
-    let per_band =
-        crate::parallel::map_bands(scan_rows, crate::parallel::scan_bands(scan_rows), |s, e| {
-            let mut band: Vec<(f32, u32, u32)> = Vec::new();
-            for y in margin + s as u32..margin + e as u32 {
-                for x in margin..w.saturating_sub(margin) {
-                    if !inside_mask(x, y) {
-                        continue;
-                    }
-                    let mut sxx = 0.0f32;
-                    let mut sxy = 0.0f32;
-                    let mut syy = 0.0f32;
-                    for dy in -r..=r {
-                        for dx in -r..=r {
-                            let gx = grad.gx((x as i64 + dx) as u32, (y as i64 + dy) as u32);
-                            let gy = grad.gy((x as i64 + dx) as u32, (y as i64 + dy) as u32);
-                            sxx += gx * gx;
-                            sxy += gx * gy;
-                            syy += gy * gy;
-                        }
-                    }
-                    let trace_half = (sxx + syy) / 2.0;
-                    let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
-                    let min_eig = trace_half - det_term.sqrt();
-                    if min_eig > 0.0 {
-                        band.push((min_eig, x, y));
-                    }
-                }
-            }
-            band
-        });
-    let mut responses: Vec<(f32, u32, u32)> = Vec::new();
-    for band in per_band {
-        responses.extend(band);
-    }
-    if responses.is_empty() {
-        return Vec::new();
-    }
-    let max_response = responses
-        .iter()
-        .fold(0.0f32, |acc, &(resp, _, _)| acc.max(resp));
-
-    let threshold = max_response * params.quality_level;
-    responses.retain(|&(resp, _, _)| resp >= threshold);
-    responses.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.2, a.1).cmp(&(b.2, b.1)))
-    });
-
-    let cell = params.min_distance.max(1.0);
-    let grid_w = (w as f32 / cell).ceil() as usize + 1;
-    let grid_h = (h as f32 / cell).ceil() as usize + 1;
-    let mut grid: Vec<Vec<Point2>> = vec![Vec::new(); grid_w * grid_h];
-    let min_d2 = params.min_distance * params.min_distance;
-
-    let mut out = Vec::new();
-    for (resp, x, y) in responses {
-        let p = Point2::new(x as f32, y as f32);
-        let cx = (p.x / cell) as usize;
-        let cy = (p.y / cell) as usize;
-        let mut ok = true;
-        'outer: for ny in cy.saturating_sub(1)..=(cy + 1).min(grid_h - 1) {
-            for nx in cx.saturating_sub(1)..=(cx + 1).min(grid_w - 1) {
-                for q in &grid[ny * grid_w + nx] {
-                    if p.distance_sq(*q) < min_d2 {
-                        ok = false;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        if ok {
-            grid[cy * grid_w + cx].push(p);
-            out.push(Corner {
-                point: p,
-                response: resp,
-            });
-            if params.max_corners != 0 && out.len() >= params.max_corners {
-                break;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::GrayImage;
 
     fn checker(w: u32, h: u32, cell: u32) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| {
@@ -607,23 +456,37 @@ mod tests {
         })
     }
 
+    fn detect_in(
+        img: &GrayImage,
+        params: &GoodFeaturesParams,
+        boxes: &[BoundingBox],
+    ) -> Vec<Corner> {
+        let mut pyr = Pyramid::build(img, 1);
+        good_features_in_boxes(&mut pyr, params, boxes, &mut ScratchPool::new())
+    }
+
+    /// Corners anywhere in `img`: one box covering the frame.
+    fn detect(img: &GrayImage, params: &GoodFeaturesParams) -> Vec<Corner> {
+        let frame = BoundingBox::new(0.0, 0.0, img.width() as f32, img.height() as f32);
+        detect_in(img, params, &[frame])
+    }
+
     #[test]
     fn flat_image_has_no_corners() {
         let img = GrayImage::from_fn(32, 32, |_, _| 120);
-        let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
-        assert!(corners.is_empty());
+        assert!(detect(&img, &GoodFeaturesParams::default()).is_empty());
     }
 
     #[test]
     fn tiny_image_is_safe() {
         let img = GrayImage::new(2, 2);
-        assert!(good_features_to_track(&img, &GoodFeaturesParams::default(), None).is_empty());
+        assert!(detect(&img, &GoodFeaturesParams::default()).is_empty());
     }
 
     #[test]
     fn checkerboard_yields_many_corners() {
         let img = checker(64, 64, 8);
-        let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
+        let corners = detect(&img, &GoodFeaturesParams::default());
         assert!(corners.len() >= 20, "got {} corners", corners.len());
         // Sorted by descending response.
         for pair in corners.windows(2) {
@@ -638,8 +501,7 @@ mod tests {
             max_corners: 5,
             ..Default::default()
         };
-        let corners = good_features_to_track(&img, &params, None);
-        assert_eq!(corners.len(), 5);
+        assert_eq!(detect(&img, &params).len(), 5);
     }
 
     #[test]
@@ -650,7 +512,7 @@ mod tests {
             min_distance: 7.0,
             ..Default::default()
         };
-        let corners = good_features_to_track(&img, &params, None);
+        let corners = detect(&img, &params);
         for i in 0..corners.len() {
             for j in (i + 1)..corners.len() {
                 assert!(
@@ -665,7 +527,7 @@ mod tests {
     fn mask_restricts_detection() {
         let img = checker(64, 64, 8);
         let mask = [BoundingBox::new(0.0, 0.0, 24.0, 24.0)];
-        let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), Some(&mask));
+        let corners = detect_in(&img, &GoodFeaturesParams::default(), &mask);
         assert!(!corners.is_empty());
         for c in &corners {
             assert!(mask[0].contains(c.point), "corner {} outside mask", c.point);
@@ -675,15 +537,14 @@ mod tests {
     #[test]
     fn empty_mask_yields_nothing() {
         let img = checker(64, 64, 8);
-        let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), Some(&[]));
-        assert!(corners.is_empty());
+        assert!(detect_in(&img, &GoodFeaturesParams::default(), &[]).is_empty());
     }
 
     #[test]
     fn single_corner_localised() {
         // One bright square corner at (40, 40).
         let img = GrayImage::from_fn(80, 80, |x, y| if x >= 40 && y >= 40 { 200 } else { 20 });
-        let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
+        let corners = detect(&img, &GoodFeaturesParams::default());
         assert!(!corners.is_empty());
         let best = corners[0];
         assert!((best.point.x - 40.0).abs() <= 2.0, "x = {}", best.point.x);
@@ -691,117 +552,14 @@ mod tests {
     }
 
     #[test]
-    fn from_gradients_matches_full_detection() {
-        let img = checker(64, 64, 8);
-        let grad = scharr_gradients(&img);
-        let params = GoodFeaturesParams::default();
-        let mask = [BoundingBox::new(4.0, 4.0, 52.0, 52.0)];
-        for m in [None, Some(&mask[..])] {
-            let a = good_features_to_track(&img, &params, m);
-            let b = good_features_from_gradients(&grad, &params, m);
-            assert_eq!(a, b, "gradient-reusing path must match exactly");
-        }
-    }
-
-    #[test]
-    fn span_scan_matches_reference_bit_for_bit() {
-        let img = GrayImage::from_fn(64, 48, |x, y| {
-            ((x.wrapping_mul(113) ^ y.wrapping_mul(59)).wrapping_add(x * y / 3)) as u8
-        });
-        let grad = scharr_gradients(&img);
-        let masks: [Option<&[BoundingBox]>; 8] = [
-            None,
-            Some(&[BoundingBox::new(4.0, 4.0, 30.0, 20.0)]),
-            // Overlapping + fractional-edge boxes exercise span merging
-            // and the conservative widening.
-            Some(&[
-                BoundingBox::new(10.5, 3.25, 20.0, 18.5),
-                BoundingBox::new(25.0, 10.0, 30.0, 30.0),
-                BoundingBox::new(-5.0, -5.0, 12.0, 100.0),
-            ]),
-            Some(&[]),
-            // Fractional edges just off integer rows and columns, on both
-            // sides of the scan margin.
-            Some(&[
-                BoundingBox::new(1.999, 0.5, 7.75, 2.125),
-                BoundingBox::new(33.0001, 39.9999, 30.999, 8.0001),
-            ]),
-            // Partly and wholly off-frame boxes, one inside another.
-            Some(&[
-                BoundingBox::new(-20.0, 30.5, 40.25, 40.0),
-                BoundingBox::new(60.5, -8.0, 30.0, 20.0),
-                BoundingBox::new(100.0, 100.0, 5.0, 5.0),
-                BoundingBox::new(-30.0, -30.0, 10.0, 10.0),
-            ]),
-            Some(&[
-                BoundingBox::new(12.0, 12.0, 40.0, 30.0),
-                BoundingBox::new(20.5, 18.5, 6.0, 6.0),
-            ]),
-            // A box covering the whole frame and more.
-            Some(&[BoundingBox::new(-1.0, -1.0, 200.0, 200.0)]),
-        ];
-        for radius in [1u32, 2] {
-            let params = GoodFeaturesParams {
-                max_corners: 0,
-                block_radius: radius,
-                ..Default::default()
-            };
-            for m in masks {
-                let fast = good_features_from_gradients(&grad, &params, m);
-                let reference = good_features_from_gradients_reference(&grad, &params, m);
-                assert_eq!(fast, reference, "diverged for radius {radius}, mask {m:?}");
-                if let Some(boxes) = m {
-                    // The demand path reads only the tiles it computed; the
-                    // NaN-filled planes make any other read show.
-                    let mut pool = ScratchPool::new();
-                    pool.recycle_f32(vec![f32::NAN; 64 * 48]);
-                    pool.recycle_f32(vec![f32::NAN; 64 * 48]);
-                    let mut pyr = Pyramid::build_with(&img, 1, &mut pool);
-                    let demand = good_features_in_boxes(&mut pyr, &params, boxes, &mut pool);
-                    assert_eq!(demand, reference, "demand path diverged, mask {m:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn partial_selection_matches_full_sort_reference() {
-        // The reference keeps the original full `sort_by`; the optimized
-        // path ranks candidates through chunked `select_nth_unstable_by`.
-        // Equality across a budget sweep — including budgets smaller than,
-        // straddling, and larger than the candidate count, plus the
-        // unlimited case — pins the selection rewrite to the full sort bit
-        // for bit (ordering, responses, and NMS survivors all included).
-        let img = GrayImage::from_fn(96, 80, |x, y| {
-            ((x.wrapping_mul(97) ^ y.wrapping_mul(41)).wrapping_add((x + 2) * (y + 3) / 5)) as u8
-        });
-        let grad = scharr_gradients(&img);
-        let mask = [
-            BoundingBox::new(6.0, 6.0, 40.0, 30.0),
-            BoundingBox::new(30.5, 20.25, 50.0, 50.0),
-        ];
-        for max_corners in [0usize, 1, 3, 7, 33, 100, 500, 10_000] {
-            let params = GoodFeaturesParams {
-                max_corners,
-                quality_level: 0.01,
-                ..Default::default()
-            };
-            for m in [None, Some(&mask[..])] {
-                let fast = good_features_from_gradients(&grad, &params, m);
-                let reference = good_features_from_gradients_reference(&grad, &params, m);
-                assert_eq!(fast, reference, "diverged at max_corners {max_corners}");
-            }
-        }
-    }
-
-    #[test]
     fn corner_scan_counted() {
         let img = checker(32, 32, 8);
         crate::perf::reset();
-        let _ = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
+        let _ = detect(&img, &GoodFeaturesParams::default());
         let s = crate::perf::snapshot();
         assert_eq!(s.corner_scans, 1);
-        assert_eq!(s.gradient_fields, 1);
+        assert_eq!(s.gradient_fields, 0, "the frame is differentiated in tiles");
+        assert!(s.gradient_tiles > 0);
     }
 
     #[test]
@@ -828,8 +586,8 @@ mod tests {
             quality_level: 0.5,
             ..Default::default()
         };
-        let all = good_features_to_track(&img, &loose, None);
-        let strong = good_features_to_track(&img, &strict, None);
+        let all = detect(&img, &loose);
+        let strong = detect(&img, &strict);
         assert!(all.len() > strong.len());
         // The strict set only contains corners near the strong square.
         for c in &strong {

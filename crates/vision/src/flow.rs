@@ -24,15 +24,15 @@
 //! differentiated — once per pyramid, however many calls track out of it.
 //! Each point then samples its window of previous-frame intensities and
 //! gradients exactly once per level (they are constant across Newton
-//! iterations; only the next-frame window moves). With the `parallel`
-//! feature (default) point sets of at least
+//! iterations; only the next-frame window moves). On a host with more
+//! than one core, point sets of at least
 //! [`PyramidalLk::PARALLEL_MIN_POINTS`] fan out across threads; results are
 //! **bit-identical** to the sequential path because each point's computation
 //! is independent and results are collected in input order (see
 //! [`crate::parallel`] and the `lk_parity` tests).
 
 use crate::geometry::{PixelRect, Point2, Vec2};
-use crate::gradient::{GradientField, TiledGradients};
+use crate::gradient::TiledGradients;
 use crate::image::GrayImage;
 use crate::perf;
 use crate::pyramid::Pyramid;
@@ -269,8 +269,7 @@ impl Default for PyramidalLk {
 
 impl PyramidalLk {
     /// Point-set size at which [`PyramidalLk::track_pyramids`] switches to
-    /// the parallel path (when the `parallel` feature is enabled and more
-    /// than one core is available).
+    /// the parallel path (when more than one core is available).
     pub const PARALLEL_MIN_POINTS: usize = 16;
 
     /// Creates a tracker with the given parameters.
@@ -310,8 +309,9 @@ impl PyramidalLk {
     /// Computes the gradient tiles of `prev` that the points' windows read
     /// and are not computed yet (planes and row buffers from `pool`), and
     /// automatically parallelizes across points for sets of at least
-    /// [`PyramidalLk::PARALLEL_MIN_POINTS`] when the `parallel` feature is
-    /// on. The parallel and sequential paths return bit-identical results.
+    /// [`PyramidalLk::PARALLEL_MIN_POINTS`] when more than one core is
+    /// available. The parallel and sequential paths return bit-identical
+    /// results.
     pub fn track_pyramids(
         &self,
         prev: &mut Pyramid,
@@ -319,17 +319,16 @@ impl PyramidalLk {
         points: &[Point2],
         pool: &mut ScratchPool,
     ) -> Vec<FlowResult> {
-        #[cfg(feature = "parallel")]
-        {
-            if points.len() >= Self::PARALLEL_MIN_POINTS && crate::parallel::max_threads() > 1 {
-                return self.track_pyramids_parallel(prev, next, points, pool);
-            }
-        }
-        self.track_pyramids_sequential(prev, next, points, pool)
+        let bands = if points.len() >= Self::PARALLEL_MIN_POINTS {
+            crate::parallel::max_threads()
+        } else {
+            1
+        };
+        self.track_in_bands(prev, next, points, pool, bands)
     }
 
     /// [`PyramidalLk::track_pyramids`] forced down the sequential path
-    /// (no thread fan-out regardless of point count or features).
+    /// (no thread fan-out regardless of point count).
     pub fn track_pyramids_sequential(
         &self,
         prev: &mut Pyramid,
@@ -337,19 +336,7 @@ impl PyramidalLk {
         points: &[Point2],
         pool: &mut ScratchPool,
     ) -> Vec<FlowResult> {
-        let levels = prev.levels().min(next.levels());
-        self.ensure_windows(prev, levels, points, pool);
-        let _timer = perf::ScopedTimer::new(|c| &mut c.flow_ns);
-        perf::record(|c| {
-            c.lk_calls += 1;
-            c.lk_points += points.len() as u64;
-        });
-        let grads = prev.tiled_gradients();
-        let mut cache = WindowCache::default();
-        points
-            .iter()
-            .map(|&p| self.track_one(prev, next, grads, levels, p, &mut cache))
-            .collect()
+        self.track_in_bands(prev, next, points, pool, 1)
     }
 
     /// [`PyramidalLk::track_pyramids`] forced down the parallel path:
@@ -360,7 +347,6 @@ impl PyramidalLk {
     /// independent and performs the same floating-point operations in the
     /// same order; only the assignment of points to threads differs, and
     /// results are collected in input order.
-    #[cfg(feature = "parallel")]
     pub fn track_pyramids_parallel(
         &self,
         prev: &mut Pyramid,
@@ -368,9 +354,22 @@ impl PyramidalLk {
         points: &[Point2],
         pool: &mut ScratchPool,
     ) -> Vec<FlowResult> {
+        self.track_in_bands(prev, next, points, pool, crate::parallel::max_threads())
+    }
+
+    /// Tracks `points` split over at most `bands` contiguous bands, band 0
+    /// on the calling thread (all of them when `bands` is 1).
+    fn track_in_bands(
+        &self,
+        prev: &mut Pyramid,
+        next: &Pyramid,
+        points: &[Point2],
+        pool: &mut ScratchPool,
+        bands: usize,
+    ) -> Vec<FlowResult> {
         let levels = prev.levels().min(next.levels());
         // Every window's tiles are computed here, on the calling thread;
-        // the workers only read them.
+        // the band workers only read them.
         self.ensure_windows(prev, levels, points, pool);
         let _timer = perf::ScopedTimer::new(|c| &mut c.flow_ns);
         perf::record(|c| {
@@ -379,7 +378,6 @@ impl PyramidalLk {
         });
         let prev: &Pyramid = prev;
         let grads = prev.tiled_gradients();
-        let bands = crate::parallel::max_threads();
         let per_band = crate::parallel::map_bands(points.len(), bands, |s, e| {
             let mut cache = WindowCache::default();
             points[s..e]
@@ -387,11 +385,7 @@ impl PyramidalLk {
                 .map(|&p| self.track_one(prev, next, grads, levels, p, &mut cache))
                 .collect::<Vec<_>>()
         });
-        let mut out = Vec::with_capacity(points.len());
-        for band in per_band {
-            out.extend(band);
-        }
-        out
+        per_band.into_iter().flatten().collect()
     }
 
     /// Computes the gradient tiles of `prev` that [`PyramidalLk::track_one`]
@@ -484,9 +478,7 @@ impl PyramidalLk {
                 cache.prev.resize(base + side, 0.0);
                 cache.gx.resize(base + side, 0.0);
                 cache.gy.resize(base + side, 0.0);
-                // `cfg!` folds at compile time: without the `simd` feature
-                // every row takes the per-tap path (same arithmetic).
-                let span = if cfg!(feature = "simd") && y0 >= 0 && y0 + 1 < h_img {
+                let span = if y0 >= 0 && y0 + 1 < h_img {
                     simd::contiguous_start(&cache.x0, w_img)
                 } else {
                     None
@@ -563,11 +555,7 @@ impl PyramidalLk {
                 }
                 iterations += 1;
                 cache.displace(d.x);
-                let qspan = if cfg!(feature = "simd") {
-                    simd::contiguous_start(&cache.qx0, nw_img)
-                } else {
-                    None
-                };
+                let qspan = simd::contiguous_start(&cache.qx0, nw_img);
                 let mut bx = 0.0f32;
                 let mut by = 0.0f32;
                 let mut i = 0usize;
@@ -620,11 +608,7 @@ impl PyramidalLk {
                     lost = true;
                 } else {
                     cache.displace(d.x);
-                    let qspan = if cfg!(feature = "simd") {
-                        simd::contiguous_start(&cache.qx0, next0.width() as usize)
-                    } else {
-                        None
-                    };
+                    let qspan = simd::contiguous_start(&cache.qx0, next0.width() as usize);
                     let nh0 = next0.height() as i64;
                     let mut res = 0.0f32;
                     let mut i = 0usize;
@@ -661,152 +645,6 @@ impl PyramidalLk {
                 }
             } else {
                 // Propagate to the next finer level.
-                d = d * 2.0;
-            }
-        }
-
-        let current = point + d;
-        FlowResult {
-            previous: point,
-            current,
-            found: !lost && final_residual <= self.params.max_residual,
-            residual: if final_residual == f32::MAX {
-                0.0
-            } else {
-                final_residual
-            },
-        }
-    }
-
-    /// The pre-optimization implementation, retained verbatim as the
-    /// differential-testing oracle and the benchmark baseline: it recomputes
-    /// Scharr gradients on every call and resamples the previous-frame
-    /// window on every Newton iteration. Produces bit-identical results to
-    /// [`PyramidalLk::track_pyramids`].
-    #[doc(hidden)]
-    pub fn track_pyramids_baseline(
-        &self,
-        prev: &Pyramid,
-        next: &Pyramid,
-        points: &[Point2],
-    ) -> Vec<FlowResult> {
-        let levels = prev.levels().min(next.levels());
-        let grads: Vec<_> = (0..levels)
-            .map(|l| crate::gradient::scharr_gradients(prev.level(l)))
-            .collect();
-        points
-            .iter()
-            .map(|&p| self.track_one_baseline(prev, next, &grads, levels, p))
-            .collect()
-    }
-
-    fn track_one_baseline(
-        &self,
-        prev: &Pyramid,
-        next: &Pyramid,
-        grads: &[GradientField],
-        levels: usize,
-        point: Point2,
-    ) -> FlowResult {
-        let r = self.params.window_radius as i32;
-        let win_pixels = ((2 * r + 1) * (2 * r + 1)) as f32;
-        let mut lost = false;
-
-        let mut d = Vec2::ZERO;
-        let mut final_residual = f32::MAX;
-
-        for (level, prev_img) in prev.iter_coarse_to_fine() {
-            if level >= levels {
-                continue;
-            }
-            let next_img = next.level(level);
-            let grad = &grads[level];
-            let scale = 1.0 / (1 << level) as f32;
-            let pl = Point2::new(point.x * scale, point.y * scale);
-
-            if !prev_img.in_bounds_with_margin(pl.x, pl.y, (r + 1) as f32) {
-                if level == 0 {
-                    lost = true;
-                }
-                continue;
-            }
-
-            let mut gxx = 0.0f32;
-            let mut gxy = 0.0f32;
-            let mut gyy = 0.0f32;
-            for wy in -r..=r {
-                for wx in -r..=r {
-                    let gx = grad.sample_gx(pl.x + wx as f32, pl.y + wy as f32);
-                    let gy = grad.sample_gy(pl.x + wx as f32, pl.y + wy as f32);
-                    gxx += gx * gx;
-                    gxy += gx * gy;
-                    gyy += gy * gy;
-                }
-            }
-            let trace_half = (gxx + gyy) / 2.0;
-            let det_term = (((gxx - gyy) / 2.0).powi(2) + gxy * gxy).sqrt();
-            let min_eig = (trace_half - det_term) / win_pixels;
-            if min_eig < self.params.min_eigen_threshold {
-                lost = true;
-                break;
-            }
-            let det = gxx * gyy - gxy * gxy;
-            if det.abs() < 1e-12 {
-                lost = true;
-                break;
-            }
-
-            for _ in 0..self.params.max_iterations {
-                let target = pl + d;
-                if !next_img.in_bounds_with_margin(target.x, target.y, (r + 1) as f32) {
-                    lost = true;
-                    break;
-                }
-                let mut bx = 0.0f32;
-                let mut by = 0.0f32;
-                for wy in -r..=r {
-                    for wx in -r..=r {
-                        let px = pl.x + wx as f32;
-                        let py = pl.y + wy as f32;
-                        let diff = prev_img.sample(px, py) - next_img.sample(px + d.x, py + d.y);
-                        bx += diff * grad.sample_gx(px, py);
-                        by += diff * grad.sample_gy(px, py);
-                    }
-                }
-                let step = Vec2::new((gyy * bx - gxy * by) / det, (gxx * by - gxy * bx) / det);
-                d += step;
-                if step.norm() < self.params.epsilon {
-                    break;
-                }
-            }
-            if lost {
-                break;
-            }
-
-            if level == 0 {
-                let target = pl + d;
-                if !next
-                    .level(0)
-                    .in_bounds_with_margin(target.x, target.y, (r + 1) as f32)
-                {
-                    lost = true;
-                } else {
-                    let mut res = 0.0f32;
-                    for wy in -r..=r {
-                        for wx in -r..=r {
-                            let px = pl.x + wx as f32;
-                            let py = pl.y + wy as f32;
-                            res += (prev_img.sample(px, py)
-                                - next.level(0).sample(px + d.x, py + d.y))
-                            .abs();
-                        }
-                    }
-                    final_residual = res / win_pixels;
-                    if final_residual > self.params.max_residual {
-                        lost = true;
-                    }
-                }
-            } else {
                 d = d * 2.0;
             }
         }
@@ -983,21 +821,6 @@ mod tests {
         pts
     }
 
-    #[test]
-    fn optimized_matches_baseline_exactly() {
-        let prev = textured(128, 96);
-        let next = shifted(&prev, 3, -2);
-        let lk = PyramidalLk::default();
-        let pts = grid_points(128, 96, 12);
-        assert!(pts.len() > 20);
-        let mut pp = Pyramid::build(&prev, lk.params().pyramid_levels);
-        let np = Pyramid::build(&next, lk.params().pyramid_levels);
-        let base = lk.track_pyramids_baseline(&pp, &np, &pts);
-        let opt = lk.track_pyramids_sequential(&mut pp, &np, &pts, &mut ScratchPool::new());
-        assert_eq!(base, opt, "window caching must be bit-identical");
-    }
-
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_matches_sequential_exactly() {
         let prev = textured(128, 96);

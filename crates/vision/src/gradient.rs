@@ -4,14 +4,14 @@
 //! corner response and the Lucas-Kanade normal equations are built from) and
 //! a separable Gaussian blur used when constructing image pyramids.
 //!
-//! Both kernels are implemented as **separable row-slice passes** writing
-//! into caller-provided buffers (`*_into` variants) so the per-frame hot
-//! path allocates nothing: intermediate planes come from a
-//! [`crate::scratch::ScratchPool`] and outputs are reused across frames.
-//! The convenience wrappers ([`scharr_gradients`], [`gaussian_blur`]) keep
-//! the original allocating signatures and produce bit-identical results —
-//! all intermediate values are small integers, exactly representable in
-//! `f32`, and the final division is by a power of two.
+//! Gradients are computed on demand in tiles ([`TiledGradients`]), only
+//! where a reader asks for them. Both kernels run as **row-slice passes**
+//! through the [`crate::simd`] helpers and take their intermediate buffers
+//! from a [`crate::scratch::ScratchPool`], so the per-frame hot path
+//! allocates nothing. All intermediate values are small integers, exactly
+//! representable in `f32`, and the final division is by a power of two, so
+//! the results equal the plain-loop oracles in `reference` bit for
+//! bit.
 
 use crate::geometry::PixelRect;
 use crate::image::GrayImage;
@@ -21,19 +21,18 @@ use crate::simd;
 
 /// Horizontal and vertical image derivatives as `f32` planes.
 ///
-/// Produced by [`scharr_gradients`]; row-major, same dimensions as the
-/// source image.
+/// Row-major, same dimensions as the source image. [`TiledGradients`]
+/// fills one tile by tile.
 #[derive(Debug, Clone)]
 pub struct GradientField {
-    width: u32,
-    height: u32,
-    gx: Vec<f32>,
-    gy: Vec<f32>,
+    pub(crate) width: u32,
+    pub(crate) height: u32,
+    pub(crate) gx: Vec<f32>,
+    pub(crate) gy: Vec<f32>,
 }
 
 impl GradientField {
-    /// An empty 0x0 field, ready to be filled by
-    /// [`scharr_gradients_into`] (which resizes it as needed).
+    /// An empty 0x0 field.
     pub fn empty() -> Self {
         Self {
             width: 0,
@@ -41,11 +40,6 @@ impl GradientField {
             gx: Vec::new(),
             gy: Vec::new(),
         }
-    }
-
-    /// Consumes the field, returning its `(gx, gy)` planes for recycling.
-    pub fn into_planes(self) -> (Vec<f32>, Vec<f32>) {
-        (self.gx, self.gy)
     }
 
     /// Field width in pixels.
@@ -95,18 +89,6 @@ impl GradientField {
     pub fn gy_row(&self, y: u32) -> &[f32] {
         let w = self.width as usize;
         &self.gy[y as usize * w..(y as usize + 1) * w]
-    }
-
-    /// The full horizontal-derivative plane, row-major.
-    #[inline]
-    pub fn gx_plane(&self) -> &[f32] {
-        &self.gx
-    }
-
-    /// The full vertical-derivative plane, row-major.
-    #[inline]
-    pub fn gy_plane(&self) -> &[f32] {
-        &self.gy
     }
 
     /// Bilinearly-interpolated horizontal derivative at fractional coordinates.
@@ -173,70 +155,6 @@ fn sample_plane(plane: &[f32], w: u32, h: u32, x: f32, y: f32) -> f32 {
     top + (bottom - top) * ty
 }
 
-/// Computes Scharr derivatives of `img` (normalized by 1/32 so that a unit
-/// intensity ramp yields a unit gradient).
-///
-/// Border pixels use replicate addressing. Allocating wrapper around
-/// [`scharr_gradients_into`].
-pub fn scharr_gradients(img: &GrayImage) -> GradientField {
-    let mut field = GradientField::empty();
-    let mut pool = ScratchPool::new();
-    scharr_gradients_into(img, &mut field, &mut pool);
-    field
-}
-
-/// Computes Scharr derivatives of `img` into a reusable `field`, taking
-/// intermediate planes from `pool`.
-///
-/// The Scharr kernels
-///
-/// ```text
-/// Gx = [-3 0 3; -10 0 10; -3 0 3] / 32,   Gy = Gx^T
-/// ```
-///
-/// are separable: `Gx` is a vertical `[3 10 3]` smooth followed by a
-/// horizontal central difference (and transposed for `Gy`). With the
-/// `simd` feature (default) a fused row-ring pass runs through the
-/// [`crate::simd`] row helpers (borders handled outside the vectorized
-/// spans); without it the retained [`scharr_gradients_into_scalar`]
-/// two-pass baseline runs. Results are bit-identical to the direct 3x3
-/// evaluation either way, because every intermediate value is an integer
-/// below 2^24 and the lanes are independent pixels.
-pub fn scharr_gradients_into(img: &GrayImage, field: &mut GradientField, pool: &mut ScratchPool) {
-    #[cfg(feature = "simd")]
-    scharr_gradients_into_vec(img, field, pool);
-    #[cfg(not(feature = "simd"))]
-    scharr_gradients_into_scalar(img, field, pool);
-}
-
-/// The fused single-pass implementation behind [`scharr_gradients_into`]
-/// when the `simd` feature is on: the span kernel of [`TiledGradients`]
-/// over the whole image.
-#[cfg(feature = "simd")]
-fn scharr_gradients_into_vec(img: &GrayImage, field: &mut GradientField, pool: &mut ScratchPool) {
-    let _timer = perf::ScopedTimer::new(|c| &mut c.gradient_ns);
-    perf::record(|c| c.gradient_fields += 1);
-    let (w, h) = (img.width() as usize, img.height() as usize);
-    field.width = img.width();
-    field.height = img.height();
-    // Every element of both planes is overwritten below, so a bare resize
-    // (no clear) suffices.
-    field.gx.resize(w * h, 0.0);
-    field.gy.resize(w * h, 0.0);
-    if w == 0 || h == 0 {
-        return;
-    }
-    let mut vbuf = pool.take_u16(w + 2);
-    let mut ring = [pool.take_u16(w), pool.take_u16(w), pool.take_u16(w)];
-    let filled = scharr_span(img, field, (0, w, 0, h), &mut vbuf, &mut ring);
-    debug_assert!(filled.is_some(), "the whole image is in bounds");
-    pool.recycle_u16(vbuf);
-    let [r0, r1, r2] = ring;
-    pool.recycle_u16(r0);
-    pool.recycle_u16(r1);
-    pool.recycle_u16(r2);
-}
-
 /// Width, in pixels, of the tiles a [`TiledGradients`] field is computed in.
 pub const TILE_W: u32 = 32;
 
@@ -264,15 +182,15 @@ enum Tile {
 /// use and never zeroed) plus a per-tile "computed" bitmap;
 /// [`TiledGradients::ensure`] fills only the tiles a read needs that are
 /// not computed yet. Every value is an integer tap sum times 1/32, so a
-/// computed tile is bit-identical to the same pixels of
-/// [`scharr_gradients`]. Values are only readable through
+/// computed tile is bit-identical to the same pixels of a whole-frame
+/// Scharr pass. Values are only readable through
 /// [`TiledGradients::get`], which refuses pixels of uncomputed tiles.
 ///
 /// # Example
 ///
 /// ```
 /// use adavp_vision::geometry::PixelRect;
-/// use adavp_vision::gradient::{scharr_gradients, TiledGradients};
+/// use adavp_vision::gradient::TiledGradients;
 /// use adavp_vision::image::GrayImage;
 /// use adavp_vision::scratch::ScratchPool;
 /// let img = GrayImage::from_fn(100, 70, |x, y| (x * 3 + y * 5) as u8);
@@ -280,8 +198,8 @@ enum Tile {
 /// // Five pixels of one tile row: a single 32x4 tile.
 /// tiled.ensure(&img, &[PixelRect::new(40, 8, 45, 12)], &mut ScratchPool::new());
 /// assert_eq!(tiled.tiles_computed(), 1);
-/// let full = scharr_gradients(&img);
-/// assert_eq!(tiled.get(42, 9), Some((full.gx(42, 9), full.gy(42, 9))));
+/// // Inside the ramp the gradient is its slope.
+/// assert_eq!(tiled.get(42, 9), Some((3.0, 5.0)));
 /// assert_eq!(tiled.get(90, 60), None, "that tile was never asked for");
 /// ```
 #[derive(Debug, Clone)]
@@ -447,9 +365,8 @@ impl TiledGradients {
     /// Returns the planes to `pool`.
     pub(crate) fn recycle(self, pool: &mut ScratchPool) {
         if self.field.gx.capacity() > 0 {
-            let (gx, gy) = self.field.into_planes();
-            pool.recycle_f32(gx);
-            pool.recycle_f32(gy);
+            pool.recycle_f32(self.field.gx);
+            pool.recycle_f32(self.field.gy);
         }
     }
 }
@@ -463,8 +380,8 @@ impl TiledGradients {
 /// full-plane intermediates. Border columns and rows use the replicate
 /// rule. All intermediates are integers (smoothed values at most
 /// `16 * 255 = 4080`, exact in `u16`), and the differences are scaled by
-/// the power of two 1/32, so every value is bit-identical to the retained
-/// two-pass [`scharr_gradients_into_scalar`]. `vbuf` holds at least
+/// the power of two 1/32, so every value is bit-identical to the two-pass
+/// `reference::scharr_gradients_into_scalar`. `vbuf` holds at least
 /// `x1 - x0 + 2` values, and `ring` three rows of at least `x1 - x0`.
 /// Returns `None` only if a span or buffer is out of bounds.
 fn scharr_span(
@@ -543,276 +460,22 @@ fn scharr_span(
     Some(())
 }
 
-/// The pre-vectorization [`scharr_gradients_into`]: plain per-pixel loops
-/// and clear-then-resize plane reuse. Retained verbatim as the scalar
-/// baseline for parity tests and the `scharr_scalar_256` bench entry;
-/// produces bit-identical planes.
-// adavp-lint: allow(cast-truncation, item=scharr_gradients_into_scalar, bound=4080) — same fixed-point bounds as the vectorized path: smoothing acc <= 16*255 = 4080, differences in [-4080, 4080]
-pub fn scharr_gradients_into_scalar(
-    img: &GrayImage,
-    field: &mut GradientField,
-    pool: &mut ScratchPool,
-) {
-    let _timer = perf::ScopedTimer::new(|c| &mut c.gradient_ns);
-    perf::record(|c| c.gradient_fields += 1);
-    let w = img.width() as usize;
-    let h = img.height() as usize;
-    let len = w * h;
-    field.width = img.width();
-    field.height = img.height();
-    field.gx.clear();
-    field.gx.resize(len, 0.0);
-    field.gy.clear();
-    field.gy.resize(len, 0.0);
-
-    let mut vsmooth = pool.take_u16(len);
-    let mut hsmooth = pool.take_u16(len);
-    let data = img.as_bytes();
-    for y in 0..h {
-        let up = &data[y.saturating_sub(1) * w..y.saturating_sub(1) * w + w];
-        let mid = &data[y * w..y * w + w];
-        let dn_y = (y + 1).min(h - 1);
-        let dn = &data[dn_y * w..dn_y * w + w];
-        let vrow = &mut vsmooth[y * w..(y + 1) * w];
-        for x in 0..w {
-            vrow[x] = 3 * up[x] as u16 + 10 * mid[x] as u16 + 3 * dn[x] as u16;
-        }
-        let hrow = &mut hsmooth[y * w..(y + 1) * w];
-        hrow[0] = 13 * mid[0] as u16 + 3 * mid[1.min(w - 1)] as u16;
-        for x in 1..w.saturating_sub(1) {
-            hrow[x] = 3 * mid[x - 1] as u16 + 10 * mid[x] as u16 + 3 * mid[x + 1] as u16;
-        }
-        if w > 1 {
-            hrow[w - 1] = 3 * mid[w - 2] as u16 + 13 * mid[w - 1] as u16;
-        }
-    }
-
-    const NORM: f32 = 1.0 / 32.0;
-    for y in 0..h {
-        let vrow = &vsmooth[y * w..(y + 1) * w];
-        let gxr = &mut field.gx[y * w..(y + 1) * w];
-        if w >= 2 {
-            gxr[0] = (vrow[1] as i32 - vrow[0] as i32) as f32 * NORM;
-            for x in 1..w - 1 {
-                gxr[x] = (vrow[x + 1] as i32 - vrow[x - 1] as i32) as f32 * NORM;
-            }
-            gxr[w - 1] = (vrow[w - 1] as i32 - vrow[w - 2] as i32) as f32 * NORM;
-        } else {
-            gxr[0] = 0.0;
-        }
-
-        let up = &hsmooth[y.saturating_sub(1) * w..y.saturating_sub(1) * w + w];
-        let dn_y = (y + 1).min(h - 1);
-        let dn = &hsmooth[dn_y * w..dn_y * w + w];
-        let gyr = &mut field.gy[y * w..(y + 1) * w];
-        for x in 0..w {
-            gyr[x] = (dn[x] as i32 - up[x] as i32) as f32 * NORM;
-        }
-    }
-
-    pool.recycle_u16(vsmooth);
-    pool.recycle_u16(hsmooth);
-}
-
-/// Raw fixed-point Scharr derivatives: row-major `i16` planes holding
-/// `32 * gradient` (range `[-4080, 4080]`).
+/// Separable Gaussian blur with a 5-tap binomial kernel `[1 4 6 4 1] / 16`
+/// into a caller-provided output image of the same size, taking the
+/// intermediate plane from `pool`.
 ///
-/// This is the narrowest exact representation of an 8-bit image's Scharr
-/// response — half the bytes of a [`GradientField`], which matters when a
-/// consumer stores or streams many fields and can defer the (lossless)
-/// widening to [`GradientFieldI16::to_f32_into`].
-#[derive(Debug, Clone)]
-pub struct GradientFieldI16 {
-    width: u32,
-    height: u32,
-    gx: Vec<i16>,
-    gy: Vec<i16>,
-}
-
-impl GradientFieldI16 {
-    /// An empty 0x0 field, ready to be filled by
-    /// [`scharr_gradients_i16_into`].
-    pub fn empty() -> Self {
-        Self {
-            width: 0,
-            height: 0,
-            gx: Vec::new(),
-            gy: Vec::new(),
-        }
-    }
-
-    /// Consumes the field, returning its `(gx, gy)` planes for recycling.
-    pub fn into_planes(self) -> (Vec<i16>, Vec<i16>) {
-        (self.gx, self.gy)
-    }
-
-    /// Field width in pixels.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Field height in pixels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Raw horizontal derivative (`32 * gx`) at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn gx_raw(&self, x: u32, y: u32) -> i16 {
-        self.gx[y as usize * self.width as usize + x as usize]
-    }
-
-    /// Raw vertical derivative (`32 * gy`) at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn gy_raw(&self, x: u32, y: u32) -> i16 {
-        self.gy[y as usize * self.width as usize + x as usize]
-    }
-
-    /// Widens this field into a normalized `f32` [`GradientField`].
-    ///
-    /// Lossless: every raw value is an integer in `[-4080, 4080]` and the
-    /// 1/32 normalization is a power of two, so the result is bit-identical
-    /// to computing [`scharr_gradients_into`] directly.
-    pub fn to_f32_into(&self, field: &mut GradientField) {
-        let len = self.gx.len();
-        field.width = self.width;
-        field.height = self.height;
-        field.gx.resize(len, 0.0);
-        field.gy.resize(len, 0.0);
-        const NORM: f32 = 1.0 / 32.0;
-        simd::i16_norm_row(&self.gx, NORM, &mut field.gx);
-        simd::i16_norm_row(&self.gy, NORM, &mut field.gy);
-    }
-}
-
-/// [`scharr_gradients_into`] producing raw `i16` fixed-point planes
-/// (`32 * gradient`) instead of normalized `f32`.
-///
-/// Same separable smoothing passes; the final differencing stays in
-/// integer arithmetic ([`simd::diff_i16_row`]), so this writes half the
-/// output bytes of the `f32` kernel. Widening the result with
-/// [`GradientFieldI16::to_f32_into`] reproduces the `f32` kernel's planes
-/// bit for bit.
-// adavp-lint: allow(cast-truncation, item=scharr_gradients_i16_into, bound=4080) — smoothing acc <= 4080 in u16; raw differences in [-4080, 4080] fit i16 exactly
-pub fn scharr_gradients_i16_into(
-    img: &GrayImage,
-    field: &mut GradientFieldI16,
-    pool: &mut ScratchPool,
-) {
-    let _timer = perf::ScopedTimer::new(|c| &mut c.gradient_ns);
-    let w = img.width() as usize;
-    let h = img.height() as usize;
-    let len = w * h;
-    perf::record(|c| c.fixed_point_rows += h as u64);
-    field.width = img.width();
-    field.height = img.height();
-    field.gx.resize(len, 0);
-    field.gy.resize(len, 0);
-
-    // Same fused row-ring structure as the `f32` kernel; only the final
-    // differencing stays in `i16`.
-    let mut vrow = pool.take_u16(w);
-    let mut ring = [pool.take_u16(w), pool.take_u16(w), pool.take_u16(w)];
-    let data = img.as_bytes();
-    let hsm = |mid: &[u8], dst: &mut [u16]| {
-        dst[0] = 13 * mid[0] as u16 + 3 * mid[1.min(w - 1)] as u16;
-        if w > 2 {
-            simd::smooth313_h_row(mid, &mut dst[1..w - 1]);
-        }
-        if w > 1 {
-            dst[w - 1] = 3 * mid[w - 2] as u16 + 13 * mid[w - 1] as u16;
-        }
-    };
-    if len > 0 {
-        hsm(&data[..w], &mut ring[0]);
-        if h > 1 {
-            hsm(&data[w..2 * w], &mut ring[1]);
-        }
-    }
-
-    for y in 0..h {
-        if y > 0 && y + 1 < h {
-            let nxt = y + 1;
-            hsm(&data[nxt * w..(nxt + 1) * w], &mut ring[nxt % 3]);
-        }
-        let up_r = y.saturating_sub(1);
-        let dn_r = (y + 1).min(h - 1);
-        simd::smooth313_v_row(
-            &data[up_r * w..up_r * w + w],
-            &data[y * w..y * w + w],
-            &data[dn_r * w..dn_r * w + w],
-            &mut vrow,
-        );
-
-        let gxr = &mut field.gx[y * w..(y + 1) * w];
-        if w >= 2 {
-            gxr[0] = (vrow[1] as i32 - vrow[0] as i32) as i16;
-            simd::diff_i16_row(&vrow[2..], &vrow[..w - 2], &mut gxr[1..w - 1]);
-            gxr[w - 1] = (vrow[w - 1] as i32 - vrow[w - 2] as i32) as i16;
-        } else {
-            gxr[0] = 0;
-        }
-
-        let gyr = &mut field.gy[y * w..(y + 1) * w];
-        simd::diff_i16_row(&ring[dn_r % 3], &ring[up_r % 3], gyr);
-    }
-
-    pool.recycle_u16(vrow);
-    let [r0, r1, r2] = ring;
-    pool.recycle_u16(r0);
-    pool.recycle_u16(r1);
-    pool.recycle_u16(r2);
-}
-
-/// Separable Gaussian blur with a 5-tap binomial kernel `[1 4 6 4 1] / 16`.
-///
-/// Used to pre-smooth images before pyramid downsampling so the Lucas-Kanade
-/// linearization holds at coarse levels. Allocating wrapper around
-/// [`gaussian_blur_into`].
-pub fn gaussian_blur(img: &GrayImage) -> GrayImage {
-    let mut out = GrayImage::new(img.width(), img.height());
-    let mut pool = ScratchPool::new();
-    gaussian_blur_into(img, &mut out, &mut pool);
-    out
-}
-
-/// [`gaussian_blur`] into a caller-provided output image of the same size,
-/// taking the intermediate plane from `pool`.
-///
-/// Both separable passes run on row slices; only the four border
-/// rows/columns take the clamped slow path. With the `fixed-point` feature
-/// (default) the interior rows run through the `u16` [`crate::simd`]
-/// helpers ([`simd::blur5_h_row`] / [`simd::blur5_v_row`]); otherwise the
-/// retained [`gaussian_blur_into_scalar`] wide-integer path runs. Output
-/// bytes are identical either way (the accumulator maxes at
-/// `16 * 255 = 4080`, exact in both widths).
+/// Used to pre-smooth images before pyramid downsampling so the
+/// Lucas-Kanade linearization holds at coarse levels. Both separable passes
+/// run on row slices in `u16` fixed point: the interior through
+/// [`simd::blur5_h_row`] / [`simd::blur5_v_row`], the four border columns
+/// with clamped addressing. The accumulator maxes at `16 * 255 = 4080`, so
+/// the bytes equal `reference::gaussian_blur_into_scalar`'s.
 ///
 /// # Panics
 ///
 /// Panics if `out` dimensions differ from `img`.
+// adavp-lint: allow(cast-truncation, item=gaussian_blur_into, bound=255) — widening u8 pixel reads into the u16 tap accumulator (max 16*255 = 4080)
 pub fn gaussian_blur_into(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
-    #[cfg(feature = "fixed-point")]
-    gaussian_blur_into_fixed(img, out, pool);
-    #[cfg(not(feature = "fixed-point"))]
-    gaussian_blur_into_scalar(img, out, pool);
-}
-
-/// Fixed-point [`gaussian_blur_into`]: `u16` accumulators and vectorized
-/// interior rows. Bit-identical to [`gaussian_blur_into_scalar`].
-///
-/// # Panics
-///
-/// Panics if `out` dimensions differ from `img`.
-// adavp-lint: allow(cast-truncation, item=gaussian_blur_into_fixed, bound=255) — widening u8 pixel reads into the u16 tap accumulator (max 16*255 = 4080)
-pub fn gaussian_blur_into_fixed(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
     assert!(
         out.width() == img.width() && out.height() == img.height(),
         "blur output must match input dimensions"
@@ -870,90 +533,28 @@ pub fn gaussian_blur_into_fixed(img: &GrayImage, out: &mut GrayImage, pool: &mut
     pool.recycle_u16(tmp);
 }
 
-/// The pre-vectorization [`gaussian_blur_into`] with `u32` accumulators.
-/// Retained verbatim as the scalar baseline for parity tests and the
-/// `gaussian_blur_scalar_256` bench entry; produces identical bytes.
-///
-/// # Panics
-///
-/// Panics if `out` dimensions differ from `img`.
-// adavp-lint: allow(cast-truncation, item=gaussian_blur_into_scalar, bound=255) — u8 pixels widen to u32; acc <= 4080 so acc/16 <= 255 fits both the u16 staging row and the final u8 store
-pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
-    assert!(
-        out.width() == img.width() && out.height() == img.height(),
-        "blur output must match input dimensions"
-    );
-    perf::record(|c| c.gaussian_blurs += 1);
-    const K: [u32; 5] = [1, 4, 6, 4, 1];
-    let w = img.width() as usize;
-    let h = img.height() as usize;
-    let data = img.as_bytes();
-
-    // Horizontal pass into a u16 plane (max 255 * 16 = 4080 < 65535).
-    let mut tmp = pool.take_u16(w * h);
-    for y in 0..h {
-        let src = &data[y * w..(y + 1) * w];
-        let dst = &mut tmp[y * w..(y + 1) * w];
-        if w >= 5 {
-            // Borders (2 pixels each side) with clamped addressing.
-            for x in [0usize, 1, w - 2, w - 1] {
-                let mut acc = 0u32;
-                for (k, &kv) in K.iter().enumerate() {
-                    let sx = (x as i64 + k as i64 - 2).clamp(0, w as i64 - 1) as usize;
-                    acc += kv * src[sx] as u32;
-                }
-                dst[x] = (acc / 16) as u16;
-            }
-            // Interior on raw slices.
-            for x in 2..w - 2 {
-                let acc = src[x - 2] as u32
-                    + 4 * src[x - 1] as u32
-                    + 6 * src[x] as u32
-                    + 4 * src[x + 1] as u32
-                    + src[x + 2] as u32;
-                dst[x] = (acc / 16) as u16;
-            }
-        } else {
-            for (x, d) in dst.iter_mut().enumerate() {
-                let mut acc = 0u32;
-                for (k, &kv) in K.iter().enumerate() {
-                    let sx = (x as i64 + k as i64 - 2).clamp(0, w as i64 - 1) as usize;
-                    acc += kv * src[sx] as u32;
-                }
-                *d = (acc / 16) as u16;
-            }
-        }
-    }
-
-    // Vertical pass over row slices of the intermediate plane.
-    let row = |y: i64| -> &[u16] {
-        let cy = y.clamp(0, h as i64 - 1) as usize;
-        &tmp[cy * w..(cy + 1) * w]
-    };
-    for y in 0..h {
-        let yy = y as i64;
-        let (r0, r1, r2, r3, r4) = (row(yy - 2), row(yy - 1), row(yy), row(yy + 1), row(yy + 2));
-        let dst = &mut out.as_mut_bytes()[y * w..(y + 1) * w];
-        for (x, d) in dst.iter_mut().enumerate() {
-            let acc = r0[x] as u32
-                + 4 * r1[x] as u32
-                + 6 * r2[x] as u32
-                + 4 * r3[x] as u32
-                + r4[x] as u32;
-            *d = (acc / 16).min(255) as u8;
-        }
-    }
-    pool.recycle_u16(tmp);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every tile of `img`, computed and returned as a whole field.
+    fn scharr(img: &GrayImage) -> GradientField {
+        let mut tiled = TiledGradients::new();
+        let whole = PixelRect::new(0, 0, img.width().into(), img.height().into());
+        tiled.ensure(img, &[whole], &mut ScratchPool::new());
+        tiled.field().clone()
+    }
+
+    fn blur(img: &GrayImage) -> GrayImage {
+        let mut out = GrayImage::new(img.width(), img.height());
+        gaussian_blur_into(img, &mut out, &mut ScratchPool::new());
+        out
+    }
+
     #[test]
     fn gradient_of_flat_image_is_zero() {
         let img = GrayImage::from_fn(8, 8, |_, _| 77);
-        let g = scharr_gradients(&img);
+        let g = scharr(&img);
         for y in 0..8 {
             for x in 0..8 {
                 assert_eq!(g.gx(x, y), 0.0);
@@ -966,7 +567,7 @@ mod tests {
     fn gradient_of_horizontal_ramp() {
         // intensity = 10 * x -> gx = 10, gy = 0 (away from borders).
         let img = GrayImage::from_fn(16, 16, |x, _| (x * 10).min(255) as u8);
-        let g = scharr_gradients(&img);
+        let g = scharr(&img);
         for y in 2..14 {
             for x in 2..14 {
                 if (x * 10) < 245 && ((x + 1) * 10) < 245 {
@@ -984,7 +585,7 @@ mod tests {
     #[test]
     fn gradient_of_vertical_ramp() {
         let img = GrayImage::from_fn(16, 16, |_, y| (y * 8) as u8);
-        let g = scharr_gradients(&img);
+        let g = scharr(&img);
         for y in 2..14 {
             for x in 2..14 {
                 assert!((g.gy(x, y) - 8.0).abs() < 1e-3);
@@ -995,7 +596,7 @@ mod tests {
 
     /// Direct (non-separable) 3x3 Scharr evaluation: the original
     /// implementation, kept as the differential-testing oracle.
-    fn scharr_reference(img: &GrayImage) -> (Vec<f32>, Vec<f32>) {
+    fn scharr_direct(img: &GrayImage) -> (Vec<f32>, Vec<f32>) {
         let w = img.width();
         let h = img.height();
         let mut gx = vec![0.0f32; w as usize * h as usize];
@@ -1024,8 +625,8 @@ mod tests {
             let img = GrayImage::from_fn(w, h, |x, y| {
                 ((x.wrapping_mul(131) ^ y.wrapping_mul(37)).wrapping_add(x * y)) as u8
             });
-            let g = scharr_gradients(&img);
-            let (rx, ry) = scharr_reference(&img);
+            let g = scharr(&img);
+            let (rx, ry) = scharr_direct(&img);
             for y in 0..h {
                 for x in 0..w {
                     let i = (y * w + x) as usize;
@@ -1037,101 +638,9 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_scharr_matches_scalar_baseline_bit_for_bit() {
-        for (w, h) in [(16u32, 16u32), (7, 5), (1, 9), (9, 1), (2, 2), (33, 17)] {
-            let img = GrayImage::from_fn(w, h, |x, y| {
-                ((x.wrapping_mul(151) ^ y.wrapping_mul(41)).wrapping_add(x + 3 * y)) as u8
-            });
-            let mut pool = ScratchPool::new();
-            let mut fast = GradientField::empty();
-            scharr_gradients_into(&img, &mut fast, &mut pool);
-            let mut scalar = GradientField::empty();
-            scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
-            assert_eq!(fast.gx, scalar.gx, "gx diverged at {w}x{h}");
-            assert_eq!(fast.gy, scalar.gy, "gy diverged at {w}x{h}");
-        }
-    }
-
-    #[test]
-    fn i16_scharr_widens_to_f32_field_bit_for_bit() {
-        for (w, h) in [(16u32, 16u32), (7, 5), (1, 9), (9, 1), (2, 2), (33, 17)] {
-            let img = GrayImage::from_fn(w, h, |x, y| {
-                ((x.wrapping_mul(131) ^ y.wrapping_mul(37)).wrapping_add(x * y)) as u8
-            });
-            let mut pool = ScratchPool::new();
-            let mut raw = GradientFieldI16::empty();
-            scharr_gradients_i16_into(&img, &mut raw, &mut pool);
-            let mut widened = GradientField::empty();
-            raw.to_f32_into(&mut widened);
-            let mut oracle = GradientField::empty();
-            scharr_gradients_into(&img, &mut oracle, &mut pool);
-            assert_eq!((widened.width(), widened.height()), (w, h));
-            assert_eq!(widened.gx, oracle.gx, "gx diverged at {w}x{h}");
-            assert_eq!(widened.gy, oracle.gy, "gy diverged at {w}x{h}");
-            // Raw values really are 32x the normalized gradient.
-            for y in 0..h {
-                for x in 0..w {
-                    assert_eq!(raw.gx_raw(x, y) as f32, oracle.gx(x, y) * 32.0);
-                    assert_eq!(raw.gy_raw(x, y) as f32, oracle.gy(x, y) * 32.0);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_point_blur_matches_scalar_baseline_bytes() {
-        for (w, h) in [(10u32, 10u32), (5, 5), (4, 7), (3, 3), (1, 6), (31, 9)] {
-            let img = GrayImage::from_fn(w, h, |x, y| {
-                (x.wrapping_mul(89) ^ y.wrapping_mul(53)).wrapping_add(13 * x) as u8
-            });
-            let mut pool = ScratchPool::new();
-            let mut fixed = GrayImage::new(w, h);
-            gaussian_blur_into_fixed(&img, &mut fixed, &mut pool);
-            let mut scalar = GrayImage::new(w, h);
-            gaussian_blur_into_scalar(&img, &mut scalar, &mut pool);
-            assert_eq!(fixed, scalar, "blur bytes diverged at {w}x{h}");
-        }
-        // Saturating content: all-255 image must survive both paths.
-        let max = GrayImage::from_fn(9, 9, |_, _| 255);
-        let mut pool = ScratchPool::new();
-        let mut fixed = GrayImage::new(9, 9);
-        gaussian_blur_into_fixed(&max, &mut fixed, &mut pool);
-        assert!(fixed.as_bytes().iter().all(|&v| v == 255));
-    }
-
-    #[test]
-    fn into_variant_reuses_field_buffers() {
-        let a = GrayImage::from_fn(12, 10, |x, y| (x * 3 + y) as u8);
-        let b = GrayImage::from_fn(8, 8, |x, y| (x ^ y) as u8);
-        let mut field = GradientField::empty();
-        let mut pool = ScratchPool::new();
-        scharr_gradients_into(&a, &mut field, &mut pool);
-        assert_eq!((field.width(), field.height()), (12, 10));
-        crate::perf::reset();
-        scharr_gradients_into(&b, &mut field, &mut pool);
-        assert_eq!((field.width(), field.height()), (8, 8));
-        let work = crate::perf::snapshot();
-        assert_eq!(
-            work.buffers_allocated, 0,
-            "smoothing scratch must be pooled"
-        );
-        // The fused pass takes 4 row buffers; the scalar baseline takes 2
-        // full planes.
-        let expected = if cfg!(feature = "simd") { 4 } else { 2 };
-        assert_eq!(work.buffers_reused, expected);
-        let oracle = scharr_gradients(&b);
-        for y in 0..8 {
-            for x in 0..8 {
-                assert_eq!(field.gx(x, y), oracle.gx(x, y));
-                assert_eq!(field.gy(x, y), oracle.gy(x, y));
-            }
-        }
-    }
-
-    #[test]
     fn gradient_sampling_interpolates() {
         let img = GrayImage::from_fn(16, 16, |x, _| (x * 10).min(255) as u8);
-        let g = scharr_gradients(&img);
+        let g = scharr(&img);
         let v = g.sample_gx(5.5, 5.5);
         assert!((v - 10.0).abs() < 1e-3);
         // Out-of-bounds sampling clamps, never panics.
@@ -1142,16 +651,16 @@ mod tests {
     #[test]
     fn dimensions_preserved() {
         let img = GrayImage::new(7, 5);
-        let g = scharr_gradients(&img);
+        let g = scharr(&img);
         assert_eq!((g.width(), g.height()), (7, 5));
-        let b = gaussian_blur(&img);
+        let b = blur(&img);
         assert_eq!((b.width(), b.height()), (7, 5));
     }
 
     #[test]
     fn blur_preserves_flat_regions() {
         let img = GrayImage::from_fn(10, 10, |_, _| 128);
-        let b = gaussian_blur(&img);
+        let b = blur(&img);
         for y in 0..10 {
             for x in 0..10 {
                 assert!((b.get(x, y) as i32 - 128).abs() <= 1);
@@ -1198,11 +707,7 @@ mod tests {
             let img = GrayImage::from_fn(w, h, |x, y| {
                 (x.wrapping_mul(89) ^ y.wrapping_mul(53)).wrapping_add(13 * x) as u8
             });
-            assert_eq!(
-                gaussian_blur(&img),
-                blur_reference(&img),
-                "blur mismatch at {w}x{h}"
-            );
+            assert_eq!(blur(&img), blur_reference(&img), "blur mismatch at {w}x{h}");
         }
     }
 
@@ -1210,7 +715,7 @@ mod tests {
     fn blur_smooths_impulse() {
         let mut img = GrayImage::new(9, 9);
         img.set(4, 4, 255);
-        let b = gaussian_blur(&img);
+        let b = blur(&img);
         // Impulse energy spreads: centre is reduced, neighbours nonzero.
         assert!(b.get(4, 4) < 255);
         assert!(b.get(3, 4) > 0);

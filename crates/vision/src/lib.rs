@@ -3,9 +3,10 @@
 //! This crate is a from-scratch implementation of the two algorithms the
 //! AdaVP paper (ICDCS 2020) relies on for its lightweight object tracker:
 //!
-//! * **Shi-Tomasi "good features to track"** ([`features::good_features_to_track`]) —
-//!   minimum-eigenvalue corner response with non-maximum suppression and an
-//!   optional region mask, mirroring OpenCV's `goodFeaturesToTrack`.
+//! * **Shi-Tomasi "good features to track"**
+//!   ([`features::good_features_in_boxes`]) — minimum-eigenvalue corner
+//!   response inside the detected boxes, with non-maximum suppression,
+//!   mirroring OpenCV's `goodFeaturesToTrack` with a region mask.
 //! * **Pyramidal Lucas-Kanade optical flow** ([`flow::PyramidalLk`]) —
 //!   iterative LK refined coarse-to-fine over a Gaussian image pyramid,
 //!   mirroring OpenCV's `calcOpticalFlowPyrLK`.
@@ -16,18 +17,21 @@
 //!
 //! # Hot-path design
 //!
-//! The kernels are written for a per-frame tracking loop:
+//! The kernels are written for a per-frame tracking loop, and each has one
+//! implementation:
 //!
-//! * every kernel has an `*_into` variant writing into caller-provided
-//!   buffers recycled through a [`scratch::ScratchPool`], so steady-state
-//!   frame processing performs no heap allocations;
-//! * each [`pyramid::Pyramid`] caches its per-level Scharr gradients
-//!   ([`pyramid::Pyramid::gradients`]), computed at most once and shared by
-//!   corner detection and every Lucas-Kanade call that uses the pyramid as
-//!   its reference;
-//! * with the `parallel` feature (on by default) Lucas-Kanade point sets
-//!   and corner response scans fan out across threads with **bit-identical**
-//!   results to the sequential path (see [`parallel`]);
+//! * every kernel writes into caller-provided buffers recycled through a
+//!   [`scratch::ScratchPool`], so steady-state frame processing performs
+//!   no heap allocations;
+//! * each [`pyramid::Pyramid`] computes its per-level Scharr gradients on
+//!   demand, one tile at a time, only where corner detection and the
+//!   Lucas-Kanade windows read them
+//!   ([`pyramid::Pyramid::ensure_gradients`]); no tile is computed twice;
+//! * row loops run through the autovectorized [`simd`] helpers in `u16`
+//!   fixed point where the range allows, and are exact;
+//! * on a host with more than one core, Lucas-Kanade point sets and corner
+//!   response scans fan out across threads with **bit-identical** results
+//!   to the sequential path (see [`parallel`]);
 //! * the [`exec::Executor`] work queue runs whole offline work lists (clip
 //!   renders, training runs, dataset sweeps) over a jobs-bounded pool with
 //!   index-ordered, bit-identical results;
@@ -35,27 +39,20 @@
 //!   reuse, and per-kernel wall time on thread-local counters, so the
 //!   pipeline can report exactly how much work each frame cost.
 //!
-//! # Feature flags
-//!
-//! * `parallel` *(default)* — multi-threaded LK tracking and corner scans
-//!   via scoped threads (no extra dependencies).
-//! * `simd` *(default)* — chunked, autovectorization-friendly loop shapes
-//!   in the [`simd`] row helpers; bit-identical to the plain loops.
-//! * `fixed-point` *(default)* — u8/u16 integer arithmetic for blur and
-//!   downsampling instead of the retained `*_scalar` wide-integer paths;
-//!   proven exact, so output bytes are identical either way.
-//!
-//! All three features are *compile-time* switches: there is no runtime CPU
-//! probing anywhere (enforced by the `cpu-probe` adavp-lint rule), and
-//! every feature combination produces bit-identical results.
+//! There is no runtime CPU probing anywhere (enforced by the `cpu-probe`
+//! adavp-lint rule): the thread count is the only thing read from the
+//! host, and it never changes a result. The plain-loop forms of the
+//! kernels live on in the hidden `reference` module as test oracles.
 //!
 //! # Example
 //!
 //! ```
+//! use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
+//! use adavp_vision::flow::{LkParams, PyramidalLk};
+//! use adavp_vision::geometry::{BoundingBox, Point2};
 //! use adavp_vision::image::GrayImage;
-//! use adavp_vision::features::{good_features_to_track, GoodFeaturesParams};
-//! use adavp_vision::flow::{PyramidalLk, LkParams};
-//! use adavp_vision::geometry::Point2;
+//! use adavp_vision::pyramid::Pyramid;
+//! use adavp_vision::scratch::ScratchPool;
 //!
 //! // A synthetic textured image and a copy shifted right by 2 pixels.
 //! let img = GrayImage::from_fn(96, 96, |x, y| {
@@ -66,12 +63,19 @@
 //!     img.get(sx, y)
 //! });
 //!
-//! let corners = good_features_to_track(&img, &GoodFeaturesParams::default(), None);
+//! // Corners inside one object box, then tracked into the next frame.
+//! let lk = PyramidalLk::new(LkParams::default());
+//! let mut pool = ScratchPool::new();
+//! let levels = lk.params().pyramid_levels;
+//! let mut prev = Pyramid::build_with(&img, levels, &mut pool);
+//! let next = Pyramid::build_with(&shifted, levels, &mut pool);
+//! let object = [BoundingBox::new(16.0, 16.0, 64.0, 64.0)];
+//! let params = GoodFeaturesParams::default();
+//! let corners = good_features_in_boxes(&mut prev, &params, &object, &mut pool);
 //! assert!(!corners.is_empty());
 //!
-//! let lk = PyramidalLk::new(LkParams::default());
 //! let pts: Vec<Point2> = corners.iter().map(|c| c.point).collect();
-//! let tracked = lk.track(&img, &shifted, &pts);
+//! let tracked = lk.track_pyramids(&mut prev, &next, &pts, &mut pool);
 //! let ok = tracked.iter().filter(|t| t.found).count();
 //! assert!(ok > 0);
 //! ```
@@ -89,14 +93,14 @@ pub mod image;
 pub mod parallel;
 pub mod perf;
 pub mod pyramid;
+#[doc(hidden)]
+pub mod reference;
 pub mod scratch;
 pub mod simd;
 
 pub use exec::Executor;
 pub use fast::{fast_corners, FastParams};
-pub use features::{
-    good_features_from_gradients, good_features_to_track, Corner, GoodFeaturesParams,
-};
+pub use features::{good_features_in_boxes, Corner, GoodFeaturesParams};
 pub use flow::{FlowResult, LkParams, LkParamsError, PyramidalLk};
 pub use geometry::{BoundingBox, Point2, Vec2};
 pub use image::GrayImage;

@@ -17,7 +17,7 @@
 //!    thread — no spawn cost, no behavioural difference.
 //!
 //! Swapping in rayon later is a one-function change: replace the body of
-//! [`map_bands`] with `par_iter` over the band ranges.
+//! the crate-private `map_bands` with `par_iter` over the band ranges.
 
 use crate::perf;
 use std::sync::OnceLock;
@@ -38,17 +38,14 @@ pub fn max_threads() -> usize {
 }
 
 /// Number of bands a row-scan of `rows` rows should fan out over: the
-/// available core count when the `parallel` feature is on and the scan is
-/// large enough to amortize spawning, otherwise 1 (inline).
+/// available core count when the scan is large enough to amortize
+/// spawning, otherwise 1 (inline).
 pub(crate) fn scan_bands(rows: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        if rows >= 32 {
-            return max_threads();
-        }
+    if rows >= 32 {
+        max_threads()
+    } else {
+        1
     }
-    let _ = rows;
-    1
 }
 
 /// Splits `0..len` into at most `bands` contiguous ranges of near-equal

@@ -40,7 +40,8 @@ pub struct KernelCounters {
     pub gaussian_blurs: u64,
     /// 2x2 box downsample passes.
     pub downsamples: u64,
-    /// Scharr gradient fields computed whole.
+    /// Scharr gradient fields computed whole (only the whole-frame oracle
+    /// in `reference` does; production computes tiles).
     pub gradient_fields: u64,
     /// Scharr gradient tiles computed on demand
     /// ([`crate::gradient::TiledGradients`]).
@@ -57,8 +58,8 @@ pub struct KernelCounters {
     pub buffers_allocated: u64,
     /// Pixel/gradient buffers recycled from a [`crate::scratch::ScratchPool`].
     pub buffers_reused: u64,
-    /// Image rows processed by the fixed-point (`u8`/`u16`/`i16`) kernel
-    /// variants (blur, box downsample, raw Scharr).
+    /// Image rows processed by the `u16` fixed-point blur and box
+    /// downsample kernels.
     pub fixed_point_rows: u64,
     /// Nanoseconds spent building pyramids (blur + downsample included).
     pub pyramid_ns: u64,
@@ -174,9 +175,9 @@ pub struct KernelCounts {
     pub buffers_allocated: u64,
     /// Pixel/gradient buffers recycled from a [`crate::scratch::ScratchPool`].
     pub buffers_reused: u64,
-    /// Image rows processed by the fixed-point kernel variants. Structural:
-    /// for a given input and feature set this is identical across runs and
-    /// thread counts (zero with the `fixed-point` feature disabled).
+    /// Image rows processed by the fixed-point blur and downsample kernels.
+    /// Structural: for a given input this is identical across runs and
+    /// thread counts.
     pub fixed_point_rows: u64,
 }
 

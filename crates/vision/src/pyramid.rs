@@ -282,7 +282,7 @@ mod tests {
 
     #[test]
     fn ensured_gradients_match_fresh_computation() {
-        use crate::gradient::scharr_gradients;
+        use crate::reference::scharr_gradients;
         let img = GrayImage::from_fn(75, 41, |x, y| {
             (x.wrapping_mul(31) ^ y.wrapping_mul(17)) as u8
         });

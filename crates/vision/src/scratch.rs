@@ -36,7 +36,6 @@ use crate::perf;
 pub struct ScratchPool {
     gray: Vec<Vec<u8>>,
     planes_u16: Vec<Vec<u16>>,
-    planes_i16: Vec<Vec<i16>>,
     planes_f32: Vec<Vec<f32>>,
 }
 
@@ -81,14 +80,13 @@ impl ScratchPool {
 
     /// Number of buffers currently parked in the pool.
     pub fn parked(&self) -> usize {
-        self.gray.len() + self.planes_u16.len() + self.planes_i16.len() + self.planes_f32.len()
+        self.gray.len() + self.planes_u16.len() + self.planes_f32.len()
     }
 
     /// Drops every parked buffer.
     pub fn clear(&mut self) {
         self.gray.clear();
         self.planes_u16.clear();
-        self.planes_i16.clear();
         self.planes_f32.clear();
     }
 
@@ -121,16 +119,6 @@ impl ScratchPool {
     /// Returns a `u16` plane to the pool.
     pub fn recycle_u16(&mut self, plane: Vec<u16>) {
         self.planes_u16.push(plane);
-    }
-
-    /// Takes a `len`-element `i16` plane (raw fixed-point gradients).
-    pub fn take_i16(&mut self, len: usize) -> Vec<i16> {
-        take_sized(&mut self.planes_i16, len)
-    }
-
-    /// Returns an `i16` plane to the pool.
-    pub fn recycle_i16(&mut self, plane: Vec<i16>) {
-        self.planes_i16.push(plane);
     }
 
     /// Takes a `len`-element `f32` plane (used by gradient fields).
@@ -184,10 +172,7 @@ mod tests {
         let f = pool.take_f32(6);
         assert_eq!(f.len(), 6);
         pool.recycle_f32(f);
-        let i = pool.take_i16(4);
-        assert_eq!(i.len(), 4);
-        pool.recycle_i16(i);
-        assert_eq!(pool.parked(), 3);
+        assert_eq!(pool.parked(), 2);
         pool.clear();
         assert_eq!(pool.parked(), 0);
     }

@@ -14,29 +14,28 @@
 //!
 //! # Deterministic dispatch
 //!
-//! Which implementation runs is decided **at compile time only**: the
-//! `simd`/`fixed-point` cargo features select between these row helpers
-//! and the retained scalar baselines at each call site, and the target ISA
-//! baseline is pinned by the build (`.cargo/config.toml`). There is no
-//! runtime CPU-feature probing (the `cpu-probe` adavp-lint rule rejects
-//! `is_*_feature_detected` in every deterministic crate), so a given
-//! binary always takes the same code path. Vectorization here always means
-//! "across independent output elements", never "reassociate a reduction",
-//! so results are **bit-identical** across feature combinations, lane
-//! widths, and hosts.
+//! These helpers are the only implementation the kernels run; the plain
+//! scalar loops they replaced survive only as test oracles in
+//! `reference`. Lane width is decided **at compile time only**,
+//! by the target ISA baseline the build pins (`.cargo/config.toml`).
+//! There is no runtime CPU-feature probing (the `cpu-probe` adavp-lint
+//! rule rejects `is_*_feature_detected` in every deterministic crate), so
+//! a given binary always takes the same code path. Vectorization here
+//! always means "across independent output elements", never "reassociate a
+//! reduction", so results are **bit-identical** to the oracles across
+//! lane widths and hosts.
 //!
 //! # Exactness
 //!
 //! * Integer helpers ([`blur5_h_row`], [`blur5_v_row`], [`box2_row`],
-//!   [`smooth313_v_row`], [`smooth313_h_row`], [`diff_i16_row`]) use the
-//!   narrowest lane type whose range provably holds every intermediate
-//!   (`16 * 255 = 4080 < 65535` for the 5-tap and `[3 10 3]` kernels,
-//!   `4 * 255 = 1020` for the box filter), so they equal the wider scalar
-//!   arithmetic exactly.
+//!   [`smooth313_v_row`], [`smooth313_h_row`]) use the narrowest lane type
+//!   whose range provably holds every intermediate (`16 * 255 = 4080 <
+//!   65535` for the 5-tap and `[3 10 3]` kernels, `4 * 255 = 1020` for the
+//!   box filter), so they equal the wider scalar arithmetic exactly.
 //! * `f32` helpers ([`bilinear_span_u8`], [`bilinear_span_f32`],
-//!   [`diff_norm_row`], [`i16_norm_row`]) replicate the per-element
-//!   expression of their scalar counterparts token for token; lanes are
-//!   independent pixels, so per-lane operation order is unchanged.
+//!   [`diff_norm_row`]) replicate the per-element expression of their
+//!   scalar counterparts token for token; lanes are independent pixels, so
+//!   per-lane operation order is unchanged.
 
 #[inline(always)]
 fn bilinear(p00: f32, p10: f32, p01: f32, p11: f32, tx: f32, ty: f32) -> f32 {
@@ -223,39 +222,6 @@ pub fn diff_norm_row(hi: &[u16], lo: &[u16], norm: f32, out: &mut [f32]) {
     }
 }
 
-/// Raw fixed-point central difference: `out[i] = hi[i] - lo[i]` as `i16`
-/// (range `[-4080, 4080]`, no overflow).
-///
-/// # Panics
-///
-/// Panics unless `hi`, `lo` and `out` share a length.
-// adavp-lint: allow(cast-truncation, item=diff_i16_row, bound=4080) — inputs <= 4080 widen to i32; the difference lies in [-4080, 4080] and fits i16
-pub fn diff_i16_row(hi: &[u16], lo: &[u16], out: &mut [i16]) {
-    let n = out.len();
-    assert!(hi.len() == n && lo.len() == n);
-    let hi = &hi[..n];
-    let lo = &lo[..n];
-    for i in 0..n {
-        out[i] = (hi[i] as i32 - lo[i] as i32) as i16;
-    }
-}
-
-/// Exact widening of a raw `i16` fixed-point row to normalized `f32`:
-/// `out[i] = src[i] as f32 * norm`. Every `i16` is exactly representable
-/// in `f32` and `norm` is a power of two, so this is lossless.
-///
-/// # Panics
-///
-/// Panics unless `src.len() == out.len()`.
-pub fn i16_norm_row(src: &[i16], norm: f32, out: &mut [f32]) {
-    let n = out.len();
-    assert!(src.len() == n);
-    let src = &src[..n];
-    for i in 0..n {
-        out[i] = src[i] as f32 * norm;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,15 +362,9 @@ mod tests {
         let lo: Vec<u16> = (0..32).map(|i| i * 129).collect();
         let mut f = vec![0.0f32; 32];
         diff_norm_row(&hi, &lo, 1.0 / 32.0, &mut f);
-        let mut raw = vec![0i16; 32];
-        diff_i16_row(&hi, &lo, &mut raw);
-        let mut widened = vec![0.0f32; 32];
-        i16_norm_row(&raw, 1.0 / 32.0, &mut widened);
         for i in 0..32 {
             let expect = (hi[i] as i32 - lo[i] as i32) as f32 * (1.0 / 32.0);
             assert_eq!(f[i], expect);
-            assert_eq!(raw[i] as i32, hi[i] as i32 - lo[i] as i32);
-            assert_eq!(widened[i], expect, "i16 round trip must be lossless");
         }
     }
 }

@@ -7,6 +7,7 @@ use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::Point2;
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::Pyramid;
+use adavp_vision::reference::track_pyramids_baseline;
 use adavp_vision::scratch::ScratchPool;
 
 fn textured(w: u32, h: u32, phase: f32) -> GrayImage {
@@ -60,7 +61,7 @@ fn all_lk_paths_bit_identical_across_shifts() {
         let next = shifted(&prev, dx, dy);
         let next_pyr = Pyramid::build(&next, 3);
 
-        let baseline = lk.track_pyramids_baseline(&prev_pyr, &next_pyr, &pts);
+        let baseline = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
         let sequential = lk.track_pyramids_sequential(
             &mut fresh_prev(),
             &next_pyr,
@@ -72,19 +73,12 @@ fn all_lk_paths_bit_identical_across_shifts() {
             "optimized sequential diverged from baseline at shift ({dx},{dy})"
         );
 
-        #[cfg(feature = "parallel")]
-        {
-            let parallel = lk.track_pyramids_parallel(
-                &mut fresh_prev(),
-                &next_pyr,
-                &pts,
-                &mut ScratchPool::new(),
-            );
-            assert_eq!(
-                sequential, parallel,
-                "parallel diverged from sequential at shift ({dx},{dy})"
-            );
-        }
+        let parallel =
+            lk.track_pyramids_parallel(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new());
+        assert_eq!(
+            sequential, parallel,
+            "parallel diverged from sequential at shift ({dx},{dy})"
+        );
 
         // The public dispatching entry point agrees with both.
         let auto = lk.track_pyramids(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new());

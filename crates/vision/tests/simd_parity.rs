@@ -1,18 +1,19 @@
 //! Golden-bytes parity for the vectorized / fixed-point kernel layer.
 //!
-//! Mirrors `lk_parity.rs`: the feature-gated fast paths (`simd`,
-//! `fixed-point`) are optimizations, not approximations, so their output must
-//! match the retained scalar baselines byte-for-byte — on well-behaved frames
-//! and on adversarial shapes alike. Uses no dev-dependencies so it runs under
-//! the offline rustc-direct harness.
+//! Mirrors `lk_parity.rs`: the vectorized `u16` blur, downsample and
+//! Scharr tile kernels are optimizations, not approximations, so their
+//! output must match the scalar oracles in `adavp_vision::reference`
+//! byte-for-byte — on well-behaved frames and on adversarial shapes alike.
+//! Uses no dev-dependencies so it runs under the offline rustc-direct
+//! harness.
 
 use adavp_vision::geometry::PixelRect;
-use adavp_vision::gradient::{
-    gaussian_blur_into, gaussian_blur_into_scalar, scharr_gradients_i16_into,
-    scharr_gradients_into, scharr_gradients_into_scalar, GradientField, GradientFieldI16,
-};
+use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients};
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::Pyramid;
+use adavp_vision::reference::{
+    downsample_into_scalar, gaussian_blur_into_scalar, scharr_gradients_into_scalar,
+};
 use adavp_vision::scratch::ScratchPool;
 
 /// Deterministic texture with structure at several scales.
@@ -97,7 +98,7 @@ fn downsample_matches_scalar_bytes_on_adversarial_shapes() {
             let mut fast = GrayImage::new(nw, nh);
             let mut scalar = GrayImage::new(nw, nh);
             img.downsample_into(&mut fast);
-            img.downsample_into_scalar(&mut scalar);
+            downsample_into_scalar(&img, &mut scalar);
             assert_eq!(
                 fast.as_bytes(),
                 scalar.as_bytes(),
@@ -107,83 +108,36 @@ fn downsample_matches_scalar_bytes_on_adversarial_shapes() {
     }
 }
 
-#[test]
-fn scharr_matches_scalar_bits_on_adversarial_shapes() {
-    let mut pool = ScratchPool::new();
-    for &(w, h) in SHAPES {
-        for img in images_for(w, h) {
-            let mut fast = GradientField::empty();
-            let mut scalar = GradientField::empty();
-            scharr_gradients_into(&img, &mut fast, &mut pool);
-            scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
+/// Asks `tiled` for every tile of `img` and asserts each pixel equals
+/// `scalar` bit for bit.
+fn assert_tiles_match(
+    img: &GrayImage,
+    tiled: &mut TiledGradients,
+    scalar: &GradientField,
+    pool: &mut ScratchPool,
+) {
+    let (w, h) = (img.width(), img.height());
+    tiled.ensure(img, &[PixelRect::new(0, 0, w.into(), h.into())], pool);
+    for y in 0..h {
+        for x in 0..w {
+            let (gx, gy) = tiled.get(x, y).expect("every tile was asked for");
             assert_eq!(
-                fast.gx_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                scalar
-                    .gx_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "scharr gx diverged from scalar at {w}x{h}"
-            );
-            assert_eq!(
-                fast.gy_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                scalar
-                    .gy_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "scharr gy diverged from scalar at {w}x{h}"
+                (gx.to_bits(), gy.to_bits()),
+                (scalar.gx(x, y).to_bits(), scalar.gy(x, y).to_bits()),
+                "scharr diverged from scalar at ({x},{y}) of {w}x{h}"
             );
         }
     }
 }
 
 #[test]
-fn scharr_i16_widens_to_exact_f32_gradients() {
-    // The i16 fixed-point field stores un-normalized smooth differences; after
-    // widening (multiply by the power-of-two 1/32) it must be bit-identical to
-    // the f32 pipeline — both compute the same integer before normalizing.
+fn scharr_tiles_match_scalar_bits_on_adversarial_shapes() {
     let mut pool = ScratchPool::new();
     for &(w, h) in SHAPES {
         for img in images_for(w, h) {
-            let mut fixed = GradientFieldI16::empty();
-            let mut widened = GradientField::empty();
             let mut scalar = GradientField::empty();
-            scharr_gradients_i16_into(&img, &mut fixed, &mut pool);
-            fixed.to_f32_into(&mut widened);
             scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
-            assert_eq!(
-                widened
-                    .gx_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                scalar
-                    .gx_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "i16 gx widening diverged at {w}x{h}"
-            );
-            assert_eq!(
-                widened
-                    .gy_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                scalar
-                    .gy_plane()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "i16 gy widening diverged at {w}x{h}"
-            );
+            assert_tiles_match(&img, &mut TiledGradients::new(), &scalar, &mut pool);
         }
     }
 }
@@ -207,13 +161,7 @@ fn dirtied_pool_does_not_leak_into_kernel_output() {
     gaussian_blur_into_scalar(&img, &mut scalar, &mut fresh_pool);
     assert_eq!(fast.as_bytes(), scalar.as_bytes(), "blur leaked pool bytes");
 
-    let mut fast_field = GradientField::empty();
     let mut scalar_field = GradientField::empty();
-    scharr_gradients_into(&img, &mut fast_field, &mut pool);
     scharr_gradients_into_scalar(&img, &mut scalar_field, &mut fresh_pool);
-    assert_eq!(
-        (fast_field.gx_plane(), fast_field.gy_plane()),
-        (scalar_field.gx_plane(), scalar_field.gy_plane()),
-        "scharr leaked pool bytes"
-    );
+    assert_tiles_match(&img, &mut TiledGradients::new(), &scalar_field, &mut pool);
 }

@@ -7,14 +7,15 @@
 //! stale data.
 
 use adavp_rng::{check, Rng};
-use adavp_vision::features::{
-    good_features_from_gradients_reference, good_features_in_boxes, GoodFeaturesParams,
-};
+use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{FlowResult, LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
-use adavp_vision::gradient::{scharr_gradients, TiledGradients, TILE_H, TILE_W};
+use adavp_vision::gradient::{TiledGradients, TILE_H, TILE_W};
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::Pyramid;
+use adavp_vision::reference::{
+    good_features_from_gradients_reference, scharr_gradients, track_pyramids_baseline,
+};
 use adavp_vision::scratch::ScratchPool;
 use std::f32::consts::TAU;
 
@@ -189,20 +190,18 @@ fn lk_points_near_the_border_of_every_level_match_baseline() {
             ));
         }
 
-        let baseline = lk.track_pyramids_baseline(&Pyramid::build(&prev, levels), &next_pyr, &pts);
+        let baseline =
+            track_pyramids_baseline(&lk, &Pyramid::build(&prev, levels), &next_pyr, &pts);
         let len = (w * h) as usize;
         let planes = 2 * levels as usize;
         let mut pool = nan_pool(len, planes);
         let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
         let sequential = lk.track_pyramids_sequential(&mut prev_pyr, &next_pyr, &pts, &mut pool);
         assert_eq!(flow_bits(&sequential), flow_bits(&baseline));
-        #[cfg(feature = "parallel")]
-        {
-            let mut pool = nan_pool(len, planes);
-            let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
-            let parallel = lk.track_pyramids_parallel(&mut prev_pyr, &next_pyr, &pts, &mut pool);
-            assert_eq!(flow_bits(&parallel), flow_bits(&baseline));
-        }
+        let mut pool = nan_pool(len, planes);
+        let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
+        let parallel = lk.track_pyramids_parallel(&mut prev_pyr, &next_pyr, &pts, &mut pool);
+        assert_eq!(flow_bits(&parallel), flow_bits(&baseline));
     });
 }
 

@@ -2,15 +2,16 @@
 
 use adavp_rng::check;
 use adavp_vision::fast::{fast_corners, FastParams};
-use adavp_vision::features::{good_features_to_track, GoodFeaturesParams};
+use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
-use adavp_vision::geometry::Point2;
-use adavp_vision::gradient::{
-    gaussian_blur, gaussian_blur_into, gaussian_blur_into_scalar, scharr_gradients,
-    scharr_gradients_into, scharr_gradients_into_scalar, GradientField,
-};
+use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
+use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients};
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::Pyramid;
+use adavp_vision::reference::{
+    downsample_into_scalar, gaussian_blur_into_scalar, scharr_gradients_into_scalar,
+    track_pyramids_baseline,
+};
 use adavp_vision::scratch::ScratchPool;
 use std::f32::consts::TAU;
 
@@ -58,7 +59,10 @@ fn corners_always_inside_image() {
         let w = rng.gen_range(24u32..80);
         let h = rng.gen_range(24u32..80);
         let img = textured(w, h, p1, 2.0, 3.0);
-        for c in good_features_to_track(&img, &GoodFeaturesParams::default(), None) {
+        let frame = [BoundingBox::new(0.0, 0.0, w as f32, h as f32)];
+        let mut pyr = Pyramid::build(&img, 1);
+        let params = GoodFeaturesParams::default();
+        for c in good_features_in_boxes(&mut pyr, &params, &frame, &mut ScratchPool::new()) {
             assert!(c.point.x >= 0.0 && c.point.x < w as f32);
             assert!(c.point.y >= 0.0 && c.point.y < h as f32);
             assert!(c.response > 0.0);
@@ -95,7 +99,8 @@ fn blur_preserves_mean_intensity() {
     check(24, 1, |rng| {
         let p1 = rng.gen_range(0.0f32..TAU);
         let img = textured(64, 64, p1, 1.0, 2.0);
-        let blurred = gaussian_blur(&img);
+        let mut blurred = GrayImage::new(64, 64);
+        gaussian_blur_into(&img, &mut blurred, &mut ScratchPool::new());
         // Smoothing redistributes but does not create/destroy intensity
         // (up to rounding and border effects).
         assert!((img.mean() - blurred.mean()).abs() < 3.0);
@@ -107,12 +112,18 @@ fn gradients_bounded_by_intensity_range() {
     check(24, 1, |rng| {
         let p1 = rng.gen_range(0.0f32..TAU);
         let img = textured(48, 48, p1, 0.5, 1.5);
-        let g = scharr_gradients(&img);
+        let mut g = TiledGradients::new();
+        g.ensure(
+            &img,
+            &[PixelRect::new(0, 0, 48, 48)],
+            &mut ScratchPool::new(),
+        );
         for y in 0..48 {
             for x in 0..48 {
                 // Normalized Scharr of an 8-bit image can never exceed 255.
-                assert!(g.gx(x, y).abs() <= 255.0);
-                assert!(g.gy(x, y).abs() <= 255.0);
+                let (gx, gy) = g.get(x, y).expect("every tile was asked for");
+                assert!(gx.abs() <= 255.0);
+                assert!(gy.abs() <= 255.0);
             }
         }
     });
@@ -151,10 +162,9 @@ fn parallel_lk_bit_identical_to_sequential() {
         );
         assert_eq!(
             &sequential,
-            &lk.track_pyramids_baseline(&prev_pyr, &next_pyr, &pts),
+            &track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts),
             "optimized path diverged from the reference baseline"
         );
-        #[cfg(feature = "parallel")]
         assert_eq!(
             &sequential,
             &lk.track_pyramids_parallel(
@@ -179,9 +189,9 @@ fn blur_fast_path_matches_scalar_on_arbitrary_images() {
         let w = rng.gen_range(1u32..70);
         let h = rng.gen_range(1u32..70);
         let seed: u32 = rng.gen();
-        // The feature-gated fixed-point path must reproduce the scalar
-        // baseline byte-for-byte on every size, including 1-pixel strips
-        // and widths that are not a multiple of any SIMD lane count.
+        // The fixed-point path must reproduce the scalar oracle
+        // byte-for-byte on every size, including 1-pixel strips and widths
+        // that are not a multiple of any SIMD lane count.
         let mut s = seed | 1;
         let img = GrayImage::from_fn(w, h, |_, _| {
             s ^= s << 13;
@@ -215,7 +225,7 @@ fn downsample_fast_path_matches_scalar_on_arbitrary_images() {
         let mut fast = GrayImage::new(nw, nh);
         let mut scalar = GrayImage::new(nw, nh);
         img.downsample_into(&mut fast);
-        img.downsample_into_scalar(&mut scalar);
+        downsample_into_scalar(&img, &mut scalar);
         assert_eq!(fast.as_bytes(), scalar.as_bytes());
     });
 }
@@ -234,15 +244,19 @@ fn scharr_fast_path_bit_identical_to_scalar_on_arbitrary_images() {
             (s >> 8) as u8
         });
         let mut pool = ScratchPool::new();
-        let mut fast = GradientField::empty();
+        let mut tiled = TiledGradients::new();
+        tiled.ensure(&img, &[PixelRect::new(0, 0, w.into(), h.into())], &mut pool);
         let mut scalar = GradientField::empty();
-        scharr_gradients_into(&img, &mut fast, &mut pool);
         scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
         // Bit-level comparison: the fused ring pass reorders work, never
         // arithmetic, so even NaN-free float equality must be exact.
-        let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(fast.gx_plane()), bits(scalar.gx_plane()));
-        assert_eq!(bits(fast.gy_plane()), bits(scalar.gy_plane()));
+        for y in 0..h {
+            for x in 0..w {
+                let (gx, gy) = tiled.get(x, y).expect("every tile was asked for");
+                assert_eq!(gx.to_bits(), scalar.gx(x, y).to_bits());
+                assert_eq!(gy.to_bits(), scalar.gy(x, y).to_bits());
+            }
+        }
     });
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: build, test, lint, and bench smoke runs that regenerate
-# BENCH_kernels.json (which also re-asserts LK cross-path bit-parity and
-# demand-driven gradient/Shi-Tomasi parity with the full-field oracles) and
+# CI gate: build, test, lint, docs, and bench smoke runs that regenerate
+# BENCH_kernels.json (which also re-asserts that every vision kernel,
+# including the LK paths and the demand-driven gradient and Shi-Tomasi
+# scans, is bit-identical to its oracle in adavp_vision::reference) and
 # BENCH_experiments.json (which asserts parallel-harness result parity).
 #
 # Usage: scripts/ci.sh [--no-bench] [--strict]
@@ -71,6 +72,9 @@ cargo fmt --all -- --check
 echo "== clippy"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (broken intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== fault conformance suite (DESIGN.md §11 degradation policies)"
 cargo test -q --offline --test fault_conformance
 
@@ -80,11 +84,8 @@ cargo test -q --offline --test scheme_conformance
 echo "== serve determinism suite (DESIGN.md §15 fleet serving)"
 cargo test -q --offline --test serve_determinism
 
-echo "== SIMD/fixed-point kernel parity (DESIGN.md §14; golden bytes + adversarial shapes)"
+echo "== SIMD/fixed-point kernel parity vs the scalar oracles (DESIGN.md §14; adversarial shapes)"
 cargo test -q --offline -p adavp-vision --test simd_parity
-cargo test -q --offline -p adavp-vision --test simd_parity --no-default-features
-cargo test -q --offline -p adavp-vision --test simd_parity --no-default-features --features simd
-cargo test -q --offline -p adavp-vision --test simd_parity --no-default-features --features fixed-point
 
 if [ "$NO_BENCH" != "1" ]; then
     # Snapshot the committed baselines before the smoke runs regenerate the

@@ -6,13 +6,16 @@
 //! the cascade's gate opens iff a proposal demands the full detector, CTD
 //! re-detects on the exact step its decayed confidence crosses the
 //! threshold, and both schemes are pure functions of their configuration
-//! down to the serialized trace bytes.
+//! down to the serialized trace bytes. The golden pins at the end cover
+//! every clip scheme, and every scheme's empty- and one-frame-clip rule.
 
+use adavp::core::adaptation::AdaptationModel;
 use adavp::core::export::trace_to_json;
 use adavp::core::metrics::{json_snapshot, MetricsConfig};
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DetectorFault, FrameSource,
-    MarlinConfig, MarlinPipeline, PipelineConfig, ProcessingTrace, VideoProcessor,
+    CascadeConfig, CascadePipeline, ContinuousPipeline, CtdConfig, CtdPipeline, DetectorFault,
+    DetectorOnlyPipeline, FrameSource, MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig,
+    ProcessingTrace, SettingPolicy, VideoProcessor,
 };
 use adavp::core::telemetry::chrome::chrome_trace_json;
 use adavp::core::telemetry::TelemetryConfig;
@@ -288,13 +291,70 @@ fn golden_digests(trace: &ProcessingTrace) -> [u64; 3] {
     ]
 }
 
-/// MARLIN-512 and CTD-512 are pinned to the byte on a highway and a
-/// meeting-room clip, quiet and under the stress fault profile, with
-/// telemetry and metrics recording on. A refactor of the sequential
-/// detect-then-track loop must leave every digest unchanged.
+/// Schemes with an optical-flow tracker; only these can diverge.
+const TRACKING_SCHEMES: [&str; 4] = ["MARLIN", "CTD", "MPDT", "AdaVP"];
+
+/// Every clip scheme, in golden-table order.
+const SCHEMES: [&str; 7] = [
+    "MARLIN",
+    "CTD",
+    "MPDT",
+    "AdaVP",
+    "WithoutTracking",
+    "Continuous",
+    "Cascade",
+];
+
+/// A fresh pipeline for `scheme` at the setting its golden digests pin.
+/// AdaVP runs aggressive thresholds so that it switches settings.
+fn scheme(name: &str, config: PipelineConfig) -> Box<dyn VideoProcessor> {
+    let s = ModelSetting::Yolo512;
+    match name {
+        "MARLIN" => Box::new(MarlinPipeline::new(
+            det(),
+            s,
+            config,
+            MarlinConfig::default(),
+        )),
+        "CTD" => Box::new(CtdPipeline::new(det(), s, config, CtdConfig::default())),
+        "MPDT" => Box::new(MpdtPipeline::new(det(), SettingPolicy::Fixed(s), config)),
+        "AdaVP" => Box::new(MpdtPipeline::new(
+            det(),
+            SettingPolicy::Adaptive(AdaptationModel::uniform([0.5, 1.0, 2.0])),
+            config,
+        )),
+        "WithoutTracking" => Box::new(DetectorOnlyPipeline::new(det(), s, config)),
+        "Continuous" => Box::new(ContinuousPipeline::new(
+            det(),
+            ModelSetting::Yolo320,
+            config,
+        )),
+        "Cascade" => Box::new(CascadePipeline::new(
+            det(),
+            s,
+            config,
+            CascadeConfig::default(),
+        )),
+        other => panic!("unknown scheme {other}"),
+    }
+}
+
+/// The two fault plans every scheme is pinned under.
+fn plans() -> [(&'static str, FaultPlan); 2] {
+    [
+        ("quiet", FaultPlan::none()),
+        ("stress", FaultPlan::new(FaultProfile::stress(31))),
+    ]
+}
+
+/// Every clip scheme (MARLIN-512, CTD-512, MPDT-512, AdaVP,
+/// WithoutTracking-512, Continuous-320 and Cascade-512) is pinned to the
+/// byte on a highway and a meeting-room clip, quiet and under the stress
+/// fault profile, with telemetry and metrics recording on. A refactor of
+/// any clip loop must leave every digest unchanged.
 #[test]
 fn sequential_schemes_match_their_golden_digests() {
-    let golden: [(&str, [u64; 3]); 8] = [
+    let golden: [(&str, [u64; 3]); 28] = [
         (
             "MARLIN/highway/quiet",
             [0x67d781aab8150eb6, 0xbbd40bb03fd99342, 0xbfc4b1db62c58f65],
@@ -327,44 +387,109 @@ fn sequential_schemes_match_their_golden_digests() {
             "CTD/meeting/stress",
             [0x7cc39b1fd56a7321, 0x42f98b418eca57c5, 0xcba1d016265dfe1c],
         ),
+        (
+            "MPDT/highway/quiet",
+            [0xdb9f8e158fafe700, 0x63796634a10d1e9c, 0x8dfe0780c265bcb7],
+        ),
+        (
+            "MPDT/highway/stress",
+            [0x6932ffe9e71c59d1, 0x7f4623bd8e93f3fb, 0xeaf5c54949a4474b],
+        ),
+        (
+            "MPDT/meeting/quiet",
+            [0xdb206f243e5cff6b, 0xa4f9ad0427566e0d, 0x5054e0e2fa507fdb],
+        ),
+        (
+            "MPDT/meeting/stress",
+            [0x7798610ff522c5e9, 0x6fdf364344bd6f00, 0x6f271247ce69378a],
+        ),
+        (
+            "AdaVP/highway/quiet",
+            [0x13eeaa1bd05cae80, 0x8790a3fa03e9a358, 0x93ed1c43a9fcf093],
+        ),
+        (
+            "AdaVP/highway/stress",
+            [0xc01a40d6c6375ade, 0x1bc249334eac75ff, 0x5ce836c7f613cb5a],
+        ),
+        (
+            "AdaVP/meeting/quiet",
+            [0x5d6798cd066c4d37, 0x3438028b308f72df, 0xb7d5b227356a3c76],
+        ),
+        (
+            "AdaVP/meeting/stress",
+            [0x33b747380f0b7858, 0xd37c3c289cb7c4e5, 0xc7f2cfa499d12090],
+        ),
+        (
+            "WithoutTracking/highway/quiet",
+            [0x5f00d3fe04708b38, 0x73e8c6c447942bf7, 0x4e5c827938bbc267],
+        ),
+        (
+            "WithoutTracking/highway/stress",
+            [0x764b871aedceca80, 0x1bad04a5dcd59187, 0x79ef61f6273dbdc3],
+        ),
+        (
+            "WithoutTracking/meeting/quiet",
+            [0x2c2c2e84f890fc7d, 0xae74715c722f0043, 0x365c37c6eb16250c],
+        ),
+        (
+            "WithoutTracking/meeting/stress",
+            [0xff0949c744c3886b, 0x9bd01376d08f9361, 0xbef29325a4a539bb],
+        ),
+        (
+            "Continuous/highway/quiet",
+            [0xa745ccab0e4fa031, 0xcece5d3e7e54505f, 0x92af60935e584a1a],
+        ),
+        (
+            "Continuous/highway/stress",
+            [0x6b968bf8905906dd, 0x3dfb2f2624e26a12, 0x27b506227f5f6d9a],
+        ),
+        (
+            "Continuous/meeting/quiet",
+            [0x36a2d98140987747, 0xd0e117d22b0293a2, 0xab05742e45b2759f],
+        ),
+        (
+            "Continuous/meeting/stress",
+            [0x04399157f93f3cef, 0x4e578d10a4e8241a, 0x39a63506b91d0bf4],
+        ),
+        (
+            "Cascade/highway/quiet",
+            [0xcdce7544626a6a85, 0x6ad7bdd8521c9aef, 0x7dd059b838ff4c87],
+        ),
+        (
+            "Cascade/highway/stress",
+            [0x4394033299490333, 0x4610ef9971ba1eda, 0xa1f8b63d4dac66a5],
+        ),
+        (
+            "Cascade/meeting/quiet",
+            [0x23306b11b11afa6d, 0x4fb45279ff74b8ee, 0x9dee2837dbf5569b],
+        ),
+        (
+            "Cascade/meeting/stress",
+            [0xb8e5d9c4d112031a, 0xeaa853e76fbf7a7e, 0xa933a24ed6fb37f9],
+        ),
     ];
     let clips = [
         ("highway", clip(Scenario::Highway, 23, 120)),
         ("meeting", clip(Scenario::MeetingRoom, 23, 120)),
     ];
-    let plans = [
-        ("quiet", FaultPlan::none()),
-        ("stress", FaultPlan::new(FaultProfile::stress(31))),
-    ];
     let mut got = Vec::new();
-    for scheme in ["MARLIN", "CTD"] {
+    for name in SCHEMES {
         let mut stressed = Vec::new();
         for (clip_name, c) in &clips {
-            for (plan_name, plan) in &plans {
+            for (plan_name, plan) in plans() {
                 let config = PipelineConfig {
-                    faults: plan.clone(),
+                    faults: plan,
                     telemetry: TelemetryConfig::enabled(),
                     metrics: MetricsConfig::enabled(),
                     ..PipelineConfig::default()
                 };
-                let trace = if scheme == "MARLIN" {
-                    MarlinPipeline::new(
-                        det(),
-                        ModelSetting::Yolo512,
-                        config,
-                        MarlinConfig::default(),
-                    )
-                    .process(c)
-                } else {
-                    CtdPipeline::new(det(), ModelSetting::Yolo512, config, CtdConfig::default())
-                        .process(c)
-                };
+                let trace = scheme(name, config).process(c);
                 assert_covered(&trace, c.len());
                 got.push((
-                    format!("{scheme}/{clip_name}/{plan_name}"),
+                    format!("{name}/{clip_name}/{plan_name}"),
                     golden_digests(&trace),
                 ));
-                if *plan_name == "stress" {
+                if plan_name == "stress" {
                     stressed.push(trace);
                 }
             }
@@ -376,24 +501,48 @@ fn sequential_schemes_match_their_golden_digests() {
                 cy.fault,
                 Some(DetectorFault::Spike { .. } | DetectorFault::Timeout { .. })
             )),
-            "{scheme}: no latency spike"
+            "{name}: no latency spike"
         );
         assert!(
             cycles().any(|cy| matches!(
                 cy.fault,
                 Some(DetectorFault::Retried { .. } | DetectorFault::Failed { .. })
             )),
-            "{scheme}: no detector failure"
+            "{name}: no detector failure"
         );
-        assert!(cycles().any(|cy| cy.diverged), "{scheme}: no divergence");
+        if TRACKING_SCHEMES.contains(&name) {
+            assert!(cycles().any(|cy| cy.diverged), "{name}: no divergence");
+        }
         assert!(
             stressed
                 .iter()
                 .flat_map(|t| &t.outputs)
                 .any(|o| o.source == FrameSource::Dropped),
-            "{scheme}: no dropped frame"
+            "{name}: no dropped frame"
         );
     }
     let want: Vec<(String, [u64; 3])> = golden.iter().map(|(k, d)| (k.to_string(), *d)).collect();
     assert_eq!(got, want, "digests changed; got {got:#x?}");
+}
+
+/// Every scheme owns the same empty-clip rule: under either fault plan a
+/// 0-frame clip yields no outputs, no cycles and no energy, and a 1-frame
+/// clip yields exactly one output and one detection cycle.
+#[test]
+fn every_scheme_handles_empty_and_one_frame_clips() {
+    for name in SCHEMES {
+        for (plan_name, plan) in plans() {
+            let config = PipelineConfig {
+                faults: plan,
+                ..PipelineConfig::default()
+            };
+            let empty = scheme(name, config.clone()).process(&clip(Scenario::Highway, 13, 0));
+            assert!(empty.outputs.is_empty(), "{name}/{plan_name}: outputs");
+            assert!(empty.cycles.is_empty(), "{name}/{plan_name}: cycles");
+            assert_eq!(empty.energy.total_wh(), 0.0, "{name}/{plan_name}: energy");
+            let one = scheme(name, config).process(&clip(Scenario::Highway, 14, 1));
+            assert_covered(&one, 1);
+            assert_eq!(one.cycles.len(), 1, "{name}/{plan_name}: cycles");
+        }
+    }
 }

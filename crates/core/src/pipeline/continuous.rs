@@ -5,17 +5,10 @@
 //! times the video duration, but per-frame accuracy is the detector's own.
 //! Used to bound the energy/accuracy trade-off space.
 
-use super::mpdt::{
-    finish_trace, record_arrival, record_detection_span, run_detection, to_confidences, to_labeled,
-};
-use super::{
-    CycleRecord, FrameOutput, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor,
-};
-use crate::telemetry::{Attr, EventKind, Recorder, Track};
+use super::clip_run::{ClipRun, Shown};
+use super::{FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor};
+use crate::telemetry::{Attr, EventKind, Track};
 use adavp_detector::{Detector, ModelSetting};
-use adavp_metrics::f1::LabeledBox;
-use adavp_sim::energy::{Activity, EnergyMeter};
-use adavp_sim::resource::Resource;
 use adavp_sim::time::SimTime;
 use adavp_video::clip::VideoClip;
 
@@ -44,105 +37,43 @@ impl<D: Detector> VideoProcessor for ContinuousPipeline<D> {
     }
 
     fn process(&mut self, clip: &VideoClip) -> ProcessingTrace {
-        let mut outputs: Vec<Option<FrameOutput>> = vec![None; clip.len()];
-        let mut cycles = Vec::new();
-        let mut gpu = Resource::new("gpu");
-        let mut cpu = Resource::new("cpu");
-        let mut meter = EnergyMeter::new();
-        let mut rec = Recorder::new(self.config.telemetry);
-        let lat = self.config.latency;
-
-        let faults = self.config.faults.for_stream(clip.name());
-        let degr = self.config.degradation.clone();
-        let mut contention = faults.contention();
-
-        let mut t = SimTime::ZERO;
-        // Inherited by dropped frames and degraded cycles.
-        let mut last_good: Vec<LabeledBox> = Vec::new();
-        let mut last_conf: Vec<f32> = Vec::new();
-        for frame in clip {
-            if faults.frame_dropped(frame.index as usize) {
-                // Never delivered: no detection runs; the display keeps
-                // showing the previous output (inherit-with-flag). Tracker
-                // divergence does not apply — this pipeline has no tracker.
-                if rec.on() {
-                    rec.event(
-                        Track::Camera,
-                        EventKind::FrameDrop,
-                        "frame dropped".to_string(),
-                        t.as_ms(),
-                        vec![Attr::u64("frame", frame.index)],
-                    );
+        ClipRun::process(&self.config, clip, self.name(), |run, last| {
+            let mut t = SimTime::ZERO;
+            // Inherited by dropped frames and degraded cycles.
+            let mut last_good = Shown::default();
+            for frame in 0..=last {
+                if run.dropped(frame) {
+                    // Never delivered: no detection runs; the display keeps
+                    // showing the previous output (inherit-with-flag).
+                    // Tracker divergence does not apply — this pipeline has
+                    // no tracker.
+                    if run.rec.on() {
+                        run.rec.event(
+                            Track::Camera,
+                            EventKind::FrameDrop,
+                            "frame dropped".to_string(),
+                            t.as_ms(),
+                            vec![Attr::u64("frame", frame)],
+                        );
+                    }
+                    run.publish(frame, FrameSource::Dropped, &last_good, t);
+                    continue;
                 }
-                let held = SimTime::from_ms(lat.held_frame_ms);
-                let (_, he) = cpu.schedule(t, held);
-                meter.record(Activity::Overlay, held);
-                outputs[frame.index as usize] = Some(FrameOutput {
-                    frame_index: frame.index,
-                    source: FrameSource::Dropped,
-                    boxes: last_good.clone(),
-                    confidences: last_conf.clone(),
-                    display_ms: he.as_ms(),
-                });
-                continue;
+                run.record_arrival(frame, t);
+                let outcome = run.detect(&mut self.detector, frame, self.setting, t, None);
+                let (shown, source) = outcome.shown(&last_good);
+                run.publish(frame, source, &shown, outcome.end);
+                run.push_cycle(
+                    frame,
+                    self.setting,
+                    outcome.start,
+                    outcome.end,
+                    outcome.fault,
+                );
+                last_good = shown;
+                t = outcome.end;
             }
-            let cycle_key = cycles.len() as u64;
-            record_arrival(&mut rec, frame.index, t.as_ms());
-            let outcome = run_detection(
-                &mut self.detector,
-                frame,
-                self.setting,
-                t,
-                cycle_key,
-                &mut gpu,
-                &mut meter,
-                &faults,
-                &mut contention,
-                &degr,
-            );
-            let (ds, de) = (outcome.start, outcome.end);
-            record_detection_span(&mut rec, cycle_key, frame.index, self.setting, &outcome);
-            let (boxes, conf, src) = match &outcome.result {
-                Some(r) => (to_labeled(r), to_confidences(r), FrameSource::Detected),
-                None => (last_good.clone(), last_conf.clone(), FrameSource::Held),
-            };
-            let overlay = SimTime::from_ms(lat.overlay_ms(boxes.len()));
-            let (_, ov_end) = cpu.schedule(de, overlay);
-            meter.record(Activity::Overlay, overlay);
-            outputs[frame.index as usize] = Some(FrameOutput {
-                frame_index: frame.index,
-                source: src,
-                boxes: boxes.clone(),
-                confidences: conf.clone(),
-                display_ms: ov_end.as_ms(),
-            });
-            last_good = boxes;
-            last_conf = conf;
-            cycles.push(CycleRecord {
-                index: cycles.len() as u32,
-                detected_frame: frame.index,
-                setting: self.setting,
-                start_ms: ds.as_ms(),
-                end_ms: de.as_ms(),
-                buffered: 0,
-                tracked: 0,
-                velocity: None,
-                switched: false,
-                fault: outcome.fault,
-                diverged: false,
-            });
-            t = de;
-        }
-
-        finish_trace(
-            self.name(),
-            outputs,
-            cycles,
-            meter,
-            (&gpu, &cpu),
-            rec.finish(),
-            self.config.metrics,
-        )
+        })
     }
 }
 

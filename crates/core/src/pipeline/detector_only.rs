@@ -4,20 +4,10 @@
 //! frame skipped while it was busy displays the previous detection's boxes
 //! unchanged (the Chameleon-style rule the paper cites).
 
-use super::mpdt::{
-    fill_held, finish_trace, nearest_delivered, record_arrival, record_detection_span,
-    run_detection, to_confidences, to_labeled,
-};
-use super::{
-    CycleRecord, FrameOutput, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor,
-};
-use crate::telemetry::Recorder;
+use super::clip_run::{ClipRun, Shown};
+use super::{PipelineConfig, ProcessingTrace, VideoProcessor};
 use adavp_detector::{Detector, ModelSetting};
-use adavp_metrics::f1::LabeledBox;
-use adavp_sim::energy::{Activity, EnergyMeter};
-use adavp_sim::resource::Resource;
 use adavp_sim::time::SimTime;
-use adavp_video::buffer::FrameStream;
 use adavp_video::clip::VideoClip;
 
 /// Detection-only pipeline (no tracker). See the module docs.
@@ -45,138 +35,50 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
     }
 
     fn process(&mut self, clip: &VideoClip) -> ProcessingTrace {
-        let n = clip.len() as u64;
-        let mut outputs: Vec<Option<FrameOutput>> = vec![None; clip.len()];
-        let mut cycles = Vec::new();
-        let mut gpu = Resource::new("gpu");
-        let mut cpu = Resource::new("cpu");
-        let mut meter = EnergyMeter::new();
-        let mut rec = Recorder::new(self.config.telemetry);
-        if n == 0 {
-            return finish_trace(
-                self.name(),
-                outputs,
-                cycles,
-                meter,
-                (&gpu, &cpu),
-                rec.finish(),
-                self.config.metrics,
-            );
-        }
-        let stream = FrameStream::new(clip);
-        let lat = self.config.latency;
-        let faults = self.config.faults.for_stream(clip.name());
-        let degr = self.config.degradation.clone();
-        let mut contention = faults.contention();
-
-        let mut cur: u64 = 0;
-        let mut t = SimTime::ZERO;
-        // Inherited by degraded cycles (detector timeout / retries spent).
-        let mut last_good: Vec<LabeledBox> = Vec::new();
-        let mut last_conf: Vec<f32> = Vec::new();
-        // Transient step-down: set after a degraded cycle, cleared by the
-        // next successful one (the configured setting is re-applied each
-        // cycle).
-        let mut degraded_prev = false;
-        loop {
-            let cycle_key = cycles.len() as u64;
-            let setting = if degraded_prev && degr.step_down_on_timeout {
-                self.setting.lighter()
-            } else {
-                self.setting
-            };
-            let arrival = SimTime::from_ms(stream.arrival_ms(cur));
-            record_arrival(&mut rec, cur, arrival.as_ms());
-            let outcome = run_detection(
-                &mut self.detector,
-                stream.frame(cur),
-                setting,
-                t.max(arrival),
-                cycle_key,
-                &mut gpu,
-                &mut meter,
-                &faults,
-                &mut contention,
-                &degr,
-            );
-            let (ds, de) = (outcome.start, outcome.end);
-            record_detection_span(&mut rec, cycle_key, cur, setting, &outcome);
-            let (boxes, conf, src) = match &outcome.result {
-                Some(r) => (to_labeled(r), to_confidences(r), FrameSource::Detected),
-                // No tracker to fall back on: hold the last detection.
-                None => (last_good.clone(), last_conf.clone(), FrameSource::Held),
-            };
-            degraded_prev = outcome.degraded();
-            let overlay = SimTime::from_ms(lat.overlay_ms(boxes.len()));
-            let (_, ov_end) = cpu.schedule(de, overlay);
-            meter.record(Activity::Overlay, overlay);
-            outputs[cur as usize] = Some(FrameOutput {
-                frame_index: cur,
-                source: src,
-                boxes: boxes.clone(),
-                confidences: conf.clone(),
-                display_ms: ov_end.as_ms(),
-            });
-            last_good = boxes.clone();
-            last_conf = conf.clone();
-            cycles.push(CycleRecord {
-                index: cycles.len() as u32,
-                detected_frame: cur,
-                setting,
-                start_ms: ds.as_ms(),
-                end_ms: de.as_ms(),
-                buffered: 0,
-                tracked: 0,
-                velocity: None,
-                switched: false,
-                fault: outcome.fault,
-                diverged: false,
-            });
-            if cur == n - 1 {
-                break;
+        ClipRun::process(&self.config, clip, self.name(), |run, last| {
+            let mut cur: u64 = 0;
+            let mut t = SimTime::ZERO;
+            // Inherited by degraded cycles (detector timeout / retries spent).
+            let mut last_good = Shown::default();
+            // Transient step-down: set after a degraded cycle, cleared by the
+            // next successful one (the configured setting is re-applied each
+            // cycle).
+            let mut degraded_prev = false;
+            loop {
+                let setting = if degraded_prev && self.config.degradation.step_down_on_timeout {
+                    self.setting.lighter()
+                } else {
+                    self.setting
+                };
+                let arrival = run.arrive(cur);
+                let outcome = run.detect(&mut self.detector, cur, setting, t.max(arrival), None);
+                // No tracker to fall back on: a degraded cycle holds the
+                // last detection.
+                let (shown, source) = outcome.shown(&last_good);
+                degraded_prev = outcome.degraded();
+                let (_, ov_end) = run.publish(cur, source, &shown, outcome.end);
+                run.push_cycle(cur, setting, outcome.start, outcome.end, outcome.fault);
+                if cur == last {
+                    break;
+                }
+                let next = run.next_frame(cur, outcome.end);
+                // Skipped frames show the previous detection unchanged.
+                run.hold(cur + 1..next, &shown, ov_end);
+                if let Some(c) = run.last_cycle() {
+                    c.buffered = (next - cur - 1) as u32;
+                }
+                last_good = shown;
+                t = outcome.end;
+                cur = next;
             }
-            let candidate = stream
-                .newest_at(de.as_ms())
-                .unwrap_or(0)
-                .max(cur + 1)
-                .min(n - 1);
-            let next = nearest_delivered(&faults, cur + 1, candidate, n - 1);
-            // Skipped frames show the previous detection unchanged.
-            let gap: Vec<u64> = (cur + 1..next).collect();
-            fill_held(
-                &mut outputs,
-                &gap,
-                &boxes,
-                &conf,
-                ov_end,
-                &stream,
-                lat.held_frame_ms,
-                &mut meter,
-                &faults,
-                &mut rec,
-            );
-            if let Some(c) = cycles.last_mut() {
-                c.buffered = gap.len() as u32;
-            }
-            t = de;
-            cur = next;
-        }
-
-        finish_trace(
-            self.name(),
-            outputs,
-            cycles,
-            meter,
-            (&gpu, &cpu),
-            rec.finish(),
-            self.config.metrics,
-        )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{FrameOutput, FrameSource};
     use adavp_detector::{DetectorConfig, SimulatedDetector};
     use adavp_video::scenario::Scenario;
 

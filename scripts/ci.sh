@@ -31,7 +31,9 @@ echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
 echo "== cargo test (overflow-checks=on via [profile.test])"
-cargo test -q --offline --workspace
+# --no-fail-fast: one failing test binary must not hide the results of the
+# binaries after it; the step still fails if any test fails.
+cargo test -q --offline --workspace --no-fail-fast
 
 echo "== determinism lint (adavp-lint --fix-check; DESIGN.md §13/§18)"
 cargo run --release -p adavp-lint -- --fix-check

@@ -68,10 +68,10 @@ fn main() {
 
     // --- Determinism across executors: rows and rendered bytes. ---
     let t0 = Instant::now();
-    let rows = run_sweep(&cfg, &Executor::sequential());
+    let (rows, _) = run_sweep(&cfg, &Executor::sequential());
     let seq_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let rows_par = run_sweep(&cfg, &Executor::new(jobs));
+    let (rows_par, _) = run_sweep(&cfg, &Executor::new(jobs));
     let par_s = t0.elapsed().as_secs_f64();
     assert_eq!(rows, rows_par, "sweep rows differ across jobs");
     assert_eq!(
@@ -101,6 +101,8 @@ fn main() {
                 .expect("grid cell missing")
         };
         let (b, u) = (find(true), find(false));
+        let (b99, b50) = (b.latency_ms(99.0), b.latency_ms(50.0));
+        let (b, u) = (&b.report, &u.report);
         let ratio = if u.throughput_dps > 0.0 {
             b.throughput_dps / u.throughput_dps
         } else {
@@ -109,7 +111,7 @@ fn main() {
         println!(
             "streams {n:>5}: batched {:.2} det/s (admitted {:>3}, p99 {:>6.1} ms) | \
              unbatched {:.2} det/s (admitted {:>3}) | ratio {ratio:.2}x",
-            b.throughput_dps, b.admitted, b.p99_ms, u.throughput_dps, u.admitted,
+            b.throughput_dps, b.admitted, b99, u.throughput_dps, u.admitted,
         );
         if n >= 64 {
             assert!(
@@ -118,9 +120,8 @@ fn main() {
             );
         }
         assert!(
-            b.p99_ms <= p99_bound,
-            "admission control must bound p99 at {n} streams: {} > {p99_bound}",
-            b.p99_ms
+            b99 <= p99_bound,
+            "admission control must bound p99 at {n} streams: {b99} > {p99_bound}",
         );
         comparisons.push_str(&format!(
             "    {{\"streams\": {n}, \"batched_dps\": {:.4}, \"unbatched_dps\": {:.4}, \
@@ -130,8 +131,8 @@ fn main() {
             u.throughput_dps,
             b.admitted,
             u.admitted,
-            b.p50_ms,
-            b.p99_ms,
+            b50,
+            b99,
             if i + 1 == cfg.stream_counts.len() {
                 ""
             } else {

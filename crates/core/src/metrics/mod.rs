@@ -35,7 +35,7 @@ pub mod report;
 pub mod slo;
 
 pub use expo::{json_snapshot, prometheus_text};
-pub use slo::{BudgetCrossing, SloTracker, BURN_ALERT_THRESHOLDS};
+pub use slo::{burn_rate, BudgetCrossing, SloTracker, BURN_ALERT_THRESHOLDS};
 
 use crate::telemetry::Histogram;
 use std::collections::BTreeMap;

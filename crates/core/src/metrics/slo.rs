@@ -37,6 +37,15 @@ pub struct BudgetCrossing {
     pub cycle: u64,
 }
 
+/// `(misses / cycles) / budget`; `0.0` before any cycle completes. Every
+/// burn rate the fleet reports — per stream, per class, sampled — is this.
+pub fn burn_rate(misses: u64, cycles: u64, budget: f64) -> f64 {
+    if cycles == 0 {
+        return 0.0;
+    }
+    (misses as f64 / cycles as f64) / budget
+}
+
 /// Tracks one stream's deadline misses against its class error budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloTracker {
@@ -100,12 +109,9 @@ impl SloTracker {
         self.budget
     }
 
-    /// `(misses / cycles) / budget`; `0.0` before any cycle completes.
+    /// The stream's [`burn_rate`] so far.
     pub fn burn_rate(&self) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        (self.misses as f64 / self.cycles as f64) / self.budget
+        burn_rate(self.misses, self.cycles, self.budget)
     }
 
     /// Fraction of the budget still unspent: `1 - burn`. Negative once the

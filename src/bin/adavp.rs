@@ -22,8 +22,7 @@ use adavp::core::pipeline::{
     SettingPolicy, VideoProcessor,
 };
 use adavp::core::serve::{
-    run_fleet, run_sweep, run_sweep_with_metrics, sweep_csv, sweep_json, sweep_text, ServeConfig,
-    ServeScheme, SweepConfig,
+    run_fleet, run_sweep, sweep_csv, sweep_json, sweep_text, ServeConfig, ServeScheme, SweepConfig,
 };
 use adavp::core::telemetry::{self, report, TelemetryConfig};
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
@@ -413,28 +412,24 @@ fn main() -> ExitCode {
             }
             let jobs: usize = flags.get("jobs").and_then(|v| v.parse().ok()).unwrap_or(1);
             let exec = adavp::vision::exec::Executor::new(jobs);
-            let want_metrics =
-                flags.contains_key("metrics-prom") || flags.contains_key("metrics-json");
-            let rows = if want_metrics {
-                let (rows, registry) = run_sweep_with_metrics(&sweep, &exec);
-                if let Some(path) = flags.get("metrics-prom").map(PathBuf::from) {
-                    if let Err(e) = std::fs::write(&path, metrics::prometheus_text(&registry)) {
-                        eprintln!("failed to write metrics exposition: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("prom:      written to {}", path.display());
+            if flags.contains_key("metrics-prom") || flags.contains_key("metrics-json") {
+                sweep.metrics.enabled = true;
+            }
+            let (rows, registry) = run_sweep(&sweep, &exec);
+            if let Some(path) = flags.get("metrics-prom").map(PathBuf::from) {
+                if let Err(e) = std::fs::write(&path, metrics::prometheus_text(&registry)) {
+                    eprintln!("failed to write metrics exposition: {e}");
+                    return ExitCode::FAILURE;
                 }
-                if let Some(path) = flags.get("metrics-json").map(PathBuf::from) {
-                    if let Err(e) = std::fs::write(&path, metrics::json_snapshot(&registry)) {
-                        eprintln!("failed to write metrics snapshot: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("metrics:   written to {}", path.display());
+                println!("prom:      written to {}", path.display());
+            }
+            if let Some(path) = flags.get("metrics-json").map(PathBuf::from) {
+                if let Err(e) = std::fs::write(&path, metrics::json_snapshot(&registry)) {
+                    eprintln!("failed to write metrics snapshot: {e}");
+                    return ExitCode::FAILURE;
                 }
-                rows
-            } else {
-                run_sweep(&sweep, &exec)
-            };
+                println!("metrics:   written to {}", path.display());
+            }
             print!("{}", sweep_text(&rows));
             if let Some(path) = flags.get("csv").map(PathBuf::from) {
                 if let Err(e) = std::fs::write(&path, sweep_csv(&rows)) {

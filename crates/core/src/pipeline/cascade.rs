@@ -133,12 +133,10 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
             let mut degraded_prev = false;
             loop {
                 let cycle_key = run.next_cycle();
-                let full_setting = if degraded_prev && self.config.degradation.step_down_on_timeout
-                {
-                    self.setting.lighter()
-                } else {
-                    self.setting
-                };
+                let full_setting = self
+                    .config
+                    .degradation
+                    .step_down(self.setting, degraded_prev);
                 let arrival = run.arrive(cur);
 
                 // --- Proposal pass: cheap, reliable, every cycle. --------

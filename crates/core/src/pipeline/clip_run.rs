@@ -291,19 +291,17 @@ impl<'c> ClipRun<'c> {
         let degradation = &self.degradation;
         let mult = self.faults.latency_multiplier(cycle);
         let effective_ms = det.latency_ms * mult;
-        if let Some(budget) = degradation.detector_timeout_ms {
-            if effective_ms > budget {
-                // Abandon at the budget: the GPU was busy that long, but no
-                // result comes back.
-                let (s, e) = self.gpu.schedule(earliest, SimTime::from_ms(budget));
-                self.meter.record(detect_activity(setting), e - s);
-                return DetectionOutcome {
-                    result: None,
-                    start: s,
-                    end: e,
-                    fault: Some(DetectorFault::Timeout { multiplier: mult }),
-                };
-            }
+        if let Some(budget) = degradation.timeout(effective_ms) {
+            // Abandon at the budget: the GPU was busy that long, but no
+            // result comes back.
+            let (s, e) = self.gpu.schedule(earliest, SimTime::from_ms(budget));
+            self.meter.record(detect_activity(setting), e - s);
+            return DetectionOutcome {
+                result: None,
+                start: s,
+                end: e,
+                fault: Some(DetectorFault::Timeout { multiplier: mult }),
+            };
         }
         let attempts = degradation.max_detector_retries + 1;
         let mut at = earliest;
@@ -315,7 +313,7 @@ impl<'c> ClipRun<'c> {
             first_start.get_or_insert(s);
             last_end = e;
             if self.faults.detector_fails(cycle, attempt) {
-                at = e + SimTime::from_ms(degradation.retry_backoff_ms * (attempt + 1) as f64);
+                at = e + SimTime::from_ms(degradation.retry_backoff(attempt));
                 continue;
             }
             let fault = if attempt > 0 {

@@ -45,11 +45,10 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
             // cycle).
             let mut degraded_prev = false;
             loop {
-                let setting = if degraded_prev && self.config.degradation.step_down_on_timeout {
-                    self.setting.lighter()
-                } else {
-                    self.setting
-                };
+                let setting = self
+                    .config
+                    .degradation
+                    .step_down(self.setting, degraded_prev);
                 let arrival = run.arrive(cur);
                 let outcome = run.detect(&mut self.detector, cur, setting, t.max(arrival), None);
                 // No tracker to fall back on: a degraded cycle holds the

@@ -99,10 +99,10 @@ impl<D: Detector> VideoProcessor for MpdtPipeline<D> {
                 //     steps one notch lighter *after* the policy's decision
                 //     (transient — the policy re-decides next cycle).
                 let degraded_prev = outcome.degraded();
-                let mut next_setting = self.policy.next_setting(setting, vel.effective_velocity());
-                if degraded_prev && degr.step_down_on_timeout {
-                    next_setting = next_setting.lighter();
-                }
+                let next_setting = degr.step_down(
+                    self.policy.next_setting(setting, vel.effective_velocity()),
+                    degraded_prev,
+                );
                 let switched = next_setting != setting;
                 if switched {
                     run.switch_model();

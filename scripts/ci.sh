@@ -77,18 +77,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== rustdoc (broken intra-doc links fail)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== fault conformance suite (DESIGN.md §11 degradation policies)"
-cargo test -q --offline --test fault_conformance
-
-echo "== scheme conformance suite (DESIGN.md §16 cascade gating + CTD trigger)"
-cargo test -q --offline --test scheme_conformance
-
-echo "== serve determinism suite (DESIGN.md §15 fleet serving)"
-cargo test -q --offline --test serve_determinism
-
-echo "== SIMD/fixed-point kernel parity vs the scalar oracles (DESIGN.md §14; adversarial shapes)"
-cargo test -q --offline -p adavp-vision --test simd_parity
-
 if [ "$NO_BENCH" != "1" ]; then
     # Snapshot the committed baselines before the smoke runs regenerate the
     # files in place, so bench-diff compares fresh-vs-committed.

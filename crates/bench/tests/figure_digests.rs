@@ -1,0 +1,91 @@
+//! Golden pins of every figure, table and ablation that reads whole-test-set
+//! scheme runs. A smoke context (three test clips, the default adaptation
+//! model) is run once; each output's `{:?}` rendering is digested with
+//! FNV-1a, so any change to how the runs are computed, shared or rescored
+//! that moves a single bit of a result fails here.
+
+use adavp_bench::context::ExperimentContext;
+use adavp_bench::runner::SchemeResult;
+use adavp_bench::{ablations, figures, tables};
+use adavp_core::adaptation::AdaptationModel;
+use adavp_video::dataset::DatasetScale;
+use std::borrow::Borrow;
+use std::fmt::Write as _;
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{value:?}").as_bytes())
+}
+
+/// Digest of scheme rows on their reported fields (the per-clip traces
+/// behind them are pinned by the figures that read them).
+fn scheme_rows<R: Borrow<SchemeResult>>(results: &[R]) -> u64 {
+    let mut out = String::new();
+    for r in results {
+        let r = r.borrow();
+        let _ = writeln!(
+            out,
+            "{} {:?} {:?} {:?} {:?}",
+            r.label, r.accuracy, r.per_video_accuracy, r.energy, r.latency_multiplier
+        );
+    }
+    fnv1a(out.as_bytes())
+}
+
+#[test]
+fn figures_tables_and_ablations_match_their_golden_digests() {
+    let mut ctx = ExperimentContext::new(DatasetScale::Smoke);
+    ctx.set_adaptation_model(AdaptationModel::default_model());
+    ctx.limit_test_clips(3);
+
+    let fig6 = figures::fig6(&mut ctx);
+
+    let actual: Vec<(&str, u64)> = vec![
+        ("fig5", digest(&figures::fig5(&mut ctx, 40))),
+        ("fig6", scheme_rows(&fig6)),
+        ("fig7", digest(&figures::fig7(&mut ctx))),
+        ("fig8", digest(&figures::fig8(&mut ctx))),
+        ("fig9", digest(&figures::fig9(&mut ctx))),
+        ("fig10", digest(&figures::fig10(&fig6))),
+        ("fig11", digest(&figures::fig11(&mut ctx))),
+        ("table3", scheme_rows(&tables::table3(&mut ctx))),
+        ("parallelism", digest(&ablations::parallelism(&mut ctx))),
+        (
+            "detection_cadence",
+            digest(&ablations::detection_cadence(&mut ctx)),
+        ),
+        (
+            "adaptation_signal",
+            digest(&ablations::adaptation_signal(&mut ctx)),
+        ),
+        (
+            "threshold_sharing",
+            digest(&ablations::threshold_sharing(&mut ctx)),
+        ),
+    ];
+    let golden: [(&str, u64); 12] = [
+        ("fig5", 0xbc229eb2ea93b7a1),
+        ("fig6", 0x9bdfd023d62bb11b),
+        ("fig7", 0x47fdae03657dbfb9),
+        ("fig8", 0x376606eaf675df82),
+        ("fig9", 0x0815fc0f4b8b5558),
+        ("fig10", 0x817d126cb839f634),
+        ("fig11", 0xfcf2d2bbf9574480),
+        ("table3", 0xebdf70b185ba5da3),
+        ("parallelism", 0x727670440fe0a5e6),
+        ("detection_cadence", 0x417d4df3dcc18556),
+        ("adaptation_signal", 0xfef76d2b76977bbb),
+        ("threshold_sharing", 0xa82c44e0d0df401d),
+    ];
+    let report: String = actual
+        .iter()
+        .map(|(name, d)| format!("(\"{name}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(actual, golden, "digests moved; actual:\n{report}");
+}

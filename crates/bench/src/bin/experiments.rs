@@ -14,10 +14,15 @@ use adavp_bench::ablations as abl;
 use adavp_bench::context::ExperimentContext;
 use adavp_bench::figures;
 use adavp_bench::report::{f1 as fmt1, f3, text_table, write_csv};
+use adavp_bench::runner::{run_scheme, SchemeResult};
 use adavp_bench::tables;
+use adavp_core::pipeline::Scheme;
+use adavp_detector::ModelSetting;
+use adavp_video::clip::VideoClip;
 use adavp_video::dataset::DatasetScale;
 use adavp_vision::exec::Executor;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -65,9 +70,9 @@ fn main() {
         .collect();
     }
 
+    // Every scheme runs over the test set at most once: figures, tables
+    // and ablations read the context's memoized runs.
     let mut ctx = ExperimentContext::with_jobs(scale, jobs);
-    // fig10 reuses fig6's results; compute lazily.
-    let mut fig6_cache: Option<Vec<adavp_bench::runner::SchemeResult>> = None;
 
     let run_start = Instant::now();
     for name in which {
@@ -79,19 +84,11 @@ fn main() {
             "fig2" => fig2(&out),
             "table2" => table2(&out),
             "fig5" => fig5(&mut ctx, &out),
-            "fig6" => {
-                let r = fig6(&mut ctx, &out);
-                fig6_cache = Some(r);
-            }
+            "fig6" => fig6(&mut ctx, &out),
             "fig7" => fig7(&mut ctx, &out),
             "fig8" => fig8(&mut ctx, &out),
             "fig9" => fig9(&mut ctx, &out),
-            "fig10" => {
-                if fig6_cache.is_none() {
-                    fig6_cache = Some(figures::fig6(&mut ctx));
-                }
-                fig10(fig6_cache.as_ref().expect("just computed"), &out);
-            }
+            "fig10" => fig10(&figures::fig6(&mut ctx), &out),
             "fig11" => fig11(&mut ctx, &out),
             "table3" => table3(&mut ctx, &out),
             "faults" | "--faults" => faults(&mut ctx, &out),
@@ -135,13 +132,8 @@ fn main() {
 }
 
 fn diag_moderate(ctx: &mut ExperimentContext) {
-    use adavp_bench::runner::{run_scheme, Scheme};
-    use adavp_core::eval::EvalConfig;
-    use adavp_core::pipeline::PipelineConfig;
-    use adavp_detector::{DetectorConfig, ModelSetting};
     use adavp_video::clip::VideoClip;
     use adavp_video::scenario::Scenario;
-    let exec = ctx.exec;
     let mut sum = [0.0f64; 2];
     let mut n = 0;
     for scenario in [
@@ -151,25 +143,7 @@ fn diag_moderate(ctx: &mut ExperimentContext) {
     ] {
         for seed in [11u64, 22, 33] {
             let clip = VideoClip::generate("m", &scenario.spec(), seed, 600);
-            let det = DetectorConfig::default();
-            let pipe = PipelineConfig::default();
-            let eval = EvalConfig::default();
-            let a = run_scheme(
-                &Scheme::Mpdt(ModelSetting::Yolo512),
-                std::slice::from_ref(&clip),
-                &det,
-                &pipe,
-                &eval,
-                &exec,
-            );
-            let b = run_scheme(
-                &Scheme::Mpdt(ModelSetting::Yolo608),
-                std::slice::from_ref(&clip),
-                &det,
-                &pipe,
-                &eval,
-                &exec,
-            );
+            let [a, b] = mpdt_512_608(ctx, std::slice::from_ref(&clip));
             println!(
                 "{:<22} seed {seed}: 512 {:.3} | 608 {:.3}",
                 scenario.spec().name,
@@ -188,30 +162,24 @@ fn diag_moderate(ctx: &mut ExperimentContext) {
     );
 }
 
+/// MPDT-512 and MPDT-608 over clips outside the test set, under the
+/// context's configuration.
+fn mpdt_512_608(ctx: &ExperimentContext, clips: &[VideoClip]) -> [SchemeResult; 2] {
+    [ModelSetting::Yolo512, ModelSetting::Yolo608].map(|s| {
+        run_scheme(
+            &Scheme::Mpdt(s),
+            clips,
+            ctx.detector(),
+            ctx.pipeline(),
+            &ctx.eval(),
+            &ctx.exec,
+        )
+    })
+}
+
 fn diag_train(ctx: &mut ExperimentContext) {
-    use adavp_bench::runner::{run_scheme, Scheme};
-    use adavp_detector::ModelSetting;
-    let eval = ctx.eval;
-    let det = ctx.detector.clone();
-    let pipe = ctx.pipeline.clone();
-    let exec = ctx.exec;
     let clips = ctx.train_clips().to_vec();
-    let m512 = run_scheme(
-        &Scheme::Mpdt(ModelSetting::Yolo512),
-        &clips,
-        &det,
-        &pipe,
-        &eval,
-        &exec,
-    );
-    let m608 = run_scheme(
-        &Scheme::Mpdt(ModelSetting::Yolo608),
-        &clips,
-        &det,
-        &pipe,
-        &eval,
-        &exec,
-    );
+    let [m512, m608] = mpdt_512_608(ctx, &clips);
     println!("per-training-video accuracy (512 / 608):");
     for (i, clip) in clips.iter().enumerate() {
         println!(
@@ -228,45 +196,17 @@ fn diag_train(ctx: &mut ExperimentContext) {
 }
 
 fn diag(ctx: &mut ExperimentContext) {
-    use adavp_bench::runner::{run_scheme, Scheme};
-    use adavp_detector::ModelSetting;
     let model = ctx.adaptation_model().clone();
     println!("trained thresholds (current setting -> [v1 v2 v3]):");
     for s in ModelSetting::ADAPTIVE {
         let t = model.thresholds_for(s);
         println!("  {s}: [{:.2} {:.2} {:.2}]", t[0], t[1], t[2]);
     }
-    let eval = ctx.eval;
-    let det = ctx.detector.clone();
-    let pipe = ctx.pipeline.clone();
-    let exec = ctx.exec;
-    let clips = ctx.test_clips().to_vec();
-    let adavp = run_scheme(
-        &Scheme::AdaVp(model.clone()),
-        &clips,
-        &det,
-        &pipe,
-        &eval,
-        &exec,
-    );
-    let m512 = run_scheme(
-        &Scheme::Mpdt(ModelSetting::Yolo512),
-        &clips,
-        &det,
-        &pipe,
-        &eval,
-        &exec,
-    );
-    let m608 = run_scheme(
-        &Scheme::Mpdt(ModelSetting::Yolo608),
-        &clips,
-        &det,
-        &pipe,
-        &eval,
-        &exec,
-    );
+    let adavp = ctx.run(&Scheme::AdaVp(model));
+    let m512 = ctx.run(&Scheme::Mpdt(ModelSetting::Yolo512));
+    let m608 = ctx.run(&Scheme::Mpdt(ModelSetting::Yolo608));
     println!("\nper-video accuracy (AdaVP / MPDT-512 / MPDT-608) + AdaVP usage:");
-    for (i, clip) in clips.iter().enumerate() {
+    for (i, clip) in ctx.test_clips().iter().enumerate() {
         let trace = &adavp.evaluations[i].trace;
         let mut counts = [0usize; 4];
         for cy in &trace.cycles {
@@ -495,7 +435,7 @@ fn fig5(ctx: &mut ExperimentContext, out: &Path) {
     );
 }
 
-fn fig6(ctx: &mut ExperimentContext, out: &Path) -> Vec<adavp_bench::runner::SchemeResult> {
+fn fig6(ctx: &mut ExperimentContext, out: &Path) {
     let results = figures::fig6(ctx);
     print_accuracy_table(&results, out, "fig6.csv");
     print_latency_percentiles(&results, out, "fig6_latency.csv");
@@ -521,18 +461,13 @@ fn fig6(ctx: &mut ExperimentContext, out: &Path) -> Vec<adavp_bench::runner::Sch
             best("MARLIN")
         );
     }
-    results
 }
 
 /// Exact detection-cycle latency percentiles per scheme (nearest-rank over
 /// every cycle of every clip; merge-order independent, so identical for any
 /// `--jobs`). Schemes without cycles (e.g. continuous baselines with zero
 /// frames) are omitted.
-fn print_latency_percentiles(
-    results: &[adavp_bench::runner::SchemeResult],
-    out: &Path,
-    file: &str,
-) {
+fn print_latency_percentiles(results: &[Arc<SchemeResult>], out: &Path, file: &str) {
     let data: Vec<Vec<String>> = results
         .iter()
         .filter_map(|r| {
@@ -563,7 +498,7 @@ fn print_latency_percentiles(
     );
 }
 
-fn print_accuracy_table(results: &[adavp_bench::runner::SchemeResult], out: &Path, file: &str) {
+fn print_accuracy_table(results: &[Arc<SchemeResult>], out: &Path, file: &str) {
     let data: Vec<Vec<String>> = results
         .iter()
         .map(|r| vec![r.label.clone(), f3(r.accuracy)])
@@ -629,7 +564,7 @@ fn fig9(ctx: &mut ExperimentContext, out: &Path) {
     );
 }
 
-fn fig10(results: &[adavp_bench::runner::SchemeResult], out: &Path) {
+fn fig10(results: &[Arc<SchemeResult>], out: &Path) {
     let rows = figures::fig10(results);
     let data: Vec<Vec<String>> = rows
         .iter()

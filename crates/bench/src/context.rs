@@ -1,5 +1,6 @@
-//! Shared experiment context: datasets, evaluation config, and the trained
-//! adaptation model (computed once, reused by every figure).
+//! Shared experiment context: datasets, evaluation config, the trained
+//! adaptation model, and every scheme's run over the test set (each
+//! computed once, reused by every figure, table and ablation).
 //!
 //! The context also owns the harness [`Executor`]: every fan-out point of
 //! the offline pipeline (clip rendering, threshold training, per-clip
@@ -9,13 +10,15 @@
 //! is accumulated in [`PhaseTimings`] for the `experiments` binary and the
 //! `experiments_bench` harness to report.
 
+use crate::runner::{run_scheme, SchemeResult};
 use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
 use adavp_core::eval::EvalConfig;
-use adavp_core::pipeline::PipelineConfig;
+use adavp_core::pipeline::{PipelineConfig, Scheme};
 use adavp_detector::DetectorConfig;
 use adavp_video::clip::VideoClip;
 use adavp_video::dataset::{render_all, testing_set, training_set, DatasetScale};
 use adavp_vision::exec::Executor;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Cumulative wall-clock spent in each phase of an experiment run, seconds.
@@ -31,22 +34,23 @@ pub struct PhaseTimings {
     pub eval_s: f64,
 }
 
-/// Everything an experiment needs. Construct once per run; clips and the
-/// trained model are generated lazily and cached.
+/// Everything an experiment needs. Construct once per run; clips, the
+/// trained model and scheme runs are computed lazily and cached.
+///
+/// The scoring, detector and pipeline configurations are fixed at
+/// construction (paper defaults), so a memoized run can never go stale.
 pub struct ExperimentContext {
     /// Dataset scale (frames per video).
     pub scale: DatasetScale,
-    /// Scoring configuration (paper defaults).
-    pub eval: EvalConfig,
-    /// Detector error-model configuration shared by all schemes.
-    pub detector: DetectorConfig,
-    /// Pipeline configuration shared by all schemes.
-    pub pipeline: PipelineConfig,
     /// Work-queue executor every fan-out point of this context draws from.
     pub exec: Executor,
+    eval: EvalConfig,
+    detector: DetectorConfig,
+    pipeline: PipelineConfig,
     test_clips: Option<Vec<VideoClip>>,
     train_clips: Option<Vec<VideoClip>>,
     model: Option<AdaptationModel>,
+    runs: Vec<(Scheme, Arc<SchemeResult>)>,
     timings: PhaseTimings,
 }
 
@@ -75,8 +79,24 @@ impl ExperimentContext {
             test_clips: None,
             train_clips: None,
             model: None,
+            runs: Vec::new(),
             timings: PhaseTimings::default(),
         }
+    }
+
+    /// Scoring configuration (paper defaults).
+    pub fn eval(&self) -> EvalConfig {
+        self.eval
+    }
+
+    /// Detector error-model configuration shared by all schemes.
+    pub fn detector(&self) -> &DetectorConfig {
+        &self.detector
+    }
+
+    /// Pipeline configuration shared by all schemes.
+    pub fn pipeline(&self) -> &PipelineConfig {
+        &self.pipeline
     }
 
     /// The 13-video testing set (rendered on first use, one clip per
@@ -128,15 +148,45 @@ impl ExperimentContext {
         self.model.as_ref().expect("just trained")
     }
 
+    /// `scheme` evaluated over the test set under this context's
+    /// configuration. Each scheme value runs at most once per context (AdaVP
+    /// under another model is another value); later calls return the same
+    /// shared result.
+    pub fn run(&mut self, scheme: &Scheme) -> Arc<SchemeResult> {
+        if let Some((_, r)) = self.runs.iter().find(|(s, _)| s == scheme) {
+            return Arc::clone(r);
+        }
+        let pipeline = self.pipeline.clone();
+        let r = Arc::new(self.run_with(scheme, &pipeline));
+        self.runs.push((scheme.clone(), Arc::clone(&r)));
+        r
+    }
+
+    /// `scheme` evaluated over the test set under another pipeline
+    /// configuration (config ablations, fault scenarios). Not memoized.
+    pub fn run_with(&mut self, scheme: &Scheme, pipeline: &PipelineConfig) -> SchemeResult {
+        self.test_clips();
+        let clips = self.test_clips.as_deref().unwrap_or_default();
+        run_scheme(
+            scheme,
+            clips,
+            &self.detector,
+            pipeline,
+            &self.eval,
+            &self.exec,
+        )
+    }
+
     /// Keeps only the first `n` test videos — used by timing benches to
     /// bound per-iteration cost. Renders the full testing set first (if not
     /// already cached), then truncates it; a no-op when `n` is at least the
-    /// current clip count.
+    /// current clip count. Memoized runs are dropped.
     pub fn limit_test_clips(&mut self, n: usize) {
         self.test_clips();
         if let Some(clips) = &mut self.test_clips {
             clips.truncate(n);
         }
+        self.runs.clear();
     }
 
     /// Overrides the adaptation model (e.g. to skip training in smoke runs).
@@ -191,6 +241,30 @@ mod tests {
         assert_eq!(ctx.test_clips().len(), 3);
         ctx.limit_test_clips(1);
         assert_eq!(ctx.test_clips().len(), 1);
+    }
+
+    #[test]
+    fn runs_are_memoized_per_scheme_value() {
+        use adavp_detector::ModelSetting;
+        let mut ctx = ExperimentContext::new(DatasetScale::Smoke);
+        ctx.limit_test_clips(1);
+        let mpdt = Scheme::Mpdt(ModelSetting::Yolo512);
+        let a = ctx.run(&mpdt);
+        assert!(Arc::ptr_eq(&a, &ctx.run(&mpdt)), "second run is the memo");
+        assert_eq!(a.per_video_accuracy.len(), 1);
+
+        // AdaVP under a second model is a separate run.
+        let default = ctx.run(&Scheme::AdaVp(AdaptationModel::default_model()));
+        let other = ctx.run(&Scheme::AdaVp(AdaptationModel::uniform([0.5, 1.0, 2.0])));
+        assert!(!Arc::ptr_eq(&default, &other));
+        let again = ctx.run(&Scheme::AdaVp(AdaptationModel::default_model()));
+        assert!(Arc::ptr_eq(&default, &again));
+
+        // Limiting the test set clears the memo.
+        ctx.limit_test_clips(1);
+        let b = ctx.run(&mpdt);
+        assert!(!Arc::ptr_eq(&a, &b), "limit_test_clips must clear the memo");
+        assert_eq!(a.per_video_accuracy, b.per_video_accuracy);
     }
 
     #[test]

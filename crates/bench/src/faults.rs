@@ -8,9 +8,9 @@
 //! seed, so the same seed produces byte-identical reports at any `--jobs`.
 
 use crate::report::f3;
-use crate::runner::{run_scheme, Scheme, SchemeResult};
+use crate::runner::SchemeResult;
 use crate::ExperimentContext;
-use adavp_core::pipeline::PipelineConfig;
+use adavp_core::pipeline::{PipelineConfig, Scheme};
 use adavp_detector::ModelSetting;
 use adavp_sim::fault::{FaultPlan, FaultProfile};
 use std::fmt::Write as _;
@@ -141,10 +141,11 @@ fn summarize(scenario: &str, r: &SchemeResult) -> FaultSweepRow {
 pub fn fault_sweep(ctx: &mut ExperimentContext) -> Vec<FaultSweepRow> {
     // Scenario seed: inherit the context's configured fault seed if any,
     // else the sweep default.
-    let seed = if ctx.pipeline.faults.is_none() {
+    let faults = &ctx.pipeline().faults;
+    let seed = if faults.is_none() {
         17
     } else {
-        ctx.pipeline.faults.profile().seed
+        faults.profile().seed
     };
     let scenarios = scenarios(seed);
     sweep_with(ctx, &scenarios)
@@ -154,11 +155,7 @@ pub fn fault_sweep(ctx: &mut ExperimentContext) -> Vec<FaultSweepRow> {
 /// conformance tests use this with a single committed fixture profile).
 pub fn sweep_with(ctx: &mut ExperimentContext, scenarios: &[FaultScenario]) -> Vec<FaultSweepRow> {
     let model = ctx.adaptation_model().clone();
-    let eval = ctx.eval;
-    let det = ctx.detector.clone();
-    let base = ctx.pipeline.clone();
-    let exec = ctx.exec;
-    let clips = ctx.test_clips().to_vec();
+    let base = ctx.pipeline().clone();
     let schemes = [
         Scheme::AdaVp(model),
         Scheme::Mpdt(ModelSetting::Yolo512),
@@ -174,8 +171,7 @@ pub fn sweep_with(ctx: &mut ExperimentContext, scenarios: &[FaultScenario]) -> V
             ..base.clone()
         };
         for scheme in &schemes {
-            let r = run_scheme(scheme, &clips, &det, &pipe, &eval, &exec);
-            rows.push(summarize(sc.name, &r));
+            rows.push(summarize(sc.name, &ctx.run_with(scheme, &pipe)));
         }
     }
     rows

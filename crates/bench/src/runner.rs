@@ -1,84 +1,17 @@
-//! Scheme construction and dataset sweeps shared by the experiments.
+//! Dataset sweeps shared by the experiments: one [`Scheme`] over a clip set.
+//!
+//! Runs under the context's own configuration go through the memo,
+//! [`ExperimentContext::run`](crate::ExperimentContext::run);
+//! [`run_scheme`] serves runs under any other clip set or configuration.
 
-use adavp_core::adaptation::AdaptationModel;
 use adavp_core::eval::{evaluate_on_clip, EvalConfig, VideoEvaluation};
-use adavp_core::pipeline::{
-    CascadeConfig, CascadePipeline, ContinuousPipeline, CtdConfig, CtdPipeline,
-    DetectorOnlyPipeline, MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig,
-    SettingPolicy, VideoProcessor,
-};
+use adavp_core::pipeline::{PipelineConfig, Scheme};
 use adavp_core::telemetry::{distributions, TraceDistributions};
-use adavp_detector::{DetectorConfig, ModelSetting, SimulatedDetector};
+use adavp_detector::DetectorConfig;
 use adavp_metrics::video::dataset_accuracy;
 use adavp_sim::energy::EnergyBreakdown;
 use adavp_video::clip::VideoClip;
 use adavp_vision::exec::Executor;
-
-/// A named processing scheme under evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scheme {
-    /// AdaVP with a trained adaptation model.
-    AdaVp(AdaptationModel),
-    /// MPDT with a fixed setting.
-    Mpdt(ModelSetting),
-    /// MARLIN (sequential) with a fixed setting.
-    Marlin(ModelSetting),
-    /// Detection only, newest frame, hold between detections.
-    WithoutTracking(ModelSetting),
-    /// Detect every frame, ignoring real time (Table III bound).
-    Continuous(ModelSetting),
-    /// Cascaded detection: tiny proposal pass, region-restricted refinement.
-    Cascade(ModelSetting),
-    /// Confidence-triggered detection (sequential, decay-based trigger).
-    Ctd(ModelSetting),
-}
-
-impl Scheme {
-    /// The scheme's display label (matches the paper's column names).
-    pub fn label(&self) -> String {
-        match self {
-            Scheme::AdaVp(_) => "AdaVP".to_string(),
-            Scheme::Mpdt(s) => format!("MPDT-{s}"),
-            Scheme::Marlin(s) => format!("MARLIN-{s}"),
-            Scheme::WithoutTracking(s) => format!("WithoutTracking-{s}"),
-            Scheme::Continuous(s) => format!("{s} (continuous)"),
-            Scheme::Cascade(s) => format!("Cascade-{s}"),
-            Scheme::Ctd(s) => format!("CTD-{s}"),
-        }
-    }
-
-    /// Builds a runnable pipeline for this scheme.
-    pub fn build(
-        &self,
-        detector: DetectorConfig,
-        pipeline: PipelineConfig,
-    ) -> Box<dyn VideoProcessor> {
-        let det = SimulatedDetector::new(detector);
-        match self {
-            Scheme::AdaVp(model) => Box::new(MpdtPipeline::new(
-                det,
-                SettingPolicy::Adaptive(model.clone()),
-                pipeline,
-            )),
-            Scheme::Mpdt(s) => Box::new(MpdtPipeline::new(det, SettingPolicy::Fixed(*s), pipeline)),
-            Scheme::Marlin(s) => Box::new(MarlinPipeline::new(
-                det,
-                *s,
-                pipeline,
-                MarlinConfig::default(),
-            )),
-            Scheme::WithoutTracking(s) => Box::new(DetectorOnlyPipeline::new(det, *s, pipeline)),
-            Scheme::Continuous(s) => Box::new(ContinuousPipeline::new(det, *s, pipeline)),
-            Scheme::Cascade(s) => Box::new(CascadePipeline::new(
-                det,
-                *s,
-                pipeline,
-                CascadeConfig::default(),
-            )),
-            Scheme::Ctd(s) => Box::new(CtdPipeline::new(det, *s, pipeline, CtdConfig::default())),
-        }
-    }
-}
 
 /// Aggregated result of one scheme over a dataset.
 #[derive(Debug, Clone)]
@@ -154,6 +87,8 @@ pub fn run_scheme(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adavp_core::adaptation::AdaptationModel;
+    use adavp_detector::ModelSetting;
     use adavp_video::scenario::Scenario;
 
     fn clips() -> Vec<VideoClip> {
@@ -234,26 +169,5 @@ mod tests {
         assert_eq!(d.cycle_ms.count(), cycles as u64);
         let p = d.cycle_ms.percentiles().expect("cycles recorded");
         assert!(p.p50 <= p.p90 && p.p90 <= p.p99);
-    }
-
-    #[test]
-    fn labels_are_paperlike() {
-        assert_eq!(
-            Scheme::Mpdt(ModelSetting::Yolo512).label(),
-            "MPDT-YOLOv3-512"
-        );
-        assert_eq!(
-            Scheme::Continuous(ModelSetting::Yolo320).label(),
-            "YOLOv3-320 (continuous)"
-        );
-        assert_eq!(
-            Scheme::AdaVp(AdaptationModel::default_model()).label(),
-            "AdaVP"
-        );
-        assert_eq!(
-            Scheme::Cascade(ModelSetting::Yolo512).label(),
-            "Cascade-YOLOv3-512"
-        );
-        assert_eq!(Scheme::Ctd(ModelSetting::Yolo416).label(), "CTD-YOLOv3-416");
     }
 }

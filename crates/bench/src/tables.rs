@@ -1,12 +1,14 @@
 //! The table experiments (Tables II and III of the paper).
 
 use crate::context::ExperimentContext;
-use crate::runner::{run_scheme, Scheme, SchemeResult};
+use crate::runner::SchemeResult;
 use adavp_core::latency::LatencyModel;
+use adavp_core::pipeline::Scheme;
 use adavp_core::tracker::{ObjectTracker, TrackerConfig};
 use adavp_detector::ModelSetting;
 use adavp_video::clip::VideoClip;
 use adavp_video::scenario::Scenario;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One row of Table II.
@@ -80,13 +82,8 @@ pub fn table2() -> Vec<Table2Row> {
 
 /// Table III: energy consumption and accuracy of eight schemes over the
 /// test set.
-pub fn table3(ctx: &mut ExperimentContext) -> Vec<SchemeResult> {
+pub fn table3(ctx: &mut ExperimentContext) -> Vec<Arc<SchemeResult>> {
     let model = ctx.adaptation_model().clone();
-    let eval = ctx.eval;
-    let det = ctx.detector.clone();
-    let pipe = ctx.pipeline.clone();
-    let exec = ctx.exec;
-    let clips = ctx.test_clips().to_vec();
     let schemes = [
         Scheme::AdaVp(model),
         Scheme::Mpdt(ModelSetting::Yolo320),
@@ -97,10 +94,7 @@ pub fn table3(ctx: &mut ExperimentContext) -> Vec<SchemeResult> {
         Scheme::Marlin(ModelSetting::Yolo512),
         Scheme::Continuous(ModelSetting::Yolo608),
     ];
-    schemes
-        .iter()
-        .map(|s| run_scheme(s, &clips, &det, &pipe, &eval, &exec))
-        .collect()
+    schemes.iter().map(|s| ctx.run(s)).collect()
 }
 
 #[cfg(test)]

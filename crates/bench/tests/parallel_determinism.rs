@@ -83,10 +83,11 @@ fn jobs_do_not_change_results() {
 /// jobs 1 vs jobs 4.
 #[test]
 fn new_scheme_traces_byte_identical_across_jobs() {
-    use adavp_bench::runner::{run_scheme, Scheme};
+    use adavp_bench::runner::run_scheme;
     use adavp_core::eval::EvalConfig;
     use adavp_core::export::trace_to_json;
     use adavp_core::pipeline::PipelineConfig;
+    use adavp_core::pipeline::Scheme;
     use adavp_detector::DetectorConfig;
     use adavp_video::clip::VideoClip;
     use adavp_video::scenario::Scenario;
@@ -133,9 +134,10 @@ fn new_scheme_traces_byte_identical_across_jobs() {
 /// jobs 1 vs jobs 4 (and the export must carry all three resource tracks).
 #[test]
 fn chrome_trace_bytes_identical_across_jobs() {
-    use adavp_bench::runner::{run_scheme, Scheme};
+    use adavp_bench::runner::run_scheme;
     use adavp_core::eval::EvalConfig;
     use adavp_core::pipeline::PipelineConfig;
+    use adavp_core::pipeline::Scheme;
     use adavp_core::telemetry::chrome::chrome_trace_json;
     use adavp_core::telemetry::TelemetryConfig;
     use adavp_detector::DetectorConfig;

@@ -29,6 +29,9 @@
 //! the telemetry recorder, the fault layer with its degradation policy
 //! (`ClipRun::detect`), the per-frame outputs and the cycle log, and the
 //! rule for empty clips. Each scheme's module keeps only its own schedule.
+//!
+//! [`Scheme`] (`scheme.rs`) is the one registry of these schemes: it labels
+//! them, parses their `--system` names and builds their pipelines.
 
 mod cascade;
 mod clip_run;
@@ -37,6 +40,7 @@ mod ctd;
 mod detector_only;
 mod marlin;
 mod mpdt;
+mod scheme;
 mod sequential;
 
 pub use cascade::{CascadeConfig, CascadePipeline};
@@ -45,6 +49,7 @@ pub use ctd::{ConfidenceDecay, CtdConfig, CtdPipeline};
 pub use detector_only::DetectorOnlyPipeline;
 pub use marlin::{MarlinConfig, MarlinPipeline};
 pub use mpdt::MpdtPipeline;
+pub use scheme::Scheme;
 
 use crate::adaptation::AdaptationModel;
 use crate::latency::LatencyModel;

@@ -9,9 +9,9 @@
 
 use adavp::core::export::trace_to_json;
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, ContinuousPipeline, CtdConfig, CtdPipeline, DegradationPolicy,
-    DetectorFault, DetectorOnlyPipeline, FrameSource, MarlinConfig, MarlinPipeline, MpdtPipeline,
-    PipelineConfig, ProcessingTrace, SettingPolicy, VideoProcessor,
+    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DegradationPolicy, DetectorFault,
+    FrameSource, MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig, ProcessingTrace,
+    Scheme, SettingPolicy, VideoProcessor,
 };
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
 use adavp::sim::fault::{FaultPlan, FaultProfile};
@@ -186,34 +186,16 @@ fn exhausted_retries_degrade_like_timeouts() {
         ..FaultProfile::none()
     };
     let c = clip(60);
-    for (label, mut p) in [
-        (
-            "mpdt",
-            Box::new(MpdtPipeline::new(
-                det(),
-                SettingPolicy::Fixed(ModelSetting::Yolo512),
-                cfg(profile.clone()),
-            )) as Box<dyn VideoProcessor>,
-        ),
-        (
-            "marlin",
-            Box::new(MarlinPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                cfg(profile.clone()),
-                MarlinConfig::default(),
-            )),
-        ),
-        (
-            "detector-only",
-            Box::new(DetectorOnlyPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                cfg(profile.clone()),
-            )),
-        ),
+    let s = ModelSetting::Yolo512;
+    for scheme in [
+        Scheme::Mpdt(s),
+        Scheme::Marlin(s),
+        Scheme::WithoutTracking(s),
     ] {
-        let trace = p.process(&c);
+        let label = scheme.label();
+        let trace = scheme
+            .build(DetectorConfig::default(), cfg(profile.clone()))
+            .process(&c);
         assert_covered(&trace, 60);
         let max_attempts = DegradationPolicy::default().max_detector_retries + 1;
         for cy in &trace.cycles {
@@ -287,33 +269,15 @@ fn dropped_frames_inherit_with_flag() {
     };
     let c = clip(90);
     let plan = FaultPlan::new(profile.clone()).for_stream(c.name());
-    for (label, mut p) in [
-        (
-            "mpdt",
-            Box::new(MpdtPipeline::new(
-                det(),
-                SettingPolicy::Fixed(ModelSetting::Yolo512),
-                cfg(profile.clone()),
-            )) as Box<dyn VideoProcessor>,
-        ),
-        (
-            "detector-only",
-            Box::new(DetectorOnlyPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                cfg(profile.clone()),
-            )),
-        ),
-        (
-            "continuous",
-            Box::new(ContinuousPipeline::new(
-                det(),
-                ModelSetting::Yolo320,
-                cfg(profile.clone()),
-            )),
-        ),
+    for scheme in [
+        Scheme::Mpdt(ModelSetting::Yolo512),
+        Scheme::WithoutTracking(ModelSetting::Yolo512),
+        Scheme::Continuous(ModelSetting::Yolo320),
     ] {
-        let trace = p.process(&c);
+        let label = scheme.label();
+        let trace = scheme
+            .build(DetectorConfig::default(), cfg(profile.clone()))
+            .process(&c);
         assert_covered(&trace, 90);
         let mut dropped = 0;
         for (i, o) in trace.outputs.iter().enumerate() {
@@ -540,56 +504,24 @@ fn marlin_divergence_forces_early_redetection() {
 #[test]
 fn stress_runs_are_byte_reproducible() {
     let c = clip(90);
-    let mk = |label: &str| -> (String, ProcessingTrace) {
+    let s = ModelSetting::Yolo512;
+    let mk = |scheme: &Scheme| -> (String, ProcessingTrace) {
         let config = cfg(FaultProfile::stress(77));
-        let mut p: Box<dyn VideoProcessor> = match label {
-            "mpdt" => Box::new(MpdtPipeline::new(
-                det(),
-                SettingPolicy::Fixed(ModelSetting::Yolo512),
-                config,
-            )),
-            "marlin" => Box::new(MarlinPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                config,
-                MarlinConfig::default(),
-            )),
-            "detector-only" => Box::new(DetectorOnlyPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                config,
-            )),
-            "cascade" => Box::new(CascadePipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                config,
-                CascadeConfig::default(),
-            )),
-            "ctd" => Box::new(CtdPipeline::new(
-                det(),
-                ModelSetting::Yolo512,
-                config,
-                CtdConfig::default(),
-            )),
-            _ => Box::new(ContinuousPipeline::new(
-                det(),
-                ModelSetting::Yolo320,
-                config,
-            )),
-        };
+        let mut p = scheme.build(DetectorConfig::default(), config);
         let trace = p.process(&c);
         (trace_to_json(&trace, None), trace)
     };
-    for label in [
-        "mpdt",
-        "marlin",
-        "detector-only",
-        "continuous",
-        "cascade",
-        "ctd",
+    for scheme in [
+        Scheme::Mpdt(s),
+        Scheme::Marlin(s),
+        Scheme::WithoutTracking(s),
+        Scheme::Continuous(ModelSetting::Yolo320),
+        Scheme::Cascade(s),
+        Scheme::Ctd(s),
     ] {
-        let (json_a, trace_a) = mk(label);
-        let (json_b, trace_b) = mk(label);
+        let label = scheme.label();
+        let (json_a, trace_a) = mk(&scheme);
+        let (json_b, trace_b) = mk(&scheme);
         assert_eq!(trace_a, trace_b, "{label}: traces must be identical");
         assert_eq!(json_a, json_b, "{label}: serialized bytes must match");
         assert_covered(&trace_a, 90);

@@ -3,8 +3,7 @@
 
 use adavp::core::latency::{region_scaled_ms, REGION_LATENCY_FLOOR};
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, ConfidenceDecay, CtdConfig, CtdPipeline, DetectorOnlyPipeline,
-    MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig, SettingPolicy, VideoProcessor,
+    ConfidenceDecay, CtdConfig, MpdtPipeline, PipelineConfig, Scheme, SettingPolicy, VideoProcessor,
 };
 use adavp::core::tracker::FrameSelector;
 use adavp::detector::{Detector, DetectorConfig, ModelSetting, SimulatedDetector};
@@ -334,33 +333,15 @@ fn pipelines_degrade_gracefully_under_any_fault_plan() {
             faults: plan,
             ..PipelineConfig::default()
         };
-        let det = SimulatedDetector::new(DetectorConfig::default().with_seed(seed));
-        let mut p: Box<dyn VideoProcessor> = match pipeline_idx {
-            0 => Box::new(MpdtPipeline::new(
-                det,
-                SettingPolicy::Fixed(ModelSetting::Yolo512),
-                cfg,
-            )),
-            1 => Box::new(MarlinPipeline::new(
-                det,
-                ModelSetting::Yolo512,
-                cfg,
-                MarlinConfig::default(),
-            )),
-            2 => Box::new(CascadePipeline::new(
-                det,
-                ModelSetting::Yolo512,
-                cfg,
-                CascadeConfig::default(),
-            )),
-            3 => Box::new(CtdPipeline::new(
-                det,
-                ModelSetting::Yolo512,
-                cfg,
-                CtdConfig::default(),
-            )),
-            _ => Box::new(DetectorOnlyPipeline::new(det, ModelSetting::Yolo512, cfg)),
+        let s = ModelSetting::Yolo512;
+        let scheme = match pipeline_idx {
+            0 => Scheme::Mpdt(s),
+            1 => Scheme::Marlin(s),
+            2 => Scheme::Cascade(s),
+            3 => Scheme::Ctd(s),
+            _ => Scheme::WithoutTracking(s),
         };
+        let mut p = scheme.build(DetectorConfig::default().with_seed(seed), cfg);
         let trace = p.process(&clip);
         // Exactly one output per input frame, index-aligned, whatever the
         // fault plan did.

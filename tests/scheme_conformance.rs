@@ -13,9 +13,8 @@ use adavp::core::adaptation::AdaptationModel;
 use adavp::core::export::trace_to_json;
 use adavp::core::metrics::{json_snapshot, MetricsConfig};
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, ContinuousPipeline, CtdConfig, CtdPipeline, DetectorFault,
-    DetectorOnlyPipeline, FrameSource, MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig,
-    ProcessingTrace, SettingPolicy, VideoProcessor,
+    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DetectorFault, FrameSource,
+    PipelineConfig, ProcessingTrace, Scheme, VideoProcessor,
 };
 use adavp::core::telemetry::chrome::chrome_trace_json;
 use adavp::core::telemetry::TelemetryConfig;
@@ -294,49 +293,23 @@ fn golden_digests(trace: &ProcessingTrace) -> [u64; 3] {
 /// Schemes with an optical-flow tracker; only these can diverge.
 const TRACKING_SCHEMES: [&str; 4] = ["MARLIN", "CTD", "MPDT", "AdaVP"];
 
-/// Every clip scheme, in golden-table order.
-const SCHEMES: [&str; 7] = [
-    "MARLIN",
-    "CTD",
-    "MPDT",
-    "AdaVP",
-    "WithoutTracking",
-    "Continuous",
-    "Cascade",
-];
-
-/// A fresh pipeline for `scheme` at the setting its golden digests pin.
-/// AdaVP runs aggressive thresholds so that it switches settings.
-fn scheme(name: &str, config: PipelineConfig) -> Box<dyn VideoProcessor> {
+/// Every clip scheme, in golden-table order, at the setting its golden
+/// digests pin. AdaVP runs aggressive thresholds so that it switches
+/// settings.
+fn schemes() -> [(&'static str, Scheme); 7] {
     let s = ModelSetting::Yolo512;
-    match name {
-        "MARLIN" => Box::new(MarlinPipeline::new(
-            det(),
-            s,
-            config,
-            MarlinConfig::default(),
-        )),
-        "CTD" => Box::new(CtdPipeline::new(det(), s, config, CtdConfig::default())),
-        "MPDT" => Box::new(MpdtPipeline::new(det(), SettingPolicy::Fixed(s), config)),
-        "AdaVP" => Box::new(MpdtPipeline::new(
-            det(),
-            SettingPolicy::Adaptive(AdaptationModel::uniform([0.5, 1.0, 2.0])),
-            config,
-        )),
-        "WithoutTracking" => Box::new(DetectorOnlyPipeline::new(det(), s, config)),
-        "Continuous" => Box::new(ContinuousPipeline::new(
-            det(),
-            ModelSetting::Yolo320,
-            config,
-        )),
-        "Cascade" => Box::new(CascadePipeline::new(
-            det(),
-            s,
-            config,
-            CascadeConfig::default(),
-        )),
-        other => panic!("unknown scheme {other}"),
-    }
+    [
+        ("MARLIN", Scheme::Marlin(s)),
+        ("CTD", Scheme::Ctd(s)),
+        ("MPDT", Scheme::Mpdt(s)),
+        (
+            "AdaVP",
+            Scheme::AdaVp(AdaptationModel::uniform([0.5, 1.0, 2.0])),
+        ),
+        ("WithoutTracking", Scheme::WithoutTracking(s)),
+        ("Continuous", Scheme::Continuous(ModelSetting::Yolo320)),
+        ("Cascade", Scheme::Cascade(s)),
+    ]
 }
 
 /// The two fault plans every scheme is pinned under.
@@ -473,7 +446,7 @@ fn sequential_schemes_match_their_golden_digests() {
         ("meeting", clip(Scenario::MeetingRoom, 23, 120)),
     ];
     let mut got = Vec::new();
-    for name in SCHEMES {
+    for (name, scheme) in schemes() {
         let mut stressed = Vec::new();
         for (clip_name, c) in &clips {
             for (plan_name, plan) in plans() {
@@ -483,7 +456,7 @@ fn sequential_schemes_match_their_golden_digests() {
                     metrics: MetricsConfig::enabled(),
                     ..PipelineConfig::default()
                 };
-                let trace = scheme(name, config).process(c);
+                let trace = scheme.build(DetectorConfig::default(), config).process(c);
                 assert_covered(&trace, c.len());
                 got.push((
                     format!("{name}/{clip_name}/{plan_name}"),
@@ -530,17 +503,21 @@ fn sequential_schemes_match_their_golden_digests() {
 /// clip yields exactly one output and one detection cycle.
 #[test]
 fn every_scheme_handles_empty_and_one_frame_clips() {
-    for name in SCHEMES {
+    for (name, scheme) in schemes() {
         for (plan_name, plan) in plans() {
             let config = PipelineConfig {
                 faults: plan,
                 ..PipelineConfig::default()
             };
-            let empty = scheme(name, config.clone()).process(&clip(Scenario::Highway, 13, 0));
+            let empty = scheme
+                .build(DetectorConfig::default(), config.clone())
+                .process(&clip(Scenario::Highway, 13, 0));
             assert!(empty.outputs.is_empty(), "{name}/{plan_name}: outputs");
             assert!(empty.cycles.is_empty(), "{name}/{plan_name}: cycles");
             assert_eq!(empty.energy.total_wh(), 0.0, "{name}/{plan_name}: energy");
-            let one = scheme(name, config).process(&clip(Scenario::Highway, 14, 1));
+            let one = scheme
+                .build(DetectorConfig::default(), config)
+                .process(&clip(Scenario::Highway, 14, 1));
             assert_covered(&one, 1);
             assert_eq!(one.cycles.len(), 1, "{name}/{plan_name}: cycles");
         }

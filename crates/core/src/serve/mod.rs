@@ -61,7 +61,7 @@ pub use sweep::{run_sweep, sweep_csv, sweep_json, sweep_text, SweepCell, SweepCo
 use crate::latency::LatencyModel;
 use crate::metrics::MetricsConfig;
 use crate::pipeline::{DegradationPolicy, SettingPolicy};
-use adavp_rng::splitmix;
+use adavp_rng::mix;
 use adavp_sim::FaultProfile;
 
 /// Domain-separation tags for the serve layer's deterministic streams.
@@ -72,20 +72,6 @@ pub(crate) const TAG_OBJECTS: u64 = 0x5e02;
 pub(crate) const TAG_JITTER: u64 = 0x5e03;
 pub(crate) const TAG_STREAM_SEED: u64 = 0x5e04;
 pub(crate) const TAG_PROPOSAL: u64 = 0x5e05;
-
-/// Pure keyed hash: same `(seed, tag, a, b)` always gives the same draw,
-/// independent of call order — the property every serve-layer decision
-/// inherits its determinism from.
-pub(crate) fn mix(seed: u64, tag: u64, a: u64, b: u64) -> u64 {
-    let mut h = splitmix(seed ^ tag.wrapping_mul(0xd1b54a32d192ed03));
-    h = splitmix(h ^ a);
-    splitmix(h ^ b)
-}
-
-/// Uniform f64 in `[0, 1)` from a hash.
-pub(crate) fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Full configuration of one fleet run.
 #[derive(Debug, Clone)]
@@ -158,15 +144,6 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_is_pure_and_spreads() {
-        assert_eq!(mix(1, 2, 3, 4), mix(1, 2, 3, 4));
-        assert_ne!(mix(1, 2, 3, 4), mix(1, 2, 3, 5));
-        assert_ne!(mix(1, 2, 3, 4), mix(2, 2, 3, 4));
-        let u = unit(mix(9, TAG_VELOCITY, 7, 0));
-        assert!((0.0..1.0).contains(&u));
-    }
 
     #[test]
     fn synthetic_streams_are_deterministic_and_classed() {

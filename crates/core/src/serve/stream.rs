@@ -17,12 +17,13 @@
 //! counts driving tracker/overlay cost) is synthesized from the stream
 //! seed with the same pure-hash discipline the fault layer uses.
 
-use super::{mix, unit, TAG_JITTER, TAG_OBJECTS, TAG_PROPOSAL, TAG_VELOCITY};
+use super::{TAG_JITTER, TAG_OBJECTS, TAG_PROPOSAL, TAG_VELOCITY};
 use crate::latency::LatencyModel;
 use crate::metrics::{BudgetCrossing, SloTracker};
 use crate::pipeline::{CtdConfig, DegradationPolicy, SettingPolicy};
 use crate::telemetry::Histogram;
 use adavp_detector::ModelSetting;
+use adavp_rng::{mix, unit};
 use adavp_sim::{FaultPlan, SimTime};
 
 /// Detection scheme a served stream runs — the sweep's scheme axis. The

@@ -42,7 +42,7 @@
 use crate::event::EventQueue;
 use crate::resource::Resource;
 use crate::time::SimTime;
-use adavp_rng::splitmix;
+use adavp_rng::{mix, splitmix, unit};
 
 /// Domain-separation tags so each fault kind draws from an independent
 /// deterministic stream.
@@ -57,11 +57,6 @@ const TAG_CONTENTION: u64 = 0x57;
 /// Hard ceiling on injected latency multipliers: keeps every degraded
 /// latency finite and the simulation horizon bounded.
 pub const MAX_LATENCY_MULT: f64 = 64.0;
-
-/// Uniform f64 in `[0, 1)` from a hash.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// Clamps a probability into `[0, 1]`, mapping NaN to 0.
 fn prob(p: f64) -> f64 {
@@ -252,14 +247,8 @@ impl FaultPlan {
         self.profile.is_quiet()
     }
 
-    fn hash(&self, tag: u64, a: u64, b: u64) -> u64 {
-        let mut h = splitmix(self.profile.seed ^ tag.wrapping_mul(0xd1b54a32d192ed03));
-        h = splitmix(h ^ a);
-        splitmix(h ^ b)
-    }
-
     fn draw(&self, tag: u64, a: u64, b: u64) -> f64 {
-        unit(self.hash(tag, a, b))
+        unit(mix(self.profile.seed, tag, a, b))
     }
 
     /// Latency multiplier for detection cycle `cycle`.

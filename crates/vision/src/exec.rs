@@ -1,11 +1,11 @@
 //! Deterministic, jobs-bounded work-queue executor for the offline harness.
 //!
-//! [`parallel::map_bands`](crate::parallel) fans *one kernel call* across
-//! row bands; this module is the coarser sibling: it runs a whole list of
-//! independent work items (clip renders, training runs, per-clip scheme
-//! evaluations) over a bounded worker pool. Like the band fan-out it is
-//! built on `std::thread::scope` — the build environment is offline, so no
-//! rayon — and it keeps the same three guarantees:
+//! It runs a list of independent work items over a bounded worker pool:
+//! clip renders, training runs and per-clip scheme evaluations in the
+//! harness, and the row or point bands of one kernel call
+//! ([`parallel::band_ranges`](crate::parallel::band_ranges)). It is built
+//! on `std::thread::scope` — the build environment is offline, so no
+//! rayon — and keeps three guarantees:
 //!
 //! 1. **Bit-identical results.** Items are claimed from a shared atomic
 //!    counter (a contended queue), but every result is placed back into its

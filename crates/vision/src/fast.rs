@@ -10,6 +10,7 @@
 //! non-maximum suppression plus the same min-distance grid used by
 //! Shi-Tomasi.
 
+use crate::exec::Executor;
 use crate::features::Corner;
 use crate::geometry::{BoundingBox, Point2};
 use crate::image::GrayImage;
@@ -155,23 +156,24 @@ pub fn fast_corners(
     // sequential scan for any band count).
     let y_end = h.saturating_sub(3);
     let scan_rows = y_end.saturating_sub(3) as usize;
-    let per_band =
-        crate::parallel::map_bands(scan_rows, crate::parallel::scan_bands(scan_rows), |s, e| {
-            let mut band = vec![0.0f32; (e - s) * w as usize];
-            let mut band_any = false;
-            for (bi, y) in (3 + s as u32..3 + e as u32).enumerate() {
-                for x in 3..w.saturating_sub(3) {
-                    if !inside_mask(x, y) {
-                        continue;
-                    }
-                    if let Some(sc) = segment_score(img, x as i64, y as i64, params) {
-                        band[bi * w as usize + x as usize] = sc;
-                        band_any = true;
-                    }
+    let bands = crate::parallel::scan_bands(scan_rows);
+    let ranges = crate::parallel::band_ranges(scan_rows, bands);
+    let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
+        let mut band = vec![0.0f32; (e - s) * w as usize];
+        let mut band_any = false;
+        for (bi, y) in (3 + s as u32..3 + e as u32).enumerate() {
+            for x in 3..w.saturating_sub(3) {
+                if !inside_mask(x, y) {
+                    continue;
+                }
+                if let Some(sc) = segment_score(img, x as i64, y as i64, params) {
+                    band[bi * w as usize + x as usize] = sc;
+                    band_any = true;
                 }
             }
-            (band, band_any)
-        });
+        }
+        (band, band_any)
+    });
     let mut scores = vec![0.0f32; w as usize * h as usize];
     let mut any = false;
     let mut row = 3usize;

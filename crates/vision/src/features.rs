@@ -7,6 +7,7 @@
 //! suppression with a minimum inter-corner distance — the same contract as
 //! OpenCV's `goodFeaturesToTrack`.
 
+use crate::exec::Executor;
 use crate::geometry::{BoundingBox, PixelRect, Point2};
 use crate::gradient::GradientField;
 use crate::perf;
@@ -133,27 +134,28 @@ pub fn good_features_in_boxes(
     let x_end = w.saturating_sub(margin).max(margin);
     let (row_lo, row_hi) = mask_rows(boxes, margin, y_end);
     let scan_rows = row_hi.saturating_sub(row_lo) as usize;
-    let per_band =
-        crate::parallel::map_bands(scan_rows, crate::parallel::scan_bands(scan_rows), |s, e| {
-            let mut band: Vec<(f32, u32, u32)> = Vec::new();
-            let mut spans: Vec<(u32, u32)> = Vec::new();
-            let mut eig: Vec<f32> = Vec::new();
-            for y in row_lo + s as u32..row_lo + e as u32 {
-                spans.clear();
-                mask_row_spans(boxes, y, margin, x_end, &mut spans);
-                for &(x0, x1) in &spans {
-                    eig.clear();
-                    eig.resize(x1.saturating_sub(x0) as usize, 0.0);
-                    min_eig_span(grad, r, y, x0, &mut eig);
-                    for (x, &min_eig) in (x0..x1).zip(&eig) {
-                        if min_eig > 0.0 && inside_mask(x, y) {
-                            band.push((min_eig, x, y));
-                        }
+    let bands = crate::parallel::scan_bands(scan_rows);
+    let ranges = crate::parallel::band_ranges(scan_rows, bands);
+    let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
+        let mut band: Vec<(f32, u32, u32)> = Vec::new();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
+        let mut eig: Vec<f32> = Vec::new();
+        for y in row_lo + s as u32..row_lo + e as u32 {
+            spans.clear();
+            mask_row_spans(boxes, y, margin, x_end, &mut spans);
+            for &(x0, x1) in &spans {
+                eig.clear();
+                eig.resize(x1.saturating_sub(x0) as usize, 0.0);
+                min_eig_span(grad, r, y, x0, &mut eig);
+                for (x, &min_eig) in (x0..x1).zip(&eig) {
+                    if min_eig > 0.0 && inside_mask(x, y) {
+                        band.push((min_eig, x, y));
                     }
                 }
             }
-            band
-        });
+        }
+        band
+    });
     let max_response = per_band
         .iter()
         .flatten()

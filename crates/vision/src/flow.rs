@@ -31,6 +31,7 @@
 //! is independent and results are collected in input order (see
 //! [`crate::parallel`] and the `lk_parity` tests).
 
+use crate::exec::Executor;
 use crate::geometry::{PixelRect, Point2, Vec2};
 use crate::gradient::TiledGradients;
 use crate::image::GrayImage;
@@ -378,7 +379,8 @@ impl PyramidalLk {
         });
         let prev: &Pyramid = prev;
         let grads = prev.tiled_gradients();
-        let per_band = crate::parallel::map_bands(points.len(), bands, |s, e| {
+        let ranges = crate::parallel::band_ranges(points.len(), bands);
+        let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
             let mut cache = WindowCache::default();
             points[s..e]
                 .iter()

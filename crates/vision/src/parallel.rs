@@ -1,25 +1,13 @@
-//! Deterministic data-parallel fan-out for the vision kernels.
+//! Row-band splitting for the vision kernels' data-parallel fan-out.
 //!
-//! Built on `std::thread::scope` rather than an external thread pool: the
-//! build environment for this repo is fully offline, so the crate cannot
-//! take a `rayon` dependency. The helper below provides the same
-//! "parallel map over an index range" shape with three guarantees:
-//!
-//! 1. **Bit-identical results.** Work items are pure functions of their
-//!    index; results are collected in index order, so output is exactly
-//!    what the sequential loop produces (verified by the LK parity tests).
-//! 2. **Counter transparency.** Worker threads start with fresh
-//!    thread-local [`crate::perf`] counters; after the join, each worker's
-//!    counters are merged into the calling thread, so observability behaves
-//!    as if the work ran sequentially.
-//! 3. **Graceful degradation.** With one band (or one available core by
-//!    default) the fan-out short-circuits to a plain loop on the calling
-//!    thread — no spawn cost, no behavioural difference.
-//!
-//! Swapping in rayon later is a one-function change: replace the body of
-//! the crate-private `map_bands` with `par_iter` over the band ranges.
+//! A kernel call that scans many rows (or tracks many points) splits its
+//! index range into contiguous bands with [`band_ranges`] and maps the bands
+//! over an [`Executor`](crate::exec::Executor) sized by `scan_bands` or
+//! [`max_threads`]. The executor returns per-band results in band order and
+//! merges worker [`crate::perf`] counters into the caller, so the stitched
+//! output and the counters are exactly those of the sequential scan; with
+//! one band the map runs inline on the calling thread.
 
-use crate::perf;
 use std::sync::OnceLock;
 
 /// Number of worker threads the automatic parallel paths target
@@ -68,70 +56,9 @@ pub fn band_ranges(len: usize, bands: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Applies `f` to each band of `0..len` (at most `bands` bands) and returns
-/// the per-band results in band order.
-///
-/// `f` receives the half-open index range `(start, end)` of its band. With
-/// a single band the call runs inline on the current thread.
-pub(crate) fn map_bands<R, F>(len: usize, bands: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    let ranges = band_ranges(len, bands);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(|(s, e)| f(s, e)).collect();
-    }
-    let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
-    let mut worker_counters: Vec<perf::KernelCounters> = Vec::new();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut handles = Vec::with_capacity(ranges.len() - 1);
-        // Bands 1.. on worker threads, band 0 on the calling thread.
-        for &(s, e) in &ranges[1..] {
-            handles.push(scope.spawn(move || {
-                let r = f(s, e);
-                (r, perf::snapshot())
-            }));
-        }
-        let (s0, e0) = ranges[0];
-        results[0] = Some(f(s0, e0));
-        for (i, h) in handles.into_iter().enumerate() {
-            let (r, counters) = h.join().expect("vision worker thread panicked");
-            results[i + 1] = Some(r);
-            worker_counters.push(counters);
-        }
-    });
-    for c in &worker_counters {
-        perf::merge(c);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every band produced a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Parallel map over a slice via [`map_bands`], mirroring how the flow
-    /// and corner kernels consume it.
-    fn map_items<T: Sync, R: Send>(
-        items: &[T],
-        bands: usize,
-        f: impl Fn(usize, &T) -> R + Sync,
-    ) -> Vec<R> {
-        let per_band = map_bands(items.len(), bands, |s, e| {
-            items[s..e]
-                .iter()
-                .enumerate()
-                .map(|(off, it)| f(s + off, it))
-                .collect::<Vec<R>>()
-        });
-        per_band.into_iter().flatten().collect()
-    }
 
     #[test]
     fn band_ranges_cover_without_overlap() {
@@ -148,37 +75,6 @@ mod tests {
                 assert!(r.len() <= bands.max(1));
             }
         }
-    }
-
-    #[test]
-    fn map_items_matches_sequential() {
-        let items: Vec<u64> = (0..103).collect();
-        let seq: Vec<u64> = items.iter().map(|&v| v * v + 1).collect();
-        for bands in [1, 2, 3, 8] {
-            let par = map_items(&items, bands, |_, &v| v * v + 1);
-            assert_eq!(par, seq, "bands={bands}");
-        }
-    }
-
-    #[test]
-    fn worker_counters_merge_into_caller() {
-        perf::reset();
-        let items = [1u32; 12];
-        let _ = map_items(&items, 4, |_, _| {
-            perf::record(|c| c.lk_iterations += 1);
-        });
-        assert_eq!(
-            perf::snapshot().lk_iterations,
-            12,
-            "all worker increments must merge back"
-        );
-    }
-
-    #[test]
-    fn single_band_runs_inline() {
-        let items = [7u8, 8, 9];
-        let out = map_items(&items, 1, |i, &v| (i, v));
-        assert_eq!(out, vec![(0, 7), (1, 8), (2, 9)]);
     }
 
     #[test]

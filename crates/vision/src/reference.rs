@@ -12,6 +12,7 @@
 //!
 //! No pipeline runs this code, and no production module imports it.
 
+use crate::exec::Executor;
 use crate::features::{Corner, GoodFeaturesParams};
 use crate::flow::{FlowResult, PyramidalLk};
 use crate::geometry::{BoundingBox, Point2, Vec2};
@@ -402,36 +403,37 @@ pub fn good_features_from_gradients_reference(
 
     let y_end = h.saturating_sub(margin);
     let scan_rows = y_end.saturating_sub(margin) as usize;
-    let per_band =
-        crate::parallel::map_bands(scan_rows, crate::parallel::scan_bands(scan_rows), |s, e| {
-            let mut band: Vec<(f32, u32, u32)> = Vec::new();
-            for y in margin + s as u32..margin + e as u32 {
-                for x in margin..w.saturating_sub(margin) {
-                    if !inside_mask(x, y) {
-                        continue;
-                    }
-                    let mut sxx = 0.0f32;
-                    let mut sxy = 0.0f32;
-                    let mut syy = 0.0f32;
-                    for dy in -r..=r {
-                        for dx in -r..=r {
-                            let gx = grad.gx((x as i64 + dx) as u32, (y as i64 + dy) as u32);
-                            let gy = grad.gy((x as i64 + dx) as u32, (y as i64 + dy) as u32);
-                            sxx += gx * gx;
-                            sxy += gx * gy;
-                            syy += gy * gy;
-                        }
-                    }
-                    let trace_half = (sxx + syy) / 2.0;
-                    let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
-                    let min_eig = trace_half - det_term.sqrt();
-                    if min_eig > 0.0 {
-                        band.push((min_eig, x, y));
+    let bands = crate::parallel::scan_bands(scan_rows);
+    let ranges = crate::parallel::band_ranges(scan_rows, bands);
+    let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
+        let mut band: Vec<(f32, u32, u32)> = Vec::new();
+        for y in margin + s as u32..margin + e as u32 {
+            for x in margin..w.saturating_sub(margin) {
+                if !inside_mask(x, y) {
+                    continue;
+                }
+                let mut sxx = 0.0f32;
+                let mut sxy = 0.0f32;
+                let mut syy = 0.0f32;
+                for dy in -r..=r {
+                    for dx in -r..=r {
+                        let gx = grad.gx((x as i64 + dx) as u32, (y as i64 + dy) as u32);
+                        let gy = grad.gy((x as i64 + dx) as u32, (y as i64 + dy) as u32);
+                        sxx += gx * gx;
+                        sxy += gx * gy;
+                        syy += gy * gy;
                     }
                 }
+                let trace_half = (sxx + syy) / 2.0;
+                let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
+                let min_eig = trace_half - det_term.sqrt();
+                if min_eig > 0.0 {
+                    band.push((min_eig, x, y));
+                }
             }
-            band
-        });
+        }
+        band
+    });
     let mut responses: Vec<(f32, u32, u32)> = Vec::new();
     for band in per_band {
         responses.extend(band);

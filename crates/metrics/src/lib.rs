@@ -11,10 +11,9 @@
 //! * **video accuracy** is the fraction of frames with F1 above a threshold
 //!   (0.7 by default), and dataset accuracy is the mean over videos —
 //!   [`video`];
-//! * [`stats`] provides the summary statistics (mean, percentiles, CDFs)
-//!   the figures report;
-//! * [`confusion`] accumulates per-class confusion matrices (geometry-only
-//!   matching) to inspect the detector's label-confusion behaviour.
+//! * [`stats`] provides the summary statistics (means, empirical CDFs) the
+//!   figures report. Latency distributions and percentiles use the
+//!   telemetry histogram in `adavp-core`.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod confusion;
 pub mod f1;
 pub mod matching;
 pub mod stats;

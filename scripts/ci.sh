@@ -87,8 +87,9 @@ if [ "$NO_BENCH" != "1" ]; then
     echo "== kernel bench smoke (writes BENCH_kernels.json)"
     cargo run --release -p adavp-vision --bin kernels_bench -- BENCH_kernels.json
 
-    echo "== parallel harness smoke (fig6 at --jobs 2)"
-    cargo run --release -p adavp-bench --bin experiments -- fig6 \
+    echo "== parallel harness smoke (every memoized-run reader at --jobs 2)"
+    cargo run --release -p adavp-bench --bin experiments -- \
+        fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 \
         --scale smoke --jobs 2 --out target/ci-results
 
     echo "== harness parity bench (writes BENCH_experiments.json; exits non-zero on any jobs-1 vs jobs-N result mismatch)"

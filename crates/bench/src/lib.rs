@@ -3,8 +3,10 @@
 //!
 //! Each experiment lives in [`figures`] / [`tables`] and returns plain data
 //! rows; the `experiments` binary renders them as aligned text tables and
-//! CSV files under `results/`. The [`runner`] module provides the shared
-//! machinery (schemes × dataset sweeps), and [`report`] the formatting.
+//! CSV files under `results/`. [`context`] holds the datasets, the trained
+//! model and each scheme's test-set run (computed once, read by every
+//! figure); [`runner`] runs a scheme over any clip set, and [`report`] does
+//! the formatting.
 //!
 //! | Paper result | function |
 //! |---|---|

@@ -2,9 +2,10 @@
 //! to their plain-loop oracles in `adavp_vision::reference`, asserts that
 //! each kernel reproduces its oracle bit for bit, and writes
 //! `BENCH_kernels.json` (kernel -> ns/op plus a multi-point pyramidal-LK
-//! baseline-vs-optimized comparison). Most kernels run at 256x256; the
-//! demand-driven gradient and masked Shi-Tomasi cases run at the 640x360
-//! experiment resolution.
+//! baseline-vs-optimized comparison). Most kernels run at 256x256 and again
+//! at the 640x360 experiment resolution with the tracker's parameters (a
+//! 4-level pyramid, LK at window radius 7); the demand-driven gradient and
+//! masked Shi-Tomasi cases run at 640x360 only.
 //!
 //! Run with `cargo run --release -p adavp-vision --bin kernels_bench`
 //! (optionally passing an output path; defaults to `BENCH_kernels.json` in
@@ -13,13 +14,13 @@
 use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
-use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients, TILE_H, TILE_W};
+use adavp_vision::gradient::{GradientField, TiledGradients, TILE_H, TILE_W};
 use adavp_vision::image::GrayImage;
 use adavp_vision::perf;
-use adavp_vision::pyramid::Pyramid;
+use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::{
-    downsample_into_scalar, gaussian_blur_into_scalar, good_features_from_gradients_reference,
-    scharr_gradients, scharr_gradients_into_scalar, track_pyramids_baseline,
+    blur_downsample_into_scalar, good_features_from_gradients_reference, scharr_gradients,
+    scharr_gradients_into_scalar, track_pyramids_baseline,
 };
 use adavp_vision::scratch::ScratchPool;
 use std::fmt::Write as _;
@@ -29,9 +30,11 @@ use std::time::Instant;
 const IMG_W: u32 = 256;
 const IMG_H: u32 = 256;
 const PYRAMID_LEVELS: u32 = 3;
-/// The experiment resolution, for the demand-driven cases.
+/// The experiment resolution, for the demand-driven and tracker cases.
 const FRAME_W: u32 = 640;
 const FRAME_H: u32 = 360;
+/// The tracker's pyramid depth (`TrackerConfig::default()`).
+const TRACKER_LEVELS: u32 = 4;
 const TARGET_NS_PER_BENCH: u128 = 250_000_000; // ~0.25 s per kernel
 
 fn textured(w: u32, h: u32) -> GrayImage {
@@ -98,59 +101,35 @@ fn main() {
         .map(|l| ((IMG_W >> l) * (IMG_H >> l)) as u64)
         .sum();
 
-    // --- Gaussian blur -----------------------------------------------------
-    let mut blur_out = GrayImage::new(IMG_W, IMG_H);
-    entries.push(Entry {
-        name: "gaussian_blur_into_256",
-        ns_per_op: bench_ns(|| {
-            gaussian_blur_into(black_box(&img), &mut blur_out, &mut pool);
-            black_box(&blur_out);
-        }),
-        pixels: frame_pixels,
-        note: "separable 5-tap blur, pooled intermediate, 256x256",
-    });
-    let mut blur_scalar_out = GrayImage::new(IMG_W, IMG_H);
-    entries.push(Entry {
-        name: "gaussian_blur_scalar_256",
-        ns_per_op: bench_ns(|| {
-            gaussian_blur_into_scalar(black_box(&img), &mut blur_scalar_out, &mut pool);
-            black_box(&blur_scalar_out);
-        }),
-        pixels: frame_pixels,
-        note: "scalar u32 baseline for the 5-tap blur",
-    });
+    // --- Pyramid level: streamed blur + downsample ----------------------------
+    let (half_w, half_h) = (IMG_W / 2, IMG_H / 2);
+    let mut level_out = GrayImage::new(half_w, half_h);
+    let mut level_scalar_out = GrayImage::new(half_w, half_h);
+    blur_downsample_into(&img, &mut level_out, &mut pool);
+    blur_downsample_into_scalar(&img, &mut level_scalar_out, &mut pool);
     assert_eq!(
-        blur_out.as_bytes(),
-        blur_scalar_out.as_bytes(),
-        "fixed-point blur diverged from scalar baseline"
+        level_out.as_bytes(),
+        level_scalar_out.as_bytes(),
+        "streamed blur + downsample diverged from the composed scalar oracles"
     );
-
-    // --- Downsample --------------------------------------------------------
-    let mut down_out = GrayImage::new(IMG_W / 2, IMG_H / 2);
     entries.push(Entry {
-        name: "downsample_into_256",
+        name: "blur_downsample_256",
         ns_per_op: bench_ns(|| {
-            black_box(&img).downsample_into(&mut down_out);
-            black_box(&down_out);
+            blur_downsample_into(black_box(&img), &mut level_out, &mut pool);
+            black_box(&level_out);
         }),
         pixels: frame_pixels,
-        note: "2x2 box downsample into reused buffer, 256x256 -> 128x128",
+        note: "row-streamed 5-tap blur + 2x2 box downsample, pooled ring, 256x256 -> 128x128",
     });
-    let mut down_scalar_out = GrayImage::new(IMG_W / 2, IMG_H / 2);
     entries.push(Entry {
-        name: "downsample_scalar_256",
+        name: "blur_downsample_scalar_256",
         ns_per_op: bench_ns(|| {
-            downsample_into_scalar(black_box(&img), &mut down_scalar_out);
-            black_box(&down_scalar_out);
+            blur_downsample_into_scalar(black_box(&img), &mut level_scalar_out, &mut pool);
+            black_box(&level_scalar_out);
         }),
         pixels: frame_pixels,
-        note: "scalar u32 baseline for the 2x2 box downsample",
+        note: "scalar u32 oracles composed: whole-image blur, then downsample",
     });
-    assert_eq!(
-        down_out.as_bytes(),
-        down_scalar_out.as_bytes(),
-        "fixed-point downsample diverged from scalar baseline"
-    );
 
     // --- Scharr gradients --------------------------------------------------
     // The production Scharr is the demand-driven tile field, timed and
@@ -209,28 +188,37 @@ fn main() {
     // The tracker's demand: Shi-Tomasi reads three detection boxes on
     // level 0, and LK reads a 15x15 window (plus the rounding slack of
     // `PyramidalLk::ensure_windows`) around six features per box on each
-    // of three levels.
+    // of the tracker's four levels.
     let boxes = [
         BoundingBox::new(64.0, 72.0, 120.0, 80.0),
         BoundingBox::new(300.0, 150.0, 140.0, 90.0),
         BoundingBox::new(480.0, 48.0, 100.0, 120.0),
     ];
-    let frame_pyr = Pyramid::build(&frame, PYRAMID_LEVELS);
+    let features: Vec<Point2> = boxes
+        .iter()
+        .flat_map(|b| {
+            (0..6).map(move |k| {
+                Point2::new(
+                    b.left + b.width * (0.2 + 0.3 * (k % 3) as f32),
+                    b.top + b.height * (0.3 + 0.4 * (k / 3) as f32),
+                )
+            })
+        })
+        .collect();
+    let frame_pyr = Pyramid::build(&frame, TRACKER_LEVELS);
     let demand: Vec<Vec<PixelRect>> = (0..frame_pyr.levels())
         .map(|level| {
             let mut rects = Vec::new();
-            for b in &boxes {
-                if level == 0 {
+            if level == 0 {
+                for b in &boxes {
                     let (l, t) = (b.left as i64, b.top as i64);
                     let (r, btm) = (b.right() as i64, b.bottom() as i64);
                     rects.push(PixelRect::new(l - 3, t - 3, r + 4, btm + 3));
                 }
-                for k in 0..6 {
-                    let fx = b.left + b.width * (0.2 + 0.3 * (k % 3) as f32);
-                    let fy = b.top + b.height * (0.3 + 0.4 * (k / 3) as f32);
-                    let (cx, cy) = ((fx as i64) >> level, (fy as i64) >> level);
-                    rects.push(PixelRect::new(cx - 8, cy - 8, cx + 10, cy + 10));
-                }
+            }
+            for f in &features {
+                let (cx, cy) = ((f.x as i64) >> level, (f.y as i64) >> level);
+                rects.push(PixelRect::new(cx - 8, cy - 8, cx + 10, cy + 10));
             }
             rects
         })
@@ -252,10 +240,10 @@ fn main() {
         })
         .sum();
     entries.push(Entry {
-        name: "scharr_tiles_tracker_640x360x3",
+        name: "scharr_tiles_tracker_640x360x4",
         ns_per_op: tracker_ns,
         pixels: tracker_tiles as u64 * u64::from(TILE_W * TILE_H),
-        note: "demand-driven Scharr for 3 boxes + 6 LK windows per box on 3 levels, 640x360",
+        note: "demand-driven Scharr for 3 boxes + 6 LK windows per box on 4 levels, 640x360",
     });
     // Parity: every computed tile equals the scalar oracle bit for bit.
     for (level, tiles) in level_tiles.iter().chain([&all_tiles]).enumerate() {
@@ -281,6 +269,85 @@ fn main() {
         all_tiles.tiles_computed() as u32,
         FRAME_W.div_ceil(TILE_W) * FRAME_H.div_ceil(TILE_H)
     );
+
+    // --- The tracker's pyramid and LK at 640x360 ---------------------------
+    // Each case is checked against its oracle before it is timed.
+    let mut frame_half = GrayImage::new(FRAME_W / 2, FRAME_H / 2);
+    let mut frame_half_scalar = GrayImage::new(FRAME_W / 2, FRAME_H / 2);
+    blur_downsample_into(&frame, &mut frame_half, &mut pool);
+    blur_downsample_into_scalar(&frame, &mut frame_half_scalar, &mut pool);
+    assert_eq!(
+        frame_half.as_bytes(),
+        frame_half_scalar.as_bytes(),
+        "streamed blur + downsample diverged from the composed oracles at 640x360"
+    );
+    entries.push(Entry {
+        name: "blur_downsample_640x360",
+        ns_per_op: bench_ns(|| {
+            blur_downsample_into(black_box(&frame), &mut frame_half, &mut pool);
+            black_box(&frame_half);
+        }),
+        pixels: frame_px,
+        note: "row-streamed blur + downsample, one pyramid level, 640x360 -> 320x180",
+    });
+    // Every level of a pooled build equals the oracles composed down from
+    // the one above it.
+    let pooled = Pyramid::build_with(&frame, TRACKER_LEVELS, &mut pool);
+    assert_eq!(pooled.levels(), TRACKER_LEVELS as usize);
+    for level in 1..pooled.levels() {
+        let above = pooled.level(level - 1);
+        let mut oracle = GrayImage::new(above.width() / 2, above.height() / 2);
+        blur_downsample_into_scalar(above, &mut oracle, &mut pool);
+        assert_eq!(
+            pooled.level(level),
+            &oracle,
+            "pyramid level {level} diverged from the composed oracles"
+        );
+    }
+    pooled.recycle(&mut pool);
+    let frame_pyramid_px: u64 = (0..TRACKER_LEVELS)
+        .map(|l| u64::from((FRAME_W >> l) * (FRAME_H >> l)))
+        .sum();
+    entries.push(Entry {
+        name: "pyramid_build_pooled_640x360x4",
+        ns_per_op: bench_ns(|| {
+            let p = Pyramid::build_with(black_box(&frame), TRACKER_LEVELS, &mut pool);
+            black_box(&p);
+            p.recycle(&mut pool);
+        }),
+        pixels: frame_pyramid_px,
+        note: "steady-state 4-level build via ScratchPool, 640x360",
+    });
+    // LK with the tracker's parameters over the demand case's 18 features.
+    let tracker_lk = PyramidalLk::new(LkParams {
+        pyramid_levels: TRACKER_LEVELS,
+        ..LkParams::default()
+    });
+    assert_eq!(tracker_lk.params().window_radius, 7);
+    let next_frame_pyr = Pyramid::build(&shifted(&frame, 3, -2), TRACKER_LEVELS);
+    let mut lk_prev = Pyramid::build_with(&frame, TRACKER_LEVELS, &mut pool);
+    assert_eq!(
+        tracker_lk.track_pyramids_sequential(&mut lk_prev, &next_frame_pyr, &features, &mut pool),
+        track_pyramids_baseline(&tracker_lk, &frame_pyr, &next_frame_pyr, &features),
+        "LK diverged from the baseline at 640x360"
+    );
+    // The window tiles are computed by the check above, so this times the
+    // per-point solves.
+    entries.push(Entry {
+        name: "lk_tracker_640x360x4",
+        ns_per_op: bench_ns(|| {
+            black_box(tracker_lk.track_pyramids_sequential(
+                black_box(&mut lk_prev),
+                black_box(&next_frame_pyr),
+                &features,
+                &mut pool,
+            ));
+        }),
+        // One 15x15 window per feature per level.
+        pixels: features.len() as u64 * 15 * 15 * u64::from(TRACKER_LEVELS),
+        note: "pyramidal LK, radius 7, 4 levels, 3 boxes x 6 features, tiles computed, 640x360",
+    });
+    lk_prev.recycle(&mut pool);
 
     // Masked Shi-Tomasi with the tracker's parameters over one 120x80 box.
     let st_params = GoodFeaturesParams {

@@ -24,8 +24,19 @@
 //! differentiated — once per pyramid, however many calls track out of it.
 //! Each point then samples its window of previous-frame intensities and
 //! gradients exactly once per level (they are constant across Newton
-//! iterations; only the next-frame window moves). On a host with more
-//! than one core, point sets of at least
+//! iterations; only the next-frame window moves).
+//!
+//! Window rows are sampled in whole 8-lane vectors: a row of the 15-tap
+//! window (radius 7) is sampled 16 columns wide, so the bilinear fills and
+//! the per-tap summand rows ([`simd::mismatch_row`], [`simd::tensor_row`],
+//! [`simd::abs_diff_row`]) run with no scalar tail, and the extra lanes are
+//! thrown away. Only the sums stay scalar: each Newton step adds the used
+//! taps' summands one by one in the baseline's row-major order, walking
+//! pre-sliced rows with no index per tap, so every `f32` operation keeps
+//! its operands and its order. A row whose padded run would leave the
+//! image is sampled tap by tap instead, with the same values.
+//!
+//! On a host with more than one core, point sets of at least
 //! [`PyramidalLk::PARALLEL_MIN_POINTS`] fan out across threads; results are
 //! **bit-identical** to the sequential path because each point's computation
 //! is independent and results are collected in input order (see
@@ -33,7 +44,7 @@
 
 use crate::exec::Executor;
 use crate::geometry::{PixelRect, Point2, Vec2};
-use crate::gradient::TiledGradients;
+use crate::gradient::{GradientField, TiledGradients};
 use crate::image::GrayImage;
 use crate::perf;
 use crate::pyramid::Pyramid;
@@ -68,6 +79,9 @@ pub enum LkParamsError {
     /// `window_radius` was zero (the window would be a single pixel and the
     /// structure tensor always degenerate).
     ZeroWindowRadius,
+    /// `window_radius` exceeded [`LkParams::MAX_WINDOW_RADIUS`] (the window's
+    /// tap count would no longer be exact in `f32`).
+    WindowRadiusTooLarge,
     /// `max_iterations` was zero (no Newton step could ever run).
     ZeroIterations,
     /// The named threshold field was non-finite or outside its valid range.
@@ -79,6 +93,11 @@ impl fmt::Display for LkParamsError {
         match self {
             Self::ZeroPyramidLevels => write!(f, "pyramid_levels must be at least 1"),
             Self::ZeroWindowRadius => write!(f, "window_radius must be at least 1"),
+            Self::WindowRadiusTooLarge => write!(
+                f,
+                "window_radius must be at most {}",
+                LkParams::MAX_WINDOW_RADIUS
+            ),
             Self::ZeroIterations => write!(f, "max_iterations must be at least 1"),
             Self::InvalidThreshold(field) => {
                 write!(f, "{field} must be finite and within its valid range")
@@ -90,11 +109,17 @@ impl fmt::Display for LkParamsError {
 impl std::error::Error for LkParamsError {}
 
 impl LkParams {
+    /// Largest accepted `window_radius`. The window's tap count
+    /// `(2r + 1)^2` is then at most `4095^2 < 2^24`, exact in both `i32`
+    /// and `f32`, and padding a row to whole vector lanes cannot overflow.
+    pub const MAX_WINDOW_RADIUS: u32 = 2047;
+
     /// Validates the parameters, returning them unchanged on success.
     ///
-    /// Rejects zero `pyramid_levels`, zero `window_radius`, zero
-    /// `max_iterations`, and non-finite (or non-positive where positivity
-    /// is required) threshold fields.
+    /// Rejects zero `pyramid_levels`, a `window_radius` of zero or above
+    /// [`LkParams::MAX_WINDOW_RADIUS`], zero `max_iterations`, and
+    /// non-finite (or non-positive where positivity is required) threshold
+    /// fields.
     ///
     /// # Example
     ///
@@ -110,6 +135,9 @@ impl LkParams {
         }
         if self.window_radius == 0 {
             return Err(LkParamsError::ZeroWindowRadius);
+        }
+        if self.window_radius > Self::MAX_WINDOW_RADIUS {
+            return Err(LkParamsError::WindowRadiusTooLarge);
         }
         if self.max_iterations == 0 {
             return Err(LkParamsError::ZeroIterations);
@@ -160,27 +188,51 @@ impl FlowResult {
     }
 }
 
+/// Window rows are sampled in whole vectors of this many `f32` lanes (one
+/// AVX2 register).
+const LANE_GROUP: usize = 8;
+
 /// Per-point window state, captured once per pyramid level and reused by
 /// every Newton iteration (previous-frame intensities and gradients do not
 /// change while the displacement estimate is refined).
 ///
-/// Besides the flat sample buffers, the cache holds the per-column
-/// bilinear *tap tables* (`px`/`x0`/`tx` for the fixed previous-frame
-/// window, `qx0`/`qtx` for the displaced next-frame window): the window's
-/// x-coordinates are the same on every row, so floors and fractions are
-/// computed once per level (or once per Newton iteration) instead of once
-/// per tap, and whole rows are then filled through the vectorized
-/// [`simd::bilinear_span_u8`]/[`simd::bilinear_span_f32`] helpers whenever
-/// the integer tap columns form a contiguous in-bounds run
-/// ([`simd::contiguous_start`]). Rows where floating-point rounding breaks
-/// the run fall back to per-tap sampling — bit-identical, just slower.
+/// Every window row is sampled `lanes` columns wide: the window side
+/// rounded up to whole [`LANE_GROUP`]s (16 for the tracker's radius 7), so
+/// the vectorized fills ([`simd::bilinear_span_u8`]) and the per-tap
+/// summand rows ([`simd::mismatch_row`] and friends) run as full vectors
+/// with no scalar tail; the extra lanes are computed and thrown away. Rows
+/// are stored with a stride of `lanes`, and every sum adds only the `side`
+/// used taps of a row, one by one in the baseline's order. The gradient
+/// rows fill only their `side` used taps ([`simd::bilinear_span_f32`]):
+/// padding them would read columns past the rect
+/// [`PyramidalLk::ensure_windows`] computes.
+///
+/// Besides the sample rows, the cache holds the per-column bilinear *tap
+/// tables* (`px`/`x0`/`tx` for the fixed previous-frame window, `qx0`/`qtx`
+/// for the displaced next-frame window): the window's x-coordinates are the
+/// same on every row, so floors and fractions are computed once per level
+/// (or once per Newton iteration) instead of once per tap. A row goes
+/// through the span fills when its integer tap columns, padded lanes
+/// included, form a contiguous in-bounds run ([`simd::contiguous_start`]);
+/// rows where floating-point rounding breaks the run, or where the padded
+/// run would leave the image, fall back to per-tap sampling of the used
+/// taps — bit-identical, just slower.
 #[derive(Default)]
 struct WindowCache {
+    /// Window side `2r + 1`: the taps every sum adds.
+    side: usize,
+    /// Sampled columns per row: `side` rounded up to whole lane groups.
+    lanes: usize,
+    /// Previous-frame intensities, `side` rows of `lanes`.
     prev: Vec<f32>,
+    /// Previous-frame horizontal gradients, same layout (`side` used taps).
     gx: Vec<f32>,
+    /// Previous-frame vertical gradients, same layout (`side` used taps).
     gy: Vec<f32>,
-    /// One row of next-frame window samples (scratch for the Newton loop).
+    /// One row of next-frame window samples.
     cur: Vec<f32>,
+    /// Up to three rows of per-tap summands, added up in tap order.
+    terms: [Vec<f32>; 3],
     /// Per-column window x-coordinates: `pl.x + wx`.
     px: Vec<f32>,
     /// Per-column integer tap columns: `px.floor()`.
@@ -193,46 +245,242 @@ struct WindowCache {
     qtx: Vec<f32>,
 }
 
+/// A vectorized bilinear row fill: [`simd::bilinear_span_u8`] or
+/// [`simd::bilinear_span_f32`].
+type SpanKernel<T> = fn(&[T], &[T], &[f32], f32, &mut [f32]);
+
+/// Fills `out` with the bilinear samples between `rows.0` and `rows.1` of
+/// the `out.len()` taps starting at column `s` (horizontal fractions `tx`,
+/// vertical fraction `ty`) through the vectorized span `kernel`. `None`,
+/// with `out` untouched, when the span leaves the rows.
+fn fill_span<T>(
+    kernel: SpanKernel<T>,
+    rows: (&[T], &[T]),
+    s: usize,
+    tx: &[f32],
+    ty: f32,
+    out: &mut [f32],
+) -> Option<()> {
+    let n = out.len();
+    let (r0, r1) = (rows.0.get(s..=s + n)?, rows.1.get(s..=s + n)?);
+    kernel(r0, r1, tx.get(..n)?, ty, out);
+    Some(())
+}
+
+/// Floor and fraction of `y`, the vertical half of a bilinear tap:
+/// `(y0, ty)` and whether rows `y0` and `y0 + 1` both lie in `0..height`.
+fn row_taps(y: f32, height: u32) -> (i64, f32, bool) {
+    let yf = y.floor();
+    let y0 = yf as i64;
+    (y0, y - yf, y0 >= 0 && y0 + 1 < i64::from(height))
+}
+
 impl WindowCache {
-    /// Resets the cache for a window of side `side` and precomputes the
-    /// per-column tap tables for a window centred at x-coordinate `cx`.
-    fn begin_level(&mut self, side: usize, r: i32, cx: f32) {
-        let n = side * side;
-        self.prev.clear();
-        self.prev.reserve(n);
-        self.gx.clear();
-        self.gx.reserve(n);
-        self.gy.clear();
-        self.gy.reserve(n);
-        self.cur.clear();
-        self.cur.resize(side, 0.0);
-        self.px.clear();
-        self.x0.clear();
-        self.tx.clear();
-        self.qx0.clear();
-        self.qtx.clear();
-        for wx in -r..=r {
+    /// Sizes the cache for radius `r` and precomputes the per-column tap
+    /// tables for a window centred at x-coordinate `cx`, padded lanes
+    /// included.
+    fn begin_level(&mut self, r: i32, cx: f32) {
+        self.side = (2 * r + 1) as usize;
+        self.lanes = self.side.next_multiple_of(LANE_GROUP);
+        let n = self.side * self.lanes;
+        for buf in [&mut self.prev, &mut self.gx, &mut self.gy] {
+            buf.resize(n, 0.0);
+        }
+        let [t0, t1, t2] = &mut self.terms;
+        for buf in [
+            &mut self.cur,
+            t0,
+            t1,
+            t2,
+            &mut self.px,
+            &mut self.tx,
+            &mut self.qtx,
+        ] {
+            buf.resize(self.lanes, 0.0);
+        }
+        self.x0.resize(self.lanes, 0);
+        self.qx0.resize(self.lanes, 0);
+        let columns = self.px.iter_mut().zip(&mut self.x0).zip(&mut self.tx);
+        for (wx, ((px, x0), tx)) in (-r..).zip(columns) {
             // Exactly the per-tap expressions of the baseline: the fraction
             // of `pl.x + wx` is NOT constant across wx (f32 rounding can
             // shift it and even the floor), so each column gets its own
             // floor/fraction rather than a shared one.
-            let px = cx + wx as f32;
+            *px = cx + wx as f32;
             let xf = px.floor();
-            self.px.push(px);
-            self.x0.push(xf as i64);
-            self.tx.push(px - xf);
+            *x0 = xf as i64;
+            *tx = *px - xf;
         }
     }
 
-    /// Recomputes the displaced tap tables for displacement `dx`.
-    fn displace(&mut self, dx: f32) {
-        self.qx0.clear();
-        self.qtx.clear();
-        for &px in &self.px {
-            let qx = px + dx;
+    /// Samples the previous-frame window (intensities and gradients) whose
+    /// rows are centred on `cy`, row by row through the span fills.
+    fn sample_prev(&mut self, img: &GrayImage, grad: &GradientField, cy: f32, r: i32) {
+        let Self {
+            side,
+            lanes,
+            prev,
+            gx,
+            gy,
+            px,
+            x0,
+            tx,
+            ..
+        } = self;
+        let (side, lanes, w) = (*side, *lanes, img.width() as usize);
+        let padded = simd::contiguous_start(x0, w);
+        let used = x0.get(..side).and_then(|x| simd::contiguous_start(x, w));
+        let rows = prev
+            .chunks_exact_mut(lanes)
+            .zip(gx.chunks_exact_mut(lanes))
+            .zip(gy.chunks_exact_mut(lanes));
+        for (wy, ((prow, gxrow), gyrow)) in (-r..=r).zip(rows) {
+            let py = cy + wy as f32;
+            let (y0, ty, inside) = row_taps(py, img.height());
+            let (ya, yb) = (y0 as u32, y0 as u32 + 1);
+            let spans = padded.filter(|_| inside).and_then(|s| {
+                let rows = (img.row(ya), img.row(yb));
+                fill_span(simd::bilinear_span_u8, rows, s, tx, ty, prow)
+            });
+            if spans.is_none() {
+                for (p, &x) in prow.iter_mut().zip(px.iter()).take(side) {
+                    *p = img.sample_fast(x, py);
+                }
+            }
+            let spans = used.filter(|_| inside).and_then(|s| {
+                let rows = (grad.gx_row(ya), grad.gx_row(yb));
+                fill_span(
+                    simd::bilinear_span_f32,
+                    rows,
+                    s,
+                    tx,
+                    ty,
+                    gxrow.get_mut(..side)?,
+                )?;
+                let rows = (grad.gy_row(ya), grad.gy_row(yb));
+                fill_span(
+                    simd::bilinear_span_f32,
+                    rows,
+                    s,
+                    tx,
+                    ty,
+                    gyrow.get_mut(..side)?,
+                )
+            });
+            if spans.is_none() {
+                let taps = gxrow.iter_mut().zip(gyrow.iter_mut()).zip(px.iter());
+                for ((g_x, g_y), &x) in taps.take(side) {
+                    *g_x = grad.sample_gx_fast(x, py);
+                    *g_y = grad.sample_gy_fast(x, py);
+                }
+            }
+        }
+    }
+
+    /// The structure tensor `(gxx, gxy, gyy)` of the sampled window, summed
+    /// over the used taps in row-major order.
+    fn structure_tensor(&mut self) -> (f32, f32, f32) {
+        let Self {
+            side,
+            lanes,
+            gx,
+            gy,
+            terms: [xx, xy, yy],
+            ..
+        } = self;
+        let (mut gxx, mut gxy, mut gyy) = (0.0f32, 0.0f32, 0.0f32);
+        for (gxrow, gyrow) in gx.chunks_exact(*lanes).zip(gy.chunks_exact(*lanes)) {
+            simd::tensor_row(gxrow, gyrow, xx, xy, yy);
+            for ((a, b), c) in xx.iter().zip(xy.iter()).zip(yy.iter()).take(*side) {
+                gxx += a;
+                gxy += b;
+                gyy += c;
+            }
+        }
+        (gxx, gxy, gyy)
+    }
+
+    /// The Newton right-hand side `(bx, by)` for the window displaced by
+    /// `d` in the next frame `img`: `sum (prev - next) * g` over the used
+    /// taps in row-major order.
+    fn mismatch(&mut self, img: &GrayImage, cy: f32, d: Vec2, r: i32) -> (f32, f32) {
+        let (mut bx, mut by) = (0.0f32, 0.0f32);
+        self.for_each_displaced_row(img, cy, d, r, |[prev, cur, gx, gy], [ex, ey, _], side| {
+            simd::mismatch_row(prev, cur, gx, gy, ex, ey);
+            for (x, y) in ex.iter().zip(ey.iter()).take(side) {
+                bx += x;
+                by += y;
+            }
+        });
+        (bx, by)
+    }
+
+    /// `sum |prev - next|` over the used taps of the window displaced by
+    /// `d` in the next frame `img`, in row-major order.
+    fn residual(&mut self, img: &GrayImage, cy: f32, d: Vec2, r: i32) -> f32 {
+        let mut res = 0.0f32;
+        self.for_each_displaced_row(img, cy, d, r, |[prev, cur, _, _], [diff, _, _], side| {
+            simd::abs_diff_row(prev, cur, diff);
+            for x in diff.iter().take(side) {
+                res += x;
+            }
+        });
+        res
+    }
+
+    /// Samples the window displaced by `d` in the next frame `img` one row
+    /// at a time into `cur`, and hands `row` each row's `[prev, cur, gx,
+    /// gy]` samples (`lanes` wide), the summand scratch rows and the used
+    /// tap count, top to bottom. The displaced tap columns are computed
+    /// once (`qx0`/`qtx`), and a row is fetched through one padded span
+    /// fill when its taps stay a contiguous interior run, else tap by tap
+    /// (used taps only).
+    fn for_each_displaced_row(
+        &mut self,
+        img: &GrayImage,
+        cy: f32,
+        d: Vec2,
+        r: i32,
+        mut row: impl FnMut([&[f32]; 4], &mut [Vec<f32>; 3], usize),
+    ) {
+        let Self {
+            side,
+            lanes,
+            prev,
+            gx,
+            gy,
+            cur,
+            terms,
+            px,
+            qx0,
+            qtx,
+            ..
+        } = self;
+        let (side, lanes) = (*side, *lanes);
+        for ((q0, qt), &x) in qx0.iter_mut().zip(qtx.iter_mut()).zip(px.iter()) {
+            let qx = x + d.x;
             let xf = qx.floor();
-            self.qx0.push(xf as i64);
-            self.qtx.push(qx - xf);
+            *q0 = xf as i64;
+            *qt = qx - xf;
+        }
+        let padded = simd::contiguous_start(qx0, img.width() as usize);
+        let rows = prev
+            .chunks_exact(lanes)
+            .zip(gx.chunks_exact(lanes))
+            .zip(gy.chunks_exact(lanes));
+        for (wy, ((prow, gxrow), gyrow)) in (-r..=r).zip(rows) {
+            let qy = (cy + wy as f32) + d.y;
+            let (y0, ty, inside) = row_taps(qy, img.height());
+            let spans = padded.filter(|_| inside).and_then(|s| {
+                let rows = (img.row(y0 as u32), img.row(y0 as u32 + 1));
+                fill_span(simd::bilinear_span_u8, rows, s, qtx, ty, cur)
+            });
+            if spans.is_none() {
+                for (c, &x) in cur.iter_mut().zip(px.iter()).take(side) {
+                    *c = img.sample_fast(x + d.x, qy);
+                }
+            }
+            row([prow, cur, gxrow, gyrow], terms, side);
         }
     }
 }
@@ -382,8 +630,8 @@ impl PyramidalLk {
         let ranges = crate::parallel::band_ranges(points.len(), bands);
         let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
             let mut cache = WindowCache::default();
-            points[s..e]
-                .iter()
+            let band = points.get(s..e).unwrap_or_default();
+            band.iter()
                 .map(|&p| self.track_one(prev, next, grads, levels, p, &mut cache))
                 .collect::<Vec<_>>()
         });
@@ -445,11 +693,12 @@ impl PyramidalLk {
         let mut final_residual = f32::MAX;
 
         for (level, prev_img) in prev.iter_coarse_to_fine() {
-            if level >= levels {
+            // `grads` has one field per level of `prev`, and `levels` is at
+            // most that many.
+            let Some(grad) = grads.get(level).filter(|_| level < levels) else {
                 continue;
-            }
+            };
             let next_img = next.level(level);
-            let grad = grads[level].field();
             let scale = 1.0 / (1 << level) as f32;
             let pl = Point2::new(point.x * scale, point.y * scale);
 
@@ -464,70 +713,11 @@ impl PyramidalLk {
 
             // One pass over the window: capture the previous-frame intensity
             // and gradient samples (constant across iterations at this
-            // level), row by row through the vectorized span fills, then
-            // accumulate the structure tensor over the flat buffers in the
-            // same tap order as the baseline's interleaved loop.
-            let side = (2 * r + 1) as usize;
-            let w_img = prev_img.width() as usize;
-            let h_img = prev_img.height() as i64;
-            cache.begin_level(side, r, pl.x);
-            for wy in -r..=r {
-                let py = pl.y + wy as f32;
-                let yf = py.floor();
-                let y0 = yf as i64;
-                let ty = py - yf;
-                let base = cache.prev.len();
-                cache.prev.resize(base + side, 0.0);
-                cache.gx.resize(base + side, 0.0);
-                cache.gy.resize(base + side, 0.0);
-                let span = if y0 >= 0 && y0 + 1 < h_img {
-                    simd::contiguous_start(&cache.x0, w_img)
-                } else {
-                    None
-                };
-                match span {
-                    Some(s) => {
-                        let (ya, yb) = (y0 as u32, y0 as u32 + 1);
-                        simd::bilinear_span_u8(
-                            &prev_img.row(ya)[s..s + side + 1],
-                            &prev_img.row(yb)[s..s + side + 1],
-                            &cache.tx,
-                            ty,
-                            &mut cache.prev[base..base + side],
-                        );
-                        simd::bilinear_span_f32(
-                            &grad.gx_row(ya)[s..s + side + 1],
-                            &grad.gx_row(yb)[s..s + side + 1],
-                            &cache.tx,
-                            ty,
-                            &mut cache.gx[base..base + side],
-                        );
-                        simd::bilinear_span_f32(
-                            &grad.gy_row(ya)[s..s + side + 1],
-                            &grad.gy_row(yb)[s..s + side + 1],
-                            &cache.tx,
-                            ty,
-                            &mut cache.gy[base..base + side],
-                        );
-                    }
-                    None => {
-                        for k in 0..side {
-                            let px = cache.px[k];
-                            cache.gx[base + k] = grad.sample_gx_fast(px, py);
-                            cache.gy[base + k] = grad.sample_gy_fast(px, py);
-                            cache.prev[base + k] = prev_img.sample_fast(px, py);
-                        }
-                    }
-                }
-            }
-            let mut gxx = 0.0f32;
-            let mut gxy = 0.0f32;
-            let mut gyy = 0.0f32;
-            for (gx, gy) in cache.gx.iter().zip(&cache.gy) {
-                gxx += gx * gx;
-                gxy += gx * gy;
-                gyy += gy * gy;
-            }
+            // level), then accumulate the structure tensor in the same tap
+            // order as the baseline's interleaved loop.
+            cache.begin_level(r, pl.x);
+            cache.sample_prev(prev_img, grad.field(), pl.y, r);
+            let (gxx, gxy, gyy) = cache.structure_tensor();
             let trace_half = (gxx + gyy) / 2.0;
             let det_term = (((gxx - gyy) / 2.0).powi(2) + gxy * gxy).sqrt();
             let min_eig = (trace_half - det_term) / win_pixels;
@@ -542,12 +732,6 @@ impl PyramidalLk {
             }
 
             // Newton iterations: only the next-frame window is resampled.
-            // The displaced window's x-taps are the same on every row, so
-            // their floors/fractions are computed once per iteration
-            // (`displace`), and each row is fetched through one vectorized
-            // bilinear span when the taps stay a contiguous interior run.
-            let nw_img = next_img.width() as usize;
-            let nh_img = next_img.height() as i64;
             let mut iterations = 0u64;
             for _ in 0..self.params.max_iterations {
                 let target = pl + d;
@@ -556,40 +740,7 @@ impl PyramidalLk {
                     break;
                 }
                 iterations += 1;
-                cache.displace(d.x);
-                let qspan = simd::contiguous_start(&cache.qx0, nw_img);
-                let mut bx = 0.0f32;
-                let mut by = 0.0f32;
-                let mut i = 0usize;
-                for wy in -r..=r {
-                    let py = pl.y + wy as f32;
-                    let qy = py + d.y;
-                    let yf = qy.floor();
-                    let y0 = yf as i64;
-                    let ty = qy - yf;
-                    if let (Some(s), true) = (qspan, y0 >= 0 && y0 + 1 < nh_img) {
-                        simd::bilinear_span_u8(
-                            &next_img.row(y0 as u32)[s..s + side + 1],
-                            &next_img.row(y0 as u32 + 1)[s..s + side + 1],
-                            &cache.qtx,
-                            ty,
-                            &mut cache.cur,
-                        );
-                        for k in 0..side {
-                            let diff = cache.prev[i] - cache.cur[k];
-                            bx += diff * cache.gx[i];
-                            by += diff * cache.gy[i];
-                            i += 1;
-                        }
-                    } else {
-                        for k in 0..side {
-                            let diff = cache.prev[i] - next_img.sample_fast(cache.px[k] + d.x, qy);
-                            bx += diff * cache.gx[i];
-                            by += diff * cache.gy[i];
-                            i += 1;
-                        }
-                    }
-                }
+                let (bx, by) = cache.mismatch(next_img, pl.y, d, r);
                 let step = Vec2::new((gyy * bx - gxy * by) / det, (gxx * by - gxy * bx) / det);
                 d += step;
                 if step.norm() < self.params.epsilon {
@@ -602,45 +753,14 @@ impl PyramidalLk {
             }
 
             if level == 0 {
-                // Final residual check at full resolution, same span
-                // structure as the Newton rows.
+                // Final residual check at full resolution, over the same
+                // displaced rows as the Newton steps.
                 let target = pl + d;
                 let next0 = next.level(0);
                 if !next0.in_bounds_with_margin(target.x, target.y, (r + 1) as f32) {
                     lost = true;
                 } else {
-                    cache.displace(d.x);
-                    let qspan = simd::contiguous_start(&cache.qx0, next0.width() as usize);
-                    let nh0 = next0.height() as i64;
-                    let mut res = 0.0f32;
-                    let mut i = 0usize;
-                    for wy in -r..=r {
-                        let py = pl.y + wy as f32;
-                        let qy = py + d.y;
-                        let yf = qy.floor();
-                        let y0 = yf as i64;
-                        let ty = qy - yf;
-                        if let (Some(s), true) = (qspan, y0 >= 0 && y0 + 1 < nh0) {
-                            simd::bilinear_span_u8(
-                                &next0.row(y0 as u32)[s..s + side + 1],
-                                &next0.row(y0 as u32 + 1)[s..s + side + 1],
-                                &cache.qtx,
-                                ty,
-                                &mut cache.cur,
-                            );
-                            for k in 0..side {
-                                res += (cache.prev[i] - cache.cur[k]).abs();
-                                i += 1;
-                            }
-                        } else {
-                            for k in 0..side {
-                                res += (cache.prev[i] - next0.sample_fast(cache.px[k] + d.x, qy))
-                                    .abs();
-                                i += 1;
-                            }
-                        }
-                    }
-                    final_residual = res / win_pixels;
+                    final_residual = cache.residual(next0, pl.y, d, r) / win_pixels;
                     if final_residual > self.params.max_residual {
                         lost = true;
                     }
@@ -924,9 +1044,39 @@ mod tests {
         })
         .is_err());
         // Errors render something human-readable.
+        assert!(LkParamsError::WindowRadiusTooLarge
+            .to_string()
+            .contains("2047"));
         assert!(LkParamsError::ZeroPyramidLevels
             .to_string()
             .contains("pyramid"));
+    }
+
+    #[test]
+    fn window_radius_is_bounded_so_lk_cannot_overflow() {
+        let with_radius = |window_radius| LkParams {
+            window_radius,
+            ..Default::default()
+        };
+        let max = LkParams::MAX_WINDOW_RADIUS;
+        assert!(with_radius(max).validated().is_ok());
+        for radius in [max + 1, 100_000, u32::MAX] {
+            assert_eq!(
+                with_radius(radius).validated(),
+                Err(LkParamsError::WindowRadiusTooLarge),
+                "radius {radius}"
+            );
+            assert!(PyramidalLk::try_new(with_radius(radius)).is_err());
+        }
+        // The largest window's tap count is exact in f32.
+        let side = 2 * max as i32 + 1;
+        assert_eq!((side * side) as f32 as i32, side * side);
+        // A valid radius wider than the image tracks nothing and panics
+        // nowhere.
+        let img = textured(64, 64);
+        let lk = PyramidalLk::try_new(with_radius(40)).expect("valid radius");
+        let res = lk.track(&img, &img, &[Point2::new(32.0, 32.0)]);
+        assert!(!res[0].found);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Spatial-gradient and smoothing kernels.
 //!
-//! Provides Scharr gradients (the derivative filter both the Shi-Tomasi
-//! corner response and the Lucas-Kanade normal equations are built from) and
-//! a separable Gaussian blur used when constructing image pyramids.
+//! Provides Scharr gradients, the derivative filter both the Shi-Tomasi
+//! corner response and the Lucas-Kanade normal equations are built from.
+//! (The pyramid's Gaussian blur lives with the level kernel,
+//! [`crate::pyramid::blur_downsample_into`].)
 //!
 //! Gradients are computed on demand in tiles ([`TiledGradients`]), only
-//! where a reader asks for them. Both kernels run as **row-slice passes**
-//! through the [`crate::simd`] helpers and take their intermediate buffers
+//! where a reader asks for them. The kernel runs as **row-slice passes**
+//! through the [`crate::simd`] helpers and takes its intermediate buffers
 //! from a [`crate::scratch::ScratchPool`], so the per-frame hot path
 //! allocates nothing. All intermediate values are small integers, exactly
 //! representable in `f32`, and the final division is by a power of two, so
@@ -460,79 +461,6 @@ fn scharr_span(
     Some(())
 }
 
-/// Separable Gaussian blur with a 5-tap binomial kernel `[1 4 6 4 1] / 16`
-/// into a caller-provided output image of the same size, taking the
-/// intermediate plane from `pool`.
-///
-/// Used to pre-smooth images before pyramid downsampling so the
-/// Lucas-Kanade linearization holds at coarse levels. Both separable passes
-/// run on row slices in `u16` fixed point: the interior through
-/// [`simd::blur5_h_row`] / [`simd::blur5_v_row`], the four border columns
-/// with clamped addressing. The accumulator maxes at `16 * 255 = 4080`, so
-/// the bytes equal `reference::gaussian_blur_into_scalar`'s.
-///
-/// # Panics
-///
-/// Panics if `out` dimensions differ from `img`.
-// adavp-lint: allow(cast-truncation, item=gaussian_blur_into, bound=255) — widening u8 pixel reads into the u16 tap accumulator (max 16*255 = 4080)
-pub fn gaussian_blur_into(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
-    assert!(
-        out.width() == img.width() && out.height() == img.height(),
-        "blur output must match input dimensions"
-    );
-    const K: [u16; 5] = [1, 4, 6, 4, 1];
-    let w = img.width() as usize;
-    let h = img.height() as usize;
-    perf::record(|c| {
-        c.gaussian_blurs += 1;
-        c.fixed_point_rows += h as u64;
-    });
-    let data = img.as_bytes();
-
-    // Horizontal pass into a u16 plane (max 255 * 16 = 4080 < 65535, so
-    // the narrow accumulator is exact).
-    let mut tmp = pool.take_u16(w * h);
-    for y in 0..h {
-        let src = &data[y * w..(y + 1) * w];
-        let dst = &mut tmp[y * w..(y + 1) * w];
-        if w >= 5 {
-            // Borders (2 pixels each side) with clamped addressing.
-            for x in [0usize, 1, w - 2, w - 1] {
-                let mut acc = 0u16;
-                for (k, &kv) in K.iter().enumerate() {
-                    let sx = (x as i64 + k as i64 - 2).clamp(0, w as i64 - 1) as usize;
-                    acc += kv * src[sx] as u16;
-                }
-                dst[x] = acc / 16;
-            }
-            simd::blur5_h_row(src, &mut dst[2..w - 2]);
-        } else {
-            for (x, d) in dst.iter_mut().enumerate() {
-                let mut acc = 0u16;
-                for (k, &kv) in K.iter().enumerate() {
-                    let sx = (x as i64 + k as i64 - 2).clamp(0, w as i64 - 1) as usize;
-                    acc += kv * src[sx] as u16;
-                }
-                *d = acc / 16;
-            }
-        }
-    }
-
-    // Vertical pass over clamped row slices of the intermediate plane.
-    let out_bytes = out.as_mut_bytes();
-    for y in 0..h {
-        let yy = y as i64;
-        let row = |ry: i64| -> &[u16] {
-            let cy = ry.clamp(0, h as i64 - 1) as usize;
-            &tmp[cy * w..(cy + 1) * w]
-        };
-        let (r0, r1, r2, r3, r4) = (row(yy - 2), row(yy - 1), row(yy), row(yy + 1), row(yy + 2));
-        let dst = &mut out_bytes[y * w..(y + 1) * w];
-        simd::blur5_v_row(r0, r1, r2, r3, r4, dst);
-    }
-    pool.recycle_u16(tmp);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,12 +471,6 @@ mod tests {
         let whole = PixelRect::new(0, 0, img.width().into(), img.height().into());
         tiled.ensure(img, &[whole], &mut ScratchPool::new());
         tiled.field().clone()
-    }
-
-    fn blur(img: &GrayImage) -> GrayImage {
-        let mut out = GrayImage::new(img.width(), img.height());
-        gaussian_blur_into(img, &mut out, &mut ScratchPool::new());
-        out
     }
 
     #[test]
@@ -653,74 +575,5 @@ mod tests {
         let img = GrayImage::new(7, 5);
         let g = scharr(&img);
         assert_eq!((g.width(), g.height()), (7, 5));
-        let b = blur(&img);
-        assert_eq!((b.width(), b.height()), (7, 5));
-    }
-
-    #[test]
-    fn blur_preserves_flat_regions() {
-        let img = GrayImage::from_fn(10, 10, |_, _| 128);
-        let b = blur(&img);
-        for y in 0..10 {
-            for x in 0..10 {
-                assert!((b.get(x, y) as i32 - 128).abs() <= 1);
-            }
-        }
-    }
-
-    /// The original two-pass clamped-get blur, kept as the oracle.
-    fn blur_reference(img: &GrayImage) -> GrayImage {
-        const K: [u32; 5] = [1, 4, 6, 4, 1];
-        let w = img.width();
-        let h = img.height();
-        let mut tmp = vec![0u16; w as usize * h as usize];
-        for y in 0..h as i64 {
-            for x in 0..w as i64 {
-                let mut acc = 0u32;
-                for (k, &kv) in K.iter().enumerate() {
-                    acc += kv * img.get_clamped(x + k as i64 - 2, y) as u32;
-                }
-                tmp[y as usize * w as usize + x as usize] = (acc / 16) as u16;
-            }
-        }
-        let tmp_at = |x: i64, y: i64| -> u32 {
-            let cx = x.clamp(0, w as i64 - 1) as usize;
-            let cy = y.clamp(0, h as i64 - 1) as usize;
-            tmp[cy * w as usize + cx] as u32
-        };
-        let mut out = GrayImage::new(w, h);
-        for y in 0..h as i64 {
-            for x in 0..w as i64 {
-                let mut acc = 0u32;
-                for (k, &kv) in K.iter().enumerate() {
-                    acc += kv * tmp_at(x, y + k as i64 - 2);
-                }
-                out.set(x as u32, y as u32, (acc / 16).min(255) as u8);
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn slice_blur_matches_reference_exactly() {
-        for (w, h) in [(10u32, 10u32), (5, 5), (4, 7), (3, 3), (1, 6), (31, 9)] {
-            let img = GrayImage::from_fn(w, h, |x, y| {
-                (x.wrapping_mul(89) ^ y.wrapping_mul(53)).wrapping_add(13 * x) as u8
-            });
-            assert_eq!(blur(&img), blur_reference(&img), "blur mismatch at {w}x{h}");
-        }
-    }
-
-    #[test]
-    fn blur_smooths_impulse() {
-        let mut img = GrayImage::new(9, 9);
-        img.set(4, 4, 255);
-        let b = blur(&img);
-        // Impulse energy spreads: centre is reduced, neighbours nonzero.
-        assert!(b.get(4, 4) < 255);
-        assert!(b.get(3, 4) > 0);
-        assert!(b.get(4, 3) > 0);
-        // Far corner untouched.
-        assert_eq!(b.get(0, 0), 0);
     }
 }

@@ -222,57 +222,6 @@ impl GrayImage {
             && y < self.height as f32 - margin
     }
 
-    /// Half-resolution downsample with a 2x2 box filter (pyramid level
-    /// step) into a caller-provided image of size
-    /// `(width/2).max(1) x (height/2).max(1)`.
-    ///
-    /// Odd trailing rows/columns are dropped, matching the convention of
-    /// OpenCV's `pyrDown` sizing (`floor(n/2)` but never below 1). Interior
-    /// rows run through the vectorized `u16` [`crate::simd::box2_row`]
-    /// helper; the 2x2 sum maxes at `4 * 255 = 1020`, so the bytes equal
-    /// `reference::downsample_into_scalar`'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` has the wrong dimensions.
-    // adavp-lint: allow(cast-truncation, item=downsample_into, bound=255) — four u8 pixels widen to u32 (sum <= 1020); sum/4 <= 255 fits the u8 store
-    pub fn downsample_into(&self, out: &mut GrayImage) {
-        let nw = (self.width / 2).max(1);
-        let nh = (self.height / 2).max(1);
-        assert!(
-            out.width == nw && out.height == nh,
-            "downsample output must be {nw}x{nh}"
-        );
-        crate::perf::record(|c| c.downsamples += 1);
-        if self.width >= 2 && self.height >= 2 {
-            // Interior fast path: source indices 2x, 2x+1, 2y, 2y+1 are
-            // always in bounds, so work on raw row slices.
-            let w = self.width as usize;
-            crate::perf::record(|c| c.fixed_point_rows += nh as u64);
-            for y in 0..nh as usize {
-                let r0 = &self.data[2 * y * w..2 * y * w + w];
-                let r1 = &self.data[(2 * y + 1) * w..(2 * y + 1) * w + w];
-                let dst = &mut out.data[y * nw as usize..(y + 1) * nw as usize];
-                crate::simd::box2_row(r0, r1, dst);
-            }
-        } else {
-            // Degenerate 1-pixel-wide/tall images: replicate-border path.
-            for y in 0..nh {
-                for x in 0..nw {
-                    let sx = (x * 2).min(self.width - 1);
-                    let sy = (y * 2).min(self.height - 1);
-                    let sx1 = (sx + 1).min(self.width - 1);
-                    let sy1 = (sy + 1).min(self.height - 1);
-                    let sum = self.get(sx, sy) as u32
-                        + self.get(sx1, sy) as u32
-                        + self.get(sx, sy1) as u32
-                        + self.get(sx1, sy1) as u32;
-                    out.set(x, y, (sum / 4) as u8);
-                }
-            }
-        }
-    }
-
     /// Mean intensity of the image, in `[0, 255]`.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -351,31 +300,6 @@ mod tests {
         assert!(img.in_bounds_with_margin(5.0, 5.0, 2.0));
         assert!(!img.in_bounds_with_margin(1.0, 5.0, 2.0));
         assert!(!img.in_bounds_with_margin(5.0, 8.5, 2.0));
-    }
-
-    fn downsample(img: &GrayImage) -> GrayImage {
-        let mut out = GrayImage::new((img.width() / 2).max(1), (img.height() / 2).max(1));
-        img.downsample_into(&mut out);
-        out
-    }
-
-    #[test]
-    fn downsample_halves_dimensions() {
-        let img = GrayImage::from_fn(8, 6, |_, _| 100);
-        let d = downsample(&img);
-        assert_eq!((d.width(), d.height()), (4, 3));
-        assert!(d.as_bytes().iter().all(|&v| v == 100));
-
-        // 1x1 stays 1x1.
-        let tiny = downsample(&GrayImage::new(1, 1));
-        assert_eq!((tiny.width(), tiny.height()), (1, 1));
-    }
-
-    #[test]
-    fn downsample_averages() {
-        let img = GrayImage::from_fn(2, 2, |x, y| ((x + y * 2) * 40) as u8);
-        let d = downsample(&img);
-        assert_eq!(d.get(0, 0), ((40 + 80 + 120) / 4) as u8);
     }
 
     #[test]

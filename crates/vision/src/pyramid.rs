@@ -6,8 +6,16 @@
 //! motions shrink to sub-pixel displacements, and refines the estimate down
 //! to level 0.
 //!
-//! Two hot-path services live here beyond plain construction:
+//! Three hot-path services live here beyond plain construction:
 //!
+//! * **Row-streamed levels** — each derived level comes from one kernel,
+//!   [`blur_downsample_into`]. It blurs every source row horizontally once
+//!   into a six-row ring of `u16` rows, then blurs vertically only the two
+//!   rows each output row reads and box-downsamples them in the same pass.
+//!   No full-size intermediate plane or blurred image exists. The integer
+//!   operations are those of the two-pass oracles
+//!   (`reference::gaussian_blur_into_scalar` then
+//!   `reference::downsample_into_scalar`), so the bytes are identical.
 //! * **Buffer reuse** — [`Pyramid::build_with`] takes every pixel and
 //!   intermediate buffer from a [`ScratchPool`], and [`Pyramid::recycle`]
 //!   returns them, so a tracker that builds one pyramid per frame reaches a
@@ -25,10 +33,11 @@
 //!   no tile is computed twice for one pyramid.
 
 use crate::geometry::PixelRect;
-use crate::gradient::{gaussian_blur_into, TiledGradients};
+use crate::gradient::TiledGradients;
 use crate::image::GrayImage;
 use crate::perf;
 use crate::scratch::ScratchPool;
+use crate::simd;
 
 /// A Gaussian image pyramid (level 0 = full resolution), with
 /// demand-driven Scharr gradients per level.
@@ -65,9 +74,9 @@ impl Pyramid {
         Self::build_with(base, max_levels, &mut ScratchPool::new())
     }
 
-    /// Builds a pyramid taking every buffer (levels, blur intermediates)
-    /// from `pool`. Recycle retired pyramids with [`Pyramid::recycle`] to
-    /// make steady-state construction allocation-free.
+    /// Builds a pyramid taking every buffer (levels, row rings) from
+    /// `pool`. Recycle retired pyramids with [`Pyramid::recycle`] to make
+    /// steady-state construction allocation-free.
     pub fn build_with(base: &GrayImage, max_levels: u32, pool: &mut ScratchPool) -> Self {
         let _timer = perf::ScopedTimer::new(|c| &mut c.pyramid_ns);
         perf::record(|c| c.pyramid_builds += 1);
@@ -81,13 +90,8 @@ impl Pyramid {
             if w / 2 < Self::MIN_SIDE || h / 2 < Self::MIN_SIDE {
                 break;
             }
-            // The blurred image is only an input to the downsample; its
-            // buffer goes straight back to the pool for the next level.
-            let mut smooth = pool.take_image(w, h);
-            gaussian_blur_into(last, &mut smooth, pool);
-            let mut next = pool.take_image((w / 2).max(1), (h / 2).max(1));
-            smooth.downsample_into(&mut next);
-            pool.recycle_image(smooth);
+            let mut next = pool.take_image(w / 2, h / 2);
+            blur_downsample_into(last, &mut next, pool);
             levels.push(next);
         }
         let grads = levels.iter().map(|_| TiledGradients::new()).collect();
@@ -148,6 +152,146 @@ impl Pyramid {
     }
 }
 
+/// Source rows of horizontal blur [`blur_downsample_into`] keeps: the two
+/// blurred rows under output row `y` read source rows `2y - 2 ..= 2y + 3`.
+const RING_ROWS: usize = 6;
+
+/// One pyramid step: the 5-tap binomial blur `[1 4 6 4 1] / 16` of `src`
+/// (replicated borders), 2x2 box-downsampled into `out`, which must be
+/// `(width / 2).max(1) x (height / 2).max(1)`.
+///
+/// Row-streamed: each source row is blurred horizontally once, into a ring
+/// of six `u16` rows, and only the two blurred rows each output row reads
+/// are blurred vertically, then box-filtered in the same pass (odd
+/// trailing rows and columns are dropped, and a 1-pixel-wide or -tall
+/// source replicates its border, as OpenCV's `pyrDown` sizing does). Every
+/// value is the integer the two-pass oracles compute
+/// (`reference::gaussian_blur_into_scalar`, then
+/// `reference::downsample_into_scalar`), so the bytes are identical. The
+/// counters are those of the two-pass build this kernel replaced: one blur
+/// and `height` fixed-point rows, even though the last row of an
+/// odd-height source is never blurred vertically, then one downsample and
+/// its output rows (unless a side is 1 pixel). The ring and the two
+/// blurred rows come from `pool`.
+///
+/// # Panics
+///
+/// Panics if `out` has the wrong dimensions.
+///
+/// # Example
+///
+/// ```
+/// use adavp_vision::image::GrayImage;
+/// use adavp_vision::pyramid::blur_downsample_into;
+/// use adavp_vision::scratch::ScratchPool;
+/// let flat = GrayImage::from_fn(9, 7, |_, _| 90);
+/// let mut half = GrayImage::new(4, 3);
+/// blur_downsample_into(&flat, &mut half, &mut ScratchPool::new());
+/// assert!(half.as_bytes().iter().all(|&v| v == 90));
+/// ```
+pub fn blur_downsample_into(src: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
+    let (w, h) = (src.width() as usize, src.height() as usize);
+    let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
+    assert!(
+        (out.width() as usize, out.height() as usize) == (nw, nh),
+        "blur_downsample output must be {nw}x{nh}"
+    );
+    perf::record(|c| {
+        c.gaussian_blurs += 1;
+        c.downsamples += 1;
+        c.fixed_point_rows += h as u64;
+        if w >= 2 && h >= 2 {
+            c.fixed_point_rows += nh as u64;
+        }
+    });
+    if w == 0 || h == 0 {
+        return;
+    }
+    let mut rows = pool.take_image(src.width(), 2);
+    let mut ring = pool.take_u16(RING_ROWS * w);
+    let streamed = stream_level(src, out, rows.as_mut_bytes(), &mut ring);
+    debug_assert!(streamed.is_some(), "level buffers are sized above");
+    pool.recycle_u16(ring);
+    pool.recycle_image(rows);
+}
+
+/// The body of [`blur_downsample_into`] over its buffers: `rows` holds two
+/// source rows of bytes and `ring` [`RING_ROWS`] rows of `u16`. Returns
+/// `None` only if a buffer is too short.
+fn stream_level(
+    src: &GrayImage,
+    out: &mut GrayImage,
+    rows: &mut [u8],
+    ring: &mut [u16],
+) -> Option<()> {
+    let (w, h) = (src.width() as usize, src.height() as usize);
+    let nw = out.width() as usize;
+    let data = src.as_bytes();
+    let slot = |y: usize| (y % RING_ROWS) * w..(y % RING_ROWS + 1) * w;
+    let (b0, b1) = rows.get_mut(..2 * w)?.split_at_mut(w);
+    // Per output row: blur horizontally the source rows not in the ring
+    // yet (`ready` is the next one), blur rows `sy` and `sy1` vertically
+    // into `b0`/`b1`, and box-filter them into the output row.
+    let mut ready = 0;
+    for (oy, dst) in out.as_mut_bytes().chunks_exact_mut(nw).enumerate() {
+        let sy = (2 * oy).min(h - 1);
+        let sy1 = (sy + 1).min(h - 1);
+        while ready <= (sy1 + 2).min(h - 1) {
+            blur5_h(
+                data.get(ready * w..(ready + 1) * w)?,
+                ring.get_mut(slot(ready))?,
+            )?;
+            ready += 1;
+        }
+        for (y, b) in [(sy, &mut *b0), (sy1, &mut *b1)] {
+            let at = |dy: usize| ring.get(slot(dy.min(h - 1)));
+            simd::blur5_v_row(
+                at(y.saturating_sub(2))?,
+                at(y.saturating_sub(1))?,
+                at(y)?,
+                at(y + 1)?,
+                at(y + 2)?,
+                b,
+            );
+        }
+        if w >= 2 {
+            simd::box2_row(b0, b1, dst);
+        } else {
+            // One column: the box's right taps replicate the left ones.
+            let (p, q) = (*b0.first()?, *b1.first()?);
+            simd::box2_row(&[p, p], &[q, q], dst);
+        }
+    }
+    Some(())
+}
+
+/// Horizontal `[1 4 6 4 1] / 16` blur of one row into `dst` (same
+/// length): the interior through [`simd::blur5_h_row`], the two columns at
+/// each border with replicated taps.
+fn blur5_h(src: &[u8], dst: &mut [u16]) -> Option<()> {
+    let w = src.len();
+    let tap = |x: usize| src.get(x.min(w - 1)).copied().map(u16::from);
+    let clamped = |x: usize| -> Option<u16> {
+        let acc = tap(x.saturating_sub(2))?
+            + 4 * tap(x.saturating_sub(1))?
+            + 6 * tap(x)?
+            + 4 * tap(x + 1)?
+            + tap(x + 2)?;
+        Some(acc / 16)
+    };
+    if w >= 5 {
+        simd::blur5_h_row(src, dst.get_mut(2..w - 2)?);
+        for x in [0, 1, w - 2, w - 1] {
+            *dst.get_mut(x)? = clamped(x)?;
+        }
+    } else {
+        for (x, d) in dst.iter_mut().enumerate() {
+            *d = clamped(x)?;
+        }
+    }
+    Some(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +339,37 @@ mod tests {
             let w = im.width();
             assert!(im.get(w / 8, im.height() / 2) > im.get(w - 1 - w / 8, im.height() / 2));
         }
+    }
+
+    fn level_of(img: &GrayImage) -> GrayImage {
+        let mut out = GrayImage::new((img.width() / 2).max(1), (img.height() / 2).max(1));
+        blur_downsample_into(img, &mut out, &mut ScratchPool::new());
+        out
+    }
+
+    #[test]
+    fn level_kernel_halves_and_keeps_flat_regions() {
+        let flat = level_of(&GrayImage::from_fn(10, 10, |_, _| 128));
+        assert_eq!((flat.width(), flat.height()), (5, 5));
+        assert!(flat.as_bytes().iter().all(|&v| v == 128));
+        let odd = level_of(&GrayImage::from_fn(8, 7, |_, _| 100));
+        assert_eq!((odd.width(), odd.height()), (4, 3));
+        assert!(odd.as_bytes().iter().all(|&v| v == 100));
+        // 1x1 stays 1x1.
+        let tiny = level_of(&GrayImage::from_fn(1, 1, |_, _| 9));
+        assert_eq!(tiny.as_bytes(), &[9]);
+    }
+
+    #[test]
+    fn level_kernel_spreads_an_impulse() {
+        let mut img = GrayImage::new(18, 18);
+        img.set(8, 8, 255);
+        let half = level_of(&img);
+        // The impulse's energy spreads: the centre is reduced, neighbours
+        // are lit, and the far corner is untouched.
+        assert!(half.get(4, 4) > 0 && half.get(4, 4) < 255);
+        assert!(half.get(3, 4) > 0 && half.get(4, 3) > 0);
+        assert_eq!(half.get(0, 0), 0);
     }
 
     #[test]

@@ -22,8 +22,9 @@ use crate::perf;
 use crate::pyramid::Pyramid;
 use crate::scratch::ScratchPool;
 
-/// [`crate::gradient::gaussian_blur_into`] with `u32` accumulators and
-/// plain per-pixel loops; produces identical bytes.
+/// The 5-tap binomial blur `[1 4 6 4 1] / 16` of the whole image, in two
+/// separable passes with `u32` accumulators and plain per-pixel loops: the
+/// blur half of [`blur_downsample_into_scalar`].
 ///
 /// # Panics
 ///
@@ -97,8 +98,10 @@ pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mu
     pool.recycle_u16(tmp);
 }
 
-/// [`GrayImage::downsample_into`] with per-pixel `u32` arithmetic;
-/// produces identical bytes.
+/// The 2x2 box downsample of the whole image into
+/// `(width / 2).max(1) x (height / 2).max(1)`, with per-pixel `u32`
+/// arithmetic and replicated borders for 1-pixel-wide or -tall images: the
+/// downsample half of [`blur_downsample_into_scalar`].
 ///
 /// # Panics
 ///
@@ -143,6 +146,20 @@ pub fn downsample_into_scalar(img: &GrayImage, out: &mut GrayImage) {
             }
         }
     }
+}
+
+/// [`crate::pyramid::blur_downsample_into`] as its two oracles composed:
+/// [`gaussian_blur_into_scalar`] into a whole blurred image from `pool`,
+/// then [`downsample_into_scalar`]. Produces identical bytes.
+///
+/// # Panics
+///
+/// Panics if `out` has the wrong dimensions.
+pub fn blur_downsample_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
+    let mut blurred = pool.take_image(img.width(), img.height());
+    gaussian_blur_into_scalar(img, &mut blurred, pool);
+    downsample_into_scalar(&blurred, out);
+    pool.recycle_image(blurred);
 }
 
 /// Scharr derivatives of the whole of `img` (normalized by 1/32, replicate
@@ -493,7 +510,7 @@ pub fn good_features_from_gradients_reference(
 mod tests {
     use super::*;
     use crate::features::good_features_in_boxes;
-    use crate::gradient::gaussian_blur_into;
+    use crate::pyramid::blur_downsample_into;
 
     fn pattern(w: u32, h: u32, a: u32, b: u32, c: u32) -> GrayImage {
         GrayImage::from_fn(w, h, |x, y| {
@@ -502,39 +519,39 @@ mod tests {
     }
 
     #[test]
-    fn blur_matches_scalar_oracle_bytes() {
-        for (w, h) in [(10u32, 10u32), (5, 5), (4, 7), (3, 3), (1, 6), (31, 9)] {
-            let img = pattern(w, h, 89, 53, 13);
-            let mut pool = ScratchPool::new();
-            let mut fast = GrayImage::new(w, h);
-            gaussian_blur_into(&img, &mut fast, &mut pool);
-            let mut scalar = GrayImage::new(w, h);
-            gaussian_blur_into_scalar(&img, &mut scalar, &mut pool);
-            assert_eq!(fast, scalar, "blur bytes diverged at {w}x{h}");
+    fn streamed_level_matches_composed_oracles() {
+        // The blur oracle's shapes, then the downsample oracle's.
+        let shapes = [(10u32, 10u32), (5, 5), (4, 7), (3, 3), (1, 6), (31, 9)]
+            .into_iter()
+            .map(|s| (s, (89, 53, 13)))
+            .chain(
+                [(8, 6), (9, 7), (2, 2), (1, 5), (5, 1), (33, 17)]
+                    .into_iter()
+                    .map(|s| (s, (67, 29, 1))),
+            );
+        let mut pool = ScratchPool::new();
+        for ((w, h), (a, b, c)) in shapes {
+            let img = pattern(w, h, a, b, c);
+            let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
+            let mut fast = GrayImage::new(nw, nh);
+            blur_downsample_into(&img, &mut fast, &mut pool);
+            let mut scalar = GrayImage::new(nw, nh);
+            blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
+            assert_eq!(fast, scalar, "level bytes diverged at {w}x{h}");
         }
-        // Saturating content: all-255 image must survive the u16 path.
+        // Saturating content survives both u16 stages.
         let max = GrayImage::from_fn(9, 9, |_, _| 255);
-        let mut fast = GrayImage::new(9, 9);
-        gaussian_blur_into(&max, &mut fast, &mut ScratchPool::new());
+        let mut fast = GrayImage::new(4, 4);
+        blur_downsample_into(&max, &mut fast, &mut pool);
         assert!(fast.as_bytes().iter().all(|&v| v == 255));
     }
 
     #[test]
-    fn downsample_matches_scalar_oracle_bytes() {
-        for (w, h) in [(8u32, 6u32), (9, 7), (2, 2), (1, 5), (5, 1), (33, 17)] {
-            let img = pattern(w, h, 67, 29, 1);
-            let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
-            let mut fast = GrayImage::new(nw, nh);
-            img.downsample_into(&mut fast);
-            let mut scalar = GrayImage::new(nw, nh);
-            downsample_into_scalar(&img, &mut scalar);
-            assert_eq!(fast, scalar, "downsample bytes diverged at {w}x{h}");
-        }
-        // Saturating content survives the u16 accumulator.
-        let max = GrayImage::from_fn(6, 6, |_, _| 255);
-        let mut out = GrayImage::new(3, 3);
-        max.downsample_into(&mut out);
-        assert!(out.as_bytes().iter().all(|&v| v == 255));
+    fn downsample_oracle_averages_each_2x2_block() {
+        let img = GrayImage::from_fn(2, 2, |x, y| ((x + y * 2) * 40) as u8);
+        let mut out = GrayImage::new(1, 1);
+        downsample_into_scalar(&img, &mut out);
+        assert_eq!(out.get(0, 0), ((40 + 80 + 120) / 4) as u8);
     }
 
     #[test]

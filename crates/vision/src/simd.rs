@@ -33,9 +33,12 @@
 //!   65535` for the 5-tap and `[3 10 3]` kernels, `4 * 255 = 1020` for the
 //!   box filter), so they equal the wider scalar arithmetic exactly.
 //! * `f32` helpers ([`bilinear_span_u8`], [`bilinear_span_f32`],
-//!   [`diff_norm_row`]) replicate the per-element expression of their
-//!   scalar counterparts token for token; lanes are independent pixels, so
-//!   per-lane operation order is unchanged.
+//!   [`diff_norm_row`], and the Lucas-Kanade summand rows [`mismatch_row`],
+//!   [`abs_diff_row`], [`tensor_row`]) replicate the per-element expression
+//!   of their scalar counterparts token for token; lanes are independent
+//!   pixels, so per-lane operation order is unchanged. The summand rows
+//!   only compute products; the caller adds them up in tap order, so no
+//!   reduction is ever reassociated.
 
 #[inline(always)]
 fn bilinear(p00: f32, p10: f32, p01: f32, p11: f32, tx: f32, ty: f32) -> f32 {
@@ -55,6 +58,7 @@ fn bilinear(p00: f32, p10: f32, p01: f32, p11: f32, tx: f32, ty: f32) -> f32 {
 ///
 /// Panics unless `r0.len() == r1.len() == out.len() + 1` and
 /// `tx.len() == out.len()`.
+#[inline]
 pub fn bilinear_span_u8(r0: &[u8], r1: &[u8], tx: &[f32], ty: f32, out: &mut [f32]) {
     let n = out.len();
     assert!(r0.len() == n + 1 && r1.len() == n + 1 && tx.len() == n);
@@ -81,6 +85,7 @@ pub fn bilinear_span_u8(r0: &[u8], r1: &[u8], tx: &[f32], ty: f32, out: &mut [f3
 ///
 /// Panics unless `r0.len() == r1.len() == out.len() + 1` and
 /// `tx.len() == out.len()`.
+#[inline]
 pub fn bilinear_span_f32(r0: &[f32], r1: &[f32], tx: &[f32], ty: f32, out: &mut [f32]) {
     let n = out.len();
     assert!(r0.len() == n + 1 && r1.len() == n + 1 && tx.len() == n);
@@ -89,6 +94,64 @@ pub fn bilinear_span_f32(r0: &[f32], r1: &[f32], tx: &[f32], ty: f32, out: &mut 
     let tx = &tx[..n];
     for k in 0..n {
         out[k] = bilinear(a0[k], a1[k], b0[k], b1[k], tx[k], ty);
+    }
+}
+
+/// The Lucas-Kanade Newton summands of one window row:
+/// `ex[k] = (prev[k] - cur[k]) * gx[k]` and `ey[k] = (prev[k] - cur[k]) *
+/// gy[k]`, each rounded exactly as the scalar `diff * g` (no fused
+/// multiply-add), so summing them in tap order reproduces the scalar loop.
+///
+/// # Panics
+///
+/// Panics unless all six rows share a length.
+#[inline]
+pub fn mismatch_row(
+    prev: &[f32],
+    cur: &[f32],
+    gx: &[f32],
+    gy: &[f32],
+    ex: &mut [f32],
+    ey: &mut [f32],
+) {
+    let n = ex.len();
+    assert!(prev.len() == n && cur.len() == n && gx.len() == n && gy.len() == n && ey.len() == n);
+    let taps = prev.iter().zip(cur).zip(gx).zip(gy);
+    for ((ex, ey), (((p, c), gx), gy)) in ex.iter_mut().zip(ey.iter_mut()).zip(taps) {
+        let diff = p - c;
+        *ex = diff * gx;
+        *ey = diff * gy;
+    }
+}
+
+/// `out[k] = |a[k] - b[k]|`: the residual summands of one window row.
+///
+/// # Panics
+///
+/// Panics unless `a`, `b` and `out` share a length.
+#[inline]
+pub fn abs_diff_row(a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(a.len() == out.len() && b.len() == out.len());
+    for (o, (a, b)) in out.iter_mut().zip(a.iter().zip(b)) {
+        *o = (a - b).abs();
+    }
+}
+
+/// The structure-tensor summands of one window row: `xx[k] = gx[k]^2`,
+/// `xy[k] = gx[k] * gy[k]` and `yy[k] = gy[k]^2`.
+///
+/// # Panics
+///
+/// Panics unless all five rows share a length.
+#[inline]
+pub fn tensor_row(gx: &[f32], gy: &[f32], xx: &mut [f32], xy: &mut [f32], yy: &mut [f32]) {
+    let n = xx.len();
+    assert!(gx.len() == n && gy.len() == n && xy.len() == n && yy.len() == n);
+    let outs = xx.iter_mut().zip(xy.iter_mut()).zip(yy.iter_mut());
+    for (((xx, xy), yy), (gx, gy)) in outs.zip(gx.iter().zip(gy)) {
+        *xx = gx * gx;
+        *xy = gx * gy;
+        *yy = gy * gy;
     }
 }
 

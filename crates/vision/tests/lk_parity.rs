@@ -114,3 +114,85 @@ fn pooled_and_plain_pyramids_track_identically() {
         "pooled pyramids changed LK results"
     );
 }
+
+/// `FlowResult`s as raw bits, so a NaN read from a poisoned plane cannot
+/// compare equal by accident.
+fn flow_bits(results: &[adavp_vision::flow::FlowResult]) -> Vec<[u32; 5]> {
+    results
+        .iter()
+        .map(|r| {
+            [
+                r.previous.x.to_bits(),
+                r.previous.y.to_bits(),
+                r.current.x.to_bits(),
+                r.current.y.to_bits(),
+                r.residual.to_bits() ^ u32::from(r.found) << 31,
+            ]
+        })
+        .collect()
+}
+
+/// Window rows are sampled in whole 8-lane vectors (a side of 3, 7, 9, 15
+/// or 17 taps reads 8, 8, 16, 16 or 24 columns) and the extra lanes are
+/// thrown away. Points up to a few columns inside the right and bottom
+/// border margins of every level make the padded run leave the image, so
+/// those rows take the per-tap path; both paths, the parallel split and
+/// NaN-poisoned pooled gradient planes must all reproduce the baseline.
+#[test]
+fn padded_window_lanes_match_baseline_for_every_radius_near_borders() {
+    let (w, h, levels) = (97u32, 75u32, 3u32);
+    let prev = textured(w, h, 2.3);
+    for radius in [1u32, 3, 4, 7, 8] {
+        let lk = PyramidalLk::new(LkParams {
+            window_radius: radius,
+            pyramid_levels: levels,
+            ..LkParams::default()
+        });
+        let side = 2 * radius + 1;
+        let pad = side.next_multiple_of(8) - side;
+        let prev_pyr = Pyramid::build(&prev, levels);
+        let mut pts = Vec::new();
+        for level in 0..prev_pyr.levels() {
+            let s = (1u32 << level) as f32;
+            let im = prev_pyr.level(level);
+            let (lw, lh) = (im.width() as f32, im.height() as f32);
+            // The last centre inside the margin is just below `l - r - 1`.
+            let (edge_x, edge_y) = (lw - radius as f32 - 1.0, lh - radius as f32 - 1.0);
+            for k in 0..=pad + 2 {
+                for frac in [0.001f32, 0.25, 0.5, 0.999] {
+                    let (x, y) = (edge_x - k as f32 - frac, edge_y - k as f32 - frac);
+                    pts.push(Point2::new(x * s, lh / 2.0 * s));
+                    pts.push(Point2::new(lw / 2.0 * s, y * s));
+                    pts.push(Point2::new(x * s, y * s));
+                }
+            }
+        }
+        for (dx, dy) in [(0, 0), (2, 1), (-1, -2)] {
+            let next_pyr = Pyramid::build(&shifted(&prev, dx, dy), levels);
+            let baseline = flow_bits(&track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts));
+            let poisoned = || {
+                let mut pool = ScratchPool::new();
+                for _ in 0..2 * levels {
+                    pool.recycle_f32(vec![f32::NAN; (w * h) as usize]);
+                }
+                pool
+            };
+            let mut pool = poisoned();
+            let mut fresh = Pyramid::build_with(&prev, levels, &mut pool);
+            let sequential = lk.track_pyramids_sequential(&mut fresh, &next_pyr, &pts, &mut pool);
+            assert_eq!(
+                flow_bits(&sequential),
+                baseline,
+                "radius {radius}, shift ({dx},{dy})"
+            );
+            let mut pool = poisoned();
+            let mut fresh = Pyramid::build_with(&prev, levels, &mut pool);
+            let parallel = lk.track_pyramids_parallel(&mut fresh, &next_pyr, &pts, &mut pool);
+            assert_eq!(
+                flow_bits(&parallel),
+                baseline,
+                "parallel, radius {radius}, shift ({dx},{dy})"
+            );
+        }
+    }
+}

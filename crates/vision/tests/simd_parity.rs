@@ -1,19 +1,18 @@
 //! Golden-bytes parity for the vectorized / fixed-point kernel layer.
 //!
-//! Mirrors `lk_parity.rs`: the vectorized `u16` blur, downsample and
-//! Scharr tile kernels are optimizations, not approximations, so their
-//! output must match the scalar oracles in `adavp_vision::reference`
-//! byte-for-byte — on well-behaved frames and on adversarial shapes alike.
+//! Mirrors `lk_parity.rs`: the row-streamed `u16` pyramid level kernel
+//! (blur + downsample) and the Scharr tile kernel are optimizations, not
+//! approximations, so their output must match the scalar oracles in
+//! `adavp_vision::reference` byte-for-byte — on well-behaved frames and on
+//! adversarial shapes alike.
 //! Uses no dev-dependencies so it runs under the offline rustc-direct
 //! harness.
 
 use adavp_vision::geometry::PixelRect;
-use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients};
+use adavp_vision::gradient::{GradientField, TiledGradients};
 use adavp_vision::image::GrayImage;
-use adavp_vision::pyramid::Pyramid;
-use adavp_vision::reference::{
-    downsample_into_scalar, gaussian_blur_into_scalar, scharr_gradients_into_scalar,
-};
+use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
+use adavp_vision::reference::{blur_downsample_into_scalar, scharr_gradients_into_scalar};
 use adavp_vision::scratch::ScratchPool;
 
 /// Deterministic texture with structure at several scales.
@@ -73,36 +72,19 @@ fn images_for(w: u32, h: u32) -> Vec<GrayImage> {
 }
 
 #[test]
-fn blur_matches_scalar_bytes_on_adversarial_shapes() {
+fn streamed_level_matches_composed_oracles_on_adversarial_shapes() {
     let mut pool = ScratchPool::new();
-    for &(w, h) in SHAPES {
-        for img in images_for(w, h) {
-            let mut fast = GrayImage::new(w, h);
-            let mut scalar = GrayImage::new(w, h);
-            gaussian_blur_into(&img, &mut fast, &mut pool);
-            gaussian_blur_into_scalar(&img, &mut scalar, &mut pool);
-            assert_eq!(
-                fast.as_bytes(),
-                scalar.as_bytes(),
-                "blur diverged from scalar at {w}x{h}"
-            );
-        }
-    }
-}
-
-#[test]
-fn downsample_matches_scalar_bytes_on_adversarial_shapes() {
     for &(w, h) in SHAPES {
         for img in images_for(w, h) {
             let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
             let mut fast = GrayImage::new(nw, nh);
             let mut scalar = GrayImage::new(nw, nh);
-            img.downsample_into(&mut fast);
-            downsample_into_scalar(&img, &mut scalar);
+            blur_downsample_into(&img, &mut fast, &mut pool);
+            blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
             assert_eq!(
                 fast.as_bytes(),
                 scalar.as_bytes(),
-                "downsample diverged from scalar at {w}x{h}"
+                "blur + downsample diverged from scalar at {w}x{h}"
             );
         }
     }
@@ -154,12 +136,16 @@ fn dirtied_pool_does_not_leak_into_kernel_output() {
     warm.recycle(&mut pool);
 
     let img = noisy(77, 41, 0xdead_beef);
-    let mut fast = GrayImage::new(77, 41);
+    let mut fast = GrayImage::new(38, 20);
     let mut fresh_pool = ScratchPool::new();
-    let mut scalar = GrayImage::new(77, 41);
-    gaussian_blur_into(&img, &mut fast, &mut pool);
-    gaussian_blur_into_scalar(&img, &mut scalar, &mut fresh_pool);
-    assert_eq!(fast.as_bytes(), scalar.as_bytes(), "blur leaked pool bytes");
+    let mut scalar = GrayImage::new(38, 20);
+    blur_downsample_into(&img, &mut fast, &mut pool);
+    blur_downsample_into_scalar(&img, &mut scalar, &mut fresh_pool);
+    assert_eq!(
+        fast.as_bytes(),
+        scalar.as_bytes(),
+        "blur + downsample leaked pool bytes"
+    );
 
     let mut scalar_field = GradientField::empty();
     scharr_gradients_into_scalar(&img, &mut scalar_field, &mut fresh_pool);

@@ -5,12 +5,11 @@ use adavp_vision::fast::{fast_corners, FastParams};
 use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
-use adavp_vision::gradient::{gaussian_blur_into, GradientField, TiledGradients};
+use adavp_vision::gradient::{GradientField, TiledGradients};
 use adavp_vision::image::GrayImage;
-use adavp_vision::pyramid::Pyramid;
+use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::{
-    downsample_into_scalar, gaussian_blur_into_scalar, scharr_gradients_into_scalar,
-    track_pyramids_baseline,
+    blur_downsample_into_scalar, scharr_gradients_into_scalar, track_pyramids_baseline,
 };
 use adavp_vision::scratch::ScratchPool;
 use std::f32::consts::TAU;
@@ -95,15 +94,15 @@ fn pyramid_levels_halve_dimensions() {
 }
 
 #[test]
-fn blur_preserves_mean_intensity() {
+fn pyramid_level_preserves_mean_intensity() {
     check(24, 1, |rng| {
         let p1 = rng.gen_range(0.0f32..TAU);
         let img = textured(64, 64, p1, 1.0, 2.0);
-        let mut blurred = GrayImage::new(64, 64);
-        gaussian_blur_into(&img, &mut blurred, &mut ScratchPool::new());
-        // Smoothing redistributes but does not create/destroy intensity
-        // (up to rounding and border effects).
-        assert!((img.mean() - blurred.mean()).abs() < 3.0);
+        let mut half = GrayImage::new(32, 32);
+        blur_downsample_into(&img, &mut half, &mut ScratchPool::new());
+        // Smoothing and box averaging redistribute but do not create or
+        // destroy intensity (up to rounding and border effects).
+        assert!((img.mean() - half.mean()).abs() < 3.0);
     });
 }
 
@@ -184,36 +183,15 @@ fn parallel_lk_bit_identical_to_sequential() {
 }
 
 #[test]
-fn blur_fast_path_matches_scalar_on_arbitrary_images() {
-    check(24, 1, |rng| {
+fn streamed_level_matches_composed_oracles_on_arbitrary_images() {
+    check(48, 1, |rng| {
         let w = rng.gen_range(1u32..70);
         let h = rng.gen_range(1u32..70);
         let seed: u32 = rng.gen();
-        // The fixed-point path must reproduce the scalar oracle
-        // byte-for-byte on every size, including 1-pixel strips and widths
-        // that are not a multiple of any SIMD lane count.
-        let mut s = seed | 1;
-        let img = GrayImage::from_fn(w, h, |_, _| {
-            s ^= s << 13;
-            s ^= s >> 17;
-            s ^= s << 5;
-            (s >> 8) as u8
-        });
-        let mut pool = ScratchPool::new();
-        let mut fast = GrayImage::new(w, h);
-        let mut scalar = GrayImage::new(w, h);
-        gaussian_blur_into(&img, &mut fast, &mut pool);
-        gaussian_blur_into_scalar(&img, &mut scalar, &mut pool);
-        assert_eq!(fast.as_bytes(), scalar.as_bytes());
-    });
-}
-
-#[test]
-fn downsample_fast_path_matches_scalar_on_arbitrary_images() {
-    check(24, 1, |rng| {
-        let w = rng.gen_range(1u32..70);
-        let h = rng.gen_range(1u32..70);
-        let seed: u32 = rng.gen();
+        // The streamed blur + downsample must reproduce the two scalar
+        // oracles composed, byte for byte, on every size, including
+        // 1-pixel strips, odd sizes and widths that are not a multiple of
+        // any SIMD lane count.
         let mut s = seed | 1;
         let img = GrayImage::from_fn(w, h, |_, _| {
             s ^= s << 13;
@@ -222,11 +200,12 @@ fn downsample_fast_path_matches_scalar_on_arbitrary_images() {
             (s >> 8) as u8
         });
         let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
+        let mut pool = ScratchPool::new();
         let mut fast = GrayImage::new(nw, nh);
         let mut scalar = GrayImage::new(nw, nh);
-        img.downsample_into(&mut fast);
-        downsample_into_scalar(&img, &mut scalar);
-        assert_eq!(fast.as_bytes(), scalar.as_bytes());
+        blur_downsample_into(&img, &mut fast, &mut pool);
+        blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
+        assert_eq!(fast.as_bytes(), scalar.as_bytes(), "{w}x{h}");
     });
 }
 

@@ -8,7 +8,6 @@
 //! Measures, at smoke scale:
 //!
 //! * dataset clip rendering throughput (`render_all`, one clip per job);
-//! * single-clip banded rasterization (row bands within one frame);
 //! * the full fig6 pipeline — render → train → evaluate — at `--jobs 1`
 //!   vs `--jobs N`, with the per-phase wall-clock split.
 //!
@@ -24,9 +23,7 @@ use adavp_bench::figures;
 use adavp_bench::report::{f3, write_csv};
 use adavp_core::adaptation::AdaptationModel;
 use adavp_detector::ModelSetting;
-use adavp_video::clip::VideoClip;
 use adavp_video::dataset::{render_all, testing_set, DatasetScale};
-use adavp_video::scenario::Scenario;
 use adavp_vision::exec::Executor;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -82,27 +79,6 @@ fn main() {
         mpix / render_par_s,
     );
 
-    // --- Single-clip banded rasterization (row bands within a frame). ---
-    let mut spec = Scenario::Highway.spec();
-    spec.width = 640;
-    spec.height = 360;
-    let frames = 60;
-    let t0 = Instant::now();
-    let one_seq = VideoClip::generate_with_bands("bench", &spec, 7, frames, 1);
-    let band_seq_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let one_par = VideoClip::generate_with_bands("bench", &spec, 7, frames, jobs);
-    let band_par_s = t0.elapsed().as_secs_f64();
-    for (fa, fb) in one_seq.iter().zip(one_par.iter()) {
-        assert_eq!(fa.image, fb.image, "banded rasterization parity broken");
-    }
-    let band_mpix = frames as f64 * 640.0 * 360.0 / 1e6;
-    println!(
-        "banded 640x360x{frames}: 1 band {band_seq_s:.2}s ({:.1} Mpix/s) | {jobs} bands {band_par_s:.2}s ({:.1} Mpix/s)",
-        band_mpix / band_seq_s,
-        band_mpix / band_par_s,
-    );
-
     // --- End-to-end fig6: render + train + evaluate. ---
     let (fig6_seq_s, phases_seq, model_seq, csv_seq) = fig6_run(1, "jobs1");
     let (fig6_par_s, phases_par, model_par, csv_par) = fig6_run(jobs, "jobsN");
@@ -134,7 +110,6 @@ fn main() {
             "  \"host_cpus\": {host_cpus},\n",
             "  \"jobs\": {jobs},\n",
             "  \"render_dataset\": {{\"clips\": {nclips}, \"mpix\": {mpix:.2}, \"seq_s\": {rs:.3}, \"par_s\": {rp:.3}, \"speedup\": {rsp:.3}, \"mpix_per_s_seq\": {tps:.2}, \"mpix_per_s_par\": {tpp:.2}}},\n",
-            "  \"render_banded_single_clip\": {{\"width\": 640, \"height\": 360, \"frames\": {frames}, \"seq_s\": {bs:.3}, \"par_s\": {bp:.3}, \"speedup\": {bsp:.3}}},\n",
             "  \"fig6_end_to_end\": {{\n",
             "    \"seq_s\": {fs:.3}, \"par_s\": {fp:.3}, \"speedup\": {fsp:.3},\n",
             "    \"seq_phases\": {{\"render_s\": {sr:.3}, \"train_s\": {st:.3}, \"eval_s\": {se:.3}}},\n",
@@ -152,10 +127,6 @@ fn main() {
         rsp = render_seq_s / render_par_s,
         tps = mpix / render_seq_s,
         tpp = mpix / render_par_s,
-        frames = frames,
-        bs = band_seq_s,
-        bp = band_par_s,
-        bsp = band_seq_s / band_par_s,
         fs = fig6_seq_s,
         fp = fig6_par_s,
         fsp = fig6_seq_s / fig6_par_s,

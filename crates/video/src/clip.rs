@@ -72,26 +72,8 @@ impl VideoClip {
     ///
     /// Deterministic in `(spec, seed)`.
     pub fn generate(name: &str, spec: &ScenarioSpec, seed: u64, num_frames: u32) -> Self {
-        Self::generate_with_bands(name, spec, seed, num_frames, 1)
-    }
-
-    /// Like [`VideoClip::generate`], additionally fanning each frame's
-    /// rasterization across up to `bands` row bands (see
-    /// [`Renderer::with_bands`]). Output is byte-identical for every
-    /// `bands` value; use it when rendering one large clip with otherwise
-    /// idle cores. (World stepping is inherently sequential — frame `i+1`
-    /// depends on frame `i` — so across-clip fan-out happens one level up,
-    /// in `adavp_video::dataset::render_all`.)
-    pub fn generate_with_bands(
-        name: &str,
-        spec: &ScenarioSpec,
-        seed: u64,
-        num_frames: u32,
-        bands: usize,
-    ) -> Self {
         let mut world = World::new(spec.clone(), seed);
-        let renderer =
-            Renderer::new(spec.width, spec.height, seed, spec.noise_amp).with_bands(bands);
+        let renderer = Renderer::new(spec.width, spec.height, seed, spec.noise_amp);
         let interval = spec.frame_interval_ms();
         let mut frames = Vec::with_capacity(num_frames as usize);
         for i in 0..num_frames {
@@ -240,17 +222,6 @@ mod tests {
         let a = VideoClip::generate("a", &spec, 5, 8);
         let b = VideoClip::generate("b", &spec, 5, 8);
         for (fa, fb) in a.iter().zip(b.iter()) {
-            assert_eq!(fa.image, fb.image);
-            assert_eq!(fa.ground_truth, fb.ground_truth);
-        }
-    }
-
-    #[test]
-    fn banded_generation_matches_sequential() {
-        let spec = small_spec(Scenario::Intersection);
-        let seq = VideoClip::generate("s", &spec, 5, 6);
-        let banded = VideoClip::generate_with_bands("b", &spec, 5, 6, 4);
-        for (fa, fb) in seq.iter().zip(banded.iter()) {
             assert_eq!(fa.image, fb.image);
             assert_eq!(fa.ground_truth, fb.ground_truth);
         }

@@ -5,13 +5,31 @@
 //!
 //! * a **background** that is a smooth function of *world* coordinates (so it
 //!   translates rigidly under camera motion) built from separable sinusoid
-//!   products (evaluated via per-row/per-column tables for speed);
+//!   products (column terms tabled, row terms evaluated once per row);
 //! * each **object** as a rectangle of smooth per-object texture anchored to
 //!   the object's box (so the texture translates rigidly with the object) with
 //!   a dark rim that produces strong corners at the object boundary;
 //! * optional small **sensor noise**, deterministic per (pixel, frame).
 //!
 //! Painter's order: objects with larger ids (newer) draw on top.
+//!
+//! # Speed without moving a byte
+//!
+//! Every pixel is a fixed sequence of f32 operations. The fast paths below
+//! keep each operand and its order, so the output is bit-identical to
+//! evaluating each pixel's formula directly (pinned by the golden digests
+//! in `tests/pixel_digest.rs`):
+//!
+//! * **Object tables.** An object's texture is
+//!   `tone + (34·sin(u·fu + pu))·cos(v·fv + pv) + 22·sin((u + v)·fd)` at the
+//!   box-local sample point `(u, v)`, averaged over 1, 3 or 5 exposure-blur
+//!   taps. For each tap, `u` and the first sine depend only on the column and
+//!   `v` and the cosine only on the row, so they are tabulated once per tap
+//!   (`TapTables`); only the diagonal sine stays per pixel.
+//! * **Vector stores.** `v.clamp(0.0, 255.0) as u8` makes LLVM convert each
+//!   lane in scalar code. `to_u8` computes the same byte with adds and bit
+//!   masks that stay in vector lanes, so the background, noise and
+//!   blend-store loops vectorize end to end.
 
 use crate::world::{ObservedObject, World};
 use adavp_rng::splitmix;
@@ -30,12 +48,23 @@ pub struct Renderer {
     height: u32,
     bg_seed: u64,
     noise_amp: f32,
-    bands: usize,
 }
 
-/// Uniform f32 in [0,1) from a hash state.
+/// Uniform f32 in [0,1) from a hash state. The top 24 bits convert to f32
+/// exactly, through `u32` so that the conversion vectorizes.
 fn unit(h: u64) -> f32 {
-    (h >> 40) as f32 / (1u64 << 24) as f32
+    (h >> 40) as u32 as f32 / (1u32 << 24) as f32
+}
+
+/// `v.clamp(0.0, 255.0) as u8`, bit for bit, in operations LLVM keeps in
+/// vector lanes. After clamping, `trunc` gives an integer in `0..=255`;
+/// adding 2^23 moves it into the low mantissa bits exactly, where a mask
+/// reads it out. `f32::max` maps NaN to 0, as the saturating cast does;
+/// `f32::clamp` would keep the NaN, whose payload the mask would read.
+#[allow(clippy::manual_clamp)]
+#[inline(always)]
+fn to_u8(v: f32) -> u8 {
+    ((v.max(0.0).min(255.0).trunc() + 8_388_608.0).to_bits() & 0xff) as u8
 }
 
 impl Renderer {
@@ -49,18 +78,7 @@ impl Renderer {
             height,
             bg_seed,
             noise_amp,
-            bands: 1,
         }
-    }
-
-    /// Fans each frame render across up to `bands` row bands (scoped
-    /// threads). Every pixel is a pure function of `(world state, pixel,
-    /// frame index)`, so banded output is byte-identical to `bands = 1`
-    /// (pinned by `banded_render_is_byte_identical`). Worth it only for
-    /// large frames; small renders should keep the default of 1.
-    pub fn with_bands(mut self, bands: usize) -> Self {
-        self.bands = bands.max(1);
-        self
     }
 
     /// Renders the world's current state.
@@ -75,7 +93,7 @@ impl Renderer {
     /// recycled-buffer path for streaming consumers that do not keep
     /// frames: pair it with a `ScratchPool`-style buffer you pass back in
     /// every frame and the render loop performs no per-frame allocations
-    /// beyond the small sinusoid tables.
+    /// beyond the small sinusoid and per-object tap tables.
     pub fn render_into(&self, world: &World, out: &mut GrayImage) {
         let t = world.time_s();
         let offset = world.camera_offset(t);
@@ -110,13 +128,13 @@ impl Renderer {
         out: &mut GrayImage,
     ) {
         let w = self.width as usize;
-        let h = self.height as usize;
         if out.width() != self.width || out.height() != self.height {
             *out = GrayImage::new(self.width, self.height);
         }
 
-        // --- Background via separable sinusoid tables ------------------
-        // bg = 128 + a1 * sx1[x]*cy1[y] + a2 * (sx2[x]*cy2[y] + cx2[x]*sy2[y])
+        // --- Background: separable sinusoid products -------------------
+        // bg = 128 + a1 * sx1[x]*c1 + a2 * (sx2[x]*c2y + cx2[x]*s2y), with
+        // the x terms tabled and the y terms evaluated once per row.
         let d = |i: u64| splitmix(self.bg_seed.wrapping_add(i));
         let f1x = 0.035 + 0.05 * unit(d(1));
         let f1y = 0.035 + 0.05 * unit(d(2));
@@ -139,114 +157,47 @@ impl Renderer {
             *s2 = ang.sin();
             *c2 = ang.cos();
         }
-        let mut cy1 = vec![0.0f32; h];
-        let mut sy2 = vec![0.0f32; h];
-        let mut cy2 = vec![0.0f32; h];
-        for (y, ((c1, s2), c2)) in cy1
-            .iter_mut()
-            .zip(sy2.iter_mut())
-            .zip(cy2.iter_mut())
-            .enumerate()
-        {
-            let wy = oy + y as f32;
-            *c1 = (wy * f1y).cos();
-            let ang = wy * f2 * 1.7;
-            *s2 = ang.sin();
-            *c2 = ang.cos();
-        }
-        let tables = BgTables {
-            sx1: &sx1,
-            sx2: &sx2,
-            cx2: &cx2,
-            cy1: &cy1,
-            sy2: &sy2,
-            cy2: &cy2,
-        };
 
-        // Every pixel is independent, so row bands can render concurrently
-        // into disjoint sub-slices of the frame buffer.
-        let ranges = adavp_vision::parallel::band_ranges(h, self.bands.min(h.max(1)));
-        let buf = out.as_mut_bytes();
-        if ranges.len() <= 1 {
-            self.render_rows(buf, 0, h, &tables, objects, frame_index);
-            return;
-        }
-        let mut slices: Vec<(usize, usize, &mut [u8])> = Vec::with_capacity(ranges.len());
-        let mut rest = buf;
-        for &(y0, y1) in &ranges {
-            let (head, tail) = rest.split_at_mut((y1 - y0) * w);
-            slices.push((y0, y1, head));
-            rest = tail;
-        }
-        std::thread::scope(|scope| {
-            let mut it = slices.into_iter();
-            let first = it.next().expect("at least one band");
-            for (y0, y1, rows) in it {
-                let tables = &tables;
-                scope.spawn(move || {
-                    self.render_rows(rows, y0, y1, tables, objects, frame_index);
-                });
-            }
-            self.render_rows(first.2, first.0, first.1, &tables, objects, frame_index);
-        });
-    }
-
-    /// Renders global rows `[y0, y1)` into `rows` (a `(y1 - y0) * width`
-    /// slice): background, then objects clipped to the band, then noise.
-    fn render_rows(
-        &self,
-        rows: &mut [u8],
-        y0: usize,
-        y1: usize,
-        tables: &BgTables<'_>,
-        objects: &[ObservedObject],
-        frame_index: u64,
-    ) {
-        let w = self.width as usize;
         let a1 = 38.0;
         let a2 = 26.0;
-        for y in y0..y1 {
-            let row = &mut rows[(y - y0) * w..(y - y0 + 1) * w];
-            let c1 = tables.cy1[y];
-            let s2y = tables.sy2[y];
-            let c2y = tables.cy2[y];
-            for (x, px) in row.iter_mut().enumerate() {
-                let v = 128.0
-                    + a1 * tables.sx1[x] * c1
-                    + a2 * (tables.sx2[x] * c2y + tables.cx2[x] * s2y);
-                *px = v.clamp(0.0, 255.0) as u8;
+        let buf = out.as_mut_bytes();
+        for (y, row) in buf.chunks_exact_mut(w.max(1)).enumerate() {
+            let wy = oy + y as f32;
+            let c1 = (wy * f1y).cos();
+            let ang = wy * f2 * 1.7;
+            let s2y = ang.sin();
+            let c2y = ang.cos();
+            for (((px, &s1), &s2), &c2) in row.iter_mut().zip(&sx1).zip(&sx2).zip(&cx2) {
+                *px = to_u8(128.0 + a1 * s1 * c1 + a2 * (s2 * c2y + c2 * s2y));
             }
         }
 
         for obj in objects {
-            self.paint_object(rows, y0, y1, obj);
+            self.paint_object(buf, obj);
         }
 
         if self.noise_amp > 0.0 {
             let amp = self.noise_amp;
             let fseed = splitmix(frame_index.wrapping_mul(0x5851f42d4c957f2d));
-            for (off, px) in rows.iter_mut().enumerate() {
-                // Global pixel index keeps the noise field band-invariant.
-                let i = y0 * w + off;
-                let n = unit(splitmix(fseed ^ (i as u64))) * 2.0 - 1.0;
-                let v = *px as f32 + n * amp;
-                *px = v.clamp(0.0, 255.0) as u8;
+            // Keyed on the pixel's index in the frame.
+            for (i, px) in (0u64..).zip(buf.iter_mut()) {
+                let n = unit(splitmix(fseed ^ i)) * 2.0 - 1.0;
+                *px = to_u8(*px as f32 + n * amp);
             }
         }
     }
 
-    /// Paints one object into `rows` (global rows `[band_y0, band_y1)`).
-    fn paint_object(&self, rows: &mut [u8], band_y0: usize, band_y1: usize, obj: &ObservedObject) {
+    /// Paints one object into the frame buffer `buf`.
+    fn paint_object(&self, buf: &mut [u8], obj: &ObservedObject) {
         let b = &obj.screen_box;
         let x0 = b.left.floor().max(0.0) as i64;
-        let y0 = (b.top.floor().max(0.0) as i64).max(band_y0 as i64);
+        let y0 = b.top.floor().max(0.0) as i64;
         let x1 = (b.right().ceil() as i64).min(self.width as i64);
-        let y1 = (b.bottom().ceil() as i64)
-            .min(self.height as i64)
-            .min(band_y1 as i64);
+        let y1 = (b.bottom().ceil() as i64).min(self.height as i64);
         if x1 <= x0 || y1 <= y0 {
             return;
         }
+        let (x0, x1, y0, y1) = (x0 as usize, x1 as usize, y0 as usize, y1 as usize);
 
         // Per-object texture parameters.
         let seed = obj.texture_seed as u64 ^ 0x0bec_7e57;
@@ -257,23 +208,6 @@ impl Renderer {
         let pu = unit(d(4)) * std::f32::consts::TAU;
         let pv = unit(d(5)) * std::f32::consts::TAU;
         let tone = obj.base_tone as f32 + (unit(d(6)) - 0.5) * 40.0;
-
-        let rim = 2.0f32;
-        // Object intensity at local (box-relative) coordinates, or None when
-        // the sample falls outside the box.
-        let sample = |lx: f32, ly: f32| -> Option<f32> {
-            if lx < 0.0 || ly < 0.0 || lx > b.width - 1.0 || ly > b.height - 1.0 {
-                return None;
-            }
-            let edge = lx.min(b.width - 1.0 - lx).min(ly).min(b.height - 1.0 - ly);
-            Some(if edge < rim {
-                // Dark rim with a slight gradient: strong box-corner features.
-                30.0 + edge * 12.0
-            } else {
-                tone + 34.0 * (lx * fu + pu).sin() * (ly * fv + pv).cos()
-                    + 22.0 * ((lx + ly) * fd).sin()
-            })
-        };
 
         // Exposure motion blur: average the object's appearance over its
         // relative motion during the shutter window. Taps that fall outside
@@ -287,34 +221,64 @@ impl Renderer {
         } else {
             &[-0.4, -0.2, 0.0, 0.2, 0.4]
         };
+        let tables: Vec<TapTables> = taps
+            .iter()
+            .map(|&t| TapTables {
+                u: (x0..x1)
+                    .map(|x| {
+                        let u = (x as f32 - b.left) - smear.x * t;
+                        (u, 34.0 * (u * fu + pu).sin())
+                    })
+                    .collect(),
+                v: (y0..y1)
+                    .map(|y| {
+                        let v = (y as f32 - b.top) - smear.y * t;
+                        (v, (v * fv + pv).cos())
+                    })
+                    .collect(),
+            })
+            .collect();
 
+        let (u_max, v_max) = (b.width - 1.0, b.height - 1.0);
+        let rim = 2.0f32;
+        let n = taps.len() as f32;
         let w = self.width as usize;
-        for y in y0..y1 {
-            let row_base = (y as usize - band_y0) * w;
-            for x in x0..x1 {
-                let lx = x as f32 - b.left;
-                let ly = y as f32 - b.top;
-                let bg = rows[row_base + x as usize] as f32;
-                let mut acc = 0.0f32;
-                for &t in taps {
-                    let v = sample(lx - smear.x * t, ly - smear.y * t).unwrap_or(bg);
-                    acc += v;
+        let mut acc = vec![0.0f32; x1 - x0];
+        for (r, row) in buf[y0 * w..y1 * w].chunks_exact_mut(w).enumerate() {
+            let row = &mut row[x0..x1];
+            acc.fill(0.0);
+            for tab in &tables {
+                let (v, cos_v) = tab.v[r];
+                for ((a, &bg), &(u, sin_u)) in acc.iter_mut().zip(row.iter()).zip(&tab.u) {
+                    // Object intensity at the box-local sample (u, v), or the
+                    // background when the sample falls outside the box.
+                    *a += if u < 0.0 || v < 0.0 || u > u_max || v > v_max {
+                        bg as f32
+                    } else {
+                        let edge = u.min(u_max - u).min(v).min(v_max - v);
+                        if edge < rim {
+                            // Dark rim with a slight gradient: strong
+                            // box-corner features.
+                            30.0 + edge * 12.0
+                        } else {
+                            tone + sin_u * cos_v + 22.0 * ((u + v) * fd).sin()
+                        }
+                    };
                 }
-                let v = acc / taps.len() as f32;
-                rows[row_base + x as usize] = v.clamp(0.0, 255.0) as u8;
+            }
+            for (px, &a) in row.iter_mut().zip(&acc) {
+                *px = to_u8(a / n);
             }
         }
     }
 }
 
-/// Borrowed per-frame background sinusoid tables shared by every row band.
-struct BgTables<'a> {
-    sx1: &'a [f32],
-    sx2: &'a [f32],
-    cx2: &'a [f32],
-    cy1: &'a [f32],
-    sy2: &'a [f32],
-    cy2: &'a [f32],
+/// One blur tap's separable texture terms: per column `(u, 34·sin(u·fu +
+/// pu))`, per row `(v, cos(v·fv + pv))`, with `(u, v)` the box-local sample
+/// point of that tap.
+struct TapTables {
+    u: Vec<(f32, f32)>,
+    v: Vec<(f32, f32)>,
 }
 
 #[cfg(test)]
@@ -334,6 +298,54 @@ mod tests {
             base_tone: 150,
             screen_velocity: Vec2::ZERO,
         }
+    }
+
+    #[test]
+    fn store_helper_matches_saturating_cast() {
+        let check = |v: f32| {
+            assert_eq!(
+                to_u8(v),
+                v.clamp(0.0, 255.0) as u8,
+                "{v:e} ({:#010x})",
+                v.to_bits()
+            );
+        };
+        // Where the helper could part from the cast: signed zeros and
+        // infinities; quiet and signalling NaNs of both signs with several
+        // payloads; subnormals; every integer 0..=256, its negation and its
+        // neighbours one ulp away.
+        let specials = [
+            0x0000_0000u32,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x7fc0_0000,
+            0xffc0_0000,
+            0x7fc0_1234,
+            0x7fff_ffff,
+            0xffff_ffff,
+            0x7f80_0001,
+            0xff80_0001,
+            0x7fa0_0000,
+            0x0000_0001,
+            0x0040_0000,
+            0x007f_ffff,
+            0x8000_0001,
+            0x807f_ffff,
+        ];
+        specials.into_iter().map(f32::from_bits).for_each(check);
+        for k in 0..=256u32 {
+            let k = k as f32;
+            [k, -k, k.next_up(), k.next_down()]
+                .into_iter()
+                .for_each(check);
+        }
+        // A strided walk over every bit pattern: 2^32 / 4099 ≈ 1.05M values
+        // spread over every sign, exponent and mantissa range.
+        (0..=u32::MAX)
+            .step_by(4099)
+            .map(f32::from_bits)
+            .for_each(check);
     }
 
     #[test]
@@ -442,24 +454,6 @@ mod tests {
                 let d = (f0.get(x, y) as i32 - clean.get(x, y) as i32).abs();
                 assert!(d <= 4, "noise exceeded amplitude: {d}");
             }
-        }
-    }
-
-    #[test]
-    fn banded_render_is_byte_identical() {
-        // Objects straddling band boundaries, camera offset, noise on: the
-        // banded output must match the single-band render byte for byte.
-        let objects = [
-            obs(0, 10.0, 5.0, 40.0, 30.0),
-            obs(1, 30.0, 25.0, 25.0, 20.0),
-            obs(2, -5.0, 40.0, 30.0, 20.0),
-        ];
-        let base = Renderer::new(96, 64, 7, 2.5);
-        let reference = base.render_at(3.5, -2.0, &objects, 11);
-        for bands in [2, 3, 5, 64, 200] {
-            let banded = base.clone().with_bands(bands);
-            let img = banded.render_at(3.5, -2.0, &objects, 11);
-            assert_eq!(img, reference, "bands={bands}");
         }
     }
 

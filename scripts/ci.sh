@@ -92,7 +92,7 @@ if [ "$NO_BENCH" != "1" ]; then
         fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 \
         --scale smoke --jobs 2 --out target/ci-results
 
-    echo "== harness parity bench (writes BENCH_experiments.json; exits non-zero on any jobs-1 vs jobs-N result mismatch)"
+    echo "== harness bench: dataset render and fig6 phase timings (writes BENCH_experiments.json; exits non-zero on any jobs-1 vs jobs-N result mismatch)"
     cargo run --release -p adavp-bench --bin experiments_bench -- \
         --jobs 4 --out BENCH_experiments.json
 

@@ -1,5 +1,6 @@
 //! Golden pins of every figure, table and ablation that reads whole-test-set
-//! scheme runs. A smoke context (three test clips, the default adaptation
+//! scheme runs, including the ablations that rerun MPDT-512 under an edited
+//! pipeline configuration. A smoke context (three test clips, the default adaptation
 //! model) is run once; each output's `{:?}` rendering is digested with
 //! FNV-1a, so any change to how the runs are computed, shared or rescored
 //! that moves a single bit of a result fails here.
@@ -68,8 +69,13 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
             "threshold_sharing",
             digest(&ablations::threshold_sharing(&mut ctx)),
         ),
+        (
+            "frame_selection",
+            digest(&ablations::frame_selection(&mut ctx)),
+        ),
+        ("flow_points", digest(&ablations::flow_points(&mut ctx))),
     ];
-    let golden: [(&str, u64); 12] = [
+    let golden: [(&str, u64); 14] = [
         ("fig5", 0xbc229eb2ea93b7a1),
         ("fig6", 0x9bdfd023d62bb11b),
         ("fig7", 0x47fdae03657dbfb9),
@@ -82,6 +88,8 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
         ("detection_cadence", 0x417d4df3dcc18556),
         ("adaptation_signal", 0xfef76d2b76977bbb),
         ("threshold_sharing", 0xa82c44e0d0df401d),
+        ("frame_selection", 0x9c804740b53448b2),
+        ("flow_points", 0xa7e8a93339c7e8aa),
     ];
     let report: String = actual
         .iter()

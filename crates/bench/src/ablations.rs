@@ -21,7 +21,7 @@ use adavp_core::eval::evaluate_on_clip;
 use adavp_core::pipeline::{
     MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig, Scheme, SettingPolicy,
 };
-use adavp_core::tracker::{FeatureDetectorKind, FlowPoints};
+use adavp_core::tracker::FlowPoints;
 use adavp_detector::{ModelSetting, SimulatedDetector};
 use adavp_metrics::video::dataset_accuracy;
 
@@ -72,45 +72,9 @@ pub fn frame_selection(ctx: &mut ExperimentContext) -> Vec<AblationRow> {
 /// One-point-per-box vs mean-of-features box motion.
 pub fn flow_points(ctx: &mut ExperimentContext) -> Vec<AblationRow> {
     vec![
-        mpdt512_with(ctx, "one point per box (paper)", |p| {
-            p.tracker.flow_points = FlowPoints::OnePerBox;
-        }),
+        memo_row(ctx, "one point per box (paper)", &MPDT_512),
         mpdt512_with(ctx, "mean of all features", |p| {
             p.tracker.flow_points = FlowPoints::MeanOfBox;
-        }),
-    ]
-}
-
-/// Shi-Tomasi vs FAST corner seeding (the paper evaluated both before
-/// picking Shi-Tomasi).
-pub fn feature_detector(ctx: &mut ExperimentContext) -> Vec<AblationRow> {
-    vec![
-        mpdt512_with(ctx, "Shi-Tomasi good features (paper)", |p| {
-            p.tracker.detector = FeatureDetectorKind::ShiTomasi;
-        }),
-        mpdt512_with(ctx, "FAST-9 corners", |p| {
-            p.tracker.detector = FeatureDetectorKind::Fast;
-        }),
-    ]
-}
-
-/// Translate-only boxes (paper) vs feature-spread scale estimation
-/// (extension).
-pub fn scale_estimation(ctx: &mut ExperimentContext) -> Vec<AblationRow> {
-    vec![
-        memo_row(ctx, "translate-only boxes (paper)", &MPDT_512),
-        mpdt512_with(ctx, "feature-spread scale estimation", |p| {
-            p.tracker.estimate_scale = true;
-        }),
-    ]
-}
-
-/// Frozen stale boxes (paper) vs dead-reckoning coasting (extension).
-pub fn dead_reckoning(ctx: &mut ExperimentContext) -> Vec<AblationRow> {
-    vec![
-        memo_row(ctx, "freeze stale boxes (paper)", &MPDT_512),
-        mpdt512_with(ctx, "dead-reckoning coast", |p| {
-            p.tracker.dead_reckoning = true;
         }),
     ]
 }

@@ -262,9 +262,6 @@ fn ablations(ctx: &mut ExperimentContext, out: &Path) {
         ("parallelism", abl::parallelism(ctx)),
         ("frame-selection", abl::frame_selection(ctx)),
         ("flow-points", abl::flow_points(ctx)),
-        ("feature-detector", abl::feature_detector(ctx)),
-        ("scale-estimation", abl::scale_estimation(ctx)),
-        ("dead-reckoning", abl::dead_reckoning(ctx)),
         ("adaptation-signal", abl::adaptation_signal(ctx)),
         ("threshold-sharing", abl::threshold_sharing(ctx)),
     ] {

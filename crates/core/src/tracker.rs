@@ -18,8 +18,7 @@
 //! phenomena behind the paper's Fig. 2.
 
 use adavp_video::object::ObjectClass;
-use adavp_vision::fast::{fast_corners, FastParams};
-use adavp_vision::features::{good_features_in_boxes, Corner, GoodFeaturesParams};
+use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, Point2, Vec2};
 use adavp_vision::image::GrayImage;
@@ -39,66 +38,32 @@ pub enum FlowPoints {
     MeanOfBox,
 }
 
-/// Which corner detector seeds the tracker.
-///
-/// The paper compares SIFT, SURF, *good features to track*, FAST and ORB
-/// before picking Shi-Tomasi (§IV-C); FAST is provided as the ablation
-/// alternative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureDetectorKind {
-    /// Shi-Tomasi *good features to track* (the paper's choice).
-    ShiTomasi,
-    /// FAST-9 segment-test corners.
-    Fast,
-}
-
 /// Configuration of the object tracker.
 #[derive(Debug, Clone)]
 pub struct TrackerConfig {
-    /// Which corner detector to use.
-    pub detector: FeatureDetectorKind,
-    /// Shi-Tomasi parameters (used when `detector` is `ShiTomasi`).
+    /// Shi-Tomasi parameters, applied to each box on its own
+    /// (`max_corners` caps the features tracked per box).
     pub features: GoodFeaturesParams,
-    /// FAST parameters (used when `detector` is `Fast`).
-    pub fast: FastParams,
     /// Optical-flow parameters.
     pub lk: LkParams,
     /// Box-motion derivation.
     pub flow_points: FlowPoints,
-    /// Cap on tracked features per box.
-    pub max_features_per_box: usize,
-    /// Estimate per-box scale change from the spread of its features and
-    /// rescale boxes accordingly (an extension beyond the paper, which only
-    /// translates boxes; needs ≥ 3 surviving features per box).
-    pub estimate_scale: bool,
-    /// When a box loses all its features, keep moving it by its last known
-    /// motion vector (decaying per step) instead of freezing it in place —
-    /// dead reckoning, an extension beyond the paper.
-    pub dead_reckoning: bool,
 }
 
 impl Default for TrackerConfig {
     fn default() -> Self {
         Self {
-            detector: FeatureDetectorKind::ShiTomasi,
             features: GoodFeaturesParams {
                 max_corners: 6,
                 quality_level: 0.03,
                 min_distance: 4.0,
                 block_radius: 1,
             },
-            fast: FastParams {
-                max_corners: 6,
-                ..FastParams::default()
-            },
             lk: LkParams {
                 pyramid_levels: 4,
                 ..LkParams::default()
             },
             flow_points: FlowPoints::OnePerBox,
-            max_features_per_box: 6,
-            estimate_scale: false,
-            dead_reckoning: false,
         }
     }
 }
@@ -110,11 +75,8 @@ pub struct TrackedBox {
     pub class: ObjectClass,
     /// Current estimated box.
     pub bbox: BoundingBox,
-    /// Whether the box has lost all its features (position frozen, or
-    /// coasting under dead reckoning).
+    /// Whether the box has lost all its features (position frozen).
     pub stale: bool,
-    /// Last observed per-frame motion of the box (for dead reckoning).
-    pub last_motion: Vec2,
 }
 
 #[derive(Debug, Clone)]
@@ -264,27 +226,19 @@ impl ObjectTracker {
                 class: *class,
                 bbox: *bbox,
                 stale: false,
-                last_motion: Vec2::ZERO,
             })
             .collect();
         self.features.clear();
-        let mut params = self.config.features.clone();
-        params.max_corners = self.config.max_features_per_box;
-        let mut fast_params = self.config.fast.clone();
-        fast_params.max_corners = self.config.max_features_per_box;
         // Shi-Tomasi differentiates only the base-level tiles under each
         // box; the LK steps that track out of this reference frame reuse
         // them.
         for (idx, tb) in self.boxes.iter_mut().enumerate() {
-            let mask = [tb.bbox];
-            let corners: Vec<Corner> = match self.config.detector {
-                FeatureDetectorKind::ShiTomasi => {
-                    good_features_in_boxes(&mut pyramid, &params, &mask, &mut self.scratch)
-                }
-                FeatureDetectorKind::Fast => {
-                    fast_corners(pyramid.base(), &fast_params, Some(&mask))
-                }
-            };
+            let corners = good_features_in_boxes(
+                &mut pyramid,
+                &self.config.features,
+                &[tb.bbox],
+                &mut self.scratch,
+            );
             if corners.is_empty() {
                 tb.stale = true;
                 continue;
@@ -331,24 +285,17 @@ impl ObjectTracker {
         let mut box_sum = vec![Vec2::ZERO; nb];
         let mut box_count = vec![0usize; nb];
         let mut box_best: Vec<Option<(f32, Vec2)>> = vec![None; nb];
-        let mut box_old_pts: Vec<Vec<Point2>> = vec![Vec::new(); nb];
-        let mut box_new_pts: Vec<Vec<Point2>> = vec![Vec::new(); nb];
 
         for (&fi, res) in alive_idx.iter().zip(&results) {
             let feat = &mut self.features[fi];
             if res.found {
                 let d = res.displacement();
-                let old = feat.point;
                 feat.point = res.current;
                 sum_motion += d.norm() as f64;
                 tracked += 1;
                 let bi = feat.box_idx;
                 box_sum[bi] += d;
                 box_count[bi] += 1;
-                if self.config.estimate_scale {
-                    box_old_pts[bi].push(old);
-                    box_new_pts[bi].push(res.current);
-                }
                 match box_best[bi] {
                     Some((r, _)) if r >= feat.response => {}
                     _ => box_best[bi] = Some((feat.response, d)),
@@ -361,16 +308,9 @@ impl ObjectTracker {
 
         let w = next.width() as f32;
         let h = next.height() as f32;
-        let gap_f = frame_gap.max(1) as f32;
         for (bi, tb) in self.boxes.iter_mut().enumerate() {
             if box_count[bi] == 0 {
                 tb.stale = true;
-                if self.config.dead_reckoning {
-                    // Coast on the last observed motion, decaying so a bad
-                    // estimate cannot run away.
-                    tb.bbox = tb.bbox.translated(tb.last_motion * gap_f);
-                    tb.last_motion = tb.last_motion * 0.9;
-                }
                 continue;
             }
             let d = match self.config.flow_points {
@@ -378,12 +318,6 @@ impl ObjectTracker {
                 FlowPoints::MeanOfBox => box_sum[bi] / box_count[bi] as f32,
             };
             tb.bbox = tb.bbox.translated(d);
-            tb.last_motion = d / gap_f;
-            if self.config.estimate_scale && box_old_pts[bi].len() >= 3 {
-                let factor = spread_ratio(&box_old_pts[bi], &box_new_pts[bi]);
-                // One noisy step must not explode the box.
-                tb.bbox = tb.bbox.scaled(factor.clamp(0.85, 1.18));
-            }
             // A box fully outside the frame is gone; kill its features.
             if tb.bbox.clipped(w, h).is_none() {
                 tb.stale = true;
@@ -412,29 +346,6 @@ impl ObjectTracker {
     /// boxes at their frozen positions — what the pipeline displays.
     pub fn current_boxes(&self) -> Vec<(ObjectClass, BoundingBox)> {
         self.boxes.iter().map(|b| (b.class, b.bbox)).collect()
-    }
-}
-
-/// Ratio of mean feature distance to the centroid after vs before a step —
-/// a robust per-box apparent-scale-change estimate.
-fn spread_ratio(old: &[Point2], new: &[Point2]) -> f32 {
-    let centroid = |pts: &[Point2]| -> Point2 {
-        let n = pts.len() as f32;
-        Point2::new(
-            pts.iter().map(|p| p.x).sum::<f32>() / n,
-            pts.iter().map(|p| p.y).sum::<f32>() / n,
-        )
-    };
-    let spread = |pts: &[Point2]| -> f32 {
-        let c = centroid(pts);
-        pts.iter().map(|p| p.distance(c)).sum::<f32>() / pts.len() as f32
-    };
-    let so = spread(old);
-    let sn = spread(new);
-    if so <= 1e-3 || sn <= 1e-3 {
-        1.0
-    } else {
-        sn / so
     }
 }
 
@@ -672,68 +583,10 @@ mod tests {
     }
 
     #[test]
-    fn spread_ratio_measures_scale() {
-        let old = vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(10.0, 0.0),
-            Point2::new(0.0, 10.0),
-        ];
-        // Same constellation scaled x1.5 about an arbitrary centre.
-        let scaled: Vec<Point2> = old
-            .iter()
-            .map(|p| Point2::new(p.x * 1.5 + 7.0, p.y * 1.5 - 3.0))
-            .collect();
-        let r = spread_ratio(&old, &scaled);
-        assert!((r - 1.5).abs() < 1e-4, "ratio {r}");
-        // Pure translation: ratio 1.
-        let moved: Vec<Point2> = old
-            .iter()
-            .map(|p| Point2::new(p.x + 5.0, p.y + 5.0))
-            .collect();
-        assert!((spread_ratio(&old, &moved) - 1.0).abs() < 1e-4);
-        // Degenerate (coincident points): falls back to 1.
-        let same = vec![Point2::new(1.0, 1.0); 3];
-        assert_eq!(spread_ratio(&same, &same), 1.0);
-    }
-
-    #[test]
-    fn scale_estimation_follows_growing_object() {
-        use adavp_vision::image::GrayImage;
-        // An expanding radial texture: frame B is frame A magnified by 1.1
-        // about the object centre (60, 40).
-        let tex = |u: f32, v: f32| {
-            let val =
-                128.0 + 55.0 * (u * 0.35).sin() * (v * 0.3).cos() + 25.0 * ((u + v) * 0.15).sin();
-            val.clamp(0.0, 255.0) as u8
-        };
-        let a = GrayImage::from_fn(120, 80, |x, y| tex(x as f32 - 60.0, y as f32 - 40.0));
-        let b = GrayImage::from_fn(120, 80, |x, y| {
-            tex((x as f32 - 60.0) / 1.1, (y as f32 - 40.0) / 1.1)
-        });
-        let bbox = BoundingBox::from_center(Point2::new(60.0, 40.0), 40.0, 30.0);
-        let cfg = TrackerConfig {
-            estimate_scale: true,
-            max_features_per_box: 8,
-            ..TrackerConfig::default()
-        };
-        let mut t = ObjectTracker::new(cfg);
-        t.reset(&a, &[(ObjectClass::Car, bbox)]);
-        t.step(&b, 1).unwrap();
-        let after = t.boxes()[0].bbox;
-        assert!(
-            after.width > bbox.width * 1.02,
-            "box should grow with the object: {} -> {}",
-            bbox.width,
-            after.width
-        );
-    }
-
-    #[test]
-    fn dead_reckoning_coasts_stale_boxes() {
-        use adavp_vision::image::GrayImage;
+    fn stale_boxes_freeze_in_place() {
         // Frame A: textured scene; frame B: same shifted +3px; frame C: flat
-        // gray (all features die). With dead reckoning the box keeps moving
-        // by its last motion; without, it freezes.
+        // gray (all features die). The box follows the shift, then freezes
+        // where it was last tracked.
         let tex = |x: u32, y: u32| {
             let v = 120.0
                 + 50.0 * ((x as f32) * 0.4).sin() * ((y as f32) * 0.33).cos()
@@ -748,34 +601,19 @@ mod tests {
         let c = GrayImage::from_fn(120, 80, |_, _| 10);
         let bbox = BoundingBox::new(40.0, 24.0, 30.0, 24.0);
 
-        let run = |reckoning: bool| -> BoundingBox {
-            let cfg = TrackerConfig {
-                dead_reckoning: reckoning,
-                ..TrackerConfig::default()
-            };
-            let mut t = ObjectTracker::new(cfg);
-            t.reset(&a, &[(ObjectClass::Car, bbox)]);
-            t.step(&b, 1).unwrap();
-            let after_b = t.boxes()[0].bbox;
-            assert!(
-                (after_b.left - 43.0).abs() < 1.5,
-                "box should follow the +3px shift, got {}",
-                after_b.left
-            );
-            t.step(&c, 1).unwrap();
-            assert!(t.boxes()[0].stale, "flat frame must kill the features");
-            t.boxes()[0].bbox
-        };
-
-        let frozen = run(false);
-        let coasted = run(true);
-        assert!((frozen.left - 43.0).abs() < 1.5, "frozen box must not move");
+        let mut t = ObjectTracker::new(TrackerConfig::default());
+        t.reset(&a, &[(ObjectClass::Car, bbox)]);
+        t.step(&b, 1).unwrap();
+        let after_shift = t.boxes()[0].bbox;
         assert!(
-            coasted.left > frozen.left + 1.5,
-            "dead reckoning must keep the box moving ({} vs {})",
-            coasted.left,
-            frozen.left
+            (after_shift.left - 43.0).abs() < 1.5,
+            "box should follow the +3px shift, got {}",
+            after_shift.left
         );
+        t.step(&c, 1).unwrap();
+        assert!(t.boxes()[0].stale, "flat frame must kill the features");
+        let after_flat = t.boxes()[0].bbox;
+        assert_eq!(after_flat, after_shift, "a stale box must not move");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! It runs a list of independent work items over a bounded worker pool:
 //! clip renders, training runs and per-clip scheme evaluations in the
-//! harness, and the row or point bands of one kernel call
-//! ([`parallel::band_ranges`](crate::parallel::band_ranges)). It is built
+//! harness, and the row or point bands of one kernel call (see
+//! [`parallel`](crate::parallel)). It is built
 //! on `std::thread::scope` — the build environment is offline, so no
 //! rayon — and keeps three guarantees:
 //!

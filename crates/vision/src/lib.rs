@@ -84,7 +84,6 @@
 #![forbid(unsafe_code)]
 
 pub mod exec;
-pub mod fast;
 pub mod features;
 pub mod flow;
 pub mod geometry;
@@ -99,7 +98,6 @@ pub mod scratch;
 pub mod simd;
 
 pub use exec::Executor;
-pub use fast::{fast_corners, FastParams};
 pub use features::{good_features_in_boxes, Corner, GoodFeaturesParams};
 pub use flow::{FlowResult, LkParams, LkParamsError, PyramidalLk};
 pub use geometry::{BoundingBox, Point2, Vec2};

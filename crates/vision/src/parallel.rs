@@ -1,7 +1,7 @@
 //! Row-band splitting for the vision kernels' data-parallel fan-out.
 //!
 //! A kernel call that scans many rows (or tracks many points) splits its
-//! index range into contiguous bands with [`band_ranges`] and maps the bands
+//! index range into contiguous bands with `band_ranges` and maps the bands
 //! over an [`Executor`](crate::exec::Executor) sized by `scan_bands` or
 //! [`max_threads`]. The executor returns per-band results in band order and
 //! merges worker [`crate::perf`] counters into the caller, so the stitched
@@ -37,9 +37,9 @@ pub(crate) fn scan_bands(rows: usize) -> usize {
 }
 
 /// Splits `0..len` into at most `bands` contiguous ranges of near-equal
-/// size (empty ranges are never produced). Public so other crates (e.g. the
-/// rasterizer's row-band fan-out) can reuse the same banding scheme.
-pub fn band_ranges(len: usize, bands: usize) -> Vec<(usize, usize)> {
+/// size (empty ranges are never produced). The corner scans and the
+/// Lucas-Kanade point fan-out share it.
+pub(crate) fn band_ranges(len: usize, bands: usize) -> Vec<(usize, usize)> {
     let bands = bands.clamp(1, len.max(1));
     let base = len / bands;
     let extra = len % bands;

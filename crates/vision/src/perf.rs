@@ -46,7 +46,7 @@ pub struct KernelCounters {
     /// Scharr gradient tiles computed on demand
     /// ([`crate::gradient::TiledGradients`]).
     pub gradient_tiles: u64,
-    /// Corner-response scans (Shi-Tomasi or FAST score maps).
+    /// Shi-Tomasi corner-response scans.
     pub corner_scans: u64,
     /// Calls into pyramidal Lucas-Kanade (one per tracked frame pair).
     pub lk_calls: u64,

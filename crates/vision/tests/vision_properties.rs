@@ -1,7 +1,6 @@
 //! Property-based tests for the vision kernels.
 
 use adavp_rng::check;
-use adavp_vision::fast::{fast_corners, FastParams};
 use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
@@ -65,10 +64,6 @@ fn corners_always_inside_image() {
             assert!(c.point.x >= 0.0 && c.point.x < w as f32);
             assert!(c.point.y >= 0.0 && c.point.y < h as f32);
             assert!(c.response > 0.0);
-        }
-        for c in fast_corners(&img, &FastParams::default(), None) {
-            assert!(c.point.x >= 3.0 && c.point.x < w as f32 - 3.0);
-            assert!(c.point.y >= 3.0 && c.point.y < h as f32 - 3.0);
         }
     });
 }

@@ -87,10 +87,11 @@ if [ "$NO_BENCH" != "1" ]; then
     echo "== kernel bench smoke (writes BENCH_kernels.json)"
     cargo run --release -p adavp-vision --bin kernels_bench -- BENCH_kernels.json
 
-    echo "== parallel harness smoke (every memoized-run reader at --jobs 2)"
+    echo "== parallel harness smoke (every memoized-run reader at --jobs 2; ablations.csv matches the committed smoke-scale record)"
     cargo run --release -p adavp-bench --bin experiments -- \
-        fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 \
+        fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 ablations \
         --scale smoke --jobs 2 --out target/ci-results
+    cmp target/ci-results/ablations.csv results/ablations.csv
 
     echo "== harness bench: dataset render and fig6 phase timings (writes BENCH_experiments.json; exits non-zero on any jobs-1 vs jobs-N result mismatch)"
     cargo run --release -p adavp-bench --bin experiments_bench -- \

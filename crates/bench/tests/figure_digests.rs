@@ -1,15 +1,21 @@
 //! Golden pins of every figure, table and ablation that reads whole-test-set
 //! scheme runs, including the ablations that rerun MPDT-512 under an edited
-//! pipeline configuration. A smoke context (three test clips, the default adaptation
-//! model) is run once; each output's `{:?}` rendering is digested with
-//! FNV-1a, so any change to how the runs are computed, shared or rescored
-//! that moves a single bit of a result fails here.
+//! pipeline configuration, plus the outputs that read the calibrations
+//! behind those runs: Table II's modeled tracker latencies, Fig. 1's
+//! detector error model, the fault sweep's degradation rules and the
+//! thresholds the offline trainer learns. A smoke context (three test
+//! clips, the default adaptation model) is run once; each output's `{:?}`
+//! rendering is digested with FNV-1a, so any change to how the runs are
+//! computed, shared or rescored that moves a single bit of a result fails
+//! here.
 
 use adavp_bench::context::ExperimentContext;
 use adavp_bench::runner::SchemeResult;
-use adavp_bench::{ablations, figures, tables};
-use adavp_core::adaptation::AdaptationModel;
-use adavp_video::dataset::DatasetScale;
+use adavp_bench::{ablations, faults, figures, tables};
+use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
+use adavp_detector::ModelSetting;
+use adavp_video::dataset::{render_all, training_set, DatasetScale};
+use adavp_vision::exec::Executor;
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 
@@ -37,6 +43,25 @@ fn scheme_rows<R: Borrow<SchemeResult>>(results: &[R]) -> u64 {
         );
     }
     fnv1a(out.as_bytes())
+}
+
+/// Table II's modeled latencies (the measured wall-clock column varies
+/// run to run and is left out).
+fn table2_modeled() -> u64 {
+    let rows: Vec<_> = tables::table2()
+        .into_iter()
+        .map(|r| (r.component, r.modeled_ms))
+        .collect();
+    digest(&rows)
+}
+
+/// The thresholds the offline trainer learns from the first four smoke
+/// training clips, per current setting.
+fn trained_thresholds() -> u64 {
+    let exec = Executor::sequential();
+    let clips = render_all(&training_set(DatasetScale::Smoke)[..4], &exec);
+    let model = train_adaptation_model_with(&clips, &TrainerConfig::default(), &exec);
+    digest(&ModelSetting::ADAPTIVE.map(|s| model.thresholds_for(s)))
 }
 
 #[test]
@@ -74,8 +99,12 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
             digest(&ablations::frame_selection(&mut ctx)),
         ),
         ("flow_points", digest(&ablations::flow_points(&mut ctx))),
+        ("table2", table2_modeled()),
+        ("fig1", digest(&figures::fig1(&mut ctx, 60))),
+        ("fault_sweep", digest(&faults::fault_sweep(&mut ctx))),
+        ("trained_thresholds", trained_thresholds()),
     ];
-    let golden: [(&str, u64); 14] = [
+    let golden: [(&str, u64); 18] = [
         ("fig5", 0xbc229eb2ea93b7a1),
         ("fig6", 0x9bdfd023d62bb11b),
         ("fig7", 0x47fdae03657dbfb9),
@@ -90,6 +119,10 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
         ("threshold_sharing", 0xa82c44e0d0df401d),
         ("frame_selection", 0x9c804740b53448b2),
         ("flow_points", 0xa7e8a93339c7e8aa),
+        ("table2", 0x174f6fcbb280635e),
+        ("fig1", 0xda6bcb6fd0da9048),
+        ("fault_sweep", 0x41b5869d8a7c17a7),
+        ("trained_thresholds", 0xb6820e2cc7aed9cb),
     ];
     let report: String = actual
         .iter()

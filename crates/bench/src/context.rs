@@ -133,7 +133,6 @@ impl ExperimentContext {
                 eval: self.eval,
                 detector: self.detector.clone(),
                 pipeline: self.pipeline.clone(),
-                ..TrainerConfig::default()
             };
             // Borrow dance: render training clips first.
             self.train_clips();

@@ -2,7 +2,7 @@
 
 use crate::context::ExperimentContext;
 use crate::runner::SchemeResult;
-use adavp_core::eval::{ground_truth_boxes, score_trace, EvalConfig};
+use adavp_core::eval::{ground_truth_boxes, score_trace, EvalConfig, F1_THRESHOLD, IOU_THRESHOLD};
 use adavp_core::pipeline::Scheme;
 use adavp_core::tracker::{ObjectTracker, TrackerConfig};
 use adavp_detector::{Detector, DetectorConfig, ModelSetting, SimulatedDetector};
@@ -56,7 +56,7 @@ pub fn fig1(ctx: &mut ExperimentContext, frame_cap: usize) -> Vec<Fig1Row> {
                 let s = evaluate_frame(
                     &boxes,
                     &gt[frame.index as usize],
-                    eval.iou_threshold,
+                    IOU_THRESHOLD,
                     Matcher::Hungarian,
                 );
                 f1s.push(s.f1);
@@ -129,7 +129,7 @@ pub fn fig2(frames: usize, runs: usize) -> Fig2Result {
                     .into_iter()
                     .map(|(c, b)| LabeledBox::new(c, b))
                     .collect();
-                let s = evaluate_frame(&boxes, &gt[i], eval.iou_threshold, Matcher::Hungarian);
+                let s = evaluate_frame(&boxes, &gt[i], IOU_THRESHOLD, Matcher::Hungarian);
                 acc[i - 1] += s.f1;
             }
         }
@@ -280,7 +280,7 @@ pub fn fig11(ctx: &mut ExperimentContext) -> Vec<(String, f64, f64)> {
             .evaluations
             .iter()
             .zip(&gt)
-            .map(|(ev, gt)| video_accuracy(&score_trace(&ev.trace, gt, iou), eval.f1_threshold))
+            .map(|(ev, gt)| video_accuracy(&score_trace(&ev.trace, gt, iou), F1_THRESHOLD))
             .collect();
         dataset_accuracy(&per_video)
     };

@@ -2,7 +2,7 @@
 
 use crate::context::ExperimentContext;
 use crate::runner::SchemeResult;
-use adavp_core::latency::LatencyModel;
+use adavp_core::latency;
 use adavp_core::pipeline::Scheme;
 use adavp_core::tracker::{ObjectTracker, TrackerConfig};
 use adavp_detector::ModelSetting;
@@ -27,8 +27,6 @@ pub struct Table2Row {
 /// the simulation charges, plus the actual wall time of the real CV kernels
 /// in this reproduction.
 pub fn table2() -> Vec<Table2Row> {
-    let lat = LatencyModel::default();
-
     // Measure the real kernels on a 640x360 frame.
     let mut spec = Scenario::Highway.spec();
     spec.size_range = (30.0, 60.0);
@@ -64,17 +62,20 @@ pub fn table2() -> Vec<Table2Row> {
         },
         Table2Row {
             component: "Good feature extraction".into(),
-            modeled_ms: (lat.feature_extraction_ms, lat.feature_extraction_ms),
+            modeled_ms: (
+                latency::FEATURE_EXTRACTION_MS,
+                latency::FEATURE_EXTRACTION_MS,
+            ),
             measured_ms: feature_ms,
         },
         Table2Row {
             component: "Tracking latency".into(),
-            modeled_ms: (lat.track_ms(1), lat.track_ms(10)),
+            modeled_ms: (latency::track_ms(1), latency::track_ms(10)),
             measured_ms: track_ms,
         },
         Table2Row {
             component: "Overlay latency".into(),
-            modeled_ms: (lat.overlay_ms(4), lat.overlay_ms(10)),
+            modeled_ms: (latency::overlay_ms(4), latency::overlay_ms(10)),
             measured_ms: 0.0,
         },
     ]

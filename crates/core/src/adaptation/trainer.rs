@@ -19,7 +19,7 @@
 //! objective degenerates to the paper's misclassification count.
 
 use crate::adaptation::model::AdaptationModel;
-use crate::eval::{ground_truth_boxes, score_trace, EvalConfig};
+use crate::eval::{ground_truth_boxes, score_trace, EvalConfig, F1_THRESHOLD, IOU_THRESHOLD};
 use crate::pipeline::{MpdtPipeline, PipelineConfig, SettingPolicy, VideoProcessor};
 use adavp_detector::{DetectorConfig, ModelSetting, SimulatedDetector};
 use adavp_video::clip::VideoClip;
@@ -69,28 +69,18 @@ impl TrainingExample {
     }
 }
 
+/// Chunk length in frames (paper: 1 second = 30 frames).
+pub const CHUNK_FRAMES: usize = 30;
+
 /// Trainer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainerConfig {
-    /// Chunk length in frames (paper: 1 second = 30 frames).
-    pub chunk_frames: usize,
-    /// Scoring configuration (ground truth, IoU).
+    /// Scoring configuration (ground truth).
     pub eval: EvalConfig,
     /// Detector error model used during training runs.
     pub detector: DetectorConfig,
     /// Pipeline configuration used during training runs.
     pub pipeline: PipelineConfig,
-}
-
-impl Default for TrainerConfig {
-    fn default() -> Self {
-        Self {
-            chunk_frames: 30,
-            eval: EvalConfig::default(),
-            detector: DetectorConfig::default(),
-            pipeline: PipelineConfig::default(),
-        }
-    }
 }
 
 /// Maps an adaptive setting to its velocity-order class
@@ -185,8 +175,7 @@ struct SettingObservation {
 fn observe_setting(clip: &VideoClip, si: usize, cfg: &TrainerConfig) -> SettingObservation {
     let setting = ModelSetting::ADAPTIVE[si];
     let gt = ground_truth_boxes(clip, cfg.eval.ground_truth);
-    let chunk = cfg.chunk_frames.max(1);
-    let n_chunks = clip.len().div_ceil(chunk);
+    let n_chunks = clip.len().div_ceil(CHUNK_FRAMES);
     let class = setting_to_class(setting);
     let mut chunk_f1 = vec![0.0f64; n_chunks];
     let mut chunk_vel = vec![None::<f64>; n_chunks];
@@ -204,22 +193,19 @@ fn observe_setting(clip: &VideoClip, si: usize, cfg: &TrainerConfig) -> SettingO
         cfg.pipeline.clone(),
     );
     let trace = pipeline.process(clip);
-    let scores = score_trace(&trace, &gt, cfg.eval.iou_threshold);
-    for (ci, window) in scores.chunks(chunk).enumerate() {
+    let scores = score_trace(&trace, &gt, IOU_THRESHOLD);
+    for (ci, window) in scores.chunks(CHUNK_FRAMES).enumerate() {
         // Chunk accuracy uses the same statistic as the evaluation
         // metric — the fraction of frames with F1 above the threshold —
         // so the learner optimizes what the system is judged on.
-        let good = window
-            .iter()
-            .filter(|&&f| f >= cfg.eval.f1_threshold)
-            .count();
+        let good = window.iter().filter(|&&f| f >= F1_THRESHOLD).count();
         chunk_f1[ci] = good as f64 / window.len() as f64;
     }
     // Assign each cycle's velocity to the chunk holding its detected frame.
     let mut sums = vec![(0.0f64, 0u32); n_chunks];
     for cy in &trace.cycles {
         if let Some(v) = cy.velocity {
-            let ci = (cy.detected_frame as usize / chunk).min(n_chunks - 1);
+            let ci = (cy.detected_frame as usize / CHUNK_FRAMES).min(n_chunks - 1);
             sums[ci].0 += v;
             sums[ci].1 += 1;
         }

@@ -34,26 +34,20 @@ impl Default for GroundTruthMode {
     }
 }
 
-/// Scoring configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// IoU threshold for true positives (the paper's default; Fig. 11 sweeps
+/// 0.6 explicitly).
+pub const IOU_THRESHOLD: f32 = 0.5;
+
+/// F1 threshold α for per-video accuracy (the paper's default; Fig. 10
+/// sweeps 0.75 explicitly).
+pub const F1_THRESHOLD: f64 = 0.7;
+
+/// Scoring configuration. The thresholds are [`IOU_THRESHOLD`] and
+/// [`F1_THRESHOLD`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalConfig {
-    /// IoU threshold for true positives (paper default 0.5; Fig. 11 uses 0.6).
-    pub iou_threshold: f32,
-    /// F1 threshold α for per-video accuracy (paper default 0.7; Fig. 10
-    /// uses 0.75).
-    pub f1_threshold: f64,
     /// Ground-truth source.
     pub ground_truth: GroundTruthMode,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        Self {
-            iou_threshold: 0.5,
-            f1_threshold: 0.7,
-            ground_truth: GroundTruthMode::default(),
-        }
-    }
 }
 
 /// Ground-truth boxes for every frame of a clip under the given mode.
@@ -126,8 +120,8 @@ pub fn evaluate_on_clip<P: VideoProcessor + ?Sized>(
 ) -> VideoEvaluation {
     let gt = ground_truth_boxes(clip, cfg.ground_truth);
     let trace = processor.process(clip);
-    let frame_f1 = score_trace(&trace, &gt, cfg.iou_threshold);
-    let accuracy = video_accuracy(&frame_f1, cfg.f1_threshold);
+    let frame_f1 = score_trace(&trace, &gt, IOU_THRESHOLD);
+    let accuracy = video_accuracy(&frame_f1, F1_THRESHOLD);
     VideoEvaluation {
         trace,
         frame_f1,

@@ -13,55 +13,33 @@
 //! faster than the TX2 numbers (smaller frames, native code), so virtual
 //! time uses this model rather than wall-clock measurements — keeping every
 //! experiment deterministic and latency ratios faithful to the paper.
+//!
+//! Every latency here is a calibration, in milliseconds of virtual time,
+//! and a constant: nothing configures it per run.
 
-/// Calibrated tracker-side latencies, all in milliseconds of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyModel {
-    /// Cost of extracting good features in the reference frame (per cycle).
-    pub feature_extraction_ms: f64,
-    /// Fixed part of tracking one frame.
-    pub track_base_ms: f64,
-    /// Additional tracking cost per tracked object.
-    pub track_per_object_ms: f64,
-    /// Fixed part of overlay drawing + display of one frame.
-    pub overlay_base_ms: f64,
-    /// Additional overlay cost per object box drawn.
-    pub overlay_per_object_ms: f64,
-    /// Cost of displaying a skipped frame with stale boxes (no re-draw).
-    pub held_frame_ms: f64,
+/// Cost of extracting good features in the reference frame (per cycle).
+pub const FEATURE_EXTRACTION_MS: f64 = 40.0;
+/// Fixed part of tracking one frame.
+pub const TRACK_BASE_MS: f64 = 5.5;
+/// Additional tracking cost per tracked object.
+pub const TRACK_PER_OBJECT_MS: f64 = 1.5;
+/// Fixed part of overlay drawing + display of one frame.
+pub const OVERLAY_BASE_MS: f64 = 42.0;
+/// Additional overlay cost per object box drawn.
+pub const OVERLAY_PER_OBJECT_MS: f64 = 1.0;
+/// Cost of displaying a skipped frame with stale boxes (no re-draw).
+pub const HELD_FRAME_MS: f64 = 2.0;
+
+/// Tracking latency for a frame with `objects` tracked boxes.
+///
+/// This spans 7 ms (1 object) to 20 ms (~10 objects), matching Table II.
+pub fn track_ms(objects: usize) -> f64 {
+    TRACK_BASE_MS + TRACK_PER_OBJECT_MS * objects as f64
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self {
-            feature_extraction_ms: 40.0,
-            track_base_ms: 5.5,
-            track_per_object_ms: 1.5,
-            overlay_base_ms: 42.0,
-            overlay_per_object_ms: 1.0,
-            held_frame_ms: 2.0,
-        }
-    }
-}
-
-impl LatencyModel {
-    /// Tracking latency for a frame with `objects` tracked boxes.
-    ///
-    /// With the default model this spans 7 ms (1 object) to 20 ms
-    /// (~10 objects), matching Table II.
-    pub fn track_ms(&self, objects: usize) -> f64 {
-        self.track_base_ms + self.track_per_object_ms * objects as f64
-    }
-
-    /// Overlay + display latency for a frame with `objects` boxes.
-    pub fn overlay_ms(&self, objects: usize) -> f64 {
-        self.overlay_base_ms + self.overlay_per_object_ms * objects as f64
-    }
-
-    /// Full cost of processing one tracked frame (track + overlay).
-    pub fn tracked_frame_ms(&self, objects: usize) -> f64 {
-        self.track_ms(objects) + self.overlay_ms(objects)
-    }
+/// Overlay + display latency for a frame with `objects` boxes.
+pub fn overlay_ms(objects: usize) -> f64 {
+    OVERLAY_BASE_MS + OVERLAY_PER_OBJECT_MS * objects as f64
 }
 
 /// Fraction of the full-frame detection cost a region-restricted pass pays
@@ -91,7 +69,16 @@ pub fn region_scaled_ms(full_ms: f64, area_fraction: f64) -> f64 {
     full_ms.max(0.0) * (REGION_LATENCY_FLOOR + (1.0 - REGION_LATENCY_FLOOR) * f)
 }
 
-/// Latency of one *batched* detector invocation on a shared GPU.
+/// Fixed cost per GPU dispatch (launch, weight residency checks).
+pub const DISPATCH_OVERHEAD_MS: f64 = 4.0;
+
+/// Fraction of a member's standalone latency added beyond the critical
+/// path for each non-slowest member of a batch.
+pub const MARGINAL_FRACTION: f64 = 0.25;
+
+/// GPU-busy time of one *batched* detector invocation on a shared GPU,
+/// whose members would take `member_ms` each if dispatched alone. Zero for
+/// an empty batch (nothing dispatched).
 ///
 /// The fleet layer ([`crate::serve`]) executes detection requests from many
 /// streams as one GPU batch. Batching is sub-linear: the kernel launch /
@@ -100,59 +87,35 @@ pub fn region_scaled_ms(full_ms: f64, area_fraction: f64) -> f64 {
 /// its standalone latency (weight reuse, better occupancy). The model:
 ///
 /// ```text
-/// batch_ms = dispatch_overhead_ms + max(l_i) + marginal_fraction * (Σ l_i − max(l_i))
+/// batch_ms = DISPATCH_OVERHEAD_MS + max(l_i) + MARGINAL_FRACTION * (Σ l_i − max(l_i))
 /// ```
 ///
-/// With the defaults, a batch of 8 equal requests runs in `4 + 2.75 l`
-/// instead of the `8 (4 + l)` of eight singleton dispatches — ~2.9×
-/// detector throughput, consistent with the sub-linear batch scaling
-/// reported for mobile-class GPUs in the ApproxDet/Virtuoso line of work.
-/// A singleton batch still pays the dispatch overhead, so unbatched serving
-/// is exactly `dispatch_overhead_ms + l`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchLatencyModel {
-    /// Fixed cost per GPU dispatch (launch, weight residency checks).
-    pub dispatch_overhead_ms: f64,
-    /// Fraction of a member's standalone latency added beyond the critical
-    /// path for each non-slowest member. `1.0` degenerates to serial
-    /// execution inside one dispatch; `0.0` is perfect parallelism.
-    pub marginal_fraction: f64,
+/// A batch of 8 equal requests runs in `4 + 2.75 l` instead of the
+/// `8 (4 + l)` of eight singleton dispatches — ~2.9× detector throughput,
+/// consistent with the sub-linear batch scaling reported for mobile-class
+/// GPUs in the ApproxDet/Virtuoso line of work. A singleton batch still
+/// pays the dispatch overhead, so unbatched serving is exactly
+/// `DISPATCH_OVERHEAD_MS + l`.
+pub fn batch_ms(member_ms: &[f64]) -> f64 {
+    if member_ms.is_empty() {
+        return 0.0;
+    }
+    let mut sum = 0.0;
+    let mut max = 0.0f64;
+    for &l in member_ms {
+        let l = l.max(0.0);
+        sum += l;
+        max = max.max(l);
+    }
+    DISPATCH_OVERHEAD_MS + max + MARGINAL_FRACTION * (sum - max)
 }
 
-impl Default for BatchLatencyModel {
-    fn default() -> Self {
-        Self {
-            dispatch_overhead_ms: 4.0,
-            marginal_fraction: 0.25,
-        }
-    }
-}
-
-impl BatchLatencyModel {
-    /// GPU-busy time of one batch whose members would take `member_ms` each
-    /// if dispatched alone. Zero for an empty batch (nothing dispatched).
-    pub fn batch_ms(&self, member_ms: &[f64]) -> f64 {
-        if member_ms.is_empty() {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        let mut max = 0.0f64;
-        for &l in member_ms {
-            let l = l.max(0.0);
-            sum += l;
-            max = max.max(l);
-        }
-        let frac = self.marginal_fraction.clamp(0.0, 1.0);
-        self.dispatch_overhead_ms.max(0.0) + max + frac * (sum - max)
-    }
-
-    /// Steady-state GPU cost attributed to one member of a full batch of
-    /// `max_batch` requests each taking `member_ms` alone — the quantity
-    /// admission control compares against pool capacity.
-    pub fn amortized_member_ms(&self, member_ms: f64, max_batch: usize) -> f64 {
-        let n = max_batch.max(1);
-        self.batch_ms(&vec![member_ms; n]) / n as f64
-    }
+/// Steady-state GPU cost attributed to one member of a full batch of
+/// `max_batch` requests each taking `member_ms` alone — the quantity
+/// admission control compares against pool capacity.
+pub fn amortized_member_ms(member_ms: f64, max_batch: usize) -> f64 {
+    let n = max_batch.max(1);
+    batch_ms(&vec![member_ms; n]) / n as f64
 }
 
 #[cfg(test)]
@@ -161,13 +124,12 @@ mod tests {
 
     #[test]
     fn matches_table_ii_ranges() {
-        let m = LatencyModel::default();
-        assert_eq!(m.feature_extraction_ms, 40.0);
-        let t1 = m.track_ms(1);
-        let t10 = m.track_ms(10);
+        assert_eq!(FEATURE_EXTRACTION_MS, 40.0);
+        let t1 = track_ms(1);
+        let t10 = track_ms(10);
         assert!((7.0..=9.0).contains(&t1), "1-object tracking {t1}");
         assert!((18.0..=22.0).contains(&t10), "10-object tracking {t10}");
-        let o = m.overlay_ms(8);
+        let o = overlay_ms(8);
         assert!((45.0..=55.0).contains(&o), "overlay {o}");
     }
 
@@ -175,27 +137,25 @@ mod tests {
     fn tracked_frame_exceeds_frame_interval() {
         // Observation 4: tracking + overlay of one frame (57–70 ms) exceeds
         // the 33 ms frame interval, forcing frame skipping.
-        let m = LatencyModel::default();
+        let tracked_frame_ms = |objects| track_ms(objects) + overlay_ms(objects);
         for objects in 1..=10 {
-            assert!(m.tracked_frame_ms(objects) > 33.4);
+            assert!(tracked_frame_ms(objects) > 33.4);
         }
-        assert!(m.tracked_frame_ms(1) >= 50.0);
-        assert!(m.tracked_frame_ms(10) <= 75.0);
+        assert!(tracked_frame_ms(1) >= 50.0);
+        assert!(tracked_frame_ms(10) <= 75.0);
     }
 
     #[test]
     fn monotone_in_objects() {
-        let m = LatencyModel::default();
         for k in 0..10 {
-            assert!(m.track_ms(k + 1) > m.track_ms(k));
-            assert!(m.overlay_ms(k + 1) > m.overlay_ms(k));
+            assert!(track_ms(k + 1) > track_ms(k));
+            assert!(overlay_ms(k + 1) > overlay_ms(k));
         }
     }
 
     #[test]
     fn held_frames_are_cheap() {
-        let m = LatencyModel::default();
-        assert!(m.held_frame_ms < 33.3 / 2.0);
+        const { assert!(HELD_FRAME_MS < 33.3 / 2.0) };
     }
 
     #[test]
@@ -220,39 +180,31 @@ mod tests {
 
     #[test]
     fn batch_model_is_sublinear() {
-        let b = BatchLatencyModel::default();
-        assert_eq!(b.batch_ms(&[]), 0.0);
-        let single = b.batch_ms(&[390.0]);
+        assert_eq!(batch_ms(&[]), 0.0);
+        let single = batch_ms(&[390.0]);
         assert_eq!(single, 4.0 + 390.0);
         // Eight equal members: one overhead + critical path + 7 marginals.
-        let eight = b.batch_ms(&[390.0; 8]);
+        let eight = batch_ms(&[390.0; 8]);
         assert!((eight - (4.0 + 390.0 + 0.25 * 7.0 * 390.0)).abs() < 1e-9);
         // Sub-linear: far cheaper than eight singleton dispatches, and the
         // per-member throughput gain clears the fleet acceptance bar (1.5x).
         assert!(eight < 8.0 * single / 1.5, "batching too weak: {eight}");
         // Never cheaper than the slowest member alone.
-        let mixed = b.batch_ms(&[60.0, 650.0, 230.0]);
+        let mixed = batch_ms(&[60.0, 650.0, 230.0]);
         assert!(mixed >= 650.0 + 4.0);
         assert!(mixed <= 60.0 + 650.0 + 230.0 + 4.0);
     }
 
     #[test]
     fn batch_model_edge_cases() {
-        let b = BatchLatencyModel::default();
         // Negative member latencies clamp to zero instead of refunding time.
-        assert_eq!(b.batch_ms(&[-5.0]), 4.0);
-        // marginal_fraction = 1 degenerates to serial execution.
-        let serial = BatchLatencyModel {
-            marginal_fraction: 1.0,
-            ..Default::default()
-        };
-        assert!((serial.batch_ms(&[100.0, 200.0]) - 304.0).abs() < 1e-9);
+        assert_eq!(batch_ms(&[-5.0]), 4.0);
         // Amortized member cost shrinks with batch size, bounded below by
         // the marginal fraction.
-        let m1 = b.amortized_member_ms(390.0, 1);
-        let m8 = b.amortized_member_ms(390.0, 8);
+        let m1 = amortized_member_ms(390.0, 1);
+        let m8 = amortized_member_ms(390.0, 8);
         assert!(m8 < m1 / 1.5, "amortization {m8} vs {m1}");
         assert!(m8 > 0.25 * 390.0 * 0.9);
-        assert_eq!(b.amortized_member_ms(390.0, 0), m1, "0 clamps to 1");
+        assert_eq!(amortized_member_ms(390.0, 0), m1, "0 clamps to 1");
     }
 }

@@ -37,7 +37,7 @@
 //! * [`serve`] — multi-stream fleet serving: the pipeline loop refactored
 //!   into a poll/step state machine, a batching detection scheduler over a
 //!   shared GPU pool, SLO-class admission control, and backpressure via
-//!   the degradation policy.
+//!   the degradation step-down rule.
 //!
 //! # Example: run AdaVP on a clip
 //!

@@ -49,7 +49,7 @@ pub const BATCH_MEMBERS_TOTAL: &str = "adavp_batch_members_total";
 pub const CLOSED_ON_SIZE_TOTAL: &str = "adavp_batches_closed_on_size_total";
 /// Counter: streams that requested admission.
 pub const STREAMS_REQUESTED: &str = "adavp_streams_requested_total";
-/// Counter: streams admitted by the admission policy.
+/// Counter: streams admitted by admission control.
 pub const STREAMS_ADMITTED: &str = "adavp_streams_admitted_total";
 
 /// Gauge (per class): final error-budget burn rate.

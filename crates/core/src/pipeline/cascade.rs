@@ -18,7 +18,7 @@
 //! steps one setting lighter (transient, like every other pipeline).
 
 use super::clip_run::{ClipRun, Shown};
-use super::{FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor};
+use super::{step_down, FrameSource, PipelineConfig, ProcessingTrace, VideoProcessor};
 use crate::telemetry::{Attr, SpanKind, Track};
 use adavp_detector::{Detection, Detector, ModelSetting};
 use adavp_metrics::f1::LabeledBox;
@@ -133,10 +133,7 @@ impl<D: Detector> VideoProcessor for CascadePipeline<D> {
             let mut degraded_prev = false;
             loop {
                 let cycle_key = run.next_cycle();
-                let full_setting = self
-                    .config
-                    .degradation
-                    .step_down(self.setting, degraded_prev);
+                let full_setting = step_down(self.setting, degraded_prev);
                 let arrival = run.arrive(cur);
 
                 // --- Proposal pass: cheap, reliable, every cycle. --------

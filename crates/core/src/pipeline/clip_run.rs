@@ -2,7 +2,7 @@
 //!
 //! All clip schemes run on one simulated phone: a virtual GPU and CPU, an
 //! energy meter, a telemetry recorder, the stream's salted fault plan with
-//! its contention bursts and degradation policy, and the rule that every
+//! its contention bursts and degradation rules, and the rule that every
 //! frame ends up with exactly one [`FrameOutput`]. A [`ClipRun`] owns all of
 //! it. Each scheme's loop keeps only what makes the scheme different —
 //! which frame to detect next, when to track, what to show — and asks the
@@ -11,10 +11,10 @@
 //! the telemetry bytes are reproducible.
 
 use super::{
-    CycleRecord, DegradationPolicy, DetectorFault, FrameOutput, FrameSource, PipelineConfig,
-    ProcessingTrace,
+    retry_backoff, timeout, CycleRecord, DetectorFault, FrameOutput, FrameSource, PipelineConfig,
+    ProcessingTrace, MAX_DETECTOR_RETRIES,
 };
-use crate::latency::LatencyModel;
+use crate::latency::{overlay_ms, track_ms, FEATURE_EXTRACTION_MS, HELD_FRAME_MS};
 use crate::metrics::{names, LabelSet, MetricsConfig, MetricsRegistry};
 use crate::telemetry::{Attr, EventKind, Histogram, Recorder, SpanKind, Track};
 use crate::tracker::{ObjectTracker, StepStats};
@@ -120,10 +120,8 @@ impl TrackStep {
 pub(super) struct ClipRun<'c> {
     stream: FrameStream<'c>,
     last: u64,
-    latency: LatencyModel,
     metrics: MetricsConfig,
     faults: FaultPlan,
-    degradation: DegradationPolicy,
     contention: ContentionInjector,
     gpu: Resource,
     cpu: Resource,
@@ -159,11 +157,9 @@ impl<'c> ClipRun<'c> {
         Self {
             stream: FrameStream::new(clip),
             last: (clip.len() as u64).saturating_sub(1),
-            latency: config.latency,
             metrics: config.metrics,
             contention: faults.contention(),
             faults,
-            degradation: config.degradation.clone(),
             gpu: Resource::new("gpu"),
             cpu: Resource::new("cpu"),
             meter: EnergyMeter::new(),
@@ -242,7 +238,7 @@ impl<'c> ClipRun<'c> {
     /// to the dispatch horizon, the cycle's latency multiplier is applied,
     /// over-budget attempts are abandoned at the timeout (releasing the
     /// GPU), and failed attempts retry with linear backoff up to the
-    /// policy's bound. With [`FaultPlan::is_none`] this reduces to exactly
+    /// `MAX_DETECTOR_RETRIES`. With [`FaultPlan::is_none`] this reduces to exactly
     /// one `schedule` + `record`.
     ///
     /// With a `region`, only detections whose centers fall inside it come
@@ -288,10 +284,9 @@ impl<'c> ClipRun<'c> {
         earliest: SimTime,
         cycle: u64,
     ) -> DetectionOutcome {
-        let degradation = &self.degradation;
         let mult = self.faults.latency_multiplier(cycle);
         let effective_ms = det.latency_ms * mult;
-        if let Some(budget) = degradation.timeout(effective_ms) {
+        if let Some(budget) = timeout(effective_ms) {
             // Abandon at the budget: the GPU was busy that long, but no
             // result comes back.
             let (s, e) = self.gpu.schedule(earliest, SimTime::from_ms(budget));
@@ -303,7 +298,7 @@ impl<'c> ClipRun<'c> {
                 fault: Some(DetectorFault::Timeout { multiplier: mult }),
             };
         }
-        let attempts = degradation.max_detector_retries + 1;
+        let attempts = MAX_DETECTOR_RETRIES + 1;
         let mut at = earliest;
         let mut first_start: Option<SimTime> = None;
         let mut last_end = earliest;
@@ -313,7 +308,7 @@ impl<'c> ClipRun<'c> {
             first_start.get_or_insert(s);
             last_end = e;
             if self.faults.detector_fails(cycle, attempt) {
-                at = e + SimTime::from_ms(degradation.retry_backoff(attempt));
+                at = e + SimTime::from_ms(retry_backoff(attempt));
                 continue;
             }
             let fault = if attempt > 0 {
@@ -430,7 +425,7 @@ impl<'c> ClipRun<'c> {
         shown: &Shown,
         at: SimTime,
     ) -> SimTime {
-        let fe = SimTime::from_ms(self.latency.feature_extraction_ms);
+        let fe = SimTime::from_ms(FEATURE_EXTRACTION_MS);
         let (start, end) = self.cpu.schedule(at, fe);
         self.meter.record(Activity::FeatureExtraction, fe);
         if self.rec.on() {
@@ -458,8 +453,8 @@ impl<'c> ClipRun<'c> {
         at: SimTime,
     ) -> TrackStep {
         let objects = tracker.boxes().len();
-        let track = SimTime::from_ms(self.latency.track_ms(objects));
-        let draw = SimTime::from_ms(self.latency.overlay_ms(objects));
+        let track = SimTime::from_ms(track_ms(objects));
+        let draw = SimTime::from_ms(overlay_ms(objects));
         let (start, end) = self.cpu.schedule(at, track + draw);
         self.meter.record(Activity::Tracking, track);
         self.meter.record(Activity::Overlay, draw);
@@ -473,10 +468,10 @@ impl<'c> ClipRun<'c> {
         }
     }
 
-    /// Records `step`'s CPU span when per-step telemetry is on, with the
-    /// scheme's tracker `confidence` when it keeps one.
+    /// Records `step`'s CPU span when telemetry is on, with the scheme's
+    /// tracker `confidence` when it keeps one.
     pub fn record_step(&mut self, step: &TrackStep, confidence: Option<f64>) {
-        if !self.rec.steps() {
+        if !self.rec.on() {
             return;
         }
         let mut attrs = vec![
@@ -542,9 +537,9 @@ impl<'c> ClipRun<'c> {
         at: SimTime,
     ) -> (SimTime, SimTime) {
         let cost = SimTime::from_ms(if source == FrameSource::Dropped {
-            self.latency.held_frame_ms
+            HELD_FRAME_MS
         } else {
-            self.latency.overlay_ms(shown.boxes.len())
+            overlay_ms(shown.boxes.len())
         });
         let (start, end) = self.cpu.schedule(at, cost);
         self.meter.record(Activity::Overlay, cost);
@@ -560,7 +555,7 @@ impl<'c> ClipRun<'c> {
     /// camera-track [`EventKind::FrameDrop`] instant at the frame's nominal
     /// arrival time.
     pub fn hold(&mut self, gap: Range<u64>, shown: &Shown, display: SimTime) {
-        let held = SimTime::from_ms(self.latency.held_frame_ms);
+        let held = SimTime::from_ms(HELD_FRAME_MS);
         let mut last = shown.clone();
         let mut last_display = display;
         for frame in gap {

@@ -13,9 +13,8 @@
 //!
 //! Between detections the confidence is therefore monotone non-increasing.
 //! Re-detection fires when it crosses [`CtdConfig::threshold`], when the
-//! tracker loses every object, when the cycle-length cap is hit, or — under
-//! the default degradation policy — immediately on injected tracker
-//! divergence (the pipeline must not keep riding a confidence estimate the
+//! tracker loses every object, when the cycle-length cap is hit, or
+//! immediately on injected tracker divergence (the pipeline must not keep riding a confidence estimate the
 //! tracker itself has invalidated).
 //!
 //! With zero penalties the trigger time is exact and testable: starting at

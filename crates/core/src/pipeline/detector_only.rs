@@ -5,7 +5,7 @@
 //! unchanged (the Chameleon-style rule the paper cites).
 
 use super::clip_run::{ClipRun, Shown};
-use super::{PipelineConfig, ProcessingTrace, VideoProcessor};
+use super::{step_down, PipelineConfig, ProcessingTrace, VideoProcessor};
 use adavp_detector::{Detector, ModelSetting};
 use adavp_sim::time::SimTime;
 use adavp_video::clip::VideoClip;
@@ -45,10 +45,7 @@ impl<D: Detector> VideoProcessor for DetectorOnlyPipeline<D> {
             // cycle).
             let mut degraded_prev = false;
             loop {
-                let setting = self
-                    .config
-                    .degradation
-                    .step_down(self.setting, degraded_prev);
+                let setting = step_down(self.setting, degraded_prev);
                 let arrival = run.arrive(cur);
                 let outcome = run.detect(&mut self.detector, cur, setting, t.max(arrival), None);
                 // No tracker to fall back on: a degraded cycle holds the

@@ -4,7 +4,7 @@
 //! produce a [`ProcessingTrace`]: which boxes the system displayed for every
 //! frame, the detection-cycle log, and the energy spent. Virtual time drives
 //! everything — detection latency comes from the detector model, tracker
-//! latencies from [`LatencyModel`] — so runs
+//! latencies from [`crate::latency`] — so runs
 //! are deterministic and much faster than real time.
 //!
 //! * [`MpdtPipeline`] — the paper's parallel detection+tracking pipeline
@@ -26,7 +26,7 @@
 //!
 //! Every scheme's loop runs on one private `ClipRun` (`clip_run.rs`). It
 //! owns what the schemes share: the virtual GPU and CPU, the energy meter,
-//! the telemetry recorder, the fault layer with its degradation policy
+//! the telemetry recorder, the fault layer with its degradation rules
 //! (`ClipRun::detect`), the per-frame outputs and the cycle log, and the
 //! rule for empty clips. Each scheme's module keeps only its own schedule.
 //!
@@ -52,7 +52,6 @@ pub use mpdt::MpdtPipeline;
 pub use scheme::Scheme;
 
 use crate::adaptation::AdaptationModel;
-use crate::latency::LatencyModel;
 use crate::metrics::{MetricsConfig, MetricsRegistry};
 use crate::telemetry::{TelemetryConfig, TelemetryLog};
 use crate::tracker::TrackerConfig;
@@ -297,7 +296,7 @@ impl SettingPolicy {
     ///   design).
     ///
     /// Degraded-mode interaction: pipelines pass this method's answer
-    /// through [`DegradationPolicy::step_down`], which steps it one notch
+    /// through [`step_down`], which steps it one notch
     /// lighter after a degraded cycle — degradation composes *after* the
     /// policy and lasts one cycle, because the policy re-decides from
     /// scratch next cycle.
@@ -317,70 +316,48 @@ impl SettingPolicy {
     }
 }
 
-/// How a pipeline degrades when the fault layer bites.
-///
-/// The defaults are chosen so that a fault-free run behaves exactly like
-/// the pre-fault-layer pipelines: the timeout budget sits far above the
-/// worst happy-path detection latency (~850 ms for YOLOv3-704 with full
-/// jitter), so it can only fire under injected latency spikes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegradationPolicy {
-    /// Detection attempts whose (faulted) latency would exceed this budget
-    /// are abandoned at the budget: the GPU is released, the cycle
-    /// publishes tracker/inherited results, and — if
-    /// [`step_down_on_timeout`](Self::step_down_on_timeout) — the next
-    /// cycle steps one setting lighter. `None` waits forever.
-    pub detector_timeout_ms: Option<f64>,
-    /// Retries after a failed detection attempt (total attempts =
-    /// `max_detector_retries + 1`). Each attempt burns GPU time; when all
-    /// fail the cycle degrades like a timeout.
-    pub max_detector_retries: u32,
-    /// Backoff before retry `k` (1-based): `k × retry_backoff_ms`.
-    pub retry_backoff_ms: f64,
-    /// Step the model setting one notch lighter for the cycle after a
-    /// timeout or exhausted retry budget (transient: the setting policy
-    /// re-decides on the following cycle).
-    pub step_down_on_timeout: bool,
-    /// Stop tracking and force an early re-detection when the tracker
-    /// diverges mid-cycle. When `false` the divergence is recorded but
-    /// tracking continues blindly.
-    pub redetect_on_divergence: bool,
+// How a pipeline degrades when the fault layer bites. These are constants,
+// not settings: the timeout budget sits far above the worst happy-path
+// detection latency (~850 ms for YOLOv3-704 with full jitter), so it can
+// only fire under injected latency spikes, and a fault-free run behaves
+// exactly like a pipeline without the fault layer.
+
+/// Budget a detection attempt is abandoned at when its (faulted) latency
+/// would exceed it: the GPU is released, the cycle publishes
+/// tracker/inherited results, and the next cycle steps one setting lighter
+/// ([`step_down`]).
+pub const DETECTOR_TIMEOUT_MS: f64 = 2000.0;
+
+/// Retries after a failed detection attempt (total attempts =
+/// `MAX_DETECTOR_RETRIES + 1`). Each attempt burns GPU time; when all fail
+/// the cycle degrades like a timeout.
+pub const MAX_DETECTOR_RETRIES: u32 = 2;
+
+/// Backoff unit before a retry: retry `k` (1-based) waits
+/// `k × RETRY_BACKOFF_MS`.
+pub const RETRY_BACKOFF_MS: f64 = 40.0;
+
+/// The budget an attempt lasting `ms` is abandoned at, when `ms` exceeds
+/// [`DETECTOR_TIMEOUT_MS`].
+pub fn timeout(ms: f64) -> Option<f64> {
+    (ms > DETECTOR_TIMEOUT_MS).then_some(DETECTOR_TIMEOUT_MS)
 }
 
-impl DegradationPolicy {
-    /// The budget an attempt lasting `ms` is abandoned at, when `ms`
-    /// exceeds [`detector_timeout_ms`](Self::detector_timeout_ms).
-    pub fn timeout(&self, ms: f64) -> Option<f64> {
-        self.detector_timeout_ms.filter(|&budget| ms > budget)
-    }
-
-    /// Linear backoff before retrying failed attempt `attempt` (0-based):
-    /// retry `k` waits `k × retry_backoff_ms`.
-    pub fn retry_backoff(&self, attempt: u32) -> f64 {
-        self.retry_backoff_ms * (attempt + 1) as f64
-    }
-
-    /// The setting to run after a cycle: `next` (the setting policy's
-    /// answer), one notch lighter when the cycle `degraded` and
-    /// [`step_down_on_timeout`](Self::step_down_on_timeout) is set.
-    pub fn step_down(&self, next: ModelSetting, degraded: bool) -> ModelSetting {
-        if degraded && self.step_down_on_timeout {
-            next.lighter()
-        } else {
-            next
-        }
-    }
+/// Linear backoff before retrying failed attempt `attempt` (0-based):
+/// retry `k` waits `k × RETRY_BACKOFF_MS`.
+pub fn retry_backoff(attempt: u32) -> f64 {
+    RETRY_BACKOFF_MS * (attempt + 1) as f64
 }
 
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            detector_timeout_ms: Some(2000.0),
-            max_detector_retries: 2,
-            retry_backoff_ms: 40.0,
-            step_down_on_timeout: true,
-            redetect_on_divergence: true,
-        }
+/// The setting to run after a cycle: `next` (the setting policy's answer),
+/// one notch lighter when the cycle `degraded` (timed out or exhausted its
+/// retries). The step is transient: the setting policy re-decides on the
+/// following cycle.
+pub fn step_down(next: ModelSetting, degraded: bool) -> ModelSetting {
+    if degraded {
+        next.lighter()
+    } else {
+        next
     }
 }
 
@@ -389,8 +366,6 @@ impl Default for DegradationPolicy {
 pub struct PipelineConfig {
     /// Object-tracker configuration.
     pub tracker: TrackerConfig,
-    /// Virtual-latency model for tracker-side costs.
-    pub latency: LatencyModel,
     /// Whether the tracking-frame selector adapts its fraction `p` from the
     /// previous cycle (the paper's scheme). When `false` the tracker always
     /// plans to track every buffered frame and relies on cancellation — the
@@ -400,8 +375,6 @@ pub struct PipelineConfig {
     /// injects nothing and keeps every pipeline bit-identical to the
     /// happy-path behavior.
     pub faults: FaultPlan,
-    /// How the pipeline degrades when faults bite.
-    pub degradation: DegradationPolicy,
     /// Telemetry recording. Disabled by default; when enabled, every
     /// pipeline emits sim-time spans and events through a per-run
     /// [`crate::telemetry::Recorder`] into [`ProcessingTrace::telemetry`].
@@ -417,10 +390,8 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
             tracker: TrackerConfig::default(),
-            latency: LatencyModel::default(),
             adaptive_selection: true,
             faults: FaultPlan::none(),
-            degradation: DegradationPolicy::default(),
             telemetry: TelemetryConfig::default(),
             metrics: MetricsConfig::default(),
         }
@@ -576,21 +547,18 @@ mod tests {
         // effect is transient because the policy re-decides next cycle
         // from the stepped-down current.
         let p = SettingPolicy::Adaptive(AdaptationModel::uniform([1.0, 2.0, 3.0]));
-        let d = DegradationPolicy::default();
-        let stepped = d.step_down(p.next_setting(ModelSetting::Yolo512, None), true);
+        let stepped = step_down(p.next_setting(ModelSetting::Yolo512, None), true);
         assert_eq!(stepped, ModelSetting::Yolo416);
         // Saturates at the lightest adaptive setting.
-        let floor = d.step_down(p.next_setting(ModelSetting::Yolo320, None), true);
+        let floor = step_down(p.next_setting(ModelSetting::Yolo320, None), true);
         assert_eq!(floor, ModelSetting::Yolo320);
     }
 
     #[test]
     fn default_degradation_cannot_fire_on_the_happy_path() {
-        let d = DegradationPolicy::default();
         // Worst happy-path latency: YOLOv3-704 at max jitter ≈ 850 ms.
-        let budget = d.detector_timeout_ms.expect("default budget");
-        assert!(budget > 900.0, "budget {budget} could clip real latencies");
-        assert!(d.max_detector_retries > 0);
+        assert_eq!(timeout(900.0), None, "the budget could clip real latencies");
+        assert_eq!(timeout(2500.0), Some(DETECTOR_TIMEOUT_MS));
         let cfg = PipelineConfig::default();
         assert!(cfg.faults.is_none(), "default config must inject nothing");
     }

@@ -10,7 +10,9 @@
 //! three-thread implementation uses.
 
 use super::clip_run::{ClipRun, Shown};
-use super::{FrameSource, PipelineConfig, ProcessingTrace, SettingPolicy, VideoProcessor};
+use super::{
+    step_down, FrameSource, PipelineConfig, ProcessingTrace, SettingPolicy, VideoProcessor,
+};
 use crate::telemetry::{Attr, EventKind, SpanKind, Track};
 use crate::tracker::{FrameSelector, ObjectTracker};
 use crate::velocity::VelocityEstimator;
@@ -56,7 +58,6 @@ impl<D: Detector> VideoProcessor for MpdtPipeline<D> {
 
     fn process(&mut self, clip: &VideoClip) -> ProcessingTrace {
         ClipRun::process(&self.config, clip, self.name(), |run, last| {
-            let degr = &self.config.degradation;
             let mut tracker = ObjectTracker::new(self.config.tracker.clone());
             let mut selector = FrameSelector::default();
             let mut vel = VelocityEstimator::new();
@@ -95,11 +96,11 @@ impl<D: Detector> VideoProcessor for MpdtPipeline<D> {
                 }
 
                 // (b) Decide next cycle's setting from the velocity measured
-                //     while this detection ran. A degraded cycle optionally
-                //     steps one notch lighter *after* the policy's decision
+                //     while this detection ran. A degraded cycle steps
+                //     one notch lighter *after* the policy's decision
                 //     (transient — the policy re-decides next cycle).
                 let degraded_prev = outcome.degraded();
-                let next_setting = degr.step_down(
+                let next_setting = step_down(
                     self.policy.next_setting(setting, vel.effective_velocity()),
                     degraded_prev,
                 );
@@ -172,9 +173,7 @@ impl<D: Detector> VideoProcessor for MpdtPipeline<D> {
                             // detection re-calibrates as early as possible;
                             // remaining frames inherit.
                             run.diverge(cursor);
-                            if degr.redetect_on_divergence {
-                                break;
-                            }
+                            break;
                         }
                         let frame = cur + 1 + idx as u64;
                         if run.dropped(frame) {
@@ -435,7 +434,7 @@ mod tests {
             .map(|cy| cy.end_ms - cy.start_ms)
             .sum();
         let boxes = trace.outputs.last().map_or(0, |o| o.boxes.len());
-        let overlay = PipelineConfig::default().latency.overlay_ms(boxes);
+        let overlay = crate::latency::overlay_ms(boxes);
         let bound = c.duration_ms() + drain + overlay;
         assert!(
             trace.finished_ms <= bound,

@@ -7,8 +7,8 @@
 //! DNN runs display the stale tracker output — the accumulated latency the
 //! paper identifies as MARLIN's weakness on fast scenes. The two schemes
 //! differ only in the [`Trigger`]; both share its safety nets: every
-//! tracked object went stale, the cycle-length cap, and (under the default
-//! degradation policy) injected tracker divergence.
+//! tracked object went stale, the cycle-length cap, and injected tracker
+//! divergence.
 
 use super::clip_run::{ClipRun, Shown};
 use super::ctd::{ConfidenceDecay, CtdConfig};
@@ -175,8 +175,7 @@ pub(super) fn run<D: Detector>(
                 last_processed = next;
 
                 // Injected divergence: the tracker's estimates degenerate
-                // here — record it, and (policy default) force an early
-                // re-detection.
+                // here — record it, and force an early re-detection.
                 let diverged_now = diverge_after.is_some_and(|da| tracked >= da);
                 if diverged_now {
                     run.diverge(cursor);
@@ -185,7 +184,7 @@ pub(super) fn run<D: Detector>(
                 fire = fired
                     || tracker.all_stale()
                     || next - cycle_start_frame >= max_cycle_frames
-                    || (diverged_now && config.degradation.redetect_on_divergence);
+                    || diverged_now;
                 if fire && run.rec.on() {
                     let mut attrs = vec![Attr::u64("frame", next)];
                     match (confidence, step.velocity()) {

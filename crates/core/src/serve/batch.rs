@@ -5,7 +5,7 @@
 //! reaches [`BatchConfig::max_batch`] members (**close on size**) or
 //! [`BatchConfig::window_ms`] elapses after its first member arrived
 //! (**close on deadline**). Batch GPU time comes from the sub-linear
-//! [`BatchLatencyModel`]; every member's result lands at batch completion,
+//! [`batch_ms`] model; every member's result lands at batch completion,
 //! so batching trades per-request latency for aggregate throughput —
 //! exactly the tradeoff the serve sweep quantifies.
 //!
@@ -21,7 +21,7 @@
 //! events on its queue.
 
 use super::stream::DetectionRequest;
-use crate::latency::BatchLatencyModel;
+use crate::latency::batch_ms;
 use adavp_sim::{ContentionInjector, FaultPlan, Resource, SimTime};
 
 /// Batching scheduler configuration.
@@ -38,8 +38,6 @@ pub struct BatchConfig {
     pub queue_capacity: usize,
     /// Number of GPUs in the shared pool.
     pub gpus: usize,
-    /// Sub-linear per-batch latency model.
-    pub batch_latency: BatchLatencyModel,
 }
 
 impl Default for BatchConfig {
@@ -49,7 +47,6 @@ impl Default for BatchConfig {
             window_ms: 250.0,
             queue_capacity: 64,
             gpus: 4,
-            batch_latency: BatchLatencyModel::default(),
         }
     }
 }
@@ -245,7 +242,7 @@ impl BatchScheduler {
         self.injectors[gpu].inject_until(horizon, &mut self.gpus[gpu]);
 
         let member_ms: Vec<f64> = members.iter().map(|m| m.member_ms).collect();
-        let duration = self.cfg.batch_latency.batch_ms(&member_ms);
+        let duration = batch_ms(&member_ms);
         let (start, end) = self.gpus[gpu].schedule(now, SimTime::from_ms(duration));
 
         self.stats.batches += 1;

@@ -17,7 +17,7 @@
 //! **Admission control**: streams are sorted by `(SLO class, index)` and
 //! admitted while their estimated steady-state GPU demand — the batch-
 //! amortized detector cost over an estimated cycle period — fits inside
-//! `pool size × target utilization`. Everyone else is rejected up front
+//! `pool size ×` [`TARGET_UTILIZATION`]. Everyone else is rejected up front
 //! and reported, keeping the tail latency of admitted streams bounded
 //! instead of letting every stream degrade together.
 
@@ -26,6 +26,7 @@ use super::stream::{
     DetectionVerdict, NextWake, SloClass, StreamPipeline, StreamSpec, StreamStats,
 };
 use super::ServeConfig;
+use crate::latency::{amortized_member_ms, batch_ms, overlay_ms, FEATURE_EXTRACTION_MS};
 use crate::metrics::{burn_rate, names, BudgetCrossing, LabelSet, MetricsRegistry};
 use crate::telemetry::{
     Attr, EventKind, Histogram, Recorder, TelemetryConfig, TelemetryLog, Track,
@@ -33,25 +34,9 @@ use crate::telemetry::{
 use adavp_sim::{EventQueue, FaultPlan, SimTime};
 use std::collections::BTreeMap;
 
-/// Admission-control policy for a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    /// When `false`, every requested stream is admitted (useful to
-    /// demonstrate what backpressure alone does under overload).
-    pub enabled: bool,
-    /// Fraction of the GPU pool the admitted set may demand in steady
-    /// state (headroom absorbs jitter, retries, and contention).
-    pub target_utilization: f64,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            target_utilization: 0.85,
-        }
-    }
-}
+/// Fraction of the GPU pool the admitted set may demand in steady state
+/// (headroom absorbs jitter, retries, and contention).
+pub const TARGET_UTILIZATION: f64 = 0.85;
 
 /// Per-SLO-class slice of a fleet report.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,29 +153,23 @@ impl FleetReport {
 /// first candidate is always admitted so a fleet never does nothing.
 pub fn admitted_mask(cfg: &ServeConfig) -> Vec<bool> {
     let n = cfg.streams.len();
-    if !cfg.admission.enabled {
-        return vec![true; n];
-    }
     let base = cfg.policy.initial_setting().base_latency_ms();
-    let model = cfg.batch.batch_latency;
     let max_batch = cfg.batch.max_batch.max(1);
     // Steady-state GPU cost of one detection, amortized over a full batch.
-    let amortized = model.amortized_member_ms(base, max_batch);
+    let amortized = amortized_member_ms(base, max_batch);
     // Estimated cycle period: CPU prep + formation window + the full
     // batch's critical path + overlay. Using the *batched* duration here
     // matters — it is what actually paces a stream's cycles, so skipping
     // it would under-admit by a factor of the batch depth.
-    let batch_duration = model.batch_ms(&vec![base; max_batch]);
-    let cycle_est = cfg.latency.feature_extraction_ms
-        + cfg.batch.window_ms.max(0.0)
-        + batch_duration
-        + cfg.latency.overlay_ms(4);
+    let batch_duration = batch_ms(&vec![base; max_batch]);
+    let cycle_est =
+        FEATURE_EXTRACTION_MS + cfg.batch.window_ms.max(0.0) + batch_duration + overlay_ms(4);
     let demand = if cycle_est > 0.0 {
         amortized / cycle_est
     } else {
         1.0
     };
-    let capacity = cfg.batch.gpus.max(1) as f64 * cfg.admission.target_utilization.clamp(0.0, 1.0);
+    let capacity = cfg.batch.gpus.max(1) as f64 * TARGET_UTILIZATION;
 
     // Every stream demands the same, so admission takes a prefix of the
     // `(class, index)` order: everything before the first key that no
@@ -308,8 +287,6 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
                     spec.clone(),
                     cfg.scheme,
                     cfg.policy.clone(),
-                    cfg.degradation.clone(),
-                    cfg.latency,
                     plan.for_stream(&spec.name),
                 )
             })
@@ -601,10 +578,7 @@ fn assemble_metrics(
         .flat_map(|(i, (spec, s))| s.crossings.iter().map(move |c| (i, spec, c)))
         .collect();
     crossings.sort_by(|a, b| a.2.at_ms.total_cmp(&b.2.at_ms).then(a.0.cmp(&b.0)));
-    let mut rec = Recorder::new(TelemetryConfig {
-        enabled: true,
-        step_spans: false,
-    });
+    let mut rec = Recorder::new(TelemetryConfig::enabled());
     for (_, spec, c) in crossings {
         registry.inc(
             names::BURN_ALERTS_TOTAL,
@@ -726,33 +700,24 @@ mod tests {
     }
 
     #[test]
-    fn disabled_admission_admits_everyone() {
-        let mut c = cfg(40, 2);
-        c.batch.gpus = 1;
-        c.admission.enabled = false;
-        let r = run_fleet(&c);
-        assert_eq!(r.admitted, 40);
-        // 40 streams on one GPU: the pool saturates.
-        assert!(r.gpu_utilization > 0.8, "util {}", r.gpu_utilization);
-    }
-
-    #[test]
     fn backpressure_sheds_under_tiny_queue() {
         let mut c = cfg(24, 3);
-        c.admission.enabled = false;
         c.batch = BatchConfig {
             max_batch: 2,
             window_ms: 10.0,
-            queue_capacity: 2,
+            queue_capacity: 1,
             gpus: 1,
-            ..BatchConfig::default()
         };
         let r = run_fleet(&c);
-        assert!(r.shed > 0, "24 streams through 2 slots must shed");
+        assert!(r.admitted > 1, "admitted {}", r.admitted);
+        assert!(r.shed > 0, "admitted streams through 1 slot must shed");
         // Shedding steps settings down — switches happened.
         assert!(r.switches > 0);
         // And the fleet still completed every admitted stream's cycles.
-        assert_eq!(r.cycles, 24 * 3);
+        assert_eq!(r.cycles, r.admitted as u64 * 3);
+        // A roomier queue sheds nothing.
+        c.batch.queue_capacity = 64;
+        assert_eq!(run_fleet(&c).shed, 0);
     }
 
     #[test]
@@ -830,11 +795,11 @@ mod tests {
         use crate::telemetry::EventKind;
         let mut c = cfg(20, 4);
         c.metrics = MetricsConfig::enabled();
-        c.admission.enabled = false;
+        c.faults = FaultProfile::brownout(3);
         c.batch.gpus = 1;
         let r = run_fleet(&c);
         let total_misses: u64 = r.classes.iter().map(|cr| cr.violations).sum();
-        assert!(total_misses > 0, "20 streams on 1 GPU must miss deadlines");
+        assert!(total_misses > 0, "a brownout on 1 GPU must miss deadlines");
         let m = r.metrics.as_ref().expect("metrics enabled");
         let crossings: usize = r.streams.iter().map(|s| s.crossings.len()).sum();
         assert!(crossings > 0, "misses must cross burn thresholds");

@@ -16,14 +16,14 @@
 //!   configurable `max_batch`) or on a **formation-window deadline**
 //!   (`window_ms` after the first member), then dispatch to the
 //!   least-loaded [`adavp_sim::Resource`] in the pool under the sub-linear
-//!   [`crate::latency::BatchLatencyModel`]. A bounded outstanding-request
+//!   [`crate::latency::batch_ms`] model. A bounded outstanding-request
 //!   queue provides **backpressure**: refused submissions make streams
-//!   step their model setting down via the existing
-//!   [`crate::pipeline::DegradationPolicy`] instead of queueing unboundedly.
+//!   step their model setting down via the pipelines' degradation rule
+//!   ([`crate::pipeline::step_down`]) instead of queueing unboundedly.
 //! * [`fleet::run_fleet`] — an [`adavp_sim::EventQueue`]-based driver
 //!   with **admission control**: streams are sorted by SLO class and
 //!   admitted while their estimated amortized GPU demand fits the pool's
-//!   target utilization; the rest are rejected up front so the tail
+//!   [`fleet::TARGET_UTILIZATION`]; the rest are rejected up front so the tail
 //!   latency of admitted streams stays bounded.
 //!
 //! Every decision in the layer — synthetic content velocity, object
@@ -54,13 +54,12 @@ pub mod stream;
 pub mod sweep;
 
 pub use batch::{BatchConfig, BatchScheduler};
-pub use fleet::{run_fleet, AdmissionPolicy, ClassReport, FleetMetrics, FleetReport};
+pub use fleet::{run_fleet, ClassReport, FleetMetrics, FleetReport};
 pub use stream::{NextWake, ServeScheme, SloClass, StreamPipeline, StreamSpec, StreamStats};
 pub use sweep::{run_sweep, sweep_csv, sweep_json, sweep_text, SweepCell, SweepConfig};
 
-use crate::latency::LatencyModel;
 use crate::metrics::MetricsConfig;
-use crate::pipeline::{DegradationPolicy, SettingPolicy};
+use crate::pipeline::SettingPolicy;
 use adavp_rng::mix;
 use adavp_sim::FaultProfile;
 
@@ -83,16 +82,8 @@ pub struct ServeConfig {
     /// Model-setting policy cloned into every stream (AdaVP's adaptive
     /// policy by default, driven by each stream's synthetic velocity).
     pub policy: SettingPolicy,
-    /// Degradation policy shared by every stream: retry budget/backoff for
-    /// failed detections, detection timeout, and the step-down rule reused
-    /// for backpressure shedding.
-    pub degradation: DegradationPolicy,
-    /// Tracker-side latency model (feature extraction, overlay).
-    pub latency: LatencyModel,
     /// Batching scheduler configuration, including the GPU pool size.
     pub batch: BatchConfig,
-    /// Admission control policy.
-    pub admission: AdmissionPolicy,
     /// Fleet-wide fault profile; each stream gets a decorrelated plan via
     /// [`adavp_sim::FaultPlan::for_stream`] on its name, and each GPU gets
     /// its own contention injector the same way.
@@ -111,10 +102,7 @@ impl Default for ServeConfig {
             streams: Vec::new(),
             scheme: ServeScheme::Mpdt,
             policy: SettingPolicy::Adaptive(crate::adaptation::AdaptationModel::default_model()),
-            degradation: DegradationPolicy::default(),
-            latency: LatencyModel::default(),
             batch: BatchConfig::default(),
-            admission: AdmissionPolicy::default(),
             faults: FaultProfile::none(),
             seed: 0xada5e,
             metrics: MetricsConfig::default(),

@@ -18,9 +18,12 @@
 //! seed with the same pure-hash discipline the fault layer uses.
 
 use super::{TAG_JITTER, TAG_OBJECTS, TAG_PROPOSAL, TAG_VELOCITY};
-use crate::latency::LatencyModel;
+use crate::latency::{overlay_ms, FEATURE_EXTRACTION_MS, HELD_FRAME_MS};
 use crate::metrics::{BudgetCrossing, SloTracker};
-use crate::pipeline::{CtdConfig, DegradationPolicy, SettingPolicy};
+use crate::pipeline::{
+    retry_backoff, step_down, timeout, CtdConfig, SettingPolicy, MAX_DETECTOR_RETRIES,
+    RETRY_BACKOFF_MS,
+};
 use crate::telemetry::Histogram;
 use adavp_detector::ModelSetting;
 use adavp_rng::{mix, unit};
@@ -272,8 +275,6 @@ pub struct StreamPipeline {
     spec: StreamSpec,
     scheme: ServeScheme,
     policy: SettingPolicy,
-    degradation: DegradationPolicy,
-    latency: LatencyModel,
     faults: FaultPlan,
     setting: ModelSetting,
     cycle: u64,
@@ -291,8 +292,6 @@ impl StreamPipeline {
         spec: StreamSpec,
         scheme: ServeScheme,
         policy: SettingPolicy,
-        degradation: DegradationPolicy,
-        latency: LatencyModel,
         faults: FaultPlan,
     ) -> Self {
         let setting = policy.initial_setting();
@@ -308,8 +307,6 @@ impl StreamPipeline {
             spec,
             scheme,
             policy,
-            degradation,
-            latency,
             faults,
             setting,
             cycle: 0,
@@ -402,9 +399,7 @@ impl StreamPipeline {
             }
         };
         let raw = base * jitter * mult;
-        self.degradation
-            .timeout(raw)
-            .map_or((raw, false), |budget| (budget, true))
+        timeout(raw).map_or((raw, false), |budget| (budget, true))
     }
 
     fn switch_to(&mut self, next: ModelSetting) {
@@ -445,7 +440,7 @@ impl StreamPipeline {
                     // `min(now)` only guards float rounding: the newest
                     // frame's nominal arrival is <= now by construction.
                     let arrival = self.arrival(frame).min(now);
-                    let ready = SimTime::from_ms(now.as_ms() + self.latency.feature_extraction_ms);
+                    let ready = SimTime::from_ms(now.as_ms() + FEATURE_EXTRACTION_MS);
                     self.phase = Phase::Prep {
                         frame,
                         arrival,
@@ -479,12 +474,11 @@ impl StreamPipeline {
                         return NextWake::OnDetection;
                     }
                     // Backpressure: the queue is saturated. Shed load by
-                    // stepping one setting lighter (the DegradationPolicy's
-                    // step-down rule) and retry after the policy backoff.
+                    // stepping one setting lighter (the degradation
+                    // step-down rule) and retry after one backoff unit.
                     self.stats.shed += 1;
-                    self.switch_to(self.degradation.step_down(self.setting, true));
-                    let backoff = self.degradation.retry_backoff_ms.max(1.0);
-                    let retry_at = SimTime::from_ms(now.as_ms() + backoff);
+                    self.switch_to(step_down(self.setting, true));
+                    let retry_at = SimTime::from_ms(now.as_ms() + RETRY_BACKOFF_MS);
                     self.phase = Phase::Prep {
                         frame,
                         arrival,
@@ -499,14 +493,11 @@ impl StreamPipeline {
                     attempt,
                 } => {
                     let verdict = self.verdict.take().expect("woken without a verdict");
-                    if verdict.failed
-                        && !verdict.timed_out
-                        && attempt < self.degradation.max_detector_retries
-                    {
+                    if verdict.failed && !verdict.timed_out && attempt < MAX_DETECTOR_RETRIES {
                         // Retry with the same linear backoff the clip
                         // pipelines use.
                         self.stats.retries += 1;
-                        let backoff = self.degradation.retry_backoff(attempt);
+                        let backoff = retry_backoff(attempt);
                         let ready = SimTime::from_ms(now.as_ms() + backoff);
                         self.phase = Phase::Prep {
                             frame,
@@ -537,9 +528,9 @@ impl StreamPipeline {
         // detected result sits on the cycle's critical path. A degraded
         // cycle publishes the held boxes, which is cheaper.
         let publish_ms = if degraded {
-            self.latency.held_frame_ms
+            HELD_FRAME_MS
         } else {
-            self.latency.overlay_ms(objects)
+            overlay_ms(objects)
         };
         let done = SimTime::from_ms(now.as_ms() + publish_ms);
         let cycle_ms = done.as_ms() - arrival.as_ms();
@@ -564,7 +555,7 @@ impl StreamPipeline {
         // policy re-decides next cycle) — same composition as mpdt.
         let velocity = Some(self.velocity(self.cycle));
         let next = self.policy.next_setting(self.setting, velocity);
-        self.switch_to(self.degradation.step_down(next, degraded));
+        self.switch_to(step_down(next, degraded));
 
         self.cycle += 1;
         self.stats.cycles += 1;
@@ -615,8 +606,6 @@ mod tests {
             },
             scheme,
             SettingPolicy::Fixed(ModelSetting::Yolo512),
-            DegradationPolicy::default(),
-            LatencyModel::default(),
             FaultPlan::none(),
         )
     }
@@ -698,7 +687,7 @@ mod tests {
         assert_eq!(p.stats.cycles, 4);
         assert_eq!(p.stats.detections, 0);
         assert_eq!(p.stats.degraded, 4, "all cycles degrade");
-        // max_detector_retries = 2 → 2 retries per cycle.
+        // MAX_DETECTOR_RETRIES = 2 → 2 retries per cycle.
         assert_eq!(p.stats.retries, 8);
     }
 
@@ -710,10 +699,9 @@ mod tests {
             latency_spike_mult: (30.0, 30.0),
             ..FaultProfile::none()
         });
-        let budget = p.degradation.detector_timeout_ms.unwrap();
         let (ms, timed_out) = p.member_latency(0, 0);
         assert!(timed_out);
-        assert_eq!(ms, budget);
+        assert_eq!(ms, crate::pipeline::DETECTOR_TIMEOUT_MS);
         drive(&mut p, 0.0);
         assert_eq!(p.stats.degraded, 3, "timed-out cycles degrade");
     }
@@ -763,8 +751,6 @@ mod tests {
             },
             ServeScheme::Mpdt,
             SettingPolicy::Adaptive(crate::adaptation::AdaptationModel::uniform([1.0, 2.0, 3.0])),
-            DegradationPolicy::default(),
-            LatencyModel::default(),
             FaultPlan::none(),
         );
         // Complete one cycle with a degraded verdict: the next setting is

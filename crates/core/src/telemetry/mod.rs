@@ -277,32 +277,18 @@ impl TelemetryLog {
 
 /// Telemetry switch carried by `PipelineConfig` — the recorder hook every
 /// pipeline emits through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Master switch. Off (the default) records nothing and keeps traces
-    /// bit-identical to pre-telemetry behavior.
+    /// bit-identical to pre-telemetry behavior. On records cycle spans,
+    /// per-tracker-step spans and events.
     pub enabled: bool,
-    /// Record per-tracker-step spans (one per tracked frame). Disable to
-    /// bound log volume on very long runs while keeping cycle spans.
-    pub step_spans: bool,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            step_spans: true,
-        }
-    }
 }
 
 impl TelemetryConfig {
     /// Full recording (cycle spans + step spans + events).
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            step_spans: true,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -334,11 +320,6 @@ impl Recorder {
     /// Whether recording is enabled at all.
     pub fn on(&self) -> bool {
         self.config.enabled
-    }
-
-    /// Whether per-tracker-step spans should be recorded.
-    pub fn steps(&self) -> bool {
-        self.config.enabled && self.config.step_spans
     }
 
     /// Records a span (no-op when disabled).
@@ -602,25 +583,6 @@ mod tests {
         let a = run(TelemetryConfig::enabled());
         let b = run(TelemetryConfig::enabled());
         assert_eq!(a.telemetry, b.telemetry);
-    }
-
-    #[test]
-    fn step_spans_can_be_suppressed() {
-        let full = run(TelemetryConfig::enabled());
-        let lean = run(TelemetryConfig {
-            enabled: true,
-            step_spans: false,
-        });
-        assert!(
-            lean.telemetry.spans_on(Track::Cpu).count()
-                < full.telemetry.spans_on(Track::Cpu).count(),
-            "suppressing step spans must shrink the CPU track"
-        );
-        assert_eq!(
-            lean.telemetry.spans_on(Track::Gpu).count(),
-            full.telemetry.spans_on(Track::Gpu).count(),
-            "cycle spans are kept either way"
-        );
     }
 
     #[test]

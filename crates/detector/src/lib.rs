@@ -34,5 +34,7 @@
 pub mod model;
 pub mod settings;
 
-pub use model::{Detection, DetectionResult, Detector, DetectorConfig, SimulatedDetector};
+pub use model::{
+    Detection, DetectionResult, Detector, DetectorConfig, SimulatedDetector, LATENCY_JITTER,
+};
 pub use settings::ModelSetting;

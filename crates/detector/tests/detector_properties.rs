@@ -75,31 +75,3 @@ fn oracle_704_recall_dominates_tiny() {
         assert!(oracle + 3 >= tiny, "oracle {oracle} vs tiny {tiny}");
     });
 }
-
-#[test]
-fn miss_scale_monotone() {
-    check(10, 1, |rng| {
-        let seed = rng.gen_range(0u64..200);
-        // Halving miss_scale can only increase (or keep) detections.
-        let c = clip(seed, 8);
-        let full = DetectorConfig {
-            miss_scale: 1.0,
-            ..DetectorConfig::default()
-        };
-        let half = DetectorConfig {
-            miss_scale: 0.0,
-            ..DetectorConfig::default()
-        };
-        let mut d_full = SimulatedDetector::new(full.with_seed(seed));
-        let mut d_none = SimulatedDetector::new(half.with_seed(seed));
-        let n_full: usize = c
-            .iter()
-            .map(|f| d_full.detect(f, ModelSetting::Yolo512).detections.len())
-            .sum();
-        let n_none: usize = c
-            .iter()
-            .map(|f| d_none.detect(f, ModelSetting::Yolo512).detections.len())
-            .sum();
-        assert!(n_none >= n_full);
-    });
-}

@@ -265,10 +265,7 @@ fn dispatch(cmd: &str, flags: &Flags) -> Result<ExitCode, String> {
             };
             let mut pipeline = scheme.build(DetectorConfig::default(), PipelineConfig::default());
             let clip = VideoClip::generate(name, &scenario.spec(), seed, frames);
-            let eval = EvalConfig {
-                ground_truth,
-                ..EvalConfig::default()
-            };
+            let eval = EvalConfig { ground_truth };
             let result = evaluate_on_clip(pipeline.as_mut(), &clip, &eval);
             let stats = analysis::analyze(&result.trace);
             println!("system:    {}", result.trace.pipeline);

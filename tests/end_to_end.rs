@@ -149,7 +149,6 @@ fn oracle_and_true_ground_truth_agree_on_ordering() {
     let c = clip(Scenario::Highway, 13, 150);
     let eval_true = EvalConfig {
         ground_truth: GroundTruthMode::True,
-        ..EvalConfig::default()
     };
     let eval_oracle = EvalConfig::default();
 

@@ -9,9 +9,9 @@
 
 use adavp::core::export::trace_to_json;
 use adavp::core::pipeline::{
-    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DegradationPolicy, DetectorFault,
-    FrameSource, MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig, ProcessingTrace,
-    Scheme, SettingPolicy, VideoProcessor,
+    CascadeConfig, CascadePipeline, CtdConfig, CtdPipeline, DetectorFault, FrameSource,
+    MarlinConfig, MarlinPipeline, MpdtPipeline, PipelineConfig, ProcessingTrace, Scheme,
+    SettingPolicy, VideoProcessor, DETECTOR_TIMEOUT_MS, MAX_DETECTOR_RETRIES,
 };
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
 use adavp::sim::fault::{FaultPlan, FaultProfile};
@@ -82,9 +82,7 @@ fn mpdt_timeout_holds_gpu_for_budget_only_and_steps_down() {
     }
     assert_eq!(trace.degraded_cycle_count(), trace.cycles.len());
     // Each timed-out attempt occupies the GPU for the budget, no more.
-    let budget = DegradationPolicy::default()
-        .detector_timeout_ms
-        .expect("default has a budget");
+    let budget = DETECTOR_TIMEOUT_MS;
     assert!(
         (trace.gpu_busy_ms - budget * trace.cycles.len() as f64).abs() < 1e-6,
         "gpu busy {} vs {} cycles x {budget} ms budget",
@@ -143,36 +141,6 @@ fn mpdt_step_down_is_transient() {
     assert!(saw_recovery, "profile must leave some cycle clean");
 }
 
-/// Disabling the budget and the step-down turns timeouts into plain slow
-/// cycles: detections complete (as spikes), nothing degrades.
-#[test]
-fn timeout_policy_is_opt_out() {
-    let c = clip(60);
-    let mut config = cfg(spike_profile(1.0, 8.0));
-    config.degradation = DegradationPolicy {
-        detector_timeout_ms: None,
-        step_down_on_timeout: false,
-        ..DegradationPolicy::default()
-    };
-    let mut p = MpdtPipeline::new(det(), SettingPolicy::Fixed(ModelSetting::Yolo512), config);
-    let trace = p.process(&c);
-    assert_covered(&trace, 60);
-    assert_eq!(trace.degraded_cycle_count(), 0);
-    for cy in &trace.cycles {
-        assert!(
-            matches!(cy.fault, Some(DetectorFault::Spike { .. })),
-            "cycle {} fault {:?}",
-            cy.index,
-            cy.fault
-        );
-        assert_eq!(cy.setting, ModelSetting::Yolo512);
-    }
-    assert!(trace
-        .outputs
-        .iter()
-        .any(|o| o.source == FrameSource::Detected));
-}
-
 // ---- Detector failure / bounded retry ------------------------------------
 
 /// A detector that fails every attempt exhausts the retry bound on every
@@ -197,7 +165,7 @@ fn exhausted_retries_degrade_like_timeouts() {
             .build(DetectorConfig::default(), cfg(profile.clone()))
             .process(&c);
         assert_covered(&trace, 60);
-        let max_attempts = DegradationPolicy::default().max_detector_retries + 1;
+        let max_attempts = MAX_DETECTOR_RETRIES + 1;
         for cy in &trace.cycles {
             assert!(
                 matches!(cy.fault, Some(DetectorFault::Failed { attempts }) if attempts == max_attempts),
@@ -233,7 +201,7 @@ fn intermittent_failures_are_retried_within_bound() {
     );
     let trace = p.process(&c);
     assert_covered(&trace, 90);
-    let max_attempts = DegradationPolicy::default().max_detector_retries + 1;
+    let max_attempts = MAX_DETECTOR_RETRIES + 1;
     let mut retried = 0;
     for cy in &trace.cycles {
         match cy.fault {
@@ -351,7 +319,7 @@ fn cascade_flaky_detector_falls_back_to_proposals() {
     );
     let trace = p.process(&c);
     assert_covered(&trace, 90);
-    let max_attempts = DegradationPolicy::default().max_detector_retries + 1;
+    let max_attempts = MAX_DETECTOR_RETRIES + 1;
     let refined: Vec<_> = trace
         .cycles
         .iter()
@@ -382,10 +350,9 @@ fn cascade_flaky_detector_falls_back_to_proposals() {
     );
 }
 
-/// CTD re-detects immediately when its tracker diverges: with the default
-/// policy on, injected divergence shortens cycles relative to the same run
-/// with the policy off, even though the confidence signal alone would never
-/// trigger.
+/// CTD re-detects immediately when its tracker diverges: injected
+/// divergence shortens cycles relative to the same run without faults, even
+/// though the confidence signal alone would never trigger.
 #[test]
 fn ctd_divergence_forces_immediate_redetection() {
     let profile = FaultProfile {
@@ -401,26 +368,22 @@ fn ctd_divergence_forces_immediate_redetection() {
         ..CtdConfig::default()
     };
     let c = clip(150);
-    let run = |redetect: bool| {
-        let mut config = cfg(profile.clone());
-        config.degradation = DegradationPolicy {
-            redetect_on_divergence: redetect,
-            ..DegradationPolicy::default()
-        };
-        CtdPipeline::new(det(), ModelSetting::Yolo320, config, ctd.clone()).process(&c)
+    let run = |profile: FaultProfile| {
+        CtdPipeline::new(det(), ModelSetting::Yolo320, cfg(profile), ctd.clone()).process(&c)
     };
-    let with_policy = run(true);
-    let without = run(false);
-    assert_covered(&with_policy, 150);
+    let diverged = run(profile);
+    let quiet = run(FaultProfile::none());
+    assert_covered(&diverged, 150);
     assert!(
-        with_policy.diverged_cycle_count() > 0,
+        diverged.diverged_cycle_count() > 0,
         "forced divergence must be recorded"
     );
+    assert_eq!(quiet.diverged_cycle_count(), 0);
     assert!(
-        with_policy.cycles.len() > without.cycles.len(),
+        diverged.cycles.len() > quiet.cycles.len(),
         "divergence re-detection must shorten cycles: {} vs {}",
-        with_policy.cycles.len(),
-        without.cycles.len()
+        diverged.cycles.len(),
+        quiet.cycles.len()
     );
 }
 
@@ -456,9 +419,9 @@ fn mpdt_divergence_truncates_tracking() {
     );
 }
 
-/// MARLIN re-detects early when its tracker diverges: with the policy on,
-/// detection cycles come at least as often as with it off, and divergence
-/// is recorded either way.
+/// MARLIN re-detects early when its tracker diverges: injected divergence
+/// makes detection cycles come more often than in the same run without
+/// faults.
 #[test]
 fn marlin_divergence_forces_early_redetection() {
     let profile = FaultProfile {
@@ -473,26 +436,22 @@ fn marlin_divergence_forces_early_redetection() {
         max_cycle_frames: 60,
     };
     let c = clip(150);
-    let run = |redetect: bool| {
-        let mut config = cfg(profile.clone());
-        config.degradation = DegradationPolicy {
-            redetect_on_divergence: redetect,
-            ..DegradationPolicy::default()
-        };
-        MarlinPipeline::new(det(), ModelSetting::Yolo320, config, marlin.clone()).process(&c)
+    let run = |profile: FaultProfile| {
+        MarlinPipeline::new(det(), ModelSetting::Yolo320, cfg(profile), marlin.clone()).process(&c)
     };
-    let with_policy = run(true);
-    let without = run(false);
-    assert_covered(&with_policy, 150);
+    let diverged = run(profile);
+    let quiet = run(FaultProfile::none());
+    assert_covered(&diverged, 150);
     assert!(
-        with_policy.diverged_cycle_count() > 0,
+        diverged.diverged_cycle_count() > 0,
         "forced divergence must be recorded"
     );
+    assert_eq!(quiet.diverged_cycle_count(), 0);
     assert!(
-        with_policy.cycles.len() > without.cycles.len(),
+        diverged.cycles.len() > quiet.cycles.len(),
         "early re-detection must shorten cycles: {} vs {}",
-        with_policy.cycles.len(),
-        without.cycles.len()
+        diverged.cycles.len(),
+        quiet.cycles.len()
     );
 }
 

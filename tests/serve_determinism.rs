@@ -10,8 +10,8 @@ use adavp::core::metrics::report::utilization_report;
 use adavp::core::metrics::{json_snapshot, prometheus_text, MetricsConfig, SloTracker};
 use adavp::core::serve::stream::{DetectionRequest, SloClass};
 use adavp::core::serve::{
-    run_fleet, run_sweep, sweep_csv, sweep_json, AdmissionPolicy, BatchConfig, BatchScheduler,
-    ServeConfig, ServeScheme, SweepConfig,
+    run_fleet, run_sweep, sweep_csv, sweep_json, BatchConfig, BatchScheduler, ServeConfig,
+    ServeScheme, SweepConfig,
 };
 use adavp::sim::{FaultPlan, FaultProfile, SimTime};
 use adavp::vision::exec::Executor;
@@ -182,17 +182,12 @@ fn admission_rejects_overload_and_keeps_gold() {
 fn backpressure_sheds_and_steps_settings_down() {
     let cfg = ServeConfig {
         streams: ServeConfig::synthetic_streams(20, 3, 5),
-        // Force overload through to the queue.
-        admission: AdmissionPolicy {
-            enabled: false,
-            ..AdmissionPolicy::default()
-        },
+        // A one-slot queue saturates even under the admitted load.
         batch: BatchConfig {
             max_batch: 2,
             window_ms: 10.0,
-            queue_capacity: 2,
+            queue_capacity: 1,
             gpus: 1,
-            ..BatchConfig::default()
         },
         ..ServeConfig::default()
     };
@@ -202,8 +197,10 @@ fn backpressure_sheds_and_steps_settings_down() {
         report.switches > 0,
         "each refusal steps the stream's setting down"
     );
-    // Shedding delays but never drops cycles: everyone still finishes.
-    assert_eq!(report.cycles, 20 * 3);
+    // Shedding delays but never drops cycles: every admitted stream still
+    // finishes.
+    assert!(report.admitted > 1, "admitted {}", report.admitted);
+    assert_eq!(report.cycles, report.admitted as u64 * 3);
     // The twin with ample queue capacity sheds nothing.
     let mut roomy = cfg.clone();
     roomy.batch.queue_capacity = 10_000;

@@ -1,11 +1,14 @@
 //! Regenerates the AdaVP paper's tables and figures.
 //!
 //! ```text
-//! experiments <fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|table3|faults|all>
+//! experiments <fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|table3|faults|
+//!              ablations|marlin-sweep|all>
 //!             [--scale smoke|standard|full] [--out results] [--jobs N]
 //! ```
 //!
-//! Each experiment prints an aligned table and writes a CSV under `--out`.
+//! Each experiment prints an aligned table and writes a CSV under `--out`
+//! (default `results`; `--out` with no path is an error, exit status 2).
+//! `all` runs every experiment except `ablations` and `marlin-sweep`.
 //! `--jobs N` bounds harness concurrency (clip rendering, threshold
 //! training, per-clip scheme evaluation); results are bit-identical for
 //! every value, so it only changes wall-clock. Defaults to the core count.
@@ -45,9 +48,13 @@ fn main() {
                     }
                 }
             }
-            "--out" => {
-                out = PathBuf::from(it.next().map(String::as_str).unwrap_or("results"));
-            }
+            "--out" => match it.next() {
+                Some(p) if !p.starts_with("--") => out = PathBuf::from(p),
+                _ => {
+                    eprintln!("--out expects a path");
+                    std::process::exit(2);
+                }
+            },
             "--jobs" => {
                 jobs = match it.next().map(|s| s.parse::<usize>()) {
                     Some(Ok(n)) => n,

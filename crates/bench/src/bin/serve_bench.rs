@@ -47,9 +47,13 @@ fn main() {
                     }
                 }
             }
-            "--out" => {
-                out = PathBuf::from(it.next().map(String::as_str).unwrap_or_default());
-            }
+            "--out" => match it.next() {
+                Some(p) if !p.starts_with("--") => out = PathBuf::from(p),
+                _ => {
+                    eprintln!("--out expects a path");
+                    std::process::exit(2);
+                }
+            },
             other => {
                 eprintln!("unknown argument: {other}");
                 std::process::exit(2);

@@ -225,8 +225,11 @@ pub fn sweep_to_json(rows: &[FaultSweepRow]) -> String {
 /// Parses a fault-profile fixture: `key = value` lines, `#` comments.
 ///
 /// Recognized keys mirror [`FaultProfile`]'s fields; `latency_spike_mult`
-/// takes two whitespace-separated numbers. Unknown keys are an error so a
-/// typo in a fixture cannot silently weaken a conformance test.
+/// takes exactly two whitespace-separated numbers. Unknown keys, non-finite
+/// numbers, probabilities outside `[0, 1]` and negative durations are
+/// errors, so a typo in a fixture cannot silently weaken a conformance test
+/// (the fault plan would otherwise read a NaN or negative probability as
+/// "never").
 ///
 /// # Errors
 ///
@@ -244,7 +247,28 @@ pub fn parse_profile_fixture(text: &str) -> Result<FaultProfile, String> {
         let (key, value) = (key.trim(), value.trim());
         let num = |v: &str| {
             v.parse::<f64>()
-                .map_err(|_| format!("line {}: bad number {v:?}", lineno + 1))
+                .ok()
+                .filter(|x| x.is_finite())
+                .ok_or_else(|| format!("line {}: bad number {v:?}", lineno + 1))
+        };
+        let prob = |v: &str| {
+            let x = num(v)?;
+            if (0.0..=1.0).contains(&x) {
+                Ok(x)
+            } else {
+                Err(format!(
+                    "line {}: probability {v:?} outside [0, 1]",
+                    lineno + 1
+                ))
+            }
+        };
+        let duration = |v: &str| {
+            let x = num(v)?;
+            if x >= 0.0 {
+                Ok(x)
+            } else {
+                Err(format!("line {}: negative duration {v:?}", lineno + 1))
+            }
         };
         match key {
             "seed" => {
@@ -252,18 +276,24 @@ pub fn parse_profile_fixture(text: &str) -> Result<FaultProfile, String> {
                     .parse::<u64>()
                     .map_err(|_| format!("line {}: bad seed {value:?}", lineno + 1))?;
             }
-            "latency_spike_prob" => p.latency_spike_prob = num(value)?,
+            "latency_spike_prob" => p.latency_spike_prob = prob(value)?,
             "latency_spike_mult" => {
                 let mut it = value.split_whitespace();
                 let lo = num(it.next().unwrap_or(""))?;
                 let hi = num(it.next().unwrap_or(""))?;
+                if let Some(extra) = it.next() {
+                    return Err(format!(
+                        "line {}: latency_spike_mult takes two numbers, got extra {extra:?}",
+                        lineno + 1
+                    ));
+                }
                 p.latency_spike_mult = (lo, hi);
             }
-            "detector_failure_prob" => p.detector_failure_prob = num(value)?,
-            "frame_drop_prob" => p.frame_drop_prob = num(value)?,
-            "tracker_divergence_prob" => p.tracker_divergence_prob = num(value)?,
-            "contention_period_ms" => p.contention_period_ms = num(value)?,
-            "contention_busy_ms" => p.contention_busy_ms = num(value)?,
+            "detector_failure_prob" => p.detector_failure_prob = prob(value)?,
+            "frame_drop_prob" => p.frame_drop_prob = prob(value)?,
+            "tracker_divergence_prob" => p.tracker_divergence_prob = prob(value)?,
+            "contention_period_ms" => p.contention_period_ms = duration(value)?,
+            "contention_busy_ms" => p.contention_busy_ms = duration(value)?,
             other => return Err(format!("line {}: unknown key {other:?}", lineno + 1)),
         }
     }
@@ -314,6 +344,24 @@ contention_busy_ms = 80
         assert!(parse_profile_fixture("nonsense").is_err());
         assert!(parse_profile_fixture("volume = 11").is_err());
         assert!(parse_profile_fixture("seed = eleven").is_err());
+        // Values the fault plan would silently read as "no fault", or as
+        // nonsense, are rejected with their line number.
+        for (bad, line) in [
+            ("frame_drop_prob = nan", 1),
+            ("seed = 1\nlatency_spike_prob = inf", 2),
+            ("detector_failure_prob = -0.1", 1),
+            ("# c\n\ntracker_divergence_prob = 1.5", 3),
+            ("contention_period_ms = -300", 1),
+            ("contention_busy_ms = NaN", 1),
+            ("latency_spike_mult = 2.0 5.0 9.0", 1),
+            ("latency_spike_mult = 2.0 inf", 1),
+        ] {
+            let err = parse_profile_fixture(bad).expect_err(bad);
+            assert!(err.starts_with(&format!("line {line}:")), "{bad}: {err}");
+        }
+        // The closed range is fine.
+        let edge = parse_profile_fixture("frame_drop_prob = 1\ncontention_period_ms = 0");
+        assert_eq!(edge.expect("edges parse").frame_drop_prob, 1.0);
         // Comments and blanks alone are the quiet profile.
         assert!(parse_profile_fixture("# nothing\n\n")
             .expect("ok")

@@ -1,0 +1,55 @@
+//! The bench binaries reject `--out` with no path with exit status 2 and an
+//! error naming the flag, instead of writing to a fallback path (the
+//! committed `results/` directory, or an empty path that fails only after
+//! the whole bench ran).
+
+use std::fs;
+use std::path::PathBuf;
+use std::process::Command;
+
+/// A fresh, empty working directory for one test case.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("adavp-cli-{name}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+#[test]
+fn out_without_a_path_exits_2_and_writes_nothing() {
+    for (name, bin, args) in [
+        (
+            "experiments",
+            env!("CARGO_BIN_EXE_experiments"),
+            &["fig2", "--out"][..],
+        ),
+        (
+            "experiments-flag",
+            env!("CARGO_BIN_EXE_experiments"),
+            &["fig2", "--out", "--jobs", "1"][..],
+        ),
+        (
+            "serve_bench",
+            env!("CARGO_BIN_EXE_serve_bench"),
+            &["--out"][..],
+        ),
+        (
+            "experiments_bench",
+            env!("CARGO_BIN_EXE_experiments_bench"),
+            &["--out"][..],
+        ),
+    ] {
+        let dir = scratch_dir(name);
+        let out = Command::new(bin)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("run bench binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
+        assert!(stderr.contains("--out"), "{name}: no --out in: {stderr}");
+        let written: Vec<_> = fs::read_dir(&dir).expect("read scratch dir").collect();
+        assert!(written.is_empty(), "{name}: wrote {written:?}");
+        fs::remove_dir_all(&dir).expect("remove scratch dir");
+    }
+}

@@ -75,7 +75,12 @@ pub fn read_pgm(path: &Path) -> io::Result<GrayImage> {
     parse_pgm(&bytes)
 }
 
-fn parse_pgm(bytes: &[u8]) -> io::Result<GrayImage> {
+/// Parses the bytes of a binary PGM (see [`read_pgm`]).
+///
+/// # Errors
+///
+/// Returns `InvalidData` for malformed headers or truncated pixel data.
+pub fn parse_pgm(bytes: &[u8]) -> io::Result<GrayImage> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut pos = 0usize;
     let mut token = |bytes: &[u8]| -> io::Result<String> {

@@ -30,6 +30,12 @@ done
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "== perfbench type-check (its own workspace; catches public-API breaks in the crates it drives)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+# The check re-resolves perfbench's lockfile against the path crates;
+# restore the committed one, as the lint step does for lint.baseline.
+git checkout -- perfbench/Cargo.lock
+
 echo "== cargo test (overflow-checks=on via [profile.test])"
 # --no-fail-fast: one failing test binary must not hide the results of the
 # binaries after it; the step still fails if any test fails.

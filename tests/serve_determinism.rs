@@ -420,6 +420,53 @@ fn serve_outputs_match_their_golden_digests() {
     );
 }
 
+/// A long brownout fleet sampled on the default 500 ms cadence, pinned to
+/// the byte: 300 cycles per stream on 2 GPUs, where admission takes every
+/// gold stream, 7 of 10 silver and no bronze. That pins the cadence
+/// samples over a long run (the GPU busy fraction among them), the
+/// per-class burn series in class-label order, and a class with no
+/// admitted stream getting no series at all.
+#[test]
+fn long_brownout_fleet_matches_its_golden_digests() {
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(30, 300, 11),
+        batch: BatchConfig {
+            gpus: 2,
+            ..BatchConfig::default()
+        },
+        faults: FaultProfile::brownout(0x5eed),
+        seed: 11,
+        metrics: MetricsConfig::enabled(),
+        ..ServeConfig::default()
+    };
+    let report = run_fleet(&cfg);
+    let admitted: Vec<usize> = report.classes.iter().map(|c| c.admitted).collect();
+    assert_eq!(admitted, [10, 7, 0], "gold, silver, bronze admitted");
+    let m = report.metrics.as_ref().expect("metrics enabled");
+    let burn: Vec<&str> = m
+        .registry
+        .series()
+        .iter()
+        .filter(|s| s.name == "adavp_slo_burn_rate_sampled")
+        .filter_map(|s| s.labels.get("class"))
+        .collect();
+    assert_eq!(burn, ["gold", "silver"], "burn series in class-label order");
+    let got = [
+        ("prom", fnv1a(prometheus_text(&m.registry).as_bytes())),
+        ("json", fnv1a(json_snapshot(&m.registry).as_bytes())),
+        (
+            "utilization",
+            fnv1a(utilization_report(&m.registry, 1000.0).as_bytes()),
+        ),
+    ];
+    let golden: [(&str, u64); 3] = [
+        ("prom", 0x4c83b5ded0e9281c),
+        ("json", 0xf48299aa687c1378),
+        ("utilization", 0x7711dccccadc827a),
+    ];
+    assert_eq!(got, golden, "long fleet digests changed; got {got:#x?}");
+}
+
 /// A stream configured for zero cycles runs none, the same empty-input
 /// rule the clip pipelines follow: a fleet and a sweep of such streams
 /// report no cycles, no batches and a zero horizon.

@@ -28,6 +28,28 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Every experiment name `main` dispatches on.
+const EXPERIMENTS: [&str; 18] = [
+    "fig1",
+    "fig2",
+    "table2",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table3",
+    "faults",
+    "--faults",
+    "ablations",
+    "marlin-sweep",
+    "diag",
+    "diag-train",
+    "diag-moderate",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
@@ -76,6 +98,11 @@ fn main() {
         .map(|s| s.to_string())
         .collect();
     }
+    // Reject a typo before the first experiment spends time or writes a CSV.
+    if let Some(bad) = which.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        eprintln!("unknown experiment: {bad}");
+        std::process::exit(2);
+    }
 
     // Every scheme runs over the test set at most once: figures, tables
     // and ablations read the context's memoized runs.
@@ -104,10 +131,7 @@ fn main() {
             "diag" => diag(&mut ctx),
             "diag-train" => diag_train(&mut ctx),
             "diag-moderate" => diag_moderate(&mut ctx),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+            other => unreachable!("experiment {other} passed the name check"),
         }
         // Whatever this experiment spent beyond rendering and training is
         // scheme evaluation (plus table formatting, which is negligible).

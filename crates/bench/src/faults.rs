@@ -225,17 +225,20 @@ pub fn sweep_to_json(rows: &[FaultSweepRow]) -> String {
 /// Parses a fault-profile fixture: `key = value` lines, `#` comments.
 ///
 /// Recognized keys mirror [`FaultProfile`]'s fields; `latency_spike_mult`
-/// takes exactly two whitespace-separated numbers. Unknown keys, non-finite
-/// numbers, probabilities outside `[0, 1]` and negative durations are
-/// errors, so a typo in a fixture cannot silently weaken a conformance test
-/// (the fault plan would otherwise read a NaN or negative probability as
-/// "never").
+/// takes exactly two whitespace-separated numbers. Unknown keys, repeated
+/// keys, non-finite numbers, probabilities outside `[0, 1]` and negative
+/// durations are errors, so a typo in a fixture cannot silently weaken a
+/// conformance test (the fault plan would otherwise read a NaN or negative
+/// probability as "never", and a later `frame_drop_prob = 0` would quietly
+/// override an earlier one).
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line on malformed input.
 pub fn parse_profile_fixture(text: &str) -> Result<FaultProfile, String> {
     let mut p = FaultProfile::none();
+    // (key, 1-based line) of every key set so far.
+    let mut seen: Vec<(&str, usize)> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -245,6 +248,13 @@ pub fn parse_profile_fixture(text: &str) -> Result<FaultProfile, String> {
             .split_once('=')
             .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
         let (key, value) = (key.trim(), value.trim());
+        if let Some((_, first)) = seen.iter().find(|(k, _)| *k == key) {
+            return Err(format!(
+                "line {}: repeated key {key:?} (first set on line {first})",
+                lineno + 1
+            ));
+        }
+        seen.push((key, lineno + 1));
         let num = |v: &str| {
             v.parse::<f64>()
                 .ok()
@@ -355,10 +365,19 @@ contention_busy_ms = 80
             ("contention_busy_ms = NaN", 1),
             ("latency_spike_mult = 2.0 5.0 9.0", 1),
             ("latency_spike_mult = 2.0 inf", 1),
+            // A repeated key would silently override the earlier line.
+            ("frame_drop_prob = 0.3\n# quiet\nframe_drop_prob = 0", 3),
+            ("seed = 1\nseed = 1", 2),
         ] {
             let err = parse_profile_fixture(bad).expect_err(bad);
             assert!(err.starts_with(&format!("line {line}:")), "{bad}: {err}");
         }
+        let err = parse_profile_fixture("frame_drop_prob = 0.3\nframe_drop_prob = 0")
+            .expect_err("repeated key");
+        assert_eq!(
+            err,
+            "line 2: repeated key \"frame_drop_prob\" (first set on line 1)"
+        );
         // The closed range is fine.
         let edge = parse_profile_fixture("frame_drop_prob = 1\ncontention_period_ms = 0");
         assert_eq!(edge.expect("edges parse").frame_drop_prob, 1.0);

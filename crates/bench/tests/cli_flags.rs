@@ -1,7 +1,8 @@
 //! The bench binaries reject `--out` with no path with exit status 2 and an
 //! error naming the flag, instead of writing to a fallback path (the
 //! committed `results/` directory, or an empty path that fails only after
-//! the whole bench ran).
+//! the whole bench ran). `experiments` likewise rejects an unknown
+//! experiment name before it runs any of the others.
 
 use std::fs;
 use std::path::PathBuf;
@@ -52,4 +53,20 @@ fn out_without_a_path_exits_2_and_writes_nothing() {
         assert!(written.is_empty(), "{name}: wrote {written:?}");
         fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
+}
+
+#[test]
+fn unknown_experiment_exits_2_before_running_the_others() {
+    let dir = scratch_dir("unknown-experiment");
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["table2", "fig99", "--scale", "smoke", "--out", "res"])
+        .current_dir(&dir)
+        .output()
+        .expect("run experiments");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(stderr.contains("fig99"), "no fig99 in: {stderr}");
+    let written: Vec<_> = fs::read_dir(&dir).expect("read scratch dir").collect();
+    assert!(written.is_empty(), "table2 ran first and wrote {written:?}");
+    fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

@@ -5,39 +5,55 @@
 //! shapes a trace contains and escapes strings per RFC 8259.
 
 use crate::pipeline::{DetectorFault, FrameSource, ProcessingTrace};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Escapes a string for inclusion in a JSON document. Shared with the
-/// Chrome-trace exporter in [`crate::telemetry::chrome`].
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A string escaped for inclusion in a JSON document, written as it is
+/// formatted. Shared with the Chrome-trace exporter in
+/// [`crate::telemetry::chrome`] and the metrics renderers.
+pub(crate) struct JsonEscaped<'a>(pub &'a str);
+
+impl fmt::Display for JsonEscaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
             }
-            c => out.push(c),
         }
+        Ok(())
     }
-    out
 }
 
-/// Formats an `f64` for JSON (finite values only; NaN/inf become `null`).
-/// Shared with the Chrome-trace exporter in [`crate::telemetry::chrome`].
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Escapes a string for inclusion in a JSON document ([`JsonEscaped`]).
+pub(crate) fn json_escape(s: &str) -> String {
+    JsonEscaped(s).to_string()
+}
+
+/// An `f64` formatted for JSON: `Display` for finite values, `null` for
+/// NaN and infinities.
+pub(crate) struct JsonNum(pub f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
+}
+
+/// Formats an `f64` for JSON ([`JsonNum`]).
+pub(crate) fn json_num(v: f64) -> String {
+    JsonNum(v).to_string()
 }
 
 /// Formats an `f32` confidence for JSON/CSV via `Display` (shortest

@@ -6,55 +6,89 @@
 //! function of the serve configuration, the rendered bytes are identical
 //! across `--jobs` counts and across runs — the same contract the sweep
 //! CSV/JSON renderers already carry (DESIGN.md §13). String escaping
-//! reuses the shared helpers in [`crate::export`].
+//! reuses the shared formatters in [`crate::export`].
+//!
+//! Each renderer `write!`s into one buffer: numbers, labels and escaped
+//! strings are `Display` values formatted in place, so the cost is the
+//! output's length, not one `String` per number.
 
 use super::{LabelSet, MetricValue, MetricsRegistry};
-use crate::export::{json_escape, json_num};
-use crate::telemetry::Histogram;
+use crate::export::{JsonEscaped, JsonNum};
+use std::fmt::{self, Write as _};
 
-/// Escapes a label value for Prometheus text exposition (backslash,
+/// A label value escaped for Prometheus text exposition (backslash,
 /// double-quote, and newline, per the exposition format spec).
-fn prom_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
+struct PromEscaped<'a>(&'a str);
+
+impl fmt::Display for PromEscaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '\\' => f.write_str("\\\\")?,
+                '"' => f.write_str("\\\"")?,
+                '\n' => f.write_str("\\n")?,
+                _ => f.write_char(c)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A number the way Prometheus expects: shortest round-trip form.
+struct PromNum(f64);
+
+impl fmt::Display for PromNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v.is_nan() {
+            f.write_str("NaN")
+        } else if v == f64::INFINITY {
+            f.write_str("+Inf")
+        } else if v == f64::NEG_INFINITY {
+            f.write_str("-Inf")
+        } else {
+            write!(f, "{v}")
         }
     }
-    out
 }
 
-/// Renders a number the way Prometheus expects: shortest round-trip form.
-fn prom_num(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
+/// `{k="v",...}` (nothing for the empty label set), with an optional `le`
+/// bucket bound appended after the sorted labels.
+struct PromLabels<'a>(&'a LabelSet, Option<f64>);
+
+impl fmt::Display for PromLabels<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut open = false;
+        for (k, v) in self.0.pairs() {
+            f.write_char(if open { ',' } else { '{' })?;
+            write!(f, "{k}=\"{}\"", PromEscaped(v))?;
+            open = true;
+        }
+        if let Some(le) = self.1 {
+            f.write_char(if open { ',' } else { '{' })?;
+            write!(f, "le=\"{}\"", PromNum(le))?;
+            open = true;
+        }
+        if open {
+            f.write_char('}')?;
+        }
+        Ok(())
     }
 }
 
-/// Renders `{k="v",...}` (empty string for the empty label set), with an
-/// optional extra pair appended after the sorted labels (used for `le`).
-fn prom_labels(labels: &LabelSet, extra: Option<(&str, &str)>) -> String {
-    let mut parts: Vec<String> = labels
-        .pairs()
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", prom_escape(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", prom_escape(v)));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
+/// `{"k": "v", ...}` for the JSON snapshot.
+struct JsonLabels<'a>(&'a LabelSet);
+
+impl fmt::Display for JsonLabels<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('{')?;
+        for (i, (k, v)) in self.0.pairs().iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "\"{}\": \"{}\"", JsonEscaped(k), JsonEscaped(v))?;
+        }
+        f.write_char('}')
     }
 }
 
@@ -66,34 +100,6 @@ fn kind_name(v: &MetricValue) -> &'static str {
     }
 }
 
-fn push_hist_exposition(out: &mut String, name: &str, labels: &LabelSet, h: &Histogram) {
-    let mut cumulative = 0u64;
-    for (edge, count) in h.edges().iter().zip(h.bucket_counts()) {
-        cumulative += count;
-        let le = prom_num(*edge);
-        out.push_str(&format!(
-            "{name}_bucket{} {cumulative}\n",
-            prom_labels(labels, Some(("le", &le)))
-        ));
-    }
-    cumulative += h.bucket_counts().last().copied().unwrap_or(0);
-    out.push_str(&format!(
-        "{name}_bucket{} {cumulative}\n",
-        prom_labels(labels, Some(("le", "+Inf")))
-    ));
-    let sum = h.mean().map(|m| m * h.count() as f64).unwrap_or(0.0);
-    out.push_str(&format!(
-        "{name}_sum{} {}\n",
-        prom_labels(labels, None),
-        prom_num(sum)
-    ));
-    out.push_str(&format!(
-        "{name}_count{} {}\n",
-        prom_labels(labels, None),
-        h.count()
-    ));
-}
-
 /// Renders the registry in the Prometheus text exposition format: one
 /// `# HELP` / `# TYPE` block per metric name, then one sample line per
 /// label set (histograms expand to cumulative `_bucket` lines plus `_sum`
@@ -102,127 +108,143 @@ fn push_hist_exposition(out: &mut String, name: &str, labels: &LabelSet, h: &His
 /// JSON snapshot.
 pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
-    let mut current: Option<String> = None;
-    for (name, labels, value) in registry.iter() {
-        if current.as_deref() != Some(name) {
-            current = Some(name.to_string());
-            let help = registry.help(name).unwrap_or("");
-            out.push_str(&format!("# HELP {name} {help}\n"));
-            out.push_str(&format!("# TYPE {name} {}\n", kind_name(value)));
-        }
-        match value {
-            MetricValue::Counter(c) => {
-                out.push_str(&format!("{name}{} {c}\n", prom_labels(labels, None)));
-            }
-            MetricValue::Gauge(g) => {
-                out.push_str(&format!(
-                    "{name}{} {}\n",
-                    prom_labels(labels, None),
-                    prom_num(*g)
-                ));
-            }
-            MetricValue::Hist(h) => push_hist_exposition(&mut out, name, labels, h),
-        }
-    }
-    let mut current: Option<&str> = None;
-    for s in registry.series() {
-        if let Some(last) = s.points.last() {
-            if current != Some(s.name.as_str()) {
-                current = Some(s.name.as_str());
-                let help = registry.help(&s.name).unwrap_or("");
-                out.push_str(&format!("# HELP {} {help}\n", s.name));
-                out.push_str(&format!("# TYPE {} gauge\n", s.name));
-            }
-            out.push_str(&format!(
-                "{}{} {}\n",
-                s.name,
-                prom_labels(&s.labels, None),
-                prom_num(last.value)
-            ));
-        }
-    }
+    // Writing to a `String` cannot fail.
+    let _ = write_prometheus(&mut out, registry);
     out
 }
 
-fn json_labels(labels: &LabelSet) -> String {
-    let parts: Vec<String> = labels
-        .pairs()
-        .iter()
-        .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    format!("{{{}}}", parts.join(", "))
+fn write_prometheus(out: &mut String, registry: &MetricsRegistry) -> fmt::Result {
+    let mut current = None;
+    for (name, labels, value) in registry.iter() {
+        if current != Some(name) {
+            current = Some(name);
+            let help = registry.help(name).unwrap_or("");
+            writeln!(out, "# HELP {name} {help}")?;
+            writeln!(out, "# TYPE {name} {}", kind_name(value))?;
+        }
+        let plain = PromLabels(labels, None);
+        match value {
+            MetricValue::Counter(c) => writeln!(out, "{name}{plain} {c}")?,
+            MetricValue::Gauge(g) => writeln!(out, "{name}{plain} {}", PromNum(*g))?,
+            MetricValue::Hist(h) => {
+                let mut cumulative = 0u64;
+                for (edge, count) in h.edges().iter().zip(h.bucket_counts()) {
+                    cumulative += count;
+                    let bucket = PromLabels(labels, Some(*edge));
+                    writeln!(out, "{name}_bucket{bucket} {cumulative}")?;
+                }
+                cumulative += h.bucket_counts().last().copied().unwrap_or(0);
+                let bucket = PromLabels(labels, Some(f64::INFINITY));
+                writeln!(out, "{name}_bucket{bucket} {cumulative}")?;
+                let sum = h.mean().map(|m| m * h.count() as f64).unwrap_or(0.0);
+                writeln!(out, "{name}_sum{plain} {}", PromNum(sum))?;
+                writeln!(out, "{name}_count{plain} {}", h.count())?;
+            }
+        }
+    }
+    let mut current = None;
+    for s in registry.series() {
+        if let Some(last) = s.points.last() {
+            let name = s.name.as_str();
+            if current != Some(name) {
+                current = Some(name);
+                let help = registry.help(name).unwrap_or("");
+                writeln!(out, "# HELP {name} {help}")?;
+                writeln!(out, "# TYPE {name} gauge")?;
+            }
+            let labels = PromLabels(&s.labels, None);
+            writeln!(out, "{name}{labels} {}", PromNum(last.value))?;
+        }
+    }
+    Ok(())
 }
 
 /// Renders the registry as a JSON snapshot: every metric with its kind and
 /// value (histograms as bucket counts plus exact summary statistics) and
 /// every sampled time-series with its full point list. Hand-rolled like
-/// the other exporters, reusing [`crate::export`] escaping, so the bytes
+/// the other exporters, reusing [`crate::export`] formatting, so the bytes
 /// are deterministic.
 pub fn json_snapshot(registry: &MetricsRegistry) -> String {
-    let mut metrics = Vec::new();
-    for (name, labels, value) in registry.iter() {
-        let head = format!(
-            "    {{\"name\": \"{}\", \"labels\": {}, \"kind\": \"{}\"",
-            json_escape(name),
-            json_labels(labels),
+    let mut out = String::new();
+    // Writing to a `String` cannot fail.
+    let _ = write_json(&mut out, registry);
+    out
+}
+
+fn write_json(out: &mut String, registry: &MetricsRegistry) -> fmt::Result {
+    out.push_str("{\n  \"metrics\": [\n");
+    for (i, (name, labels, value)) in registry.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        write!(
+            out,
+            "    {{\"name\": \"{}\", \"labels\": {}, \"kind\": \"{}\", ",
+            JsonEscaped(name),
+            JsonLabels(labels),
             kind_name(value)
-        );
-        let body = match value {
-            MetricValue::Counter(c) => format!("\"value\": {c}"),
-            MetricValue::Gauge(g) => format!("\"value\": {}", json_num(*g)),
+        )?;
+        match value {
+            MetricValue::Counter(c) => write!(out, "\"value\": {c}")?,
+            MetricValue::Gauge(g) => write!(out, "\"value\": {}", JsonNum(*g))?,
             MetricValue::Hist(h) => {
-                let buckets: Vec<String> = h
-                    .edges()
-                    .iter()
-                    .zip(h.bucket_counts())
-                    .map(|(e, c)| format!("{{\"le\": {}, \"count\": {c}}}", json_num(*e)))
-                    .collect();
-                let overflow = h.bucket_counts().last().copied().unwrap_or(0);
-                let p = h.percentiles();
-                format!(
+                let [p50, p90, p99] = h
+                    .percentiles()
+                    .map_or([f64::NAN; 3], |p| [p.p50, p.p90, p.p99]);
+                write!(
+                    out,
                     "\"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                     \"overflow\": {overflow}, \"buckets\": [{}]",
+                     \"overflow\": {}, \"buckets\": [",
                     h.count(),
-                    json_num(h.mean().unwrap_or(f64::NAN)),
-                    json_num(p.map(|p| p.p50).unwrap_or(f64::NAN)),
-                    json_num(p.map(|p| p.p90).unwrap_or(f64::NAN)),
-                    json_num(p.map(|p| p.p99).unwrap_or(f64::NAN)),
-                    buckets.join(", ")
-                )
+                    JsonNum(h.mean().unwrap_or(f64::NAN)),
+                    JsonNum(p50),
+                    JsonNum(p90),
+                    JsonNum(p99),
+                    h.bucket_counts().last().copied().unwrap_or(0),
+                )?;
+                for (j, (e, c)) in h.edges().iter().zip(h.bucket_counts()).enumerate() {
+                    if j > 0 {
+                        out.push_str(", ");
+                    }
+                    write!(out, "{{\"le\": {}, \"count\": {c}}}", JsonNum(*e))?;
+                }
+                out.push(']');
             }
-        };
-        metrics.push(format!("{head}, {body}}}"));
+        }
+        out.push('}');
     }
-    let mut series = Vec::new();
-    for s in registry.series() {
-        let points: Vec<String> = s
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"t_ms\": {}, \"value\": {}}}",
-                    json_num(p.t_ms),
-                    json_num(p.value)
-                )
-            })
-            .collect();
-        series.push(format!(
-            "    {{\"name\": \"{}\", \"labels\": {}, \"points\": [{}]}}",
-            json_escape(&s.name),
-            json_labels(&s.labels),
-            points.join(", ")
-        ));
+    out.push_str("\n  ],\n  \"series\": [\n");
+    for (i, s) in registry.series().iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        write!(
+            out,
+            "    {{\"name\": \"{}\", \"labels\": {}, \"points\": [",
+            JsonEscaped(&s.name),
+            JsonLabels(&s.labels)
+        )?;
+        for (j, p) in s.points.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            write!(
+                out,
+                "{{\"t_ms\": {}, \"value\": {}}}",
+                JsonNum(p.t_ms),
+                JsonNum(p.value)
+            )?;
+        }
+        out.push_str("]}");
     }
-    format!(
-        "{{\n  \"metrics\": [\n{}\n  ],\n  \"series\": [\n{}\n  ]\n}}\n",
-        metrics.join(",\n"),
-        series.join(",\n")
-    )
+    out.push_str("\n  ]\n}\n");
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Histogram;
 
     fn sample_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -257,14 +279,14 @@ mod tests {
         r.sample(
             "adavp_queue_depth",
             "outstanding detection requests",
-            LabelSet::empty(),
+            &LabelSet::empty(),
             0.0,
             2.0,
         );
         r.sample(
             "adavp_queue_depth",
             "outstanding detection requests",
-            LabelSet::empty(),
+            &LabelSet::empty(),
             500.0,
             4.0,
         );

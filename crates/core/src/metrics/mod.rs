@@ -198,10 +198,12 @@ impl MetricsRegistry {
         self.metrics.len()
     }
 
+    /// Records the help text of a name's first registration; allocates
+    /// only then.
     fn register_help(&mut self, name: &str, help: &str) {
-        self.help
-            .entry(name.to_string())
-            .or_insert_with(|| help.to_string());
+        if !self.help.contains_key(name) {
+            self.help.insert(name.to_string(), help.to_string());
+        }
     }
 
     /// Adds `delta` to a counter, creating it at zero first.
@@ -247,19 +249,21 @@ impl MetricsRegistry {
 
     /// Appends one sampled point to a gauge time-series, creating the
     /// series on first sample. Series order is first-sample order, which
-    /// is deterministic inside the single-threaded fleet loop.
-    pub fn sample(&mut self, name: &str, help: &str, labels: LabelSet, t_ms: f64, value: f64) {
+    /// is deterministic inside the single-threaded fleet loop. Once the
+    /// series exists a sample allocates nothing beyond its point.
+    pub fn sample(&mut self, name: &str, help: &str, labels: &LabelSet, t_ms: f64, value: f64) {
         self.register_help(name, help);
+        let point = SamplePoint { t_ms, value };
         match self
             .series
             .iter_mut()
-            .find(|s| s.name == name && s.labels == labels)
+            .find(|s| s.name == name && s.labels == *labels)
         {
-            Some(s) => s.points.push(SamplePoint { t_ms, value }),
+            Some(s) => s.points.push(point),
             None => self.series.push(TimeSeries {
                 name: name.to_string(),
-                labels,
-                points: vec![SamplePoint { t_ms, value }],
+                labels: labels.clone(),
+                points: vec![point],
             }),
         }
     }
@@ -487,7 +491,7 @@ mod tests {
             r.sample(
                 "queue_depth",
                 "outstanding requests",
-                LabelSet::empty(),
+                &LabelSet::empty(),
                 k as f64 * 500.0,
                 k as f64,
             );
@@ -504,7 +508,7 @@ mod tests {
         let mut cell = MetricsRegistry::new();
         cell.inc("shed_total", "sheds", LabelSet::empty(), 4);
         cell.set_gauge("util", "", LabelSet::empty(), 0.5);
-        cell.sample("queue_depth", "", LabelSet::empty(), 0.0, 1.0);
+        cell.sample("queue_depth", "", &LabelSet::empty(), 0.0, 1.0);
         let stamped = cell.relabeled(&[("streams", "8"), ("batched", "true")]);
         let labels = l(&[("batched", "true"), ("streams", "8")]);
         assert_eq!(stamped.counter("shed_total", &labels), 4);

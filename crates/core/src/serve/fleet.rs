@@ -197,32 +197,47 @@ enum FleetEvent {
     BatchDone(u64),
 }
 
+/// The label set of each class's burn series, in class-label order
+/// (`bronze`, `gold`, `silver`): the order the series are created in.
+/// Built once per run, so a sampling tick allocates no labels.
+fn burn_series_labels() -> [(SloClass, LabelSet); 3] {
+    let mut classes = SloClass::ALL;
+    classes.sort_by_key(|c| c.label());
+    classes.map(|c| (c, LabelSet::new(&[("class", c.label())])))
+}
+
 /// Samples the fleet's live gauges at virtual time `t` into time-series.
 /// Called from inside the single-threaded event loop, so the sampled state
 /// is a pure function of the config and the samples are byte-identical
-/// across `--jobs` counts.
+/// across `--jobs` counts. A tick costs O(streams + series) and, once
+/// every series exists, allocates only its points.
 fn take_sample(
     reg: &mut MetricsRegistry,
     t: SimTime,
     streams: &[Option<StreamPipeline>],
     sched: &BatchScheduler,
     outstanding_batches: usize,
+    burn_labels: &[(SloClass, LabelSet); 3],
 ) {
     let t_ms = t.as_ms();
     let (mut shed, mut degraded) = (0u64, 0u64);
-    // (misses, cycles, budget) per class label; BTreeMap keeps the
-    // per-class series in a fixed order.
-    let mut per_class: BTreeMap<&'static str, (u64, u64, f64)> = BTreeMap::new();
-    for s in streams.iter().flatten() {
-        shed += s.stats.shed;
-        degraded += s.stats.degraded;
-        let class = s.spec().class;
-        let e = per_class
-            .entry(class.label())
-            .or_insert((0, 0, class.error_budget()));
-        e.0 += s.stats.slo.misses();
-        e.1 += s.stats.slo.cycles();
-    }
+    // (misses, cycles) per class, in `burn_labels` order; a class with no
+    // admitted stream stays `None` and gets no burn series.
+    let burn = burn_labels.each_ref().map(|(class, _)| {
+        let mut tally = None;
+        for s in streams
+            .iter()
+            .flatten()
+            .filter(|s| s.spec().class == *class)
+        {
+            shed += s.stats.shed;
+            degraded += s.stats.degraded;
+            let (misses, cycles) = tally.get_or_insert((0u64, 0u64));
+            *misses += s.stats.slo.misses();
+            *cycles += s.stats.slo.cycles();
+        }
+        tally
+    });
     for (name, help, value) in [
         (
             names::QUEUE_DEPTH,
@@ -255,16 +270,18 @@ fn take_sample(
             degraded as f64,
         ),
     ] {
-        reg.sample(name, help, LabelSet::empty(), t_ms, value);
+        reg.sample(name, help, &LabelSet::empty(), t_ms, value);
     }
-    for (label, (misses, cycles, budget)) in per_class {
-        reg.sample(
-            names::BURN_SAMPLED,
-            "error-budget burn rate at the sample time",
-            LabelSet::new(&[("class", label)]),
-            t_ms,
-            burn_rate(misses, cycles, budget),
-        );
+    for ((class, labels), tally) in burn_labels.iter().zip(burn) {
+        if let Some((misses, cycles)) = tally {
+            reg.sample(
+                names::BURN_SAMPLED,
+                "error-budget burn rate at the sample time",
+                labels,
+                t_ms,
+                burn_rate(misses, cycles, class.error_budget()),
+            );
+        }
     }
 }
 
@@ -304,6 +321,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     let mcfg = cfg.metrics;
     let cadence_ms = mcfg.cadence_ms.max(1.0);
     let mut registry = MetricsRegistry::new();
+    let burn_labels = burn_series_labels();
     let mut next_sample = SimTime::ZERO;
     let mut last_now = SimTime::ZERO;
 
@@ -319,6 +337,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
                     &streams,
                     &sched,
                     in_flight.len(),
+                    &burn_labels,
                 );
                 next_sample = SimTime::from_ms(next_sample.as_ms() + cadence_ms);
             }
@@ -364,7 +383,14 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     if mcfg.enabled && last_now > SimTime::ZERO {
         // One closing sample at the final event time, so every series ends
         // at the true horizon.
-        take_sample(&mut registry, last_now, &streams, &sched, in_flight.len());
+        take_sample(
+            &mut registry,
+            last_now,
+            &streams,
+            &sched,
+            in_flight.len(),
+            &burn_labels,
+        );
     }
 
     // One pass over the per-stream stats builds the totals and the class

@@ -129,18 +129,20 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        let sorted = self.sorted_samples();
-        let n = sorted.len();
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, n) - 1])
+        Some(nearest_rank(&self.sorted_samples(), p))
     }
 
-    /// Exact p50/p90/p99, or `None` when empty.
+    /// Exact p50/p90/p99, or `None` when empty: the three
+    /// [`Histogram::percentile`] values from one sort.
     pub fn percentiles(&self) -> Option<Percentiles> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let sorted = self.sorted_samples();
         Some(Percentiles {
-            p50: self.percentile(50.0)?,
-            p90: self.percentile(90.0)?,
-            p99: self.percentile(99.0)?,
+            p50: nearest_rank(&sorted, 50.0),
+            p90: nearest_rank(&sorted, 90.0),
+            p99: nearest_rank(&sorted, 99.0),
         })
     }
 
@@ -183,6 +185,13 @@ impl Histogram {
     }
 }
 
+/// The nearest-rank `p`th percentile of a non-empty, ascending slice.
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    let n = sorted.len();
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +227,36 @@ mod tests {
         assert_eq!(h.percentile(1.0), Some(1.0));
         let p = h.percentiles().unwrap();
         assert_eq!((p.p50, p.p90, p.p99), (50.0, 90.0, 99.0));
+    }
+
+    /// The one-sort `percentiles` is the three single percentiles, bit for
+    /// bit, on seeded inputs from one sample up. Half the samples are ties
+    /// from a small pool with both signed zeros, which `total_cmp` orders
+    /// and a `partial_cmp` sort would leave in insertion order; the other
+    /// half spread around zero so the median lands among the zeros.
+    #[test]
+    fn percentiles_equal_single_percentile_calls() {
+        adavp_rng::check(64, 3, |rng| {
+            let n = if rng.gen::<bool>() {
+                1
+            } else {
+                rng.gen_range(1..300usize)
+            };
+            let pool: [f64; 3] = [-0.0, 0.0, 40.0];
+            let mut h = Histogram::latency_ms();
+            for _ in 0..n {
+                if rng.gen::<bool>() {
+                    h.record(pool[rng.gen_range(0..pool.len())]);
+                } else {
+                    h.record(rng.gen_range(-5000.0..5000.0));
+                }
+            }
+            let p = h.percentiles().expect("non-empty");
+            let single = |q: f64| h.percentile(q).expect("non-empty").to_bits();
+            assert_eq!(p.p50.to_bits(), single(50.0));
+            assert_eq!(p.p90.to_bits(), single(90.0));
+            assert_eq!(p.p99.to_bits(), single(99.0));
+        });
     }
 
     #[test]

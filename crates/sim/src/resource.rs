@@ -3,7 +3,8 @@
 //! The TX2 model has two resources the pipelines contend for: the GPU
 //! (detection) and the CPU (feature extraction, tracking, overlay drawing).
 //! A [`Resource`] admits one task at a time and records every busy interval
-//! for utilization and energy accounting.
+//! for utilization and energy accounting, keeping their total as it goes so
+//! a utilization read costs O(1) however long the run.
 
 use crate::time::SimTime;
 
@@ -29,6 +30,8 @@ pub struct Resource {
     name: String,
     busy_until: SimTime,
     intervals: Vec<BusyInterval>,
+    /// Sum of the intervals' durations, added in push order.
+    busy_total: SimTime,
 }
 
 impl Resource {
@@ -38,6 +41,7 @@ impl Resource {
             name: name.to_string(),
             busy_until: SimTime::ZERO,
             intervals: Vec::new(),
+            busy_total: SimTime::ZERO,
         }
     }
 
@@ -71,7 +75,9 @@ impl Resource {
         let end = start + duration;
         self.busy_until = end;
         if duration > SimTime::ZERO {
-            self.intervals.push(BusyInterval { start, end });
+            let interval = BusyInterval { start, end };
+            self.busy_total += interval.duration();
+            self.intervals.push(interval);
         }
         (start, end)
     }
@@ -97,11 +103,10 @@ impl Resource {
         &self.intervals
     }
 
-    /// Total busy time.
+    /// Total busy time: the durations of [`Resource::intervals`] summed in
+    /// order, kept as a running total.
     pub fn total_busy(&self) -> SimTime {
-        self.intervals
-            .iter()
-            .fold(SimTime::ZERO, |acc, iv| acc + iv.duration())
+        self.busy_total
     }
 
     /// Busy fraction over `[0, horizon]`; 0 when the horizon is zero.

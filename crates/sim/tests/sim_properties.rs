@@ -48,6 +48,41 @@ fn resource_intervals_disjoint_and_ordered() {
     });
 }
 
+/// The running busy total is the fold over the recorded intervals, bit for
+/// bit, under any mix of scheduled and injected work: overlapping requests
+/// that queue behind current occupancy, requests in idle gaps, and
+/// zero-length tasks that record no interval.
+#[test]
+fn total_busy_is_the_fold_over_intervals() {
+    check(64, 2, |rng| {
+        let n = rng.gen_range(0..80);
+        let mut r = Resource::new("gpu");
+        for _ in 0..n {
+            // Mostly overlapping the current booking, sometimes past it.
+            let earliest = r.available_at().as_ms() + rng.gen_range(-300.0..100.0);
+            let duration = if rng.gen::<f32>() < 0.2 {
+                0.0
+            } else {
+                rng.gen_range(0.0..250.0)
+            };
+            let (earliest, duration) = (
+                SimTime::from_ms(earliest.max(0.0)),
+                SimTime::from_ms(duration),
+            );
+            if rng.gen::<bool>() {
+                r.schedule(earliest, duration);
+            } else {
+                r.occupy(earliest, duration);
+            }
+            let fold = r
+                .intervals()
+                .iter()
+                .fold(SimTime::ZERO, |acc, iv| acc + iv.duration());
+            assert_eq!(r.total_busy().as_ms().to_bits(), fold.as_ms().to_bits());
+        }
+    });
+}
+
 #[test]
 fn energy_is_additive() {
     check(64, 1, |rng| {

@@ -143,9 +143,15 @@ EOF
     cmp target/ci-results/metrics_j1.prom target/ci-results/metrics_j2.prom
     cmp target/ci-results/metrics_j1.json target/ci-results/metrics_j2.json
 
-    echo "== metrics report smoke (2-stream fleet, SLO budget table)"
+    echo "== metrics report smoke (2-stream fleet, SLO budget table; exposition and snapshot run-to-run byte-identical)"
     cargo run --release --bin adavp -- metrics --streams 2 --gpus 1 --cycles 6 \
-        --prom target/ci-results/fleet_metrics.prom
+        --prom target/ci-results/fleet_metrics_a.prom \
+        --json target/ci-results/fleet_metrics_a.json
+    cargo run --release --bin adavp -- metrics --streams 2 --gpus 1 --cycles 6 \
+        --prom target/ci-results/fleet_metrics_b.prom \
+        --json target/ci-results/fleet_metrics_b.json
+    cmp target/ci-results/fleet_metrics_a.prom target/ci-results/fleet_metrics_b.prom
+    cmp target/ci-results/fleet_metrics_a.json target/ci-results/fleet_metrics_b.json
 
     echo "== serve bench (writes BENCH_serve.json; asserts batched >= 1.5x unbatched + jobs parity)"
     cargo run --release -p adavp-bench --bin serve_bench -- --jobs 4 --out BENCH_serve.json

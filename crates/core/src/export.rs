@@ -3,6 +3,10 @@
 //! Writes a [`ProcessingTrace`] (plus optional per-frame scores) as JSON or
 //! CSV without any extra dependencies — the JSON writer covers exactly the
 //! shapes a trace contains and escapes strings per RFC 8259.
+//!
+//! The string escaper and the number writer (`push_num`) here are shared
+//! with the Chrome-trace exporter and the metrics renderers, so every JSON
+//! and Prometheus number in the crate is written one way.
 
 use crate::pipeline::{DetectorFault, FrameSource, ProcessingTrace};
 use std::fmt::{self, Write as _};
@@ -32,28 +36,102 @@ impl fmt::Display for JsonEscaped<'_> {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document ([`JsonEscaped`]).
-pub(crate) fn json_escape(s: &str) -> String {
-    JsonEscaped(s).to_string()
-}
-
-/// An `f64` formatted for JSON: `Display` for finite values, `null` for
-/// NaN and infinities.
-pub(crate) struct JsonNum(pub f64);
-
-impl fmt::Display for JsonNum {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            f.write_str("null")
-        }
+/// Appends `s` escaped for a JSON string ([`JsonEscaped`]), copying it
+/// whole when nothing in it needs an escape.
+pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        let _ = write!(out, "{}", JsonEscaped(s));
+    } else {
+        out.push_str(s);
     }
 }
 
-/// Formats an `f64` for JSON ([`JsonNum`]).
-pub(crate) fn json_num(v: f64) -> String {
-    JsonNum(v).to_string()
+/// How [`push_num`] spells a value that is not finite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NonFinite {
+    /// JSON has no NaN or infinity: `null`.
+    Null,
+    /// Prometheus text exposition: `NaN`, `+Inf`, `-Inf`.
+    Prom,
+}
+
+/// 2^53: below it in magnitude every integer is an `f64`, and an
+/// integer-valued `f64`'s shortest round-trip form is its decimal digits.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Whether `v` takes the exact integer path of [`push_num`].
+fn is_exact_int(v: f64) -> bool {
+    v.abs() < EXACT_INT && (v as i64) as f64 == v
+}
+
+/// Appends the decimal digits of `n`.
+pub(crate) fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for slot in digits.iter_mut().rev() {
+        *slot = b'0' + (n % 10) as u8;
+        start -= 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `v` with the bytes of `f64` `Display` (the shortest round-trip
+/// form, never an exponent), spelling NaN and the infinities per
+/// `non_finite`. An integer-valued `v` below 2^53 in magnitude is written
+/// as its digits directly, `-0.0` as `-0`; every other finite value goes
+/// through `Display`. The one number writer of every JSON and Prometheus
+/// exporter.
+pub(crate) fn push_num(out: &mut String, v: f64, non_finite: NonFinite) {
+    if is_exact_int(v) {
+        if v.is_sign_negative() {
+            out.push('-');
+        }
+        push_uint(out, (v as i64).unsigned_abs());
+    } else if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str(match non_finite {
+            NonFinite::Null => "null",
+            NonFinite::Prom if v.is_nan() => "NaN",
+            NonFinite::Prom if v > 0.0 => "+Inf",
+            NonFinite::Prom => "-Inf",
+        });
+    }
+}
+
+/// Appends `v` as a JSON number: [`push_num`], `null` when not finite.
+pub(crate) fn push_json_num(out: &mut String, v: f64) {
+    push_num(out, v, NonFinite::Null);
+}
+
+/// [`push_num`] for a run of values, such as a sampled series, in which a
+/// value often repeats: a non-integer value with the same bits as the
+/// last non-integer value written reuses that value's bytes instead of
+/// formatting it again.
+#[derive(Debug, Default)]
+pub(crate) struct RepeatNum {
+    /// Bits of the last non-integer finite value written, and its bytes.
+    bits: Option<u64>,
+    text: String,
+}
+
+impl RepeatNum {
+    /// Appends `v` exactly as [`push_num`] would.
+    pub(crate) fn push(&mut self, out: &mut String, v: f64, non_finite: NonFinite) {
+        if is_exact_int(v) || !v.is_finite() {
+            return push_num(out, v, non_finite);
+        }
+        if self.bits != Some(v.to_bits()) {
+            self.bits = Some(v.to_bits());
+            self.text.clear();
+            let _ = write!(self.text, "{v}");
+        }
+        out.push_str(&self.text);
+    }
 }
 
 /// Formats an `f32` confidence for JSON/CSV via `Display` (shortest
@@ -85,27 +163,30 @@ fn source_str(s: FrameSource) -> &'static str {
     }
 }
 
-/// A cycle's fault as a JSON value (`null` when the cycle was clean).
-fn fault_json(f: Option<DetectorFault>) -> String {
+/// Appends `key` (the fixed JSON text before a number) and then `v`.
+fn push_field(out: &mut String, key: &str, v: f64) {
+    out.push_str(key);
+    push_json_num(out, v);
+}
+
+/// Appends a cycle's fault as a JSON value (`null` when the cycle was
+/// clean).
+fn push_fault(out: &mut String, f: Option<DetectorFault>) {
     match f {
-        None => "null".to_string(),
+        None => out.push_str("null"),
         Some(DetectorFault::Spike { multiplier }) => {
-            format!(
-                "{{\"kind\": \"spike\", \"multiplier\": {}}}",
-                json_num(multiplier)
-            )
+            push_field(out, "{\"kind\": \"spike\", \"multiplier\": ", multiplier);
+            out.push('}');
         }
         Some(DetectorFault::Timeout { multiplier }) => {
-            format!(
-                "{{\"kind\": \"timeout\", \"multiplier\": {}}}",
-                json_num(multiplier)
-            )
+            push_field(out, "{\"kind\": \"timeout\", \"multiplier\": ", multiplier);
+            out.push('}');
         }
         Some(DetectorFault::Retried { attempts }) => {
-            format!("{{\"kind\": \"retried\", \"attempts\": {attempts}}}")
+            let _ = write!(out, "{{\"kind\": \"retried\", \"attempts\": {attempts}}}");
         }
         Some(DetectorFault::Failed { attempts }) => {
-            format!("{{\"kind\": \"failed\", \"attempts\": {attempts}}}")
+            let _ = write!(out, "{{\"kind\": \"failed\", \"attempts\": {attempts}}}");
         }
     }
 }
@@ -137,38 +218,39 @@ pub fn trace_to_json(trace: &ProcessingTrace, frame_f1: Option<&[f64]>) -> Strin
     }
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"pipeline\": \"{}\",", json_escape(&trace.pipeline));
+    let _ = writeln!(out, "  \"pipeline\": \"{}\",", JsonEscaped(&trace.pipeline));
     let e = &trace.energy;
-    let _ = writeln!(
-        out,
-        "  \"energy\": {{\"gpu_wh\": {}, \"cpu_wh\": {}, \"soc_wh\": {}, \"ddr_wh\": {}, \"total_wh\": {}}},",
-        json_num(e.gpu_wh),
-        json_num(e.cpu_wh),
-        json_num(e.soc_wh),
-        json_num(e.ddr_wh),
-        json_num(e.total_wh()),
-    );
-    let _ = writeln!(out, "  \"finished_ms\": {},", json_num(trace.finished_ms));
-    let _ = writeln!(out, "  \"gpu_busy_ms\": {},", json_num(trace.gpu_busy_ms));
-    let _ = writeln!(out, "  \"cpu_busy_ms\": {},", json_num(trace.cpu_busy_ms));
+    push_field(&mut out, "  \"energy\": {\"gpu_wh\": ", e.gpu_wh);
+    push_field(&mut out, ", \"cpu_wh\": ", e.cpu_wh);
+    push_field(&mut out, ", \"soc_wh\": ", e.soc_wh);
+    push_field(&mut out, ", \"ddr_wh\": ", e.ddr_wh);
+    push_field(&mut out, ", \"total_wh\": ", e.total_wh());
+    push_field(&mut out, "},\n  \"finished_ms\": ", trace.finished_ms);
+    push_field(&mut out, ",\n  \"gpu_busy_ms\": ", trace.gpu_busy_ms);
+    push_field(&mut out, ",\n  \"cpu_busy_ms\": ", trace.cpu_busy_ms);
+    out.push_str(",\n");
 
     out.push_str("  \"cycles\": [\n");
     for (i, cy) in trace.cycles.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"index\": {}, \"frame\": {}, \"setting\": \"{}\", \"start_ms\": {}, \"end_ms\": {}, \"buffered\": {}, \"tracked\": {}, \"velocity\": {}, \"switched\": {}, \"fault\": {}, \"diverged\": {}}}",
-            cy.index,
-            cy.detected_frame,
-            cy.setting,
-            json_num(cy.start_ms),
-            json_num(cy.end_ms),
-            cy.buffered,
-            cy.tracked,
-            cy.velocity.map(json_num).unwrap_or_else(|| "null".into()),
-            cy.switched,
-            fault_json(cy.fault),
-            cy.diverged,
+            "    {{\"index\": {}, \"frame\": {}, \"setting\": \"{}\", \"start_ms\": ",
+            cy.index, cy.detected_frame, cy.setting,
         );
+        push_json_num(&mut out, cy.start_ms);
+        push_field(&mut out, ", \"end_ms\": ", cy.end_ms);
+        let _ = write!(
+            out,
+            ", \"buffered\": {}, \"tracked\": {}, \"velocity\": ",
+            cy.buffered, cy.tracked,
+        );
+        match cy.velocity {
+            Some(v) => push_json_num(&mut out, v),
+            None => out.push_str("null"),
+        }
+        let _ = write!(out, ", \"switched\": {}, \"fault\": ", cy.switched);
+        push_fault(&mut out, cy.fault);
+        let _ = write!(out, ", \"diverged\": {}}}", cy.diverged);
         out.push_str(if i + 1 < trace.cycles.len() {
             ",\n"
         } else {
@@ -181,20 +263,21 @@ pub fn trace_to_json(trace: &ProcessingTrace, frame_f1: Option<&[f64]>) -> Strin
     for (i, f) in trace.outputs.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"index\": {}, \"source\": \"{}\", \"display_ms\": {}, \"boxes\": [",
+            "    {{\"index\": {}, \"source\": \"{}\", \"display_ms\": ",
             f.frame_index,
             source_str(f.source),
-            json_num(f.display_ms),
         );
+        push_json_num(&mut out, f.display_ms);
+        out.push_str(", \"boxes\": [");
         for (j, b) in f.boxes.iter().enumerate() {
+            let _ = write!(out, "{{\"class\": \"{}\", \"left\": ", b.class);
+            push_json_num(&mut out, b.bbox.left as f64);
+            push_field(&mut out, ", \"top\": ", b.bbox.top as f64);
+            push_field(&mut out, ", \"width\": ", b.bbox.width as f64);
+            push_field(&mut out, ", \"height\": ", b.bbox.height as f64);
             let _ = write!(
                 out,
-                "{{\"class\": \"{}\", \"left\": {}, \"top\": {}, \"width\": {}, \"height\": {}, \"confidence\": {}}}",
-                b.class,
-                json_num(b.bbox.left as f64),
-                json_num(b.bbox.top as f64),
-                json_num(b.bbox.width as f64),
-                json_num(b.bbox.height as f64),
+                ", \"confidence\": {}}}",
                 f.confidences
                     .get(j)
                     .map(|&c| conf_num(c))
@@ -206,7 +289,7 @@ pub fn trace_to_json(trace: &ProcessingTrace, frame_f1: Option<&[f64]>) -> Strin
         }
         out.push(']');
         if let Some(scores) = frame_f1 {
-            let _ = write!(out, ", \"f1\": {}", json_num(scores[i]));
+            push_field(&mut out, ", \"f1\": ", scores[i]);
         }
         out.push('}');
         out.push_str(if i + 1 < trace.outputs.len() {
@@ -348,6 +431,12 @@ mod tests {
         let _ = trace_to_json(&trace, Some(&[1.0]));
     }
 
+    fn fault_json(f: Option<DetectorFault>) -> String {
+        let mut out = String::new();
+        push_fault(&mut out, f);
+        out
+    }
+
     #[test]
     fn json_fault_and_diverged_fields() {
         // Every DetectorFault variant serializes with its payload.
@@ -446,6 +535,139 @@ mod tests {
         let dir = std::env::temp_dir().join("adavp_csv_len");
         let trace = sample_trace();
         let _ = write_frame_csv(&trace, &[1.0], &dir.join("bad.csv"));
+    }
+
+    /// What the number writer must produce: `f64` `Display` for finite
+    /// values, the format's own spelling otherwise.
+    fn displayed(v: f64, non_finite: NonFinite) -> String {
+        match non_finite {
+            _ if v.is_finite() => format!("{v}"),
+            NonFinite::Null => "null".to_string(),
+            NonFinite::Prom if v.is_nan() => "NaN".to_string(),
+            NonFinite::Prom if v > 0.0 => "+Inf".to_string(),
+            NonFinite::Prom => "-Inf".to_string(),
+        }
+    }
+
+    /// The edge cases of the integer path and of `Display`, then 10 000
+    /// random bit patterns and 2 000 random integers on both sides of 2^53.
+    fn writer_cases() -> Vec<f64> {
+        let mut cases = vec![
+            0.0,
+            1.0,
+            7.0,
+            0.5,
+            0.1,
+            2.5,
+            1e-7,
+            123_456.789,
+            EXACT_INT - 1.0,
+            EXACT_INT,
+            EXACT_INT + 2.0,
+            EXACT_INT * 2.0,
+            1e15,
+            1e16,
+            1e17,
+            1e18,
+            1e19,
+            1e20,
+            1e21,
+            1e22,
+            9.223_372_036_854_776e18,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        cases.extend(cases.clone().into_iter().map(|v| -v));
+        let mut rng = adavp_rng::Rng::seed_from_u64(25);
+        cases.extend((0..10_000).map(|_| f64::from_bits(rng.next_u64())));
+        cases.extend((0..2_000).map(|_| {
+            let magnitude = (rng.next_u64() >> 10) as f64;
+            if rng.gen::<bool>() {
+                -magnitude
+            } else {
+                magnitude
+            }
+        }));
+        cases
+    }
+
+    #[test]
+    fn number_writer_matches_display_byte_for_byte() {
+        for non_finite in [NonFinite::Null, NonFinite::Prom] {
+            let mut out = String::new();
+            let mut repeat = RepeatNum::default();
+            let mut repeated = String::new();
+            let mut expected = String::new();
+            for v in writer_cases() {
+                out.clear();
+                push_num(&mut out, v, non_finite);
+                let want = displayed(v, non_finite);
+                assert_eq!(out, want, "{v:e} (bits {:#x})", v.to_bits());
+                repeat.push(&mut repeated, v, non_finite);
+                expected.push_str(&want);
+                expected.push(',');
+                repeated.push(',');
+            }
+            assert_eq!(repeated, expected, "RepeatNum diverged from push_num");
+        }
+        let mut json = String::new();
+        push_json_num(&mut json, f64::NEG_INFINITY);
+        assert_eq!(json, "null");
+        let mut digits = String::new();
+        for n in [0, 9, 10, 4_294_967_296, u64::MAX] {
+            digits.clear();
+            push_uint(&mut digits, n);
+            assert_eq!(digits, n.to_string());
+        }
+    }
+
+    /// A series whose non-integer values repeat in runs, broken by
+    /// integers, non-finite values, and a different value of the same
+    /// `Display` length: every reused value still prints its own bytes.
+    #[test]
+    fn repeated_values_reuse_only_equal_bits() {
+        let series = [
+            0.25,
+            0.25,
+            0.25,
+            3.0,
+            0.25,
+            0.75,
+            0.75,
+            f64::NAN,
+            0.75,
+            -0.0,
+            0.125,
+            0.375,
+            0.375,
+            0.1 + 0.2,
+            0.3,
+            0.3,
+        ];
+        let mut repeat = RepeatNum::default();
+        let mut got = String::new();
+        let mut want = String::new();
+        for v in series {
+            repeat.push(&mut got, v, NonFinite::Null);
+            got.push(' ');
+            want.push_str(&displayed(v, NonFinite::Null));
+            want.push(' ');
+        }
+        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            "0.25 0.25 0.25 3 0.25 0.75 0.75 null 0.75 -0 0.125 0.375 0.375 \
+             0.30000000000000004 0.3 0.3 "
+        );
+    }
+
+    fn json_escape(s: &str) -> String {
+        JsonEscaped(s).to_string()
     }
 
     #[test]

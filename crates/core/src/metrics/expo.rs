@@ -5,91 +5,116 @@
 //! iterates in `(name, labels)` order and every value inside it is a pure
 //! function of the serve configuration, the rendered bytes are identical
 //! across `--jobs` counts and across runs — the same contract the sweep
-//! CSV/JSON renderers already carry (DESIGN.md §13). String escaping
-//! reuses the shared formatters in [`crate::export`].
+//! CSV/JSON renderers already carry (DESIGN.md §13). String escaping and
+//! numbers go through the shared writers in [`crate::export`].
 //!
-//! Each renderer `write!`s into one buffer: numbers, labels and escaped
-//! strings are `Display` values formatted in place, so the cost is the
-//! output's length, not one `String` per number.
+//! Each renderer appends to one buffer: fixed pieces with `push_str`,
+//! numbers with the shared number writer (integer-valued numbers as their
+//! digits, a repeated series value as the bytes it already has), so the
+//! cost is the output's length. Histograms are read through their sorted
+//! view; the registry sorts each one once, so no renderer clones or sorts
+//! samples.
 
 use super::{LabelSet, MetricValue, MetricsRegistry};
-use crate::export::{JsonEscaped, JsonNum};
-use std::fmt::{self, Write as _};
+use crate::export::{push_json_escaped, push_json_num, push_num, push_uint, NonFinite, RepeatNum};
 
-/// A label value escaped for Prometheus text exposition (backslash,
-/// double-quote, and newline, per the exposition format spec).
-struct PromEscaped<'a>(&'a str);
-
-impl fmt::Display for PromEscaped<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for c in self.0.chars() {
-            match c {
-                '\\' => f.write_str("\\\\")?,
-                '"' => f.write_str("\\\"")?,
-                '\n' => f.write_str("\\n")?,
-                _ => f.write_char(c)?,
-            }
-        }
-        Ok(())
+/// Appends a label value escaped for Prometheus text exposition
+/// (backslash, double-quote, and newline, per the exposition format spec).
+fn push_prom_escaped(out: &mut String, s: &str) {
+    if !s.contains(['\\', '"', '\n']) {
+        out.push_str(s);
+        return;
     }
-}
-
-/// A number the way Prometheus expects: shortest round-trip form.
-struct PromNum(f64);
-
-impl fmt::Display for PromNum {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let v = self.0;
-        if v.is_nan() {
-            f.write_str("NaN")
-        } else if v == f64::INFINITY {
-            f.write_str("+Inf")
-        } else if v == f64::NEG_INFINITY {
-            f.write_str("-Inf")
-        } else {
-            write!(f, "{v}")
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            _ => out.push(c),
         }
     }
 }
 
-/// `{k="v",...}` (nothing for the empty label set), with an optional `le`
-/// bucket bound appended after the sorted labels.
-struct PromLabels<'a>(&'a LabelSet, Option<f64>);
+/// Appends a Prometheus number: [`push_num`], `NaN`/`+Inf`/`-Inf` when
+/// not finite.
+fn push_prom_num(out: &mut String, v: f64) {
+    push_num(out, v, NonFinite::Prom);
+}
 
-impl fmt::Display for PromLabels<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut open = false;
-        for (k, v) in self.0.pairs() {
-            f.write_char(if open { ',' } else { '{' })?;
-            write!(f, "{k}=\"{}\"", PromEscaped(v))?;
-            open = true;
+/// Replaces `body` with the inside of a Prometheus label block,
+/// `k="v",...` (empty for the empty label set).
+fn prom_label_body(body: &mut String, labels: &LabelSet) {
+    body.clear();
+    for (i, (k, v)) in labels.pairs().iter().enumerate() {
+        if i > 0 {
+            body.push(',');
         }
-        if let Some(le) = self.1 {
-            f.write_char(if open { ',' } else { '{' })?;
-            write!(f, "le=\"{}\"", PromNum(le))?;
-            open = true;
-        }
-        if open {
-            f.write_char('}')?;
-        }
-        Ok(())
+        body.push_str(k);
+        body.push_str("=\"");
+        push_prom_escaped(body, v);
+        body.push('"');
     }
 }
 
-/// `{"k": "v", ...}` for the JSON snapshot.
-struct JsonLabels<'a>(&'a LabelSet);
-
-impl fmt::Display for JsonLabels<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_char('{')?;
-        for (i, (k, v)) in self.0.pairs().iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            write!(f, "\"{}\": \"{}\"", JsonEscaped(k), JsonEscaped(v))?;
-        }
-        f.write_char('}')
+/// Appends a sample line up to its value: `name` + `suffix`, then
+/// `{body}` (nothing when `body` is empty), then a space.
+fn push_prom_sample(out: &mut String, name: &str, suffix: &str, body: &str) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if !body.is_empty() {
+        out.push('{');
+        out.push_str(body);
+        out.push('}');
     }
+    out.push(' ');
+}
+
+/// Appends a bucket line up to its value: `name_bucket{body,le="edge"} `,
+/// the `le` bound after the sorted labels.
+fn push_prom_bucket(out: &mut String, name: &str, body: &str, le: f64) {
+    out.push_str(name);
+    out.push_str("_bucket{");
+    if !body.is_empty() {
+        out.push_str(body);
+        out.push(',');
+    }
+    out.push_str("le=\"");
+    push_prom_num(out, le);
+    out.push_str("\"} ");
+}
+
+/// Appends `# HELP` and `# TYPE` lines for one metric name.
+fn push_prom_header(out: &mut String, name: &str, help: &str, kind: &str) {
+    out.push_str("# HELP ");
+    out.push_str(name);
+    out.push(' ');
+    out.push_str(help);
+    out.push_str("\n# TYPE ");
+    out.push_str(name);
+    out.push(' ');
+    out.push_str(kind);
+    out.push('\n');
+}
+
+/// Appends `"s"` with `s` JSON-escaped.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    push_json_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends `{"k": "v", ...}` for the JSON snapshot.
+fn push_json_labels(out: &mut String, labels: &LabelSet) {
+    out.push('{');
+    for (i, (k, v)) in labels.pairs().iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_json_str(out, k);
+        out.push_str(": ");
+        push_json_str(out, v);
+    }
+    out.push('}');
 }
 
 fn kind_name(v: &MetricValue) -> &'static str {
@@ -108,37 +133,43 @@ fn kind_name(v: &MetricValue) -> &'static str {
 /// JSON snapshot.
 pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
-    // Writing to a `String` cannot fail.
-    let _ = write_prometheus(&mut out, registry);
-    out
-}
-
-fn write_prometheus(out: &mut String, registry: &MetricsRegistry) -> fmt::Result {
+    let mut body = String::new();
     let mut current = None;
     for (name, labels, value) in registry.iter() {
         if current != Some(name) {
             current = Some(name);
             let help = registry.help(name).unwrap_or("");
-            writeln!(out, "# HELP {name} {help}")?;
-            writeln!(out, "# TYPE {name} {}", kind_name(value))?;
+            push_prom_header(&mut out, name, help, kind_name(value));
         }
-        let plain = PromLabels(labels, None);
+        prom_label_body(&mut body, labels);
         match value {
-            MetricValue::Counter(c) => writeln!(out, "{name}{plain} {c}")?,
-            MetricValue::Gauge(g) => writeln!(out, "{name}{plain} {}", PromNum(*g))?,
+            MetricValue::Counter(c) => {
+                push_prom_sample(&mut out, name, "", &body);
+                push_uint(&mut out, *c);
+                out.push('\n');
+            }
+            MetricValue::Gauge(g) => {
+                push_prom_sample(&mut out, name, "", &body);
+                push_prom_num(&mut out, *g);
+                out.push('\n');
+            }
             MetricValue::Hist(h) => {
+                // The overflow bucket is the `+Inf` line.
                 let mut cumulative = 0u64;
-                for (edge, count) in h.edges().iter().zip(h.bucket_counts()) {
+                let edges = h.edges().iter().copied().chain([f64::INFINITY]);
+                for (edge, count) in edges.zip(h.bucket_counts()) {
                     cumulative += count;
-                    let bucket = PromLabels(labels, Some(*edge));
-                    writeln!(out, "{name}_bucket{bucket} {cumulative}")?;
+                    push_prom_bucket(&mut out, name, &body, edge);
+                    push_uint(&mut out, cumulative);
+                    out.push('\n');
                 }
-                cumulative += h.bucket_counts().last().copied().unwrap_or(0);
-                let bucket = PromLabels(labels, Some(f64::INFINITY));
-                writeln!(out, "{name}_bucket{bucket} {cumulative}")?;
                 let sum = h.mean().map(|m| m * h.count() as f64).unwrap_or(0.0);
-                writeln!(out, "{name}_sum{plain} {}", PromNum(sum))?;
-                writeln!(out, "{name}_count{plain} {}", h.count())?;
+                push_prom_sample(&mut out, name, "_sum", &body);
+                push_prom_num(&mut out, sum);
+                out.push('\n');
+                push_prom_sample(&mut out, name, "_count", &body);
+                push_uint(&mut out, h.count());
+                out.push('\n');
             }
         }
     }
@@ -149,14 +180,15 @@ fn write_prometheus(out: &mut String, registry: &MetricsRegistry) -> fmt::Result
             if current != Some(name) {
                 current = Some(name);
                 let help = registry.help(name).unwrap_or("");
-                writeln!(out, "# HELP {name} {help}")?;
-                writeln!(out, "# TYPE {name} gauge")?;
+                push_prom_header(&mut out, name, help, "gauge");
             }
-            let labels = PromLabels(&s.labels, None);
-            writeln!(out, "{name}{labels} {}", PromNum(last.value))?;
+            prom_label_body(&mut body, &s.labels);
+            push_prom_sample(&mut out, name, "", &body);
+            push_prom_num(&mut out, last.value);
+            out.push('\n');
         }
     }
-    Ok(())
+    out
 }
 
 /// Renders the registry as a JSON snapshot: every metric with its kind and
@@ -165,48 +197,54 @@ fn write_prometheus(out: &mut String, registry: &MetricsRegistry) -> fmt::Result
 /// the other exporters, reusing [`crate::export`] formatting, so the bytes
 /// are deterministic.
 pub fn json_snapshot(registry: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    // Writing to a `String` cannot fail.
-    let _ = write_json(&mut out, registry);
-    out
-}
-
-fn write_json(out: &mut String, registry: &MetricsRegistry) -> fmt::Result {
-    out.push_str("{\n  \"metrics\": [\n");
+    let mut out = String::from("{\n  \"metrics\": [\n");
     for (i, (name, labels, value)) in registry.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
-        write!(
-            out,
-            "    {{\"name\": \"{}\", \"labels\": {}, \"kind\": \"{}\", ",
-            JsonEscaped(name),
-            JsonLabels(labels),
-            kind_name(value)
-        )?;
+        out.push_str("    {\"name\": ");
+        push_json_str(&mut out, name);
+        out.push_str(", \"labels\": ");
+        push_json_labels(&mut out, labels);
+        out.push_str(", \"kind\": \"");
+        out.push_str(kind_name(value));
+        out.push_str("\", ");
         match value {
-            MetricValue::Counter(c) => write!(out, "\"value\": {c}")?,
-            MetricValue::Gauge(g) => write!(out, "\"value\": {}", JsonNum(*g))?,
+            MetricValue::Counter(c) => {
+                out.push_str("\"value\": ");
+                push_uint(&mut out, *c);
+            }
+            MetricValue::Gauge(g) => {
+                out.push_str("\"value\": ");
+                push_json_num(&mut out, *g);
+            }
             MetricValue::Hist(h) => {
                 let [p50, p90, p99] = h
                     .percentiles()
                     .map_or([f64::NAN; 3], |p| [p.p50, p.p90, p.p99]);
-                write!(
-                    out,
-                    "\"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                     \"overflow\": {}, \"buckets\": [",
-                    h.count(),
-                    JsonNum(h.mean().unwrap_or(f64::NAN)),
-                    JsonNum(p50),
-                    JsonNum(p90),
-                    JsonNum(p99),
-                    h.bucket_counts().last().copied().unwrap_or(0),
-                )?;
+                out.push_str("\"count\": ");
+                push_uint(&mut out, h.count());
+                for (key, v) in [
+                    (", \"mean\": ", h.mean().unwrap_or(f64::NAN)),
+                    (", \"p50\": ", p50),
+                    (", \"p90\": ", p90),
+                    (", \"p99\": ", p99),
+                ] {
+                    out.push_str(key);
+                    push_json_num(&mut out, v);
+                }
+                out.push_str(", \"overflow\": ");
+                push_uint(&mut out, h.bucket_counts().last().copied().unwrap_or(0));
+                out.push_str(", \"buckets\": [");
                 for (j, (e, c)) in h.edges().iter().zip(h.bucket_counts()).enumerate() {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    write!(out, "{{\"le\": {}, \"count\": {c}}}", JsonNum(*e))?;
+                    out.push_str("{\"le\": ");
+                    push_json_num(&mut out, *e);
+                    out.push_str(", \"count\": ");
+                    push_uint(&mut out, *c);
+                    out.push('}');
                 }
                 out.push(']');
             }
@@ -214,31 +252,30 @@ fn write_json(out: &mut String, registry: &MetricsRegistry) -> fmt::Result {
         out.push('}');
     }
     out.push_str("\n  ],\n  \"series\": [\n");
+    let mut values = RepeatNum::default();
     for (i, s) in registry.series().iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
-        write!(
-            out,
-            "    {{\"name\": \"{}\", \"labels\": {}, \"points\": [",
-            JsonEscaped(&s.name),
-            JsonLabels(&s.labels)
-        )?;
+        out.push_str("    {\"name\": ");
+        push_json_str(&mut out, &s.name);
+        out.push_str(", \"labels\": ");
+        push_json_labels(&mut out, &s.labels);
+        out.push_str(", \"points\": [");
         for (j, p) in s.points.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
-            write!(
-                out,
-                "{{\"t_ms\": {}, \"value\": {}}}",
-                JsonNum(p.t_ms),
-                JsonNum(p.value)
-            )?;
+            out.push_str("{\"t_ms\": ");
+            push_json_num(&mut out, p.t_ms);
+            out.push_str(", \"value\": ");
+            values.push(&mut out, p.value, NonFinite::Null);
+            out.push('}');
         }
         out.push_str("]}");
     }
     out.push_str("\n  ]\n}\n");
-    Ok(())
+    out
 }
 
 #[cfg(test)]
@@ -276,20 +313,13 @@ mod tests {
             LabelSet::new(&[("class", "gold")]),
             &h,
         );
-        r.sample(
+        let queue = r.series_id(
             "adavp_queue_depth",
             "outstanding detection requests",
             &LabelSet::empty(),
-            0.0,
-            2.0,
         );
-        r.sample(
-            "adavp_queue_depth",
-            "outstanding detection requests",
-            &LabelSet::empty(),
-            500.0,
-            4.0,
-        );
+        r.push_point(queue, 0.0, 2.0);
+        r.push_point(queue, 500.0, 4.0);
         r
     }
 

@@ -169,6 +169,11 @@ pub struct TimeSeries {
     pub points: Vec<SamplePoint>,
 }
 
+/// The index of one sampled time-series in a [`MetricsRegistry`], from
+/// [`MetricsRegistry::series_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SeriesId(usize);
+
 /// A typed, label-addressed metrics registry.
 ///
 /// Metrics are keyed by `(name, labels)` in a `BTreeMap`, so every view of
@@ -233,8 +238,10 @@ impl MetricsRegistry {
     }
 
     /// Merges a histogram into the registered one (creating an empty twin
-    /// with the same edges first). Uses [`Histogram::merge`], so rollups
-    /// keep exact percentiles regardless of merge order.
+    /// with the same edges first), then sorts the registered samples in
+    /// place. Uses [`Histogram::merge`], so rollups keep exact percentiles
+    /// regardless of merge order; the sort changes no statistic, and lets
+    /// every renderer read the histogram without sorting it again.
     pub fn observe_hist(&mut self, name: &str, help: &str, labels: LabelSet, h: &Histogram) {
         self.register_help(name, help);
         match self
@@ -242,30 +249,44 @@ impl MetricsRegistry {
             .entry((name.to_string(), labels))
             .or_insert_with(|| MetricValue::Hist(Histogram::with_edges(h.edges())))
         {
-            MetricValue::Hist(existing) => existing.merge(h),
+            MetricValue::Hist(existing) => {
+                existing.merge(h);
+                existing.sort_samples();
+            }
             other => panic!("{name} already registered as {other:?}, not a histogram"),
         }
     }
 
-    /// Appends one sampled point to a gauge time-series, creating the
-    /// series on first sample. Series order is first-sample order, which
-    /// is deterministic inside the single-threaded fleet loop. Once the
-    /// series exists a sample allocates nothing beyond its point.
-    pub fn sample(&mut self, name: &str, help: &str, labels: &LabelSet, t_ms: f64, value: f64) {
+    /// The index of a gauge time-series, creating it (with no points) on
+    /// first use. Series order is creation order, which is deterministic
+    /// inside the single-threaded fleet loop. A created series is exported
+    /// even with no points, so a sampler resolves each series at its first
+    /// sample and then appends with [`MetricsRegistry::push_point`].
+    pub(crate) fn series_id(&mut self, name: &str, help: &str, labels: &LabelSet) -> SeriesId {
         self.register_help(name, help);
-        let point = SamplePoint { t_ms, value };
-        match self
+        let found = self
             .series
-            .iter_mut()
-            .find(|s| s.name == name && s.labels == *labels)
-        {
-            Some(s) => s.points.push(point),
-            None => self.series.push(TimeSeries {
+            .iter()
+            .position(|s| s.name == name && s.labels == *labels);
+        SeriesId(found.unwrap_or_else(|| {
+            self.series.push(TimeSeries {
                 name: name.to_string(),
                 labels: labels.clone(),
-                points: vec![point],
-            }),
-        }
+                points: Vec::new(),
+            });
+            self.series.len() - 1
+        }))
+    }
+
+    /// Appends one sampled point to the series `id` names; allocates
+    /// nothing beyond the point. `id` must come from this registry's
+    /// [`MetricsRegistry::series_id`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for this registry.
+    pub(crate) fn push_point(&mut self, id: SeriesId, t_ms: f64, value: f64) {
+        self.series[id.0].points.push(SamplePoint { t_ms, value });
     }
 
     /// Looks up one metric value.
@@ -450,6 +471,115 @@ mod tests {
         assert_eq!(h.percentiles(), concat.percentiles());
     }
 
+    /// Every statistic a renderer reads, as bits.
+    fn hist_stats(h: &Histogram) -> (u64, Vec<u64>, Option<u64>, Option<[u64; 4]>) {
+        (
+            h.count(),
+            h.bucket_counts().to_vec(),
+            h.mean().map(f64::to_bits),
+            h.percentiles()
+                .map(|p| [p.p50, p.p90, p.p99, p.max].map(f64::to_bits)),
+        )
+    }
+
+    fn shuffle(rng: &mut adavp_rng::Rng, v: &mut [f64]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    fn hist_of(samples: &[f64]) -> Histogram {
+        let mut h = Histogram::latency_ms();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
+    /// The registry sorts each histogram once, in place; the stored order
+    /// is not observable. Shuffled record orders, shard merges in any
+    /// order, and a registry histogram before and after its sort all give
+    /// bit-identical statistics and exported bytes. Ties include both
+    /// signed zeros, which only a `total_cmp` order keeps apart.
+    #[test]
+    fn one_sort_changes_no_statistic() {
+        adavp_rng::check(48, 25, |rng| {
+            let n = rng.gen_range(1..400usize);
+            let pool = [-0.0, 0.0, 40.0, 650.0];
+            let samples: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen::<bool>() {
+                        pool[rng.gen_range(0..pool.len())]
+                    } else {
+                        rng.gen_range(-50.0..5000.0)
+                    }
+                })
+                .collect();
+            let reference = hist_stats(&hist_of(&samples));
+
+            let mut shuffled = samples.clone();
+            shuffle(rng, &mut shuffled);
+            assert_eq!(hist_stats(&hist_of(&shuffled)), reference);
+
+            let shards: Vec<Histogram> = shuffled.chunks(n.div_ceil(3)).map(hist_of).collect();
+            let mut order: Vec<usize> = (0..shards.len()).collect();
+            order.reverse();
+            let mut merged = Histogram::latency_ms();
+            for &i in &order {
+                merged.merge(&shards[i]);
+            }
+            assert_eq!(hist_stats(&merged), reference);
+
+            // A registry holding the unsorted histogram renders the same
+            // bytes as after its in-place sort, and as `observe_hist`.
+            let labels = LabelSet::new(&[("class", "gold")]);
+            let key = ("cycle_ms".to_string(), labels.clone());
+            let mut r = MetricsRegistry::new();
+            r.metrics
+                .insert(key.clone(), MetricValue::Hist(hist_of(&shuffled)));
+            let unsorted = (prometheus_text(&r), json_snapshot(&r));
+            let Some(MetricValue::Hist(h)) = r.metrics.get_mut(&key) else {
+                panic!("histogram missing");
+            };
+            h.sort_samples();
+            assert_eq!(hist_stats(h), reference);
+            assert_eq!((prometheus_text(&r), json_snapshot(&r)), unsorted);
+            let mut observed = MetricsRegistry::new();
+            for shard in &shards {
+                observed.observe_hist("cycle_ms", "", labels.clone(), shard);
+            }
+            assert_eq!(
+                (prometheus_text(&observed), json_snapshot(&observed)),
+                unsorted
+            );
+        });
+    }
+
+    /// A second `observe_hist` into a sorted registry histogram appends
+    /// unsorted samples; every percentile stays exact.
+    #[test]
+    fn appending_after_the_sort_keeps_exact_percentiles() {
+        let (a, b) = ([900.0, 10.0, 200.0, 10.0], [55.0, -0.0, 4000.0, 0.0, 400.0]);
+        let mut r = MetricsRegistry::new();
+        r.observe_hist("cycle_ms", "", LabelSet::empty(), &hist_of(&a));
+        r.observe_hist("cycle_ms", "", LabelSet::empty(), &hist_of(&b));
+        let Some(MetricValue::Hist(h)) = r.get("cycle_ms", &LabelSet::empty()) else {
+            panic!("histogram missing");
+        };
+        let mut all = a.to_vec();
+        all.extend(b);
+        all.sort_by(f64::total_cmp);
+        for p in [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
+            let rank = ((p / 100.0) * all.len() as f64).ceil() as usize;
+            assert_eq!(
+                h.percentile(p).map(f64::to_bits),
+                Some(all[rank.max(1) - 1].to_bits()),
+                "p{p}"
+            );
+        }
+        assert_eq!(hist_stats(h), hist_stats(&hist_of(&all)));
+    }
+
     #[test]
     fn iteration_order_is_insertion_independent() {
         let mut fwd = MetricsRegistry::new();
@@ -487,15 +617,15 @@ mod tests {
     #[test]
     fn series_accumulate_points_in_order() {
         let mut r = MetricsRegistry::new();
+        let id = r.series_id("queue_depth", "outstanding requests", &LabelSet::empty());
         for k in 0..3 {
-            r.sample(
-                "queue_depth",
-                "outstanding requests",
-                &LabelSet::empty(),
-                k as f64 * 500.0,
-                k as f64,
-            );
+            r.push_point(id, k as f64 * 500.0, k as f64);
         }
+        assert_eq!(
+            r.series_id("queue_depth", "", &LabelSet::empty()),
+            id,
+            "a second lookup finds the same series"
+        );
         let s = r.find_series("queue_depth", &[]).expect("series exists");
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.points[2].t_ms, 1000.0);
@@ -508,7 +638,8 @@ mod tests {
         let mut cell = MetricsRegistry::new();
         cell.inc("shed_total", "sheds", LabelSet::empty(), 4);
         cell.set_gauge("util", "", LabelSet::empty(), 0.5);
-        cell.sample("queue_depth", "", &LabelSet::empty(), 0.0, 1.0);
+        let id = cell.series_id("queue_depth", "", &LabelSet::empty());
+        cell.push_point(id, 0.0, 1.0);
         let stamped = cell.relabeled(&[("streams", "8"), ("batched", "true")]);
         let labels = l(&[("batched", "true"), ("streams", "8")]);
         assert_eq!(stamped.counter("shed_total", &labels), 4);

@@ -185,11 +185,13 @@ mod tests {
 
     fn fleet_like_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
+        let queue = r.series_id(names::QUEUE_DEPTH, "", &LabelSet::empty());
         for (t, q) in [(0.0, 1.0), (500.0, 3.0), (1000.0, 5.0), (1500.0, 2.0)] {
-            r.sample(names::QUEUE_DEPTH, "", &LabelSet::empty(), t, q);
+            r.push_point(queue, t, q);
         }
+        let busy = r.series_id(names::GPU_BUSY_FRACTION, "", &LabelSet::empty());
         for (t, u) in [(0.0, 0.0), (500.0, 0.5), (1000.0, 0.75), (1500.0, 0.8)] {
-            r.sample(names::GPU_BUSY_FRACTION, "", &LabelSet::empty(), t, u);
+            r.push_point(busy, t, u);
         }
         for class in ["gold", "bronze"] {
             let labels = LabelSet::new(&[("class", class)]);

@@ -27,7 +27,7 @@ use super::stream::{
 };
 use super::ServeConfig;
 use crate::latency::{amortized_member_ms, batch_ms, overlay_ms, FEATURE_EXTRACTION_MS};
-use crate::metrics::{burn_rate, names, BudgetCrossing, LabelSet, MetricsRegistry};
+use crate::metrics::{burn_rate, names, BudgetCrossing, LabelSet, MetricsRegistry, SeriesId};
 use crate::telemetry::{
     Attr, EventKind, Histogram, Recorder, TelemetryConfig, TelemetryLog, Track,
 };
@@ -206,6 +206,42 @@ fn burn_series_labels() -> [(SloClass, LabelSet); 3] {
     classes.map(|c| (c, LabelSet::new(&[("class", c.label())])))
 }
 
+/// Name and help text of the fleet-wide sampled gauges, in the order
+/// [`take_sample`] samples (and so creates) them.
+const GAUGE_SERIES: [(&str, &str); 6] = [
+    (
+        names::QUEUE_DEPTH,
+        "detection requests queued or in flight on the batch scheduler",
+    ),
+    (
+        names::OUTSTANDING_BATCHES,
+        "batches dispatched to a GPU and not yet completed",
+    ),
+    (
+        names::GPU_BUSY_FRACTION,
+        "mean GPU-pool busy fraction over [0, t]",
+    ),
+    (
+        names::BATCH_OCCUPANCY,
+        "mean members per dispatched batch so far",
+    ),
+    (
+        names::SHED_SAMPLED,
+        "cumulative submissions shed by backpressure",
+    ),
+    (names::DEGRADED_SAMPLED, "cumulative degraded cycles"),
+];
+
+/// The fleet's sampled series in the registry, each resolved on its first
+/// sample (so creation order is first-sample order and no series is left
+/// without points) and addressed by index after that.
+#[derive(Default)]
+struct SampledSeries {
+    gauges: Option<[SeriesId; 6]>,
+    /// One burn series per class, in `burn_series_labels` order.
+    burn: [Option<SeriesId>; 3],
+}
+
 /// Samples the fleet's live gauges at virtual time `t` into time-series.
 /// Called from inside the single-threaded event loop, so the sampled state
 /// is a pure function of the config and the samples are byte-identical
@@ -213,6 +249,7 @@ fn burn_series_labels() -> [(SloClass, LabelSet); 3] {
 /// every series exists, allocates only its points.
 fn take_sample(
     reg: &mut MetricsRegistry,
+    series: &mut SampledSeries,
     t: SimTime,
     streams: &[Option<StreamPipeline>],
     sched: &BatchScheduler,
@@ -238,49 +275,30 @@ fn take_sample(
         }
         tally
     });
-    for (name, help, value) in [
-        (
-            names::QUEUE_DEPTH,
-            "detection requests queued or in flight on the batch scheduler",
-            sched.outstanding() as f64,
-        ),
-        (
-            names::OUTSTANDING_BATCHES,
-            "batches dispatched to a GPU and not yet completed",
-            outstanding_batches as f64,
-        ),
-        (
-            names::GPU_BUSY_FRACTION,
-            "mean GPU-pool busy fraction over [0, t]",
-            sched.pool_utilization(t),
-        ),
-        (
-            names::BATCH_OCCUPANCY,
-            "mean members per dispatched batch so far",
-            sched.stats.mean_batch_size(),
-        ),
-        (
-            names::SHED_SAMPLED,
-            "cumulative submissions shed by backpressure",
-            shed as f64,
-        ),
-        (
-            names::DEGRADED_SAMPLED,
-            "cumulative degraded cycles",
-            degraded as f64,
-        ),
-    ] {
-        reg.sample(name, help, &LabelSet::empty(), t_ms, value);
+    let values = [
+        sched.outstanding() as f64,
+        outstanding_batches as f64,
+        sched.pool_utilization(t),
+        sched.stats.mean_batch_size(),
+        shed as f64,
+        degraded as f64,
+    ];
+    let gauges = series.gauges.get_or_insert_with(|| {
+        GAUGE_SERIES.map(|(name, help)| reg.series_id(name, help, &LabelSet::empty()))
+    });
+    for (&id, value) in gauges.iter().zip(values) {
+        reg.push_point(id, t_ms, value);
     }
-    for ((class, labels), tally) in burn_labels.iter().zip(burn) {
+    for (((class, labels), tally), id) in burn_labels.iter().zip(burn).zip(&mut series.burn) {
         if let Some((misses, cycles)) = tally {
-            reg.sample(
-                names::BURN_SAMPLED,
-                "error-budget burn rate at the sample time",
-                labels,
-                t_ms,
-                burn_rate(misses, cycles, class.error_budget()),
-            );
+            let id = *id.get_or_insert_with(|| {
+                reg.series_id(
+                    names::BURN_SAMPLED,
+                    "error-budget burn rate at the sample time",
+                    labels,
+                )
+            });
+            reg.push_point(id, t_ms, burn_rate(misses, cycles, class.error_budget()));
         }
     }
 }
@@ -322,6 +340,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     let cadence_ms = mcfg.cadence_ms.max(1.0);
     let mut registry = MetricsRegistry::new();
     let burn_labels = burn_series_labels();
+    let mut sampled = SampledSeries::default();
     let mut next_sample = SimTime::ZERO;
     let mut last_now = SimTime::ZERO;
 
@@ -333,6 +352,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
             while next_sample < now {
                 take_sample(
                     &mut registry,
+                    &mut sampled,
                     next_sample,
                     &streams,
                     &sched,
@@ -385,6 +405,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
         // at the true horizon.
         take_sample(
             &mut registry,
+            &mut sampled,
             last_now,
             &streams,
             &sched,

@@ -12,39 +12,38 @@
 //! [Perfetto]: https://ui.perfetto.dev
 
 use super::{Attr, AttrValue, TelemetryLog, Track};
-use crate::export::{json_escape, json_num};
+use crate::export::{push_json_num, JsonEscaped};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Formats a sim-time millisecond value as trace-event microseconds.
-fn ts_us(ms: f64) -> String {
-    json_num(ms * 1000.0)
+/// Appends a sim-time millisecond value as trace-event microseconds.
+fn push_us(out: &mut String, ms: f64) {
+    push_json_num(out, ms * 1000.0);
 }
 
-fn args_json(attrs: &[Attr]) -> String {
-    let mut out = String::from("{");
+fn push_args(out: &mut String, attrs: &[Attr]) {
+    out.push('{');
     for (i, a) in attrs.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "\"{}\": ", json_escape(&a.key));
+        let _ = write!(out, "\"{}\": ", JsonEscaped(&a.key));
         match &a.value {
             AttrValue::U64(v) => {
                 let _ = write!(out, "{v}");
             }
-            AttrValue::F64(v) => out.push_str(&json_num(*v)),
+            AttrValue::F64(v) => push_json_num(out, *v),
             AttrValue::Bool(v) => {
                 let _ = write!(out, "{v}");
             }
             AttrValue::Str(v) => {
-                let _ = write!(out, "\"{}\"", json_escape(v));
+                let _ = write!(out, "\"{}\"", JsonEscaped(v));
             }
         }
     }
     out.push('}');
-    out
 }
 
 /// Serializes labeled telemetry logs as a Chrome trace-event JSON document.
@@ -56,61 +55,58 @@ fn args_json(attrs: &[Attr]) -> String {
 pub fn chrome_trace_json(logs: &[(&str, &TelemetryLog)]) -> String {
     let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
     let mut first = true;
-    let push = |out: &mut String, first: &mut bool, line: String| {
+    // Starts one event line, separated from the previous one.
+    let next = |out: &mut String, first: &mut bool| {
         if !*first {
             out.push_str(",\n");
         }
         *first = false;
-        out.push_str(&line);
     };
     for (pid, (label, log)) in logs.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                json_escape(label)
-            ),
+        next(&mut out, &mut first);
+        let _ = write!(
+            out,
+            "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"name\": \"process_name\", \"args\": {{\"name\": \"{}\"}}}}",
+            JsonEscaped(label)
         );
         for track in Track::ALL {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
-                    track.tid(),
-                    track.label()
-                ),
+            next(&mut out, &mut first);
+            let _ = write!(
+                out,
+                "{{\"ph\": \"M\", \"pid\": {pid}, \"tid\": {}, \"name\": \"thread_name\", \"args\": {{\"name\": \"{}\"}}}}",
+                track.tid(),
+                track.label()
             );
         }
         for s in &log.spans {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": {}, \"dur\": {}, \"args\": {}}}",
-                    s.track.tid(),
-                    s.kind.category(),
-                    json_escape(&s.name),
-                    ts_us(s.start_ms),
-                    ts_us(s.duration_ms()),
-                    args_json(&s.attrs),
-                ),
+            next(&mut out, &mut first);
+            let _ = write!(
+                out,
+                "{{\"ph\": \"X\", \"pid\": {pid}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": ",
+                s.track.tid(),
+                s.kind.category(),
+                JsonEscaped(&s.name),
             );
+            push_us(&mut out, s.start_ms);
+            out.push_str(", \"dur\": ");
+            push_us(&mut out, s.duration_ms());
+            out.push_str(", \"args\": ");
+            push_args(&mut out, &s.attrs);
+            out.push('}');
         }
         for e in &log.events {
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": {}, \"s\": \"t\", \"args\": {}}}",
-                    e.track.tid(),
-                    e.kind.category(),
-                    json_escape(&e.name),
-                    ts_us(e.at_ms),
-                    args_json(&e.attrs),
-                ),
+            next(&mut out, &mut first);
+            let _ = write!(
+                out,
+                "{{\"ph\": \"i\", \"pid\": {pid}, \"tid\": {}, \"cat\": \"{}\", \"name\": \"{}\", \"ts\": ",
+                e.track.tid(),
+                e.kind.category(),
+                JsonEscaped(&e.name),
             );
+            push_us(&mut out, e.at_ms);
+            out.push_str(", \"s\": \"t\", \"args\": ");
+            push_args(&mut out, &e.attrs);
+            out.push('}');
         }
     }
     out.push_str("\n]\n}\n");

@@ -14,8 +14,15 @@
 //! Aggregate statistics ([`Histogram::mean`]) likewise sum in sorted order,
 //! never insertion order, so a histogram assembled from parallel shards is
 //! bit-identical to its sequential twin.
+//!
+//! Because every statistic reads the samples in `total_cmp` order, the
+//! stored order is not observable. An owner that reads a histogram more
+//! than once (the metrics registry) sorts it in place once; every later
+//! statistic then borrows the samples instead of cloning and sorting them.
 
-/// Exact p50/p90/p99 of a recorded distribution.
+use std::borrow::Cow;
+
+/// Exact p50/p90/p99 and maximum of a recorded distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentiles {
     /// Median (nearest-rank).
@@ -24,6 +31,8 @@ pub struct Percentiles {
     pub p90: f64,
     /// 99th percentile (nearest-rank).
     pub p99: f64,
+    /// Largest recorded sample (the 100th percentile).
+    pub max: f64,
 }
 
 /// Bucket edges for detection-cycle / frame latencies in milliseconds.
@@ -112,10 +121,23 @@ impl Histogram {
         &self.counts
     }
 
-    fn sorted_samples(&self) -> Vec<f64> {
-        let mut s = self.samples.clone();
-        s.sort_by(f64::total_cmp);
-        s
+    /// Sorts the retained samples in place by [`f64::total_cmp`]. No
+    /// statistic changes; later ones borrow the samples instead of
+    /// cloning and sorting them.
+    pub(crate) fn sort_samples(&mut self) {
+        self.samples.sort_by(f64::total_cmp);
+    }
+
+    /// The samples in `total_cmp` order: borrowed when they are already
+    /// sorted (an O(n) check), else a sorted copy.
+    fn sorted(&self) -> Cow<'_, [f64]> {
+        if self.samples.is_sorted_by(|a, b| a.total_cmp(b).is_le()) {
+            Cow::Borrowed(&self.samples)
+        } else {
+            let mut s = self.samples.clone();
+            s.sort_by(f64::total_cmp);
+            Cow::Owned(s)
+        }
     }
 
     /// Exact nearest-rank percentile: the smallest recorded value such that
@@ -129,31 +151,22 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        Some(nearest_rank(&self.sorted_samples(), p))
+        Some(nearest_rank(&self.sorted(), p))
     }
 
-    /// Exact p50/p90/p99, or `None` when empty: the three
-    /// [`Histogram::percentile`] values from one sort.
+    /// Exact p50/p90/p99 and the maximum, or `None` when empty: the
+    /// [`Histogram::percentile`] values from one sorted view.
     pub fn percentiles(&self) -> Option<Percentiles> {
         if self.samples.is_empty() {
             return None;
         }
-        let sorted = self.sorted_samples();
+        let sorted = self.sorted();
         Some(Percentiles {
             p50: nearest_rank(&sorted, 50.0),
             p90: nearest_rank(&sorted, 90.0),
             p99: nearest_rank(&sorted, 99.0),
+            max: nearest_rank(&sorted, 100.0),
         })
-    }
-
-    /// Smallest recorded sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted_samples().first().copied()
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted_samples().last().copied()
     }
 
     /// Mean over the recorded samples, summed in sorted order so the result
@@ -162,7 +175,7 @@ impl Histogram {
         if self.samples.is_empty() {
             return None;
         }
-        let sorted = self.sorted_samples();
+        let sorted = self.sorted();
         Some(sorted.iter().sum::<f64>() / sorted.len() as f64)
     }
 
@@ -259,6 +272,21 @@ mod tests {
         });
     }
 
+    /// `0.0` then `-0.0` is ascending under `<=` but not under `total_cmp`:
+    /// the sorted view must not borrow it as already sorted.
+    #[test]
+    fn signed_zeros_rank_in_total_order() {
+        let mut h = Histogram::latency_ms();
+        h.record(0.0);
+        h.record(-0.0);
+        let p = h.percentiles().expect("non-empty");
+        assert_eq!(p.p50.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(p.max.to_bits(), 0.0f64.to_bits());
+        h.sort_samples();
+        assert_eq!(h.percentiles(), Some(p));
+        assert_eq!(h.percentile(50.0).map(f64::to_bits), Some(p.p50.to_bits()));
+    }
+
     #[test]
     fn percentile_is_a_recorded_value() {
         let mut h = Histogram::latency_ms();
@@ -268,8 +296,7 @@ mod tests {
         // Nearest-rank, never interpolated: p50 of 3 samples is the 2nd.
         assert_eq!(h.percentile(50.0), Some(7.0));
         assert_eq!(h.percentile(99.0), Some(400.0));
-        assert_eq!(h.min(), Some(3.0));
-        assert_eq!(h.max(), Some(400.0));
+        assert_eq!(h.percentiles().map(|p| p.max), Some(400.0));
     }
 
     #[test]

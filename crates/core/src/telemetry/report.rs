@@ -121,7 +121,7 @@ pub fn percentile_table(title: &str, rows: &[(String, &Histogram)]) -> String {
                     p.p50,
                     p.p90,
                     p.p99,
-                    h.max().expect("non-empty"),
+                    p.max,
                 );
             }
             None => {

@@ -96,16 +96,16 @@ pub const MARGINAL_FRACTION: f64 = 0.25;
 /// GPUs in the ApproxDet/Virtuoso line of work. A singleton batch still
 /// pays the dispatch overhead, so unbatched serving is exactly
 /// `DISPATCH_OVERHEAD_MS + l`.
-pub fn batch_ms(member_ms: &[f64]) -> f64 {
-    if member_ms.is_empty() {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    let mut max = 0.0f64;
-    for &l in member_ms {
+pub fn batch_ms(member_ms: impl IntoIterator<Item = f64>) -> f64 {
+    let (mut members, mut sum, mut max) = (0usize, 0.0, 0.0f64);
+    for l in member_ms {
         let l = l.max(0.0);
+        members += 1;
         sum += l;
         max = max.max(l);
+    }
+    if members == 0 {
+        return 0.0;
     }
     DISPATCH_OVERHEAD_MS + max + MARGINAL_FRACTION * (sum - max)
 }
@@ -115,7 +115,7 @@ pub fn batch_ms(member_ms: &[f64]) -> f64 {
 /// admission control compares against pool capacity.
 pub fn amortized_member_ms(member_ms: f64, max_batch: usize) -> f64 {
     let n = max_batch.max(1);
-    batch_ms(&vec![member_ms; n]) / n as f64
+    batch_ms(std::iter::repeat_n(member_ms, n)) / n as f64
 }
 
 #[cfg(test)]
@@ -180,17 +180,17 @@ mod tests {
 
     #[test]
     fn batch_model_is_sublinear() {
-        assert_eq!(batch_ms(&[]), 0.0);
-        let single = batch_ms(&[390.0]);
+        assert_eq!(batch_ms([]), 0.0);
+        let single = batch_ms([390.0]);
         assert_eq!(single, 4.0 + 390.0);
         // Eight equal members: one overhead + critical path + 7 marginals.
-        let eight = batch_ms(&[390.0; 8]);
+        let eight = batch_ms([390.0; 8]);
         assert!((eight - (4.0 + 390.0 + 0.25 * 7.0 * 390.0)).abs() < 1e-9);
         // Sub-linear: far cheaper than eight singleton dispatches, and the
         // per-member throughput gain clears the fleet acceptance bar (1.5x).
         assert!(eight < 8.0 * single / 1.5, "batching too weak: {eight}");
         // Never cheaper than the slowest member alone.
-        let mixed = batch_ms(&[60.0, 650.0, 230.0]);
+        let mixed = batch_ms([60.0, 650.0, 230.0]);
         assert!(mixed >= 650.0 + 4.0);
         assert!(mixed <= 60.0 + 650.0 + 230.0 + 4.0);
     }
@@ -198,7 +198,7 @@ mod tests {
     #[test]
     fn batch_model_edge_cases() {
         // Negative member latencies clamp to zero instead of refunding time.
-        assert_eq!(batch_ms(&[-5.0]), 4.0);
+        assert_eq!(batch_ms([-5.0]), 4.0);
         // Amortized member cost shrinks with batch size, bounded below by
         // the marginal fraction.
         let m1 = amortized_member_ms(390.0, 1);

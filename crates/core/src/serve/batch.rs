@@ -121,6 +121,9 @@ pub struct BatchScheduler {
     gpus: Vec<Resource>,
     injectors: Vec<ContentionInjector>,
     open: Vec<DetectionRequest>,
+    /// Member Vecs of completed batches, handed back by
+    /// [`BatchScheduler::recycle`]; each becomes a later batch's `open`.
+    spare: Vec<Vec<DetectionRequest>>,
     open_id: u64,
     next_id: u64,
     outstanding: usize,
@@ -146,6 +149,7 @@ impl BatchScheduler {
             gpus,
             injectors,
             open: Vec::new(),
+            spare: Vec::new(),
             open_id: 0,
             next_id: 1,
             outstanding: 0,
@@ -208,20 +212,30 @@ impl BatchScheduler {
         self.outstanding = self.outstanding.saturating_sub(members);
     }
 
-    /// Window deadlines the driver must arm events for (drains).
-    pub fn drain_window_opens(&mut self) -> Vec<WindowOpen> {
-        std::mem::take(&mut self.window_opens)
+    /// Hands a completed batch's member Vec back once the driver is done
+    /// with it; a later dispatch reuses it as the next open batch, so a
+    /// steady-state batch allocates nothing.
+    pub fn recycle(&mut self, mut members: Vec<DetectionRequest>) {
+        members.clear();
+        self.spare.push(members);
     }
 
-    /// Batches dispatched since the last drain; the driver arms completion
-    /// events at each batch's `end`.
-    pub fn drain_dispatched(&mut self) -> Vec<DispatchedBatch> {
-        std::mem::take(&mut self.dispatched)
+    /// Window deadlines the driver must arm events for, drained in place
+    /// (the buffer keeps its capacity).
+    pub fn drain_window_opens(&mut self) -> std::vec::Drain<'_, WindowOpen> {
+        self.window_opens.drain(..)
+    }
+
+    /// Batches dispatched since the last drain, drained in place; the
+    /// driver arms completion events at each batch's `end`.
+    pub fn drain_dispatched(&mut self) -> std::vec::Drain<'_, DispatchedBatch> {
+        self.dispatched.drain(..)
     }
 
     // adavp-lint: allow(panic-surface, item=dispatch) — GpuPool::new asserts a non-empty pool, so min_by over the GPUs always yields one
     fn dispatch(&mut self, now: SimTime) {
-        let members = std::mem::take(&mut self.open);
+        let next_open = self.spare.pop().unwrap_or_default();
+        let members = std::mem::replace(&mut self.open, next_open);
         let id = self.open_id;
         self.open_id = self.next_id;
         self.next_id += 1;
@@ -241,8 +255,7 @@ impl BatchScheduler {
         let horizon = now.max(self.gpus[gpu].available_at());
         self.injectors[gpu].inject_until(horizon, &mut self.gpus[gpu]);
 
-        let member_ms: Vec<f64> = members.iter().map(|m| m.member_ms).collect();
-        let duration = batch_ms(&member_ms);
+        let duration = batch_ms(members.iter().map(|m| m.member_ms));
         let (start, end) = self.gpus[gpu].schedule(now, SimTime::from_ms(duration));
 
         self.stats.batches += 1;
@@ -309,20 +322,26 @@ mod tests {
         let mut s = BatchScheduler::new(cfg, &FaultPlan::none());
         assert!(s.submit(ms(0.0), req(0, 100.0)));
         assert!(s.submit(ms(5.0), req(1, 100.0)));
-        assert!(s.drain_dispatched().is_empty(), "not full yet");
+        assert!(
+            s.drain_dispatched().collect::<Vec<_>>().is_empty(),
+            "not full yet"
+        );
         assert!(s.submit(ms(10.0), req(2, 100.0)));
-        let batches = s.drain_dispatched();
+        let batches = s.drain_dispatched().collect::<Vec<_>>();
         assert_eq!(batches.len(), 1, "third member closed the batch");
         let b = &batches[0];
         assert_eq!(b.members.len(), 3);
         assert_eq!(b.start, ms(10.0), "dispatched at the closing submit");
         assert_eq!(s.stats.closed_on_size, 1);
         // The armed window deadline is now stale: firing it is a no-op.
-        let opens = s.drain_window_opens();
+        let opens = s.drain_window_opens().collect::<Vec<_>>();
         assert_eq!(opens.len(), 1);
         assert_eq!(opens[0].deadline, ms(1000.0));
         s.window_closed(opens[0].batch, opens[0].deadline);
-        assert!(s.drain_dispatched().is_empty(), "stale window must no-op");
+        assert!(
+            s.drain_dispatched().collect::<Vec<_>>().is_empty(),
+            "stale window must no-op"
+        );
     }
 
     #[test]
@@ -335,11 +354,11 @@ mod tests {
         let mut s = BatchScheduler::new(cfg, &FaultPlan::none());
         assert!(s.submit(ms(10.0), req(0, 200.0)));
         assert!(s.submit(ms(30.0), req(1, 100.0)));
-        let opens = s.drain_window_opens();
+        let opens = s.drain_window_opens().collect::<Vec<_>>();
         assert_eq!(opens.len(), 1, "window armed by the first member only");
         assert_eq!(opens[0].deadline, ms(60.0));
         s.window_closed(opens[0].batch, opens[0].deadline);
-        let batches = s.drain_dispatched();
+        let batches = s.drain_dispatched().collect::<Vec<_>>();
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].members.len(), 2, "partial batch dispatched");
         assert_eq!(batches[0].start, ms(60.0), "dispatched at the deadline");
@@ -361,9 +380,10 @@ mod tests {
             assert!(batched.submit(ms(0.0), req(i, 390.0)));
             assert!(singles.submit(ms(0.0), req(i, 390.0)));
         }
-        let b_end = batched.drain_dispatched()[0].end;
+        let b_end = batched.drain_dispatched().collect::<Vec<_>>()[0].end;
         let s_end = singles
             .drain_dispatched()
+            .collect::<Vec<_>>()
             .last()
             .map(|b| b.end)
             .expect("8 singleton batches");
@@ -388,7 +408,12 @@ mod tests {
         assert!(!s.submit(ms(0.0), req(9, 100.0)), "bound refuses");
         assert_eq!(s.stats.rejected, 1);
         // Completion releases slots.
-        let done: usize = s.drain_dispatched().iter().map(|b| b.members.len()).sum();
+        let done: usize = s
+            .drain_dispatched()
+            .collect::<Vec<_>>()
+            .iter()
+            .map(|b| b.members.len())
+            .sum();
         s.complete(done);
         assert_eq!(s.outstanding(), 4 - done);
         assert!(s.submit(ms(1.0), req(9, 100.0)), "slot freed");
@@ -406,7 +431,7 @@ mod tests {
         assert!(s.submit(ms(0.0), req(0, 100.0)));
         assert!(s.submit(ms(0.0), req(1, 100.0)));
         assert!(s.submit(ms(0.0), req(2, 100.0)));
-        let batches = s.drain_dispatched();
+        let batches = s.drain_dispatched().collect::<Vec<_>>();
         assert_eq!(batches[0].gpu, 0, "idle tie → lowest index");
         assert_eq!(batches[1].gpu, 1, "second goes to the other GPU");
         assert_eq!(batches[2].gpu, 0, "third back to the earliest-free");
@@ -426,7 +451,12 @@ mod tests {
         // Dispatch alternating work far enough out to pull in bursts.
         for i in 0..20 {
             assert!(s.submit(ms(i as f64 * 300.0), req(i, 200.0)));
-            let done: usize = s.drain_dispatched().iter().map(|b| b.members.len()).sum();
+            let done: usize = s
+                .drain_dispatched()
+                .collect::<Vec<_>>()
+                .iter()
+                .map(|b| b.members.len())
+                .sum();
             s.complete(done);
         }
         // Both GPUs saw contention, and not the identical schedule: the
@@ -438,8 +468,68 @@ mod tests {
         // And a quiet plan injects nothing at all.
         let mut quiet = BatchScheduler::new(cfg, &FaultPlan::none());
         assert!(quiet.submit(ms(0.0), req(0, 100.0)));
-        let b = quiet.drain_dispatched().remove(0);
+        let b = quiet.drain_dispatched().collect::<Vec<_>>().remove(0);
         assert_eq!(b.start, ms(0.0));
+    }
+
+    /// Batches on four GPUs under contention complete out of dispatch
+    /// order and hand their member Vecs back. Each handed-back Vec becomes
+    /// exactly one later batch's members, and fresh Vecs are only made
+    /// while the number of batches alive at once grows.
+    #[test]
+    fn completed_member_vecs_are_reused_once_each() {
+        let cfg = BatchConfig {
+            max_batch: 3,
+            window_ms: 1000.0,
+            queue_capacity: 64,
+            gpus: 4,
+        };
+        let mut s = BatchScheduler::new(cfg, &FaultPlan::new(FaultProfile::brownout(11)));
+        let mut in_flight: Vec<DispatchedBatch> = Vec::new();
+        // Buffers handed back and not yet taken, in hand-back order.
+        let mut waiting: Vec<*const DetectionRequest> = Vec::new();
+        let (mut handed_back, mut reused, mut fresh, mut most_in_flight) = (0, 0, 0, 0);
+        let (mut out_of_order, mut newest_done) = (false, None);
+        for step in 0..600usize {
+            let now = ms(step as f64 * 50.0);
+            in_flight.sort_by(|a, b| a.end.cmp(&b.end).then(a.id.cmp(&b.id)));
+            while in_flight.first().is_some_and(|b| b.end <= now) {
+                let done = in_flight.remove(0);
+                out_of_order |= newest_done.is_some_and(|id| done.id < id);
+                newest_done = newest_done.max(Some(done.id));
+                s.complete(done.members.len());
+                waiting.push(done.members.as_ptr());
+                handed_back += 1;
+                s.recycle(done.members);
+            }
+            let member_ms = 40.0 + (step % 7) as f64 * 40.0;
+            assert!(s.submit(now, req(step % 16, member_ms)));
+            for batch in s.drain_dispatched() {
+                let buffer = batch.members.as_ptr();
+                assert!(
+                    in_flight.iter().all(|b| b.members.as_ptr() != buffer),
+                    "batch {} shares a buffer with one in flight",
+                    batch.id
+                );
+                match waiting.iter().position(|&w| w == buffer) {
+                    Some(i) => {
+                        waiting.remove(i);
+                        reused += 1;
+                    }
+                    None => fresh += 1,
+                }
+                in_flight.push(batch);
+                most_in_flight = most_in_flight.max(in_flight.len());
+            }
+        }
+        assert!(out_of_order, "batches must complete out of dispatch order");
+        assert!(handed_back > 100, "{handed_back} batches completed");
+        // Every handed-back Vec was taken once, except any still waiting.
+        assert_eq!(reused + waiting.len(), handed_back);
+        // Fresh Vecs only while the batches alive at once grew: at most one
+        // per batch in flight plus the open one.
+        assert!(fresh <= most_in_flight + 1, "{fresh} fresh member Vecs");
+        assert!(reused > 10 * fresh, "{reused} reused, {fresh} fresh");
     }
 
     #[test]

@@ -72,6 +72,9 @@ impl ServeScheme {
 /// Proposal confidence below which a cascade stream pays for refinement.
 const CASCADE_GATE: f64 = 0.5;
 
+/// The confidence a CTD detection calibrates to (the Table-II plateau).
+const CTD_CALIBRATION: f64 = 0.62;
+
 /// Per-stream service class: the cycle-latency deadline the fleet promises
 /// and the admission priority (strictest class admitted first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -280,6 +283,9 @@ pub struct StreamPipeline {
     cycle: u64,
     phase: Phase,
     verdict: Option<DetectionVerdict>,
+    /// `ln(threshold / calibration)` of the CTD trigger, which no cycle
+    /// changes; see [`StreamPipeline::ctd_tracked_frames`].
+    ctd_trigger_ln: f64,
     /// Counters and distributions; read out by the driver at the end.
     pub stats: StreamStats,
 }
@@ -295,7 +301,8 @@ impl StreamPipeline {
         faults: FaultPlan,
     ) -> Self {
         let setting = policy.initial_setting();
-        let stats = StreamStats::new(spec.class);
+        let mut stats = StreamStats::new(spec.class);
+        stats.cycle_ms.reserve(spec.cycles);
         // A stream with no cycles to run is done before it starts.
         let phase = if spec.cycles == 0 {
             Phase::Done
@@ -312,6 +319,8 @@ impl StreamPipeline {
             cycle: 0,
             phase,
             verdict: None,
+            // adavp-lint: allow(float-determinism) — one ln() of two constants per stream; ctd_tracked_frames ceils the ratio it feeds to a whole frame count
+            ctd_trigger_ln: (CtdConfig::default().threshold / CTD_CALIBRATION).ln(),
             stats,
         }
     }
@@ -361,9 +370,8 @@ impl StreamPipeline {
         let cfg = CtdConfig::default();
         let factor =
             (cfg.base_decay - cfg.velocity_penalty * self.velocity(cycle)).clamp(0.05, 0.999);
-        let c0 = 0.62_f64;
         // adavp-lint: allow(float-determinism) — closed-form CTD trigger: k is ceiled to a whole frame count, so a ±1-ulp ln() drift cannot move it off the integer; scheme_conformance pins the resulting schedule bytes
-        let k = ((cfg.threshold / c0).ln() / factor.ln()).ceil().max(1.0);
+        let k = (self.ctd_trigger_ln / factor.ln()).ceil().max(1.0);
         (k as u64).min(cfg.max_cycle_frames)
     }
 

@@ -83,7 +83,7 @@ fn report_lists_exactly_the_audited_waivers() {
             "float-determinism",
             "crates/core/src/serve/stream.rs",
             Inline,
-            1,
+            2,
         ),
         (
             "float-determinism",

@@ -110,10 +110,10 @@ fn batch_closes_on_size_before_the_window_deadline() {
     for i in 0..3 {
         assert!(sched.submit(t, request(i, 100.0)));
     }
-    let opens = sched.drain_window_opens();
+    let opens = sched.drain_window_opens().collect::<Vec<_>>();
     assert_eq!(opens.len(), 1, "first member arms the window");
     assert_eq!(opens[0].deadline, SimTime::from_ms(1010.0));
-    let dispatched = sched.drain_dispatched();
+    let dispatched = sched.drain_dispatched().collect::<Vec<_>>();
     assert_eq!(dispatched.len(), 1, "filling to max_batch dispatches");
     assert_eq!(dispatched[0].members.len(), 3);
     assert_eq!(sched.stats.closed_on_size, 1);
@@ -121,7 +121,7 @@ fn batch_closes_on_size_before_the_window_deadline() {
     let before = sched.stats.batches;
     sched.window_closed(opens[0].batch, SimTime::from_ms(1010.0));
     assert_eq!(sched.stats.batches, before);
-    assert!(sched.drain_dispatched().is_empty());
+    assert!(sched.drain_dispatched().collect::<Vec<_>>().is_empty());
 }
 
 #[test]
@@ -134,15 +134,15 @@ fn batch_closes_on_window_deadline_when_underfull() {
     let mut sched = BatchScheduler::new(cfg, &FaultPlan::none());
     assert!(sched.submit(SimTime::from_ms(5.0), request(0, 100.0)));
     assert!(sched.submit(SimTime::from_ms(20.0), request(1, 100.0)));
-    let opens = sched.drain_window_opens();
+    let opens = sched.drain_window_opens().collect::<Vec<_>>();
     assert_eq!(opens.len(), 1, "only the first member arms a window");
     assert_eq!(opens[0].deadline, SimTime::from_ms(55.0));
     assert!(
-        sched.drain_dispatched().is_empty(),
+        sched.drain_dispatched().collect::<Vec<_>>().is_empty(),
         "underfull batch must wait for its deadline"
     );
     sched.window_closed(opens[0].batch, opens[0].deadline);
-    let dispatched = sched.drain_dispatched();
+    let dispatched = sched.drain_dispatched().collect::<Vec<_>>();
     assert_eq!(dispatched.len(), 1, "deadline flushes the partial batch");
     assert_eq!(dispatched[0].members.len(), 2);
     assert_eq!(sched.stats.closed_on_size, 0);

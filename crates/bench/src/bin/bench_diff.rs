@@ -13,7 +13,9 @@
 //! one side (schema growth) are skipped. Exit codes: 0 clean, 1 regression,
 //! 2 usage or unreadable/unparsable input.
 
-use adavp_bench::diff::{compare, kernel_metrics, parse_json, serve_metrics, Metric, Value};
+use adavp_bench::diff::{
+    compare, kernel_metrics, parse_args, parse_json, serve_metrics, DiffArgs, Metric, Value,
+};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -32,56 +34,13 @@ fn load(path: &str) -> Result<Value, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_serve = None;
-    let mut fresh_serve = None;
-    let mut baseline_kernels = None;
-    let mut fresh_kernels = None;
-    let mut tolerance = 0.10f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!("missing value for {a}");
-            return usage();
-        };
-        match a.as_str() {
-            "--baseline-serve" => baseline_serve = Some(value.clone()),
-            "--fresh-serve" => fresh_serve = Some(value.clone()),
-            "--baseline-kernels" => baseline_kernels = Some(value.clone()),
-            "--fresh-kernels" => fresh_kernels = Some(value.clone()),
-            "--tolerance" => match value.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => tolerance = t,
-                _ => {
-                    eprintln!("--tolerance expects a finite non-negative ratio: {value}");
-                    return usage();
-                }
-            },
-            other => {
-                eprintln!("unknown flag: {other}");
-                return usage();
-            }
-        }
-    }
-
-    let mut pairs: Vec<(&str, String, String)> = Vec::new();
-    match (baseline_serve, fresh_serve) {
-        (Some(b), Some(f)) => pairs.push(("serve", b, f)),
-        (None, None) => {}
-        _ => {
-            eprintln!("--baseline-serve and --fresh-serve must be given together");
+    let DiffArgs { pairs, tolerance } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}");
             return usage();
         }
-    }
-    match (baseline_kernels, fresh_kernels) {
-        (Some(b), Some(f)) => pairs.push(("kernels", b, f)),
-        (None, None) => {}
-        _ => {
-            eprintln!("--baseline-kernels and --fresh-kernels must be given together");
-            return usage();
-        }
-    }
-    if pairs.is_empty() {
-        return usage();
-    }
+    };
 
     let mut regressed = false;
     for (kind, baseline_path, fresh_path) in pairs {

@@ -288,6 +288,69 @@ impl Parser<'_> {
     }
 }
 
+/// A checked `bench-diff` command line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiffArgs {
+    /// `(kind, baseline path, fresh path)` of each file pair to compare,
+    /// `serve` before `kernels`.
+    pub pairs: Vec<(&'static str, String, String)>,
+    /// Allowed regression ratio (0.10 unless `--tolerance` says otherwise).
+    pub tolerance: f64,
+}
+
+/// The pair kinds `bench-diff` compares and their two flags each.
+const PAIR_FLAGS: [(&str, &str, &str); 2] = [
+    ("serve", "baseline-serve", "fresh-serve"),
+    ("kernels", "baseline-kernels", "fresh-kernels"),
+];
+
+/// Parses `bench-diff`'s arguments (without the program name). An unknown
+/// flag, a flag with no value (the end of the line, another `--flag`, or an
+/// empty string), a flag given twice, a bad tolerance, half of a pair and
+/// no pair at all are errors, each naming the flag at fault.
+pub fn parse_args(args: &[String]) -> Result<DiffArgs, String> {
+    let known = |name: &str| {
+        name == "tolerance" || PAIR_FLAGS.iter().any(|(_, b, f)| name == *b || name == *f)
+    };
+    let mut values: Vec<(&str, &String)> = Vec::new();
+    let mut it = args.iter().peekable();
+    while let Some(a) = it.next() {
+        let Some(name) = a.strip_prefix("--").filter(|n| known(n)) else {
+            return Err(format!("unknown flag: {a}"));
+        };
+        let Some(value) = it.next_if(|v| !v.is_empty() && !v.starts_with("--")) else {
+            return Err(format!("missing value for --{name}"));
+        };
+        if values.iter().any(|(n, _)| *n == name) {
+            return Err(format!("--{name} is given more than once"));
+        }
+        values.push((name, value));
+    }
+    let value = |name: &str| values.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+    let tolerance = match value("tolerance") {
+        None => 0.10,
+        Some(v) => v
+            .parse::<f64>()
+            .ok()
+            .filter(|t| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| format!("--tolerance expects a finite non-negative ratio: {v}"))?,
+    };
+    let mut pairs = Vec::new();
+    for (kind, baseline, fresh) in PAIR_FLAGS {
+        match (value(baseline), value(fresh)) {
+            (Some(b), Some(f)) => pairs.push((kind, b.clone(), f.clone())),
+            (None, None) => {}
+            _ => return Err(format!("--{baseline} and --{fresh} must be given together")),
+        }
+    }
+    if pairs.is_empty() {
+        return Err("at least one --baseline-serve/--fresh-serve or \
+             --baseline-kernels/--fresh-kernels pair is required"
+            .to_string());
+    }
+    Ok(DiffArgs { pairs, tolerance })
+}
+
 /// One comparable scalar extracted from a bench file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {

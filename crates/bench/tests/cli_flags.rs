@@ -2,7 +2,8 @@
 //! error naming the flag, instead of writing to a fallback path (the
 //! committed `results/` directory, or an empty path that fails only after
 //! the whole bench ran). `experiments` likewise rejects an unknown
-//! experiment name before it runs any of the others.
+//! experiment name before it runs any of the others, and `bench-diff`
+//! exits 2 naming the flag when its arguments are malformed.
 
 use std::fs;
 use std::path::PathBuf;
@@ -69,4 +70,52 @@ fn unknown_experiment_exits_2_before_running_the_others() {
     let written: Vec<_> = fs::read_dir(&dir).expect("read scratch dir").collect();
     assert!(written.is_empty(), "table2 ran first and wrote {written:?}");
     fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn bench_diff_rejects_malformed_flags_with_exit_2_naming_the_flag() {
+    for (args, named) in [
+        (&["--baseline-serve", "a.json"][..], "--fresh-serve"),
+        (
+            &["--baseline-serve", "--fresh-serve", "b.json"][..],
+            "--baseline-serve",
+        ),
+        (
+            &[
+                "--tolerance",
+                "-1",
+                "--baseline-kernels",
+                "a",
+                "--fresh-kernels",
+                "b",
+            ][..],
+            "--tolerance",
+        ),
+        (
+            &[
+                "--fresh-serve",
+                "b",
+                "--fresh-serve",
+                "b",
+                "--baseline-serve",
+                "a",
+            ][..],
+            "--fresh-serve",
+        ),
+        (
+            &["--baseline-serve", "", "--fresh-serve", "b"][..],
+            "--baseline-serve",
+        ),
+        (&["--bogus", "x"][..], "--bogus"),
+        (&[][..], "--baseline-serve"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
+            .args(args)
+            .output()
+            .expect("run bench-diff");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(stderr.contains(named), "{args:?}: no {named} in: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: compared anyway");
+    }
 }

@@ -46,6 +46,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cli;
+
 pub use adavp_core as core;
 pub use adavp_detector as detector;
 pub use adavp_metrics as metrics;

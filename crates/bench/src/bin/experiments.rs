@@ -2,18 +2,22 @@
 //!
 //! ```text
 //! experiments <fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|table3|faults|
-//!              ablations|marlin-sweep|all>
+//!              ablations|marlin-sweep|diag|diag-train|diag-moderate|all>...
 //!             [--scale smoke|standard|full] [--out results] [--jobs N]
 //! ```
 //!
 //! Each experiment prints an aligned table and writes a CSV under `--out`
-//! (default `results`; `--out` with no path is an error, exit status 2).
-//! `all` runs every experiment except `ablations` and `marlin-sweep`.
-//! `--jobs N` bounds harness concurrency (clip rendering, threshold
-//! training, per-clip scheme evaluation); results are bit-identical for
-//! every value, so it only changes wall-clock. Defaults to the core count.
+//! (default `results`). `all` runs every experiment except `ablations`,
+//! `marlin-sweep` and the `diag*` printouts. The whole line is checked by
+//! [`adavp_bench::cli::parse_args`] before the first experiment runs: an
+//! unknown name or flag, a missing or empty value, a repeated flag or
+//! `--jobs 0` exits with status 2. `--jobs N` bounds harness concurrency
+//! (clip rendering, threshold training, per-clip scheme evaluation);
+//! results are bit-identical for every value, so it only changes
+//! wall-clock. Defaults to the core count.
 
 use adavp_bench::ablations as abl;
+use adavp_bench::cli::{parse_args, ExperimentsArgs};
 use adavp_bench::context::ExperimentContext;
 use adavp_bench::figures;
 use adavp_bench::report::{f1 as fmt1, f3, text_table, write_csv};
@@ -23,97 +27,32 @@ use adavp_core::pipeline::Scheme;
 use adavp_detector::ModelSetting;
 use adavp_video::clip::VideoClip;
 use adavp_video::dataset::DatasetScale;
-use adavp_vision::exec::Executor;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Every experiment name `main` dispatches on.
-const EXPERIMENTS: [&str; 18] = [
-    "fig1",
-    "fig2",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "table3",
-    "faults",
-    "--faults",
-    "ablations",
-    "marlin-sweep",
-    "diag",
-    "diag-train",
-    "diag-moderate",
-];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut scale = DatasetScale::Standard;
-    let mut out = PathBuf::from("results");
-    let mut jobs = Executor::available().jobs();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = match it.next().map(String::as_str) {
-                    Some("smoke") => DatasetScale::Smoke,
-                    Some("standard") => DatasetScale::Standard,
-                    Some("full") => DatasetScale::Full,
-                    other => {
-                        eprintln!("unknown scale {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--out" => match it.next() {
-                Some(p) if !p.starts_with("--") => out = PathBuf::from(p),
-                _ => {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                }
-            },
-            "--jobs" => {
-                jobs = match it.next().map(|s| s.parse::<usize>()) {
-                    Some(Ok(n)) => n,
-                    other => {
-                        eprintln!("--jobs expects a number, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            name => which.push(name.to_string()),
-        }
-    }
-    if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "fig1", "fig2", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-            "table3", "faults",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
-    // Reject a typo before the first experiment spends time or writes a CSV.
-    if let Some(bad) = which.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
-        eprintln!("unknown experiment: {bad}");
+    let ExperimentsArgs {
+        experiments,
+        scale,
+        out,
+        jobs,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
         std::process::exit(2);
-    }
+    });
 
     // Every scheme runs over the test set at most once: figures, tables
     // and ablations read the context's memoized runs.
     let mut ctx = ExperimentContext::with_jobs(scale, jobs);
 
     let run_start = Instant::now();
-    for name in which {
+    for name in experiments {
         let t0 = Instant::now();
         let before = ctx.timings();
         println!("== {name} (scale {scale:?}, jobs {jobs}) ==");
-        match name.as_str() {
+        match name {
             "fig1" => fig1(&mut ctx, &out),
             "fig2" => fig2(&out),
             "table2" => table2(&out),
@@ -125,7 +64,7 @@ fn main() {
             "fig10" => fig10(&figures::fig6(&mut ctx), &out),
             "fig11" => fig11(&mut ctx, &out),
             "table3" => table3(&mut ctx, &out),
-            "faults" | "--faults" => faults(&mut ctx, &out),
+            "faults" => faults(&mut ctx, &out),
             "ablations" => ablations(&mut ctx, &out),
             "marlin-sweep" => marlin_sweep(&mut ctx, &out),
             "diag" => diag(&mut ctx),
@@ -163,7 +102,6 @@ fn main() {
 }
 
 fn diag_moderate(ctx: &mut ExperimentContext) {
-    use adavp_video::clip::VideoClip;
     use adavp_video::scenario::Scenario;
     let mut sum = [0.0f64; 2];
     let mut n = 0;

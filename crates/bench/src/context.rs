@@ -7,8 +7,8 @@
 //! scheme evaluation) draws its concurrency from `ctx.exec`, and every one
 //! of them is bit-identical across jobs settings, so `--jobs` changes
 //! wall-clock only, never results. Phase wall-clock (render / train / eval)
-//! is accumulated in [`PhaseTimings`] for the `experiments` binary and the
-//! `experiments_bench` harness to report.
+//! is accumulated in [`PhaseTimings`] for the `experiments` binary to
+//! report.
 
 use crate::runner::{run_scheme, SchemeResult};
 use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};

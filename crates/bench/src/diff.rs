@@ -1,23 +1,21 @@
-//! Bench regression gate: compare a freshly generated `BENCH_serve.json` /
-//! `BENCH_kernels.json` against the committed baseline and flag metrics that
-//! regressed beyond a stated tolerance.
+//! Bench regression gate: compare a freshly generated `BENCH_kernels.json`
+//! against the committed baseline and flag metrics that regressed beyond a
+//! stated tolerance.
 //!
 //! The comparison is schema-light on purpose: each file is reduced to a flat
-//! list of named scalar metrics ([`serve_metrics`], [`kernel_metrics`]), and
-//! [`compare`] pairs them by name. Metrics present in only one side are
-//! skipped (schemas grow over time; a new column must not fail the gate),
-//! so the gate only ever fires on a metric both the baseline and the fresh
-//! run agree exists.
+//! list of named scalar metrics ([`kernel_metrics`]), and [`compare`] pairs
+//! them by name. Metrics present in only one side are skipped (schemas grow
+//! over time; a new column must not fail the gate), so the gate only ever
+//! fires on a metric both the baseline and the fresh run agree exists.
 //!
-//! Directionality is encoded per metric: latency-style numbers
-//! (`p99_ms`, `ns_per_op`) regress when they grow, throughput-style numbers
-//! (`throughput_dps`, `fps`) regress when they shrink.
+//! Every metric is a cost (`ns_per_op`, ns per frame): it regresses by
+//! growing.
 //!
 //! A hand-rolled JSON reader keeps the gate dependency-free; it accepts the
 //! subset of JSON our own exporters emit (objects, arrays, strings with
 //! standard escapes, numbers, booleans, null).
 
-use std::fmt;
+use crate::cli::flag_values;
 
 /// A parsed JSON value. Object members keep file order in a `Vec` (no
 /// hash-map iteration anywhere near the gate's output).
@@ -66,14 +64,6 @@ impl Value {
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -291,41 +281,22 @@ impl Parser<'_> {
 /// A checked `bench-diff` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffArgs {
-    /// `(kind, baseline path, fresh path)` of each file pair to compare,
-    /// `serve` before `kernels`.
-    pub pairs: Vec<(&'static str, String, String)>,
+    /// The committed `BENCH_kernels.json` to compare against.
+    pub baseline: String,
+    /// The freshly written `BENCH_kernels.json`.
+    pub fresh: String,
     /// Allowed regression ratio (0.10 unless `--tolerance` says otherwise).
     pub tolerance: f64,
 }
 
-/// The pair kinds `bench-diff` compares and their two flags each.
-const PAIR_FLAGS: [(&str, &str, &str); 2] = [
-    ("serve", "baseline-serve", "fresh-serve"),
-    ("kernels", "baseline-kernels", "fresh-kernels"),
-];
-
-/// Parses `bench-diff`'s arguments (without the program name). An unknown
-/// flag, a flag with no value (the end of the line, another `--flag`, or an
-/// empty string), a flag given twice, a bad tolerance, half of a pair and
-/// no pair at all are errors, each naming the flag at fault.
+/// Parses `bench-diff`'s arguments (without the program name). A stray
+/// word, an unknown flag, a flag with no value or given twice, a bad
+/// tolerance and a missing `--baseline` or `--fresh` are errors, each
+/// naming the word at fault.
 pub fn parse_args(args: &[String]) -> Result<DiffArgs, String> {
-    let known = |name: &str| {
-        name == "tolerance" || PAIR_FLAGS.iter().any(|(_, b, f)| name == *b || name == *f)
-    };
-    let mut values: Vec<(&str, &String)> = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        let Some(name) = a.strip_prefix("--").filter(|n| known(n)) else {
-            return Err(format!("unknown flag: {a}"));
-        };
-        let Some(value) = it.next_if(|v| !v.is_empty() && !v.starts_with("--")) else {
-            return Err(format!("missing value for --{name}"));
-        };
-        if values.iter().any(|(n, _)| *n == name) {
-            return Err(format!("--{name} is given more than once"));
-        }
-        values.push((name, value));
-    }
+    let values = flag_values(args, &["baseline", "fresh", "tolerance"], |a| {
+        Err(format!("unexpected argument: {a}"))
+    })?;
     let value = |name: &str| values.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
     let tolerance = match value("tolerance") {
         None => 0.10,
@@ -335,75 +306,30 @@ pub fn parse_args(args: &[String]) -> Result<DiffArgs, String> {
             .filter(|t| t.is_finite() && *t >= 0.0)
             .ok_or_else(|| format!("--tolerance expects a finite non-negative ratio: {v}"))?,
     };
-    let mut pairs = Vec::new();
-    for (kind, baseline, fresh) in PAIR_FLAGS {
-        match (value(baseline), value(fresh)) {
-            (Some(b), Some(f)) => pairs.push((kind, b.clone(), f.clone())),
-            (None, None) => {}
-            _ => return Err(format!("--{baseline} and --{fresh} must be given together")),
-        }
-    }
-    if pairs.is_empty() {
-        return Err("at least one --baseline-serve/--fresh-serve or \
-             --baseline-kernels/--fresh-kernels pair is required"
-            .to_string());
-    }
-    Ok(DiffArgs { pairs, tolerance })
+    let path = |name: &str| {
+        value(name)
+            .map(String::from)
+            .ok_or_else(|| format!("--{name} FILE is required"))
+    };
+    Ok(DiffArgs {
+        baseline: path("baseline")?,
+        fresh: path("fresh")?,
+        tolerance,
+    })
 }
 
-/// One comparable scalar extracted from a bench file.
+/// One comparable scalar extracted from a bench file. Every metric is a
+/// cost: it regresses by growing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Stable identity, e.g. `serve/brownout/s64/batched/p99_ms`.
+    /// Stable identity, e.g. `kernel/blur_downsample_256/ns_per_op`.
     pub key: String,
     /// The measured value.
     pub value: f64,
-    /// `true` for latency-style metrics (regress by growing), `false` for
-    /// throughput-style metrics (regress by shrinking).
-    pub higher_is_worse: bool,
-}
-
-fn metric(key: String, value: f64, higher_is_worse: bool) -> Metric {
-    Metric {
-        key,
-        value,
-        higher_is_worse,
-    }
-}
-
-/// Flattens a `BENCH_serve.json` document into comparable metrics: per sweep
-/// cell, the p99 cycle latency (higher-worse) and detection throughput
-/// (lower-worse).
-pub fn serve_metrics(doc: &Value) -> Vec<Metric> {
-    let mut out = Vec::new();
-    let Some(rows) = doc.get("sweep").and_then(Value::as_array) else {
-        return out;
-    };
-    for row in rows {
-        let (Some(profile), Some(streams), Some(batched)) = (
-            row.get("profile").and_then(Value::as_str),
-            row.get("streams").and_then(Value::as_f64),
-            row.get("batched").and_then(Value::as_bool),
-        ) else {
-            continue;
-        };
-        let cell = format!(
-            "serve/{profile}/s{}/{}",
-            streams as u64,
-            if batched { "batched" } else { "unbatched" }
-        );
-        if let Some(v) = row.get("p99_ms").and_then(Value::as_f64) {
-            out.push(metric(format!("{cell}/p99_ms"), v, true));
-        }
-        if let Some(v) = row.get("throughput_dps").and_then(Value::as_f64) {
-            out.push(metric(format!("{cell}/throughput_dps"), v, false));
-        }
-    }
-    out
 }
 
 /// Flattens a `BENCH_kernels.json` document into comparable metrics: per
-/// kernel `ns_per_op` (higher-worse) plus the multi-point LK frame costs.
+/// kernel `ns_per_op` plus the multi-point LK frame costs.
 pub fn kernel_metrics(doc: &Value) -> Vec<Metric> {
     let mut out = Vec::new();
     if let Some(kernels) = doc.get("kernels").and_then(Value::as_array) {
@@ -414,20 +340,26 @@ pub fn kernel_metrics(doc: &Value) -> Vec<Metric> {
             ) else {
                 continue;
             };
-            out.push(metric(format!("kernel/{name}/ns_per_op"), ns, true));
+            out.push(Metric {
+                key: format!("kernel/{name}/ns_per_op"),
+                value: ns,
+            });
         }
     }
     if let Some(lk) = doc.get("lk_multipoint") {
         for field in ["optimized_ns_per_frame", "parallel_ns_per_frame"] {
             if let Some(v) = lk.get(field).and_then(Value::as_f64) {
-                out.push(metric(format!("lk_multipoint/{field}"), v, true));
+                out.push(Metric {
+                    key: format!("lk_multipoint/{field}"),
+                    value: v,
+                });
             }
         }
     }
     out
 }
 
-/// One metric that moved past the tolerance in the regressing direction.
+/// One metric that grew past the tolerance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
     /// Metric identity.
@@ -436,22 +368,8 @@ pub struct Regression {
     pub baseline: f64,
     /// Fresh value.
     pub fresh: f64,
-    /// Signed relative change in the regressing direction (`0.12` = 12%
-    /// worse than baseline).
+    /// Relative growth over the baseline (`0.12` = 12% worse).
     pub worse_by: f64,
-}
-
-impl fmt::Display for Regression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {:.4} -> {:.4} ({:+.1}% worse)",
-            self.key,
-            self.baseline,
-            self.fresh,
-            self.worse_by * 100.0
-        )
-    }
 }
 
 /// Outcome of a baseline-vs-fresh comparison.
@@ -461,7 +379,7 @@ pub struct DiffReport {
     pub compared: usize,
     /// Metrics present on only one side, skipped.
     pub skipped: usize,
-    /// Metrics past tolerance in the regressing direction, baseline order.
+    /// Metrics that grew past the tolerance, baseline order.
     pub regressions: Vec<Regression>,
 }
 
@@ -483,7 +401,13 @@ impl DiffReport {
             out.push_str("no regressions beyond tolerance\n");
         } else {
             for r in &self.regressions {
-                out.push_str(&format!("REGRESSION {r}\n"));
+                out.push_str(&format!(
+                    "REGRESSION {}: {:.4} -> {:.4} ({:+.1}% worse)\n",
+                    r.key,
+                    r.baseline,
+                    r.fresh,
+                    r.worse_by * 100.0
+                ));
             }
         }
         out
@@ -491,10 +415,10 @@ impl DiffReport {
 }
 
 /// Compares fresh metrics against a baseline. A metric regresses when it
-/// moves more than `tolerance` (relative) in its bad direction; moves in the
-/// good direction never fail, and metrics missing from either side are
-/// counted as skipped, not failed. Baselines at exactly zero can't anchor a
-/// relative comparison and are skipped too.
+/// grows by more than `tolerance` (relative); a drop never fails, and
+/// metrics missing from either side are counted as skipped, not failed.
+/// Baselines at exactly zero can't anchor a relative comparison and are
+/// skipped too.
 pub fn compare(baseline: &[Metric], fresh: &[Metric], tolerance: f64) -> DiffReport {
     assert!(
         tolerance.is_finite() && tolerance >= 0.0,
@@ -512,11 +436,7 @@ pub fn compare(baseline: &[Metric], fresh: &[Metric], tolerance: f64) -> DiffRep
             continue;
         }
         compared += 1;
-        let worse_by = if b.higher_is_worse {
-            (f.value - b.value) / b.value
-        } else {
-            (b.value - f.value) / b.value
-        };
+        let worse_by = (f.value - b.value) / b.value;
         if worse_by > tolerance {
             regressions.push(Regression {
                 key: b.key.clone(),
@@ -541,15 +461,18 @@ pub fn compare(baseline: &[Metric], fresh: &[Metric], tolerance: f64) -> DiffRep
 mod tests {
     use super::*;
 
-    const SERVE: &str = r#"{
-      "bench": "serve_fleet",
-      "sweep": [
-        {"profile": "none", "streams": 8, "batched": true,
-         "throughput_dps": 6.5, "p99_ms": 1276.4},
-        {"profile": "brownout", "streams": 64, "batched": false,
-         "throughput_dps": 5.02, "p99_ms": 2176.47}
-      ]
+    const KERNELS: &str = r#"{
+      "config": {"image": "256x256", "threads": 2},
+      "kernels": [
+        {"name": "blur_downsample_256", "ns_per_op": 25635, "pixels": 65536},
+        {"name": "scharr_scalar_256", "ns_per_op": 53398, "pixels": 65536}
+      ],
+      "lk_multipoint": {"optimized_ns_per_frame": 5000, "parallel_ns_per_frame": 4000}
     }"#;
+
+    fn kernels() -> Vec<Metric> {
+        kernel_metrics(&parse_json(KERNELS).unwrap())
+    }
 
     #[test]
     fn parser_round_trips_escapes_and_shapes() {
@@ -568,7 +491,7 @@ mod tests {
             Some("x\n\"yA")
         );
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Null));
-        assert_eq!(v.get("b").unwrap().get("d").unwrap().as_bool(), Some(false));
+        assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Bool(false)));
         assert!(parse_json("{\"a\": 1,}").is_err());
         assert!(parse_json("[1, 2] trailing").is_err());
     }
@@ -584,32 +507,32 @@ mod tests {
     }
 
     #[test]
-    fn serve_extraction_names_cells() {
-        let doc = parse_json(SERVE).unwrap();
-        let m = serve_metrics(&doc);
-        assert_eq!(m.len(), 4);
-        assert!(m
-            .iter()
-            .any(|x| x.key == "serve/none/s8/batched/p99_ms" && x.higher_is_worse));
-        assert!(m
-            .iter()
-            .any(|x| x.key == "serve/brownout/s64/unbatched/throughput_dps" && !x.higher_is_worse));
+    fn kernel_extraction_reads_ns_per_op() {
+        let m = kernels();
+        let keys: Vec<&str> = m.iter().map(|x| x.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "kernel/blur_downsample_256/ns_per_op",
+                "kernel/scharr_scalar_256/ns_per_op",
+                "lk_multipoint/optimized_ns_per_frame",
+                "lk_multipoint/parallel_ns_per_frame",
+            ]
+        );
+        assert_eq!(m[0].value, 25635.0);
     }
 
     #[test]
-    fn injected_p99_regression_fails_the_gate() {
-        let doc = parse_json(SERVE).unwrap();
-        let baseline = serve_metrics(&doc);
+    fn injected_ns_regression_fails_the_gate() {
+        let baseline = kernels();
         let mut fresh = baseline.clone();
-        let idx = fresh
-            .iter()
-            .position(|m| m.key == "serve/none/s8/batched/p99_ms")
-            .unwrap();
+        let key = "kernel/scharr_scalar_256/ns_per_op";
+        let idx = fresh.iter().position(|m| m.key == key).unwrap();
         fresh[idx].value *= 1.10001; // just past a 10% tolerance
         let report = compare(&baseline, &fresh, 0.10);
         assert!(report.regressed());
         assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].key, "serve/none/s8/batched/p99_ms");
+        assert_eq!(report.regressions[0].key, key);
         assert!(report.regressions[0].worse_by > 0.10);
         // The same move within tolerance passes.
         let mut ok = baseline.clone();
@@ -618,32 +541,25 @@ mod tests {
     }
 
     #[test]
-    fn throughput_drop_regresses_and_gain_does_not() {
-        let doc = parse_json(SERVE).unwrap();
-        let baseline = serve_metrics(&doc);
+    fn speedup_never_regresses() {
+        let baseline = kernels();
         let mut fresh = baseline.clone();
         for m in &mut fresh {
-            if m.key.ends_with("throughput_dps") {
-                m.value *= 0.8; // 20% slower
-            }
-            if m.key.ends_with("p99_ms") {
-                m.value *= 0.5; // big latency improvement: fine
-            }
+            m.value *= 0.5; // twice as fast everywhere: fine
         }
         let report = compare(&baseline, &fresh, 0.10);
-        assert_eq!(report.regressions.len(), 2);
-        assert!(report
-            .regressions
-            .iter()
-            .all(|r| r.key.ends_with("throughput_dps")));
+        assert!(!report.regressed());
+        assert_eq!(report.compared, baseline.len());
     }
 
     #[test]
     fn schema_growth_is_skipped_not_failed() {
-        let doc = parse_json(SERVE).unwrap();
-        let baseline = serve_metrics(&doc);
+        let baseline = kernels();
         let mut fresh = baseline.clone();
-        fresh.push(metric("serve/none/s8/batched/new_column".into(), 1.0, true));
+        fresh.push(Metric {
+            key: "kernel/new_kernel_256/ns_per_op".into(),
+            value: 1.0,
+        });
         let report = compare(&baseline, &fresh, 0.10);
         assert!(!report.regressed());
         assert_eq!(report.compared, baseline.len());
@@ -651,18 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_extraction_reads_ns_per_op() {
-        let doc = parse_json(
-            r#"{"kernels": [{"name": "blur", "ns_per_op": 100, "pixels": 1}],
-                "lk_multipoint": {"optimized_ns_per_frame": 5000}}"#,
-        )
-        .unwrap();
-        let m = kernel_metrics(&doc);
-        assert_eq!(m.len(), 2);
-        assert!(m.iter().all(|x| x.higher_is_worse));
-        assert!(m.iter().any(|x| x.key == "kernel/blur/ns_per_op"));
-        assert!(m
-            .iter()
-            .any(|x| x.key == "lk_multipoint/optimized_ns_per_frame"));
+    fn zero_baseline_is_skipped_not_compared() {
+        let mut baseline = kernels();
+        baseline[0].value = 0.0;
+        let mut fresh = baseline.clone();
+        fresh[0].value = 1e9; // any growth from 0 is an infinite ratio
+        let report = compare(&baseline, &fresh, 0.10);
+        assert!(!report.regressed());
+        assert_eq!(report.compared, baseline.len() - 1);
+        assert_eq!(report.skipped, 0);
     }
 }

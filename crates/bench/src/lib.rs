@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod cli;
 pub mod context;
 pub mod diff;
 pub mod faults;

@@ -1,113 +1,62 @@
-//! The bench binaries reject `--out` with no path with exit status 2 and an
-//! error naming the flag, instead of writing to a fallback path (the
-//! committed `results/` directory, or an empty path that fails only after
-//! the whole bench ran). `experiments` likewise rejects an unknown
-//! experiment name before it runs any of the others, and `bench-diff`
+//! `experiments` checks its whole line before the first experiment runs:
+//! `--out` with no path (before, it fell back to the committed `results/`
+//! directory), `--jobs 0`, a retired or unknown flag and an unknown
+//! experiment name after a valid one exit with status 2 and an error
+//! naming the word at fault, and nothing is written. `bench-diff` likewise
 //! exits 2 naming the flag when its arguments are malformed.
 
 use std::fs;
-use std::path::PathBuf;
 use std::process::Command;
 
-/// A fresh, empty working directory for one test case.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("adavp-cli-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 #[test]
-fn out_without_a_path_exits_2_and_writes_nothing() {
-    for (name, bin, args) in [
+fn experiments_rejects_a_bad_line_with_exit_2_before_writing() {
+    let dir = std::env::temp_dir().join(format!("adavp-cli-experiments-{}", std::process::id()));
+    for (args, named) in [
+        (&["fig2", "--out"][..], "--out"),
+        (&["fig2", "--out", "--jobs", "1"][..], "--out"),
+        (&["fig2", "--jobs", "0", "--out", "res"][..], "--jobs"),
+        (&["fig2", "--faults", "--out", "res"][..], "--faults"),
         (
-            "experiments",
-            env!("CARGO_BIN_EXE_experiments"),
-            &["fig2", "--out"][..],
-        ),
-        (
-            "experiments-flag",
-            env!("CARGO_BIN_EXE_experiments"),
-            &["fig2", "--out", "--jobs", "1"][..],
-        ),
-        (
-            "serve_bench",
-            env!("CARGO_BIN_EXE_serve_bench"),
-            &["--out"][..],
-        ),
-        (
-            "experiments_bench",
-            env!("CARGO_BIN_EXE_experiments_bench"),
-            &["--out"][..],
+            &["table2", "fig99", "--scale", "smoke", "--out", "res"][..],
+            "fig99",
         ),
     ] {
-        let dir = scratch_dir(name);
-        let out = Command::new(bin)
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("create scratch dir");
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
             .args(args)
             .current_dir(&dir)
             .output()
-            .expect("run bench binary");
+            .expect("run experiments");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {out:?}");
-        assert!(stderr.contains("--out"), "{name}: no --out in: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(stderr.contains(named), "{args:?}: no {named} in: {stderr}");
         let written: Vec<_> = fs::read_dir(&dir).expect("read scratch dir").collect();
-        assert!(written.is_empty(), "{name}: wrote {written:?}");
-        fs::remove_dir_all(&dir).expect("remove scratch dir");
+        assert!(written.is_empty(), "{args:?}: wrote {written:?}");
     }
-}
-
-#[test]
-fn unknown_experiment_exits_2_before_running_the_others() {
-    let dir = scratch_dir("unknown-experiment");
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["table2", "fig99", "--scale", "smoke", "--out", "res"])
-        .current_dir(&dir)
-        .output()
-        .expect("run experiments");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(stderr.contains("fig99"), "no fig99 in: {stderr}");
-    let written: Vec<_> = fs::read_dir(&dir).expect("read scratch dir").collect();
-    assert!(written.is_empty(), "table2 ran first and wrote {written:?}");
     fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
 
 #[test]
 fn bench_diff_rejects_malformed_flags_with_exit_2_naming_the_flag() {
     for (args, named) in [
-        (&["--baseline-serve", "a.json"][..], "--fresh-serve"),
+        (&["--baseline", "a.json"][..], "--fresh"),
+        (&["--baseline", "--fresh", "b.json"][..], "--baseline"),
         (
-            &["--baseline-serve", "--fresh-serve", "b.json"][..],
-            "--baseline-serve",
-        ),
-        (
-            &[
-                "--tolerance",
-                "-1",
-                "--baseline-kernels",
-                "a",
-                "--fresh-kernels",
-                "b",
-            ][..],
+            &["--tolerance", "-1", "--baseline", "a", "--fresh", "b"][..],
             "--tolerance",
         ),
         (
-            &[
-                "--fresh-serve",
-                "b",
-                "--fresh-serve",
-                "b",
-                "--baseline-serve",
-                "a",
-            ][..],
-            "--fresh-serve",
+            &["--fresh", "b", "--fresh", "b", "--baseline", "a"][..],
+            "--fresh",
         ),
+        (&["--baseline", "", "--fresh", "b"][..], "--baseline"),
         (
-            &["--baseline-serve", "", "--fresh-serve", "b"][..],
-            "--baseline-serve",
+            &["--baseline-kernels", "a", "--fresh", "b"][..],
+            "--baseline-kernels",
         ),
         (&["--bogus", "x"][..], "--bogus"),
-        (&[][..], "--baseline-serve"),
+        (&[][..], "--baseline"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bench-diff"))
             .args(args)

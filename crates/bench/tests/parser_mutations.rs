@@ -66,7 +66,7 @@ fn survive_mutants(name: &str, input: &[u8], seed: u64, parse: impl Fn(&[u8]) ->
 
 #[test]
 fn parsers_return_ok_or_err_on_mutated_input() {
-    let json = include_str!("../../../BENCH_serve.json");
+    let json = include_str!("../../../BENCH_kernels.json");
     survive_mutants("parse_json", json.as_bytes(), 1, |b| {
         parse_json(&String::from_utf8_lossy(b)).is_ok()
     });

@@ -181,8 +181,11 @@ pub(super) fn run<D: Detector>(
                     run.diverge(cursor);
                 }
 
+                // MARLIN also re-detects once the tracker has no object
+                // left (`all_stale` is false with no live box).
                 fire = fired
                     || tracker.all_stale()
+                    || (matches!(trigger, Trigger::Velocity(_)) && tracker.boxes().is_empty())
                     || next - cycle_start_frame >= max_cycle_frames
                     || diverged_now;
                 if fire && run.rec.on() {

@@ -8,8 +8,8 @@
 //! byte-identical across `--jobs` counts (pinned by
 //! `tests/serve_determinism.rs` and the CI serve smoke).
 //!
-//! No file I/O happens here: renderers return `String`s and callers
-//! (the CLI, `serve_bench`) decide where bytes go.
+//! No file I/O happens here: renderers return `String`s and the caller
+//! (the CLI) decides where bytes go.
 
 use super::fleet::{run_fleet, ClassReport, FleetReport};
 use super::stream::{ServeScheme, SloClass};

@@ -7,9 +7,10 @@
 //! 4-level pyramid, LK at window radius 7); the demand-driven gradient and
 //! masked Shi-Tomasi cases run at 640x360 only.
 //!
-//! Run with `cargo run --release -p adavp-vision --bin kernels_bench`
-//! (optionally passing an output path; defaults to `BENCH_kernels.json` in
-//! the current directory). Dependency-free: JSON is emitted by hand.
+//! Run with `cargo run --release -p adavp-vision --bin kernels_bench [PATH]`
+//! (the output path defaults to `BENCH_kernels.json` in the current
+//! directory; any other argument exits with status 2 before the bench
+//! runs). Dependency-free: JSON is emitted by hand.
 
 use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
 use adavp_vision::flow::{LkParams, PyramidalLk};
@@ -85,9 +86,16 @@ impl Entry {
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    // At most one argument, the output path: anything flag-shaped (such as
+    // `--help`), an empty path or a second argument exits 2 before the
+    // bench runs.
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let bad = |(i, a): &(usize, &String)| *i > 0 || a.is_empty() || a.starts_with('-');
+    if let Some((_, arg)) = args.iter().enumerate().find(bad) {
+        eprintln!("kernels_bench: unexpected argument `{arg}` (usage: kernels_bench [OUT.json])");
+        std::process::exit(2);
+    }
+    let out_path = args.first().map_or("BENCH_kernels.json", String::as_str);
 
     let img = textured(IMG_W, IMG_H);
     let next_img = shifted(&img, 3, -2);
@@ -549,6 +557,6 @@ fn main() {
     );
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write bench json");
+    std::fs::write(out_path, &json).expect("write bench json");
     eprintln!("wrote {out_path}");
 }

@@ -1,5 +1,6 @@
 //! Seeded mutation test of the command-line parsers: `adavp`'s
-//! (`adavp::cli::parse`) and `bench-diff`'s (`adavp_bench::diff::parse_args`).
+//! (`adavp::cli::parse`), `bench-diff`'s (`adavp_bench::diff::parse_args`)
+//! and `experiments`' (`adavp_bench::cli::parse_args`).
 //! Each starts from valid argument vectors, and every mutant (flags
 //! dropped, duplicated or truncated, values dropped, emptied, truncated or
 //! replaced by bad numbers) must come back without a panic, in under a
@@ -241,10 +242,8 @@ fn bench_diff_flags_parse_or_name_the_flag() {
         Line::new(
             &[],
             &[
-                ("baseline-serve", "base_serve.json"),
-                ("fresh-serve", "BENCH_serve.json"),
-                ("baseline-kernels", "base_kernels.json"),
-                ("fresh-kernels", "BENCH_kernels.json"),
+                ("baseline", "base_kernels.json"),
+                ("fresh", "BENCH_kernels.json"),
                 ("tolerance", "0.1"),
             ],
         ),
@@ -252,12 +251,30 @@ fn bench_diff_flags_parse_or_name_the_flag() {
             &[],
             &[
                 ("tolerance", "0.25"),
-                ("baseline-kernels", "base_kernels.json"),
-                ("fresh-kernels", "BENCH_kernels.json"),
+                ("fresh", "BENCH_kernels.json"),
+                ("baseline", "base_kernels.json"),
             ],
         ),
     ];
     survive_mutants("bench-diff", &lines, 32, |args| {
         adavp_bench::diff::parse_args(args).map(|_| ())
+    });
+}
+
+#[test]
+fn experiments_flags_parse_or_name_the_flag() {
+    let lines = [
+        Line::new(
+            &["fig6", "table3"],
+            &[("scale", "smoke"), ("out", "res"), ("jobs", "2")],
+        ),
+        Line::new(
+            &["all"],
+            &[("jobs", "1"), ("out", "results-full"), ("scale", "full")],
+        ),
+        Line::new(&[], &[("out", "out-dir"), ("scale", "standard")]),
+    ];
+    survive_mutants("experiments", &lines, 33, |args| {
+        adavp_bench::cli::parse_args(args).map(|_| ())
     });
 }

@@ -342,7 +342,7 @@ fn sequential_schemes_match_their_golden_digests() {
         ),
         (
             "MARLIN/meeting/stress",
-            [0x045acccabd61d6e9, 0x28f71e244419868d, 0x75e5b0d364ac0ac4],
+            [0x4aacc8ada567e07c, 0x09ed68dbd86db06b, 0x7c174c0036140932],
         ),
         (
             "CTD/highway/quiet",

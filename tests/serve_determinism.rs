@@ -4,14 +4,16 @@
 //! configuration, so running it on 1 worker or 4 must produce byte-identical
 //! CSV/JSON. Alongside that, sharp pins on the three serving mechanisms —
 //! batch formation (close on size vs window deadline), admission rejection,
-//! and backpressure step-down — through the public API.
+//! and backpressure step-down — through the public API, and the batching
+//! acceptance bar on the default sweep (batched >= 1.5x unbatched
+//! throughput from 64 streams, batched p99 within the bronze deadline).
 
 use adavp::core::metrics::report::utilization_report;
 use adavp::core::metrics::{json_snapshot, prometheus_text, MetricsConfig, SloTracker};
 use adavp::core::serve::stream::{DetectionRequest, SloClass};
 use adavp::core::serve::{
     run_fleet, run_sweep, sweep_csv, sweep_json, BatchConfig, BatchScheduler, ServeConfig,
-    ServeScheme, SweepConfig,
+    ServeScheme, SweepCell, SweepConfig,
 };
 use adavp::sim::{FaultPlan, FaultProfile, SimTime};
 use adavp::vision::exec::Executor;
@@ -49,6 +51,55 @@ fn serve_sweep_bytes_identical_across_jobs() {
     // And the sweep is reproducible run-to-run, not just across executors.
     let (again, _) = run_sweep(&cfg, &Executor::new(4));
     assert_eq!(rows_4, again);
+}
+
+/// The default sweep's fault-free `(streams, batched, unbatched)` cells.
+fn default_fault_free_cells() -> Vec<(usize, SweepCell, SweepCell)> {
+    let cfg = SweepConfig::default();
+    let (rows, _) = run_sweep(&cfg, &Executor::new(2));
+    let cell = |n: usize, batched: bool| {
+        rows.iter()
+            .find(|r| r.profile == "none" && r.streams == n && r.batched == batched)
+            .expect("grid cell missing")
+            .clone()
+    };
+    let grid = cfg.stream_counts.iter();
+    grid.map(|&n| (n, cell(n, true), cell(n, false))).collect()
+}
+
+/// Batching pays off under load: on the default sweep's fault-free profile,
+/// batched dispatch completes at least 1.5x the detections per second of
+/// singleton dispatch at every stream count from 64 up (the grid has three).
+#[test]
+fn batched_throughput_is_at_least_1_5x_unbatched_from_64_streams() {
+    let cells = default_fault_free_cells();
+    assert_eq!(cells.iter().filter(|(n, _, _)| *n >= 64).count(), 3);
+    for (n, batched, unbatched) in cells.into_iter().filter(|(n, _, _)| *n >= 64) {
+        let (b, u) = (
+            batched.report.throughput_dps,
+            unbatched.report.throughput_dps,
+        );
+        assert!(
+            b >= 1.5 * u,
+            "{n} streams: batched {b:.3} vs unbatched {u:.3} det/s"
+        );
+    }
+}
+
+/// Admission control keeps the tail sane instead of letting every stream
+/// queue: on the default sweep's fault-free profile, batched p99 cycle
+/// latency stays within the loosest SLO deadline (bronze) at every stream
+/// count.
+#[test]
+fn batched_p99_stays_within_the_bronze_deadline() {
+    let bound = SloClass::Bronze.deadline_ms();
+    for (n, batched, _) in default_fault_free_cells() {
+        let p99 = batched.latency_ms(99.0);
+        assert!(
+            p99 <= bound,
+            "{n} streams: batched p99 {p99:.1} ms > {bound} ms"
+        );
+    }
 }
 
 /// The scheme axis rides the same byte-identity contract: a sweep over all

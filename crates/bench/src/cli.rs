@@ -1,8 +1,7 @@
 //! Argument parsing for the `experiments` binary: every experiment name and
 //! flag is checked and converted before the first experiment runs, so a
 //! malformed line is one `Err` that names the word at fault (the binary
-//! prints it and exits 2) and never a half-finished run. The `--flag value`
-//! splitter here also serves `bench-diff` ([`crate::diff::parse_args`]).
+//! prints it and exits 2) and never a half-finished run.
 
 use adavp_video::dataset::DatasetScale;
 use adavp_vision::exec::Executor;
@@ -41,7 +40,7 @@ pub struct ExperimentsArgs {
 /// and hands every other word to `word`. An unknown `--flag`, a flag with
 /// no value (the end of the line, another `--flag`, or an empty string) and
 /// a flag given twice are errors naming the flag.
-pub(crate) fn flag_values<'a>(
+fn flag_values<'a>(
     args: &'a [String],
     known: &[&'static str],
     mut word: impl FnMut(&str) -> Result<(), String>,

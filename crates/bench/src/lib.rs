@@ -29,7 +29,6 @@
 pub mod ablations;
 pub mod cli;
 pub mod context;
-pub mod diff;
 pub mod faults;
 pub mod figures;
 pub mod report;

@@ -14,20 +14,14 @@ use adavp_bench::runner::SchemeResult;
 use adavp_bench::{ablations, faults, figures, tables};
 use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
 use adavp_detector::ModelSetting;
+use adavp_rng::{fnv1a, FNV1A_OFFSET};
 use adavp_video::dataset::{render_all, training_set, DatasetScale};
 use adavp_vision::exec::Executor;
 use std::borrow::Borrow;
 use std::fmt::Write as _;
 
-/// FNV-1a (64-bit) over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn digest(value: &impl std::fmt::Debug) -> u64 {
-    fnv1a(format!("{value:?}").as_bytes())
+    fnv1a(FNV1A_OFFSET, format!("{value:?}").as_bytes())
 }
 
 /// Digest of scheme rows on their reported fields (the per-clip traces
@@ -42,7 +36,7 @@ fn scheme_rows<R: Borrow<SchemeResult>>(results: &[R]) -> u64 {
             r.label, r.accuracy, r.per_video_accuracy, r.energy, r.latency_multiplier
         );
     }
-    fnv1a(out.as_bytes())
+    fnv1a(FNV1A_OFFSET, out.as_bytes())
 }
 
 /// Table II's modeled latencies (the measured wall-clock column varies

@@ -1,11 +1,10 @@
 //! Seeded byte-mutation test of the hand-written parsers that read files
-//! from disk: the bench-diff JSON reader, the PGM reader and the
-//! fault-profile fixture parser. Each starts from a valid input, and every
-//! mutant (bytes flipped, inserted, deleted or truncated) must come back as
-//! `Ok` or `Err`, never as a panic. The mutants are a pure function of the
-//! fixed seed, so a failure replays exactly.
+//! from disk: the PGM reader and the fault-profile fixture parser. Each
+//! starts from a valid input, and every mutant (bytes flipped, inserted,
+//! deleted or truncated) must come back as `Ok` or `Err`, never as a
+//! panic. The mutants are a pure function of the fixed seed, so a failure
+//! replays exactly.
 
-use adavp_bench::diff::parse_json;
 use adavp_bench::faults::parse_profile_fixture;
 use adavp_rng::Rng;
 use adavp_video::export::{parse_pgm, write_pgm};
@@ -66,11 +65,6 @@ fn survive_mutants(name: &str, input: &[u8], seed: u64, parse: impl Fn(&[u8]) ->
 
 #[test]
 fn parsers_return_ok_or_err_on_mutated_input() {
-    let json = include_str!("../../../BENCH_kernels.json");
-    survive_mutants("parse_json", json.as_bytes(), 1, |b| {
-        parse_json(&String::from_utf8_lossy(b)).is_ok()
-    });
-
     let path = std::env::temp_dir().join(format!("adavp-mutants-{}.pgm", std::process::id()));
     let image = GrayImage::from_fn(8, 8, |x, y| (x * 31 + y * 7) as u8);
     write_pgm(&image, &path).expect("write pgm");

@@ -4,8 +4,7 @@
 //! aggregate across traces (Fig. 7's switch-gap distribution, Fig. 8's
 //! setting-usage shares).
 
-use crate::pipeline::{FrameSource, ProcessingTrace, SourceFractions};
-use crate::telemetry::{Histogram, Percentiles};
+use crate::pipeline::{ProcessingTrace, SourceFractions};
 use adavp_detector::ModelSetting;
 
 /// Summary statistics of one pipeline trace.
@@ -17,58 +16,20 @@ pub struct CycleStats {
     pub switches: usize,
     /// Mean cycle duration (detection latency) in ms.
     pub mean_cycle_ms: f64,
-    /// Exact p50/p90/p99 of the cycle duration (nearest-rank over the full
-    /// cycle log — see [`crate::telemetry::Histogram`]). `None` for traces
-    /// without cycles. Replaces squinting at the mean alone: a latency
-    /// spike that barely moves `mean_cycle_ms` is plainly visible in p99.
-    pub cycle_ms_percentiles: Option<Percentiles>,
-    /// Mean number of frames buffered for the tracker per cycle.
-    pub mean_buffered: f64,
-    /// Mean number of frames the tracker processed per cycle.
-    pub mean_tracked: f64,
     /// Mean measured content velocity (over cycles that measured one).
     pub mean_velocity: Option<f64>,
-    /// Cycles spent at each adaptive setting (320/416/512/608 order).
-    pub usage: [usize; 4],
     /// Fractions of frames by source.
     pub frame_sources: SourceFractions,
-    /// Cycles that hit a detector fault (fault injection).
-    pub faulted_cycles: usize,
-    /// Cycles whose detection degraded (timed out / retries exhausted).
-    pub degraded_cycles: usize,
-    /// Cycles in which the tracker diverged.
-    pub diverged_cycles: usize,
-}
-
-impl CycleStats {
-    /// Fraction of tracker-planned frames that were actually tracked
-    /// (1.0 = the tracker always kept up).
-    pub fn tracking_completion(&self) -> f64 {
-        if self.mean_buffered <= 0.0 {
-            return 1.0;
-        }
-        (self.mean_tracked / self.mean_buffered).min(1.0)
-    }
 }
 
 /// Computes summary statistics for a trace.
 pub fn analyze(trace: &ProcessingTrace) -> CycleStats {
     let n = trace.cycles.len();
-    let mut usage = [0usize; 4];
     let mut dur = 0.0;
-    let mut buffered = 0.0;
-    let mut tracked = 0.0;
     let mut vel_sum = 0.0;
     let mut vel_n = 0usize;
-    let mut cycle_hist = Histogram::latency_ms();
     for cy in &trace.cycles {
-        if let Some(i) = cy.setting.adaptive_index() {
-            usage[i] += 1;
-        }
-        cycle_hist.record(cy.end_ms - cy.start_ms);
         dur += cy.end_ms - cy.start_ms;
-        buffered += cy.buffered as f64;
-        tracked += cy.tracked as f64;
         if let Some(v) = cy.velocity {
             vel_sum += v;
             vel_n += 1;
@@ -79,19 +40,12 @@ pub fn analyze(trace: &ProcessingTrace) -> CycleStats {
         cycles: n,
         switches: trace.switch_count(),
         mean_cycle_ms: dur / nf,
-        cycle_ms_percentiles: cycle_hist.percentiles(),
-        mean_buffered: buffered / nf,
-        mean_tracked: tracked / nf,
         mean_velocity: if vel_n > 0 {
             Some(vel_sum / vel_n as f64)
         } else {
             None
         },
-        usage,
         frame_sources: trace.source_fractions(),
-        faulted_cycles: trace.fault_count(),
-        degraded_cycles: trace.degraded_cycle_count(),
-        diverged_cycles: trace.diverged_cycle_count(),
     }
 }
 
@@ -135,45 +89,10 @@ pub fn usage_shares<'a>(
     out
 }
 
-/// Mean F1 per [`FrameSource`] given a trace and its per-frame scores —
-/// quantifies how much held frames cost relative to fresh detections.
-///
-/// Returns `(detected, tracked, held)` means; a source with no frames
-/// yields `None`.
-///
-/// # Panics
-///
-/// Panics if `frame_f1.len() != trace.outputs.len()`.
-pub fn f1_by_source(
-    trace: &ProcessingTrace,
-    frame_f1: &[f64],
-) -> (Option<f64>, Option<f64>, Option<f64>) {
-    assert_eq!(trace.outputs.len(), frame_f1.len(), "score/trace mismatch");
-    let mean_of = |src: FrameSource| {
-        let v: Vec<f64> = trace
-            .outputs
-            .iter()
-            .zip(frame_f1)
-            .filter(|(o, _)| o.source == src)
-            .map(|(_, &f)| f)
-            .collect();
-        if v.is_empty() {
-            None
-        } else {
-            Some(v.iter().sum::<f64>() / v.len() as f64)
-        }
-    };
-    (
-        mean_of(FrameSource::Detected),
-        mean_of(FrameSource::Tracked),
-        mean_of(FrameSource::Held),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{CycleRecord, FrameOutput};
+    use crate::pipeline::{CycleRecord, FrameOutput, FrameSource};
 
     fn cycle(idx: u32, setting: ModelSetting, switched: bool, vel: Option<f64>) -> CycleRecord {
         CycleRecord {
@@ -230,13 +149,8 @@ mod tests {
         let s = analyze(&t);
         assert_eq!(s.cycles, 3);
         assert_eq!(s.switches, 1);
-        assert_eq!(s.usage, [0, 0, 1, 2]);
         assert!((s.mean_cycle_ms - 390.0).abs() < 1e-9);
-        let p = s.cycle_ms_percentiles.expect("3 cycles recorded");
-        assert_eq!((p.p50, p.p90, p.p99), (390.0, 390.0, 390.0));
         assert_eq!(s.mean_velocity, Some(2.0));
-        assert!((s.mean_buffered - 9.0).abs() < 1e-9);
-        assert!((s.tracking_completion() - 3.0 / 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -266,22 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn f1_by_source_splits() {
-        let t = trace(vec![]);
-        let (d, tr, h) = f1_by_source(&t, &[0.9, 0.3]);
-        assert_eq!(d, Some(0.9));
-        assert_eq!(tr, None);
-        assert_eq!(h, Some(0.3));
-    }
-
-    #[test]
-    #[should_panic(expected = "score/trace mismatch")]
-    fn f1_by_source_length_checked() {
-        let t = trace(vec![]);
-        let _ = f1_by_source(&t, &[0.9]);
-    }
-
-    #[test]
     fn empty_trace_is_safe() {
         let t = ProcessingTrace {
             pipeline: "e".into(),
@@ -296,9 +194,7 @@ mod tests {
         };
         let s = analyze(&t);
         assert_eq!(s.cycles, 0);
-        assert_eq!(s.cycle_ms_percentiles, None);
         assert_eq!(s.mean_velocity, None);
-        assert_eq!(s.tracking_completion(), 1.0);
         assert!(switch_gaps([&t]).is_empty());
     }
 }

@@ -11,6 +11,7 @@
 //!   stream (the world simulator, the detector's per-frame error model).
 //! * [`check`] — a seeded property-test loop that names the failing case's
 //!   seed instead of shrinking it.
+//! * [`fnv1a`] — the FNV-1a digest the golden tests pin output bytes with.
 //!
 //! # Example
 //!
@@ -58,6 +59,30 @@ pub fn mix(seed: u64, tag: u64, a: u64, b: u64) -> u64 {
 #[inline]
 pub fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The FNV-1a (64-bit) offset basis: the digest of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a (64-bit) of `bytes`, continued from the digest `h`: start from
+/// [`FNV1A_OFFSET`], and feed a long stream in pieces, since
+/// `fnv1a(fnv1a(h, a), b) == fnv1a(h, a ++ b)`. The golden tests pin output
+/// bytes with it; it is a checksum, not a random draw.
+///
+/// ```
+/// use adavp_rng::{fnv1a, FNV1A_OFFSET};
+///
+/// assert_eq!(fnv1a(FNV1A_OFFSET, b""), FNV1A_OFFSET);
+/// assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+/// assert_eq!(
+///     fnv1a(fnv1a(FNV1A_OFFSET, b"ab"), b"c"),
+///     fnv1a(FNV1A_OFFSET, b"abc")
+/// );
+/// ```
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A seeded splitmix64 generator: the state starts at the seed and each

@@ -8,22 +8,12 @@
 //! runs, and the tests assert that it does: 1-, 3- and 5-tap exposure blur,
 //! camera motion, object boxes clipped at the frame edge, and sensor noise.
 
+use adavp_rng::{fnv1a, FNV1A_OFFSET};
 use adavp_video::object::{ObjectClass, ObjectId};
 use adavp_video::render::{Renderer, EXPOSURE_S};
 use adavp_video::scenario::Scenario;
 use adavp_video::world::{ObservedObject, World};
 use adavp_vision::geometry::{BoundingBox, Vec2};
-
-/// FNV-1a (64-bit), continued from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Number of blur taps the renderer uses for an object (mirrors the
 /// thresholds in `Renderer::paint_object`).
@@ -82,7 +72,7 @@ impl Coverage {
 #[test]
 fn every_scenario_renders_its_golden_pixels() {
     const FRAMES: u32 = 24;
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A_OFFSET;
     let mut cov = Coverage::default();
     for (i, scenario) in Scenario::ALL.iter().enumerate() {
         let spec = scenario.spec();
@@ -170,7 +160,7 @@ fn moving_objects_render_their_golden_pixels() {
     cov.assert_complete();
 
     let renderer = Renderer::new(640, 360, 29, 2.5);
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A_OFFSET;
     for (frame, (ox, oy)) in [(0.0, 0.0), (13.25, -7.5)].into_iter().enumerate() {
         digest = fnv1a(
             digest,

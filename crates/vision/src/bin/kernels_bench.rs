@@ -1,11 +1,27 @@
 //! Kernel micro-benchmark harness: times the vision hot-path kernels next
 //! to their plain-loop oracles in `adavp_vision::reference`, asserts that
 //! each kernel reproduces its oracle bit for bit, and writes
-//! `BENCH_kernels.json` (kernel -> ns/op plus a multi-point pyramidal-LK
-//! baseline-vs-optimized comparison). Most kernels run at 256x256 and again
-//! at the 640x360 experiment resolution with the tracker's parameters (a
-//! 4-level pyramid, LK at window radius 7); the demand-driven gradient and
-//! masked Shi-Tomasi cases run at 640x360 only.
+//! `BENCH_kernels.json` (kernel -> ns/op, a multi-point pyramidal-LK
+//! baseline-vs-optimized comparison, and each fast path's speed-up over its
+//! oracle). Most kernels run at 256x256 and again at the 640x360 experiment
+//! resolution with the tracker's parameters (a 4-level pyramid, LK at
+//! window radius 7); the demand-driven gradient and masked Shi-Tomasi cases
+//! run at 640x360 only.
+//!
+//! Speed is checked within the run, never against a file recorded on
+//! another host: a fast kernel and its oracle are timed in alternating
+//! rounds, and the ratio of their median ns/op must reach a floor.
+//!
+//! | fast kernel | oracle | floor |
+//! |---|---|---|
+//! | `blur_downsample_256` | `blur_downsample_scalar_256` | 1.2x |
+//! | `good_features_in_boxes_640x360` | `good_features_masked_reference_640x360` | 3x |
+//! | LK `optimized` | LK `baseline` | 3x |
+//!
+//! A pooled vs a fresh pyramid build and parallel vs sequential LK are
+//! recorded in the same `speedups` section without a floor. When a gated
+//! ratio falls below its floor the bench still writes the file, then exits
+//! 1 naming the pair, its ratio and its floor.
 //!
 //! Run with `cargo run --release -p adavp-vision --bin kernels_bench [PATH]`
 //! (the output path defaults to `BENCH_kernels.json` in the current
@@ -17,7 +33,6 @@ use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::{BoundingBox, PixelRect, Point2};
 use adavp_vision::gradient::{GradientField, TiledGradients, TILE_H, TILE_W};
 use adavp_vision::image::GrayImage;
-use adavp_vision::perf;
 use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::{
     blur_downsample_into_scalar, good_features_from_gradients_reference, scharr_gradients,
@@ -37,6 +52,18 @@ const FRAME_H: u32 = 360;
 /// The tracker's pyramid depth (`TrackerConfig::default()`).
 const TRACKER_LEVELS: u32 = 4;
 const TARGET_NS_PER_BENCH: u128 = 250_000_000; // ~0.25 s per kernel
+/// Timing rounds per kernel; its ns/op is the median over the rounds.
+const ROUNDS: usize = 7;
+
+/// Least speed-up of the streamed blur + downsample over the composed
+/// scalar oracles, 256x256.
+const BLUR_DOWNSAMPLE_FLOOR: f64 = 1.2;
+/// Least speed-up of box-bounded Shi-Tomasi over the whole-frame masked
+/// reference scan, one box at 640x360.
+const SHI_TOMASI_FLOOR: f64 = 3.0;
+/// Least speed-up of the optimized multi-point LK over the baseline
+/// tracker, 256x256.
+const LK_FLOOR: f64 = 3.0;
 
 fn textured(w: u32, h: u32) -> GrayImage {
     GrayImage::from_fn(w, h, |x, y| {
@@ -56,18 +83,82 @@ fn shifted(img: &GrayImage, dx: i64, dy: i64) -> GrayImage {
     })
 }
 
-/// Times `f` adaptively: estimates cost from one warmup call, then loops to
-/// roughly [`TARGET_NS_PER_BENCH`]. Returns mean ns/op.
-fn bench_ns<F: FnMut()>(mut f: F) -> u64 {
-    let warm = Instant::now();
-    f();
-    let estimate = warm.elapsed().as_nanos().max(1);
-    let iters = (TARGET_NS_PER_BENCH / estimate).clamp(3, 100_000) as u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
+/// Times `N` kernels in alternating rounds; `run(k)` runs kernel `k` once.
+/// One warm-up call per kernel sizes its rounds so that it runs for about
+/// `TARGET_NS_PER_BENCH` in all; each round then times every kernel in
+/// turn, forward on even rounds and backward on odd ones, so a change in
+/// the host's speed during the run reaches every kernel alike. Returns each
+/// kernel's median ns/op over the rounds.
+fn bench_rounds<const N: usize>(mut run: impl FnMut(usize)) -> [u64; N] {
+    let iters: [u64; N] = std::array::from_fn(|k| {
+        let warm = Instant::now();
+        run(k);
+        let estimate = warm.elapsed().as_nanos().max(1);
+        (TARGET_NS_PER_BENCH / ROUNDS as u128 / estimate).clamp(1, 100_000) as u64
+    });
+    let rounds: Vec<[u64; N]> = (0..ROUNDS)
+        .map(|round| {
+            let mut ns = [0u64; N];
+            for i in 0..N {
+                let k = if round % 2 == 0 { i } else { N - 1 - i };
+                let start = Instant::now();
+                for _ in 0..iters[k] {
+                    run(k);
+                }
+                ns[k] = start.elapsed().as_nanos() as u64 / iters[k];
+            }
+            ns
+        })
+        .collect();
+    std::array::from_fn(|k| {
+        let mut ns: Vec<u64> = rounds.iter().map(|round| round[k]).collect();
+        ns.sort_unstable();
+        ns[ROUNDS / 2]
+    })
+}
+
+/// Times one kernel; see [`bench_rounds`].
+fn bench_ns(mut f: impl FnMut()) -> u64 {
+    let [ns] = bench_rounds(|_| f());
+    ns
+}
+
+/// A fast path's speed-up over a slower one, both timed in the same rounds
+/// of this run. `floor` is the least ratio the run accepts; `None` records
+/// the ratio without gating it.
+struct Speedup {
+    kernel: &'static str,
+    reference: &'static str,
+    ratio: f64,
+    floor: Option<f64>,
+}
+
+impl Speedup {
+    fn new(
+        kernel: &'static str,
+        reference: &'static str,
+        [kernel_ns, reference_ns]: [u64; 2],
+        floor: Option<f64>,
+    ) -> Self {
+        Self {
+            kernel,
+            reference,
+            ratio: reference_ns as f64 / kernel_ns.max(1) as f64,
+            floor,
+        }
     }
-    (start.elapsed().as_nanos() as u64) / iters
+
+    /// `Err` naming the pair, its ratio and its floor when the ratio is
+    /// below the floor.
+    fn check(&self) -> Result<(), String> {
+        match self.floor {
+            Some(floor) if self.ratio < floor => Err(format!(
+                "{} is {:.2}x faster than {}, below its floor of {floor:.1}x",
+                self.kernel, self.ratio, self.reference
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 struct Entry {
@@ -101,6 +192,7 @@ fn main() {
     let next_img = shifted(&img, 3, -2);
     let mut pool = ScratchPool::new();
     let mut entries: Vec<Entry> = Vec::new();
+    let mut speedups: Vec<Speedup> = Vec::new();
 
     eprintln!("image: {IMG_W}x{IMG_H}, pyramid levels: {PYRAMID_LEVELS}");
 
@@ -120,24 +212,33 @@ fn main() {
         level_scalar_out.as_bytes(),
         "streamed blur + downsample diverged from the composed scalar oracles"
     );
-    entries.push(Entry {
-        name: "blur_downsample_256",
-        ns_per_op: bench_ns(|| {
+    let blur_ns = bench_rounds(|k| {
+        if k == 0 {
             blur_downsample_into(black_box(&img), &mut level_out, &mut pool);
             black_box(&level_out);
-        }),
+        } else {
+            blur_downsample_into_scalar(black_box(&img), &mut level_scalar_out, &mut pool);
+            black_box(&level_scalar_out);
+        }
+    });
+    entries.push(Entry {
+        name: "blur_downsample_256",
+        ns_per_op: blur_ns[0],
         pixels: frame_pixels,
         note: "row-streamed 5-tap blur + 2x2 box downsample, pooled ring, 256x256 -> 128x128",
     });
     entries.push(Entry {
         name: "blur_downsample_scalar_256",
-        ns_per_op: bench_ns(|| {
-            blur_downsample_into_scalar(black_box(&img), &mut level_scalar_out, &mut pool);
-            black_box(&level_scalar_out);
-        }),
+        ns_per_op: blur_ns[1],
         pixels: frame_pixels,
         note: "scalar u32 oracles composed: whole-image blur, then downsample",
     });
+    speedups.push(Speedup::new(
+        "blur_downsample_256",
+        "blur_downsample_scalar_256",
+        blur_ns,
+        Some(BLUR_DOWNSAMPLE_FLOOR),
+    ));
 
     // --- Scharr gradients --------------------------------------------------
     // The production Scharr is the demand-driven tile field, timed and
@@ -153,29 +254,35 @@ fn main() {
         note: "scalar oracle for the separable Scharr kernel",
     });
 
-    // --- Pyramid build: fresh vs pooled ------------------------------------
+    // --- Pyramid build: pooled vs fresh ------------------------------------
+    // Pooled: the steady state, each pyramid recycled back into the pool.
+    let pyramid_ns = bench_rounds(|k| {
+        if k == 0 {
+            let p = Pyramid::build_with(black_box(&img), PYRAMID_LEVELS, &mut pool);
+            black_box(&p);
+            p.recycle(&mut pool);
+        } else {
+            black_box(Pyramid::build(black_box(&img), PYRAMID_LEVELS));
+        }
+    });
     entries.push(Entry {
         name: "pyramid_build_fresh_256x3",
-        ns_per_op: bench_ns(|| {
-            black_box(Pyramid::build(black_box(&img), PYRAMID_LEVELS));
-        }),
+        ns_per_op: pyramid_ns[1],
         pixels: pyramid_pixels,
         note: "allocating build (no pool reuse)",
     });
-    // Steady state: recycle each pyramid back into the pool.
-    perf::reset();
-    let pooled_ns = bench_ns(|| {
-        let p = Pyramid::build_with(black_box(&img), PYRAMID_LEVELS, &mut pool);
-        black_box(&p);
-        p.recycle(&mut pool);
-    });
-    let pooled_work = perf::snapshot();
     entries.push(Entry {
         name: "pyramid_build_pooled_256x3",
-        ns_per_op: pooled_ns,
+        ns_per_op: pyramid_ns[0],
         pixels: pyramid_pixels,
         note: "steady-state build via ScratchPool (allocation-free)",
     });
+    speedups.push(Speedup::new(
+        "pyramid_build_pooled_256x3",
+        "pyramid_build_fresh_256x3",
+        pyramid_ns,
+        None,
+    ));
 
     // --- Demand-driven gradients and masked Shi-Tomasi, 640x360 ------------
     let frame = textured(FRAME_W, FRAME_H);
@@ -366,35 +473,44 @@ fn main() {
     };
     let one_box = [boxes[0]];
     let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
+    let full = scharr_gradients(&frame);
     // The first (warm-up) call computes the box's tiles; the timed calls
     // find them computed and time the scan and suppression.
-    entries.push(Entry {
-        name: "good_features_in_boxes_640x360",
-        ns_per_op: bench_ns(|| {
+    let st_ns = bench_rounds(|k| {
+        if k == 0 {
             black_box(good_features_in_boxes(
                 &mut st_pyr,
                 &st_params,
                 black_box(&one_box),
                 &mut pool,
             ));
-        }),
-        pixels: 120 * 80,
-        note: "box-bounded Shi-Tomasi scan + NMS, one 120x80 box, tiles computed, 640x360",
-    });
-    st_pyr.recycle(&mut pool);
-    let full = scharr_gradients(&frame);
-    entries.push(Entry {
-        name: "good_features_masked_reference_640x360",
-        ns_per_op: bench_ns(|| {
+        } else {
             black_box(good_features_from_gradients_reference(
                 black_box(&full),
                 &st_params,
                 Some(&one_box),
             ));
-        }),
+        }
+    });
+    st_pyr.recycle(&mut pool);
+    entries.push(Entry {
+        name: "good_features_in_boxes_640x360",
+        ns_per_op: st_ns[0],
+        pixels: 120 * 80,
+        note: "box-bounded Shi-Tomasi scan + NMS, one 120x80 box, tiles computed, 640x360",
+    });
+    entries.push(Entry {
+        name: "good_features_masked_reference_640x360",
+        ns_per_op: st_ns[1],
         pixels: 120 * 80,
         note: "reference: whole-frame masked scan + whole-frame NMS grid",
     });
+    speedups.push(Speedup::new(
+        "good_features_in_boxes_640x360",
+        "good_features_masked_reference_640x360",
+        st_ns,
+        Some(SHI_TOMASI_FLOOR),
+    ));
     let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
     assert_eq!(
         good_features_in_boxes(&mut st_pyr, &st_params, &one_box, &mut pool),
@@ -431,35 +547,49 @@ fn main() {
     let mut prev_pyr = Pyramid::build(&img, PYRAMID_LEVELS);
     let next_pyr = Pyramid::build(&next_img, PYRAMID_LEVELS);
 
-    let baseline_ns = bench_ns(|| {
-        black_box(track_pyramids_baseline(
-            &lk,
-            black_box(&prev_pyr),
-            black_box(&next_pyr),
-            &pts,
-        ));
+    let [optimized_ns, baseline_ns, parallel_ns, opt_fresh_ns] = bench_rounds(|k| match k {
+        0 => {
+            black_box(lk.track_pyramids_sequential(
+                black_box(&mut prev_pyr),
+                black_box(&next_pyr),
+                &pts,
+                &mut pool,
+            ));
+        }
+        1 => {
+            black_box(track_pyramids_baseline(
+                &lk,
+                black_box(&prev_pyr),
+                black_box(&next_pyr),
+                &pts,
+            ));
+        }
+        2 => {
+            black_box(lk.track_pyramids_parallel(
+                black_box(&mut prev_pyr),
+                black_box(&next_pyr),
+                &pts,
+                &mut pool,
+            ));
+        }
+        _ => {
+            let mut p = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
+            black_box(lk.track_pyramids_sequential(&mut p, black_box(&next_pyr), &pts, &mut pool));
+            p.recycle(&mut pool);
+        }
     });
-    let opt_fresh_ns = bench_ns(|| {
-        let mut p = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-        black_box(lk.track_pyramids_sequential(&mut p, black_box(&next_pyr), &pts, &mut pool));
-        p.recycle(&mut pool);
-    });
-    let optimized_ns = bench_ns(|| {
-        black_box(lk.track_pyramids_sequential(
-            black_box(&mut prev_pyr),
-            black_box(&next_pyr),
-            &pts,
-            &mut pool,
-        ));
-    });
-    let parallel_ns = bench_ns(|| {
-        black_box(lk.track_pyramids_parallel(
-            black_box(&mut prev_pyr),
-            black_box(&next_pyr),
-            &pts,
-            &mut pool,
-        ));
-    });
+    speedups.push(Speedup::new(
+        "lk_multipoint.optimized",
+        "lk_multipoint.baseline",
+        [optimized_ns, baseline_ns],
+        Some(LK_FLOOR),
+    ));
+    speedups.push(Speedup::new(
+        "lk_multipoint.parallel",
+        "lk_multipoint.optimized",
+        [parallel_ns, optimized_ns],
+        None,
+    ));
 
     // Sanity: all three paths agree bit-for-bit, each on a fresh reference
     // pyramid whose pooled planes hold stale gradients of another frame.
@@ -483,17 +613,15 @@ fn main() {
     );
     fresh.recycle(&mut pool);
 
-    let fps = |ns: u64| 1e9 / ns as f64;
-    let speedup_opt = baseline_ns as f64 / optimized_ns as f64;
-    let speedup_par = baseline_ns as f64 / parallel_ns as f64;
-    eprintln!(
-        "LK: baseline {baseline_ns} ns/frame ({:.1} fps), optimized {optimized_ns} ns/frame \
-         ({:.1} fps, {speedup_opt:.2}x), parallel {parallel_ns} ns/frame ({:.1} fps, \
-         {speedup_par:.2}x), optimized+fresh-pyramid {opt_fresh_ns} ns/frame",
-        fps(baseline_ns),
-        fps(optimized_ns),
-        fps(parallel_ns),
-    );
+    for sp in &speedups {
+        let floor = sp
+            .floor
+            .map_or(String::new(), |f| format!(" (floor {f:.1}x)"));
+        eprintln!(
+            "{} over {}: {:.2}x{floor}",
+            sp.kernel, sp.reference, sp.ratio
+        );
+    }
 
     // --- JSON ---------------------------------------------------------------
     let mut json = String::new();
@@ -534,13 +662,8 @@ fn main() {
         json,
         "  \"lk_multipoint\": {{\"points\": {}, \"baseline_ns_per_frame\": {baseline_ns}, \
          \"optimized_ns_per_frame\": {optimized_ns}, \"optimized_fresh_pyramid_ns_per_frame\": \
-         {opt_fresh_ns}, \"parallel_ns_per_frame\": {parallel_ns}, \"baseline_fps\": {:.2}, \
-         \"optimized_fps\": {:.2}, \"parallel_fps\": {:.2}, \"speedup_optimized\": \
-         {speedup_opt:.3}, \"speedup_parallel\": {speedup_par:.3}}},",
+         {opt_fresh_ns}, \"parallel_ns_per_frame\": {parallel_ns}}},",
         pts.len(),
-        fps(baseline_ns),
-        fps(optimized_ns),
-        fps(parallel_ns),
     );
     let _ = writeln!(
         json,
@@ -549,14 +672,55 @@ fn main() {
         frame_pyr.levels(),
         tracker_tiles as f64 / f64::from(tiles_total),
     );
-    let _ = writeln!(
-        json,
-        "  \"allocation\": {{\"steady_state_pyramid_buffers_allocated\": {}, \
-         \"steady_state_pyramid_buffers_reused\": {}}}",
-        pooled_work.buffers_allocated, pooled_work.buffers_reused
-    );
-    json.push_str("}\n");
+    json.push_str("  \"speedups\": [\n");
+    for (i, sp) in speedups.iter().enumerate() {
+        let floor = sp.floor.map_or("null".to_string(), |f| format!("{f:.1}"));
+        let _ = write!(
+            json,
+            "    {{\"kernel\": \"{}\", \"reference\": \"{}\", \"ratio\": {:.3}, \"floor\": {floor}}}",
+            sp.kernel, sp.reference, sp.ratio
+        );
+        json.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ]\n}\n");
 
     std::fs::write(out_path, &json).expect("write bench json");
     eprintln!("wrote {out_path}");
+
+    let below: Vec<String> = speedups.iter().filter_map(|sp| sp.check().err()).collect();
+    if !below.is_empty() {
+        for msg in &below {
+            eprintln!("kernels_bench: {msg}");
+        }
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Speedup;
+
+    #[test]
+    fn a_pair_below_its_floor_is_an_error_naming_it() {
+        let err = Speedup::new("fast_kernel", "its_oracle", [100, 290], Some(3.0))
+            .check()
+            .unwrap_err();
+        for part in ["fast_kernel", "its_oracle", "2.90x", "3.0x"] {
+            assert!(err.contains(part), "no {part} in: {err}");
+        }
+    }
+
+    #[test]
+    fn a_pair_at_or_above_its_floor_passes() {
+        for (ns, floor) in [
+            ([100, 300], Some(3.0)),
+            ([100, 900], Some(3.0)),
+            ([100, 50], None),
+        ] {
+            assert_eq!(
+                Speedup::new("fast_kernel", "its_oracle", ns, floor).check(),
+                Ok(())
+            );
+        }
+    }
 }

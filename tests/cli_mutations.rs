@@ -1,6 +1,5 @@
 //! Seeded mutation test of the command-line parsers: `adavp`'s
-//! (`adavp::cli::parse`), `bench-diff`'s (`adavp_bench::diff::parse_args`)
-//! and `experiments`' (`adavp_bench::cli::parse_args`).
+//! (`adavp::cli::parse`) and `experiments`' (`adavp_bench::cli::parse_args`).
 //! Each starts from valid argument vectors, and every mutant (flags
 //! dropped, duplicated or truncated, values dropped, emptied, truncated or
 //! replaced by bad numbers) must come back without a panic, in under a
@@ -234,31 +233,6 @@ fn adavp_flags_parse_or_name_the_flag() {
         assert!(stderr.contains(message.as_str()), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: ran anyway");
     }
-}
-
-#[test]
-fn bench_diff_flags_parse_or_name_the_flag() {
-    let lines = [
-        Line::new(
-            &[],
-            &[
-                ("baseline", "base_kernels.json"),
-                ("fresh", "BENCH_kernels.json"),
-                ("tolerance", "0.1"),
-            ],
-        ),
-        Line::new(
-            &[],
-            &[
-                ("tolerance", "0.25"),
-                ("fresh", "BENCH_kernels.json"),
-                ("baseline", "base_kernels.json"),
-            ],
-        ),
-    ];
-    survive_mutants("bench-diff", &lines, 32, |args| {
-        adavp_bench::diff::parse_args(args).map(|_| ())
-    });
 }
 
 #[test]

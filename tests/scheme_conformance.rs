@@ -22,6 +22,7 @@ use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
 use adavp::sim::fault::{FaultPlan, FaultProfile};
 use adavp::video::clip::VideoClip;
 use adavp::video::scenario::Scenario;
+use adavp_rng::{fnv1a, FNV1A_OFFSET};
 
 fn clip(scenario: Scenario, seed: u64, frames: u32) -> VideoClip {
     let mut spec = scenario.spec();
@@ -273,20 +274,16 @@ fn both_schemes_are_byte_reproducible() {
 
 // ---- Golden pins -----------------------------------------------------------
 
-/// FNV-1a (64-bit) over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Digests of the three serialized outputs of one run: the trace JSON, the
 /// Chrome trace of its telemetry, and its metrics snapshot.
 fn golden_digests(trace: &ProcessingTrace) -> [u64; 3] {
     [
-        fnv1a(trace_to_json(trace, None).as_bytes()),
-        fnv1a(chrome_trace_json(&[(trace.pipeline.as_str(), &trace.telemetry)]).as_bytes()),
-        fnv1a(json_snapshot(&trace.metrics).as_bytes()),
+        fnv1a(FNV1A_OFFSET, trace_to_json(trace, None).as_bytes()),
+        fnv1a(
+            FNV1A_OFFSET,
+            chrome_trace_json(&[(trace.pipeline.as_str(), &trace.telemetry)]).as_bytes(),
+        ),
+        fnv1a(FNV1A_OFFSET, json_snapshot(&trace.metrics).as_bytes()),
     ]
 }
 

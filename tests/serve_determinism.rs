@@ -17,6 +17,7 @@ use adavp::core::serve::{
 };
 use adavp::sim::{FaultPlan, FaultProfile, SimTime};
 use adavp::vision::exec::Executor;
+use adavp_rng::{fnv1a, FNV1A_OFFSET};
 
 fn request(stream: usize, member_ms: f64) -> DetectionRequest {
     DetectionRequest {
@@ -380,13 +381,6 @@ fn fleet_brownout_drill_stays_deterministic() {
     );
 }
 
-/// FNV-1a (64-bit) over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Every serve-layer output is pinned to the byte, so a refactor of the
 /// fleet driver, its aggregation or its renderers cannot move one silently:
 ///
@@ -411,11 +405,16 @@ fn serve_outputs_match_their_golden_digests() {
         .output()
         .expect("run adavp serve");
     assert!(out.status.success(), "adavp serve failed: {out:?}");
-    let file = |name: &str| fnv1a(&std::fs::read(dir.join(name)).expect("read sweep output"));
+    let file = |name: &str| {
+        fnv1a(
+            FNV1A_OFFSET,
+            &std::fs::read(dir.join(name)).expect("read sweep output"),
+        )
+    };
     let sweep = [
         ("csv", file("sweep.csv")),
         ("json", file("sweep.json")),
-        ("stdout", fnv1a(&out.stdout)),
+        ("stdout", fnv1a(FNV1A_OFFSET, &out.stdout)),
         ("prom", file("sweep.prom")),
         ("metrics-json", file("metrics.json")),
     ];
@@ -439,11 +438,20 @@ fn serve_outputs_match_their_golden_digests() {
     let report = run_fleet(&cfg);
     let m = report.metrics.as_ref().expect("metrics enabled");
     let fleet = [
-        ("prom", fnv1a(prometheus_text(&m.registry).as_bytes())),
-        ("json", fnv1a(json_snapshot(&m.registry).as_bytes())),
+        (
+            "prom",
+            fnv1a(FNV1A_OFFSET, prometheus_text(&m.registry).as_bytes()),
+        ),
+        (
+            "json",
+            fnv1a(FNV1A_OFFSET, json_snapshot(&m.registry).as_bytes()),
+        ),
         (
             "utilization",
-            fnv1a(utilization_report(&m.registry, 1000.0).as_bytes()),
+            fnv1a(
+                FNV1A_OFFSET,
+                utilization_report(&m.registry, 1000.0).as_bytes(),
+            ),
         ),
         ("burn-alerts", m.telemetry.events.len() as u64),
     ];
@@ -503,11 +511,20 @@ fn long_brownout_fleet_matches_its_golden_digests() {
         .collect();
     assert_eq!(burn, ["gold", "silver"], "burn series in class-label order");
     let got = [
-        ("prom", fnv1a(prometheus_text(&m.registry).as_bytes())),
-        ("json", fnv1a(json_snapshot(&m.registry).as_bytes())),
+        (
+            "prom",
+            fnv1a(FNV1A_OFFSET, prometheus_text(&m.registry).as_bytes()),
+        ),
+        (
+            "json",
+            fnv1a(FNV1A_OFFSET, json_snapshot(&m.registry).as_bytes()),
+        ),
         (
             "utilization",
-            fnv1a(utilization_report(&m.registry, 1000.0).as_bytes()),
+            fnv1a(
+                FNV1A_OFFSET,
+                utilization_report(&m.registry, 1000.0).as_bytes(),
+            ),
         ),
     ];
     let golden: [(&str, u64); 3] = [

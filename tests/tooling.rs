@@ -3,7 +3,7 @@
 //! pipeline run — plus the determinism lint run as a library, so plain
 //! `cargo test` enforces the byte-reproducibility contract without ci.sh.
 
-use adavp::core::analysis::{analyze, f1_by_source, switch_gaps, usage_shares};
+use adavp::core::analysis::{analyze, switch_gaps, usage_shares};
 use adavp::core::eval::{evaluate_on_clip, EvalConfig};
 use adavp::core::export::{trace_to_json, write_frame_csv, write_trace_json};
 use adavp::core::pipeline::{MpdtPipeline, PipelineConfig, SettingPolicy, VideoProcessor};
@@ -36,17 +36,9 @@ fn analysis_of_real_trace_is_consistent() {
     assert!(stats.cycles > 2);
     assert_eq!(stats.switches, 0, "fixed policy never switches");
     assert!(stats.mean_cycle_ms > 300.0 && stats.mean_cycle_ms < 500.0);
-    assert!(stats.mean_buffered >= stats.mean_tracked);
-    assert!(stats.tracking_completion() > 0.0 && stats.tracking_completion() <= 1.0);
     let src = stats.frame_sources;
     assert!((src.sum() - 1.0).abs() < 1e-9);
     assert_eq!(src.dropped, 0.0, "no faults configured");
-    assert!(stats.usage[2] == stats.cycles, "all cycles at 512");
-
-    // Per-source F1 split covers all frames.
-    let (fd, ft, fh) = f1_by_source(&ev.trace, &ev.frame_f1);
-    assert!(fd.is_some());
-    assert!(ft.is_some() || fh.is_some());
 
     // No switches → no switch gaps.
     assert!(switch_gaps([&ev.trace]).is_empty());
@@ -75,10 +67,10 @@ fn json_export_of_real_trace_round_trips_key_fields() {
     let _ = fs::remove_dir_all(dir);
 }
 
-/// Minimal recursive-descent JSON well-formedness checker. No JSON parser
-/// is available offline, and the Chrome exporter builds its document by
-/// string concatenation — so validate it the hard way: the whole byte
-/// stream must parse as exactly one JSON value.
+/// Minimal recursive-descent JSON well-formedness checker, the workspace's
+/// one JSON reader. No JSON parser is available offline, and the exporters
+/// build their documents by string concatenation — so validate them the
+/// hard way: the whole byte stream must parse as exactly one JSON value.
 mod json_check {
     pub fn validate(s: &str) -> Result<(), String> {
         let b = s.as_bytes();
@@ -261,6 +253,15 @@ fn chrome_trace_export_is_valid_json_with_three_tracks() {
     assert!(json_check::validate("{\"a\": [1, 2,]}").is_err());
     assert!(json_check::validate("{\"a\": 1} extra").is_err());
     assert!(json_check::validate("{\"a\": 01e}").is_err());
+}
+
+/// The committed kernel bench record (`kernels_bench` formats its JSON by
+/// hand) is one well-formed document and carries the same-run speed-ups.
+#[test]
+fn committed_kernel_bench_is_valid_json() {
+    let json = include_str!("../BENCH_kernels.json");
+    json_check::validate(json).expect("BENCH_kernels.json must be valid JSON");
+    assert!(json.contains("\"speedups\": ["), "no speedups section");
 }
 
 #[test]

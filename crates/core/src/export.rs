@@ -76,7 +76,7 @@ pub(crate) fn push_uint(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits are UTF-8"));
 }
 
 /// Appends `v` with the bytes of `f64` `Display` (the shortest round-trip
@@ -106,32 +106,6 @@ pub(crate) fn push_num(out: &mut String, v: f64, non_finite: NonFinite) {
 /// Appends `v` as a JSON number: [`push_num`], `null` when not finite.
 pub(crate) fn push_json_num(out: &mut String, v: f64) {
     push_num(out, v, NonFinite::Null);
-}
-
-/// [`push_num`] for a run of values, such as a sampled series, in which a
-/// value often repeats: a non-integer value with the same bits as the
-/// last non-integer value written reuses that value's bytes instead of
-/// formatting it again.
-#[derive(Debug, Default)]
-pub(crate) struct RepeatNum {
-    /// Bits of the last non-integer finite value written, and its bytes.
-    bits: Option<u64>,
-    text: String,
-}
-
-impl RepeatNum {
-    /// Appends `v` exactly as [`push_num`] would.
-    pub(crate) fn push(&mut self, out: &mut String, v: f64, non_finite: NonFinite) {
-        if is_exact_int(v) || !v.is_finite() {
-            return push_num(out, v, non_finite);
-        }
-        if self.bits != Some(v.to_bits()) {
-            self.bits = Some(v.to_bits());
-            self.text.clear();
-            let _ = write!(self.text, "{v}");
-        }
-        out.push_str(&self.text);
-    }
 }
 
 /// Formats an `f32` confidence for JSON/CSV via `Display` (shortest
@@ -600,70 +574,22 @@ mod tests {
     fn number_writer_matches_display_byte_for_byte() {
         for non_finite in [NonFinite::Null, NonFinite::Prom] {
             let mut out = String::new();
-            let mut repeat = RepeatNum::default();
-            let mut repeated = String::new();
-            let mut expected = String::new();
             for v in writer_cases() {
                 out.clear();
                 push_num(&mut out, v, non_finite);
                 let want = displayed(v, non_finite);
                 assert_eq!(out, want, "{v:e} (bits {:#x})", v.to_bits());
-                repeat.push(&mut repeated, v, non_finite);
-                expected.push_str(&want);
-                expected.push(',');
-                repeated.push(',');
             }
-            assert_eq!(repeated, expected, "RepeatNum diverged from push_num");
         }
         let mut json = String::new();
         push_json_num(&mut json, f64::NEG_INFINITY);
         assert_eq!(json, "null");
         let mut digits = String::new();
-        for n in [0, 9, 10, 4_294_967_296, u64::MAX] {
+        for n in [0, 9, 10, 999_999, 1_000_000, 4_294_967_296, u64::MAX] {
             digits.clear();
             push_uint(&mut digits, n);
             assert_eq!(digits, n.to_string());
         }
-    }
-
-    /// A series whose non-integer values repeat in runs, broken by
-    /// integers, non-finite values, and a different value of the same
-    /// `Display` length: every reused value still prints its own bytes.
-    #[test]
-    fn repeated_values_reuse_only_equal_bits() {
-        let series = [
-            0.25,
-            0.25,
-            0.25,
-            3.0,
-            0.25,
-            0.75,
-            0.75,
-            f64::NAN,
-            0.75,
-            -0.0,
-            0.125,
-            0.375,
-            0.375,
-            0.1 + 0.2,
-            0.3,
-            0.3,
-        ];
-        let mut repeat = RepeatNum::default();
-        let mut got = String::new();
-        let mut want = String::new();
-        for v in series {
-            repeat.push(&mut got, v, NonFinite::Null);
-            got.push(' ');
-            want.push_str(&displayed(v, NonFinite::Null));
-            want.push(' ');
-        }
-        assert_eq!(got, want);
-        assert_eq!(
-            got,
-            "0.25 0.25 0.25 3 0.25 0.75 0.75 null 0.75 -0 0.125 0.375 0.375 \
-             0.30000000000000004 0.3 0.3 "
-        );
     }
 
     fn json_escape(s: &str) -> String {

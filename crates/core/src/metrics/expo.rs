@@ -10,13 +10,13 @@
 //!
 //! Each renderer appends to one buffer: fixed pieces with `push_str`,
 //! numbers with the shared number writer (integer-valued numbers as their
-//! digits, a repeated series value as the bytes it already has), so the
-//! cost is the output's length. Histograms are read through their sorted
-//! view; the registry sorts each one once, so no renderer clones or sorts
-//! samples.
+//! digits), so the cost is the output's length. A time-series is written
+//! as its change points ([`super::TimeSeries`]), in two columns. Histograms
+//! are read through their sorted view; the registry sorts each one once,
+//! so no renderer clones or sorts samples.
 
 use super::{LabelSet, MetricValue, MetricsRegistry};
-use crate::export::{push_json_escaped, push_json_num, push_num, push_uint, NonFinite, RepeatNum};
+use crate::export::{push_json_escaped, push_json_num, push_num, push_uint, NonFinite};
 
 /// Appends a label value escaped for Prometheus text exposition
 /// (backslash, double-quote, and newline, per the exposition format spec).
@@ -191,11 +191,25 @@ pub fn prometheus_text(registry: &MetricsRegistry) -> String {
     out
 }
 
+/// Appends `[v,...]`, each value a JSON number. A column holds most of a
+/// fleet snapshot's numbers, so its values are separated by a bare comma.
+fn push_json_column(out: &mut String, values: impl Iterator<Item = f64>) {
+    out.push('[');
+    for (i, v) in values.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_num(out, v);
+    }
+    out.push(']');
+}
+
 /// Renders the registry as a JSON snapshot: every metric with its kind and
 /// value (histograms as bucket counts plus exact summary statistics) and
-/// every sampled time-series with its full point list. Hand-rolled like
-/// the other exporters, reusing [`crate::export`] formatting, so the bytes
-/// are deterministic.
+/// every sampled time-series with its cadence and its change points as two
+/// columns, `t_ms` and `value` ([`super::TimeSeries::samples`] expands
+/// them back to every sample). Hand-rolled like the other exporters,
+/// reusing [`crate::export`] formatting, so the bytes are deterministic.
 pub fn json_snapshot(registry: &MetricsRegistry) -> String {
     let mut out = String::from("{\n  \"metrics\": [\n");
     for (i, (name, labels, value)) in registry.iter().enumerate() {
@@ -252,7 +266,6 @@ pub fn json_snapshot(registry: &MetricsRegistry) -> String {
         out.push('}');
     }
     out.push_str("\n  ],\n  \"series\": [\n");
-    let mut values = RepeatNum::default();
     for (i, s) in registry.series().iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
@@ -261,18 +274,13 @@ pub fn json_snapshot(registry: &MetricsRegistry) -> String {
         push_json_str(&mut out, &s.name);
         out.push_str(", \"labels\": ");
         push_json_labels(&mut out, &s.labels);
-        out.push_str(", \"points\": [");
-        for (j, p) in s.points.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"t_ms\": ");
-            push_json_num(&mut out, p.t_ms);
-            out.push_str(", \"value\": ");
-            values.push(&mut out, p.value, NonFinite::Null);
-            out.push('}');
-        }
-        out.push_str("]}");
+        out.push_str(", \"cadence_ms\": ");
+        push_json_num(&mut out, s.cadence_ms);
+        out.push_str(", \"t_ms\": ");
+        push_json_column(&mut out, s.points.iter().map(|p| p.t_ms));
+        out.push_str(", \"value\": ");
+        push_json_column(&mut out, s.points.iter().map(|p| p.value));
+        out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -281,6 +289,7 @@ pub fn json_snapshot(registry: &MetricsRegistry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SamplePoint;
     use crate::telemetry::Histogram;
 
     fn sample_registry() -> MetricsRegistry {
@@ -317,9 +326,16 @@ mod tests {
             "adavp_queue_depth",
             "outstanding detection requests",
             &LabelSet::empty(),
+            500.0,
         );
-        r.push_point(queue, 0.0, 2.0);
-        r.push_point(queue, 500.0, 4.0);
+        for (t_ms, value, closing) in [
+            (0.0, 2.0, false),
+            (500.0, 4.0, false),
+            (1000.0, 4.0, false),
+            (1200.0, 4.0, true),
+        ] {
+            r.push_point(queue, SamplePoint { t_ms, value }, closing);
+        }
         r
     }
 
@@ -360,8 +376,13 @@ mod tests {
         assert!(snap.contains("\"kind\": \"gauge\", \"value\": 0.625"));
         assert!(snap.contains("\"p50\": 50, \"p90\": 500, \"p99\": 500"));
         assert!(snap.contains("\"overflow\": 1"));
-        // The snapshot keeps the WHOLE series, not just the last point.
-        assert!(snap.contains("{\"t_ms\": 0, \"value\": 2}, {\"t_ms\": 500, \"value\": 4}"));
+        // The snapshot keeps the WHOLE series, not just the last point: its
+        // change points and closing sample as columns, with the cadence
+        // that expands them; the repeat at 1000 ms adds no point.
+        assert!(snap.contains(
+            "{\"name\": \"adavp_queue_depth\", \"labels\": {}, \"cadence_ms\": 500, \
+             \"t_ms\": [0,500,1200], \"value\": [2,4,4]}"
+        ));
     }
 
     #[test]

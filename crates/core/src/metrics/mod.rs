@@ -21,7 +21,9 @@
 //! * Timestamps are **virtual sim time**; time-series are sampled on a
 //!   fixed cadence inside the single-threaded fleet event loop, so the
 //!   sampled points are a pure function of the serve configuration and
-//!   byte-identical across `--jobs` counts.
+//!   byte-identical across `--jobs` counts. A series stores only the
+//!   samples that change its value, plus the closing sample, and
+//!   [`TimeSeries::samples`] expands it back to every sample bit for bit.
 //! * Histograms are the sample-preserving [`Histogram`] — per-stream
 //!   histograms merge into fleet/class rollups via [`Histogram::merge`]
 //!   with exact, order-independent percentiles.
@@ -158,16 +160,51 @@ pub struct SamplePoint {
     pub value: f64,
 }
 
-/// A gauge sampled on the fleet cadence into a series of points.
+/// A gauge sampled on the fleet cadence, stored as a step function: a
+/// sample whose value has the same bits as the point before it adds no
+/// point, so the series keeps each run's first sample, every change, and
+/// the run's closing sample. [`TimeSeries::samples`] gives back every
+/// sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Metric name.
     pub name: String,
     /// Static labels.
     pub labels: LabelSet,
-    /// Points in sampling order: strictly increasing `t_ms` within one
-    /// run ([`MetricsRegistry::merge`] appends another run's points).
+    /// Sampling cadence (ms): after a sample at `t` the next one is at
+    /// `t + cadence_ms`, until the run's closing sample.
+    pub cadence_ms: f64,
+    /// Change points in sampling order: strictly increasing `t_ms` within
+    /// one run, the last of which is the run's closing sample
+    /// ([`MetricsRegistry::merge`] appends another run's points).
     pub points: Vec<SamplePoint>,
+}
+
+impl TimeSeries {
+    /// Every sample the series stands for, in sampling order: each point,
+    /// then the cadence ticks that held its value, `t += cadence_ms` while
+    /// `t` is below the next point's time. These are the additions the
+    /// fleet sampler makes, so the expanded times and values equal the
+    /// sampled ones bit for bit. A run's closing sample expands to itself,
+    /// since the next point (if any) starts another run at an earlier time.
+    pub fn samples(&self) -> impl Iterator<Item = SamplePoint> + '_ {
+        let cadence = self.cadence_ms;
+        self.points.iter().enumerate().flat_map(move |(i, &p)| {
+            let until = self.points.get(i + 1).map_or(p.t_ms, |next| next.t_ms);
+            // A tick that does not move time ends the expansion, so no
+            // cadence makes it endless.
+            let ticks = std::iter::successors(Some(p.t_ms), move |&t| {
+                let next = t + cadence;
+                (next > t).then_some(next)
+            });
+            std::iter::once(p).chain(
+                ticks
+                    .skip(1)
+                    .take_while(move |&t| t < until)
+                    .map(move |t_ms| SamplePoint { t_ms, ..p }),
+            )
+        })
+    }
 }
 
 /// The index of one sampled time-series in a [`MetricsRegistry`], from
@@ -258,12 +295,19 @@ impl MetricsRegistry {
         }
     }
 
-    /// The index of a gauge time-series, creating it (with no points) on
-    /// first use. Series order is creation order, which is deterministic
-    /// inside the single-threaded fleet loop. A created series is exported
-    /// even with no points, so a sampler resolves each series at its first
-    /// sample and then appends with [`MetricsRegistry::push_point`].
-    pub(crate) fn series_id(&mut self, name: &str, help: &str, labels: &LabelSet) -> SeriesId {
+    /// The index of a gauge time-series sampled every `cadence_ms`,
+    /// creating it (with no points) on first use. Series order is creation
+    /// order, which is deterministic inside the single-threaded fleet loop.
+    /// A created series is exported even with no points, so a sampler
+    /// resolves each series at its first sample and then appends with
+    /// [`MetricsRegistry::push_point`].
+    pub(crate) fn series_id(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &LabelSet,
+        cadence_ms: f64,
+    ) -> SeriesId {
         self.register_help(name, help);
         let found = self
             .series
@@ -273,21 +317,38 @@ impl MetricsRegistry {
             self.series.push(TimeSeries {
                 name: name.to_string(),
                 labels: labels.clone(),
+                cadence_ms,
                 points: Vec::new(),
             });
             self.series.len() - 1
         }))
     }
 
-    /// Appends one sampled point to the series `id` names; allocates
-    /// nothing beyond the point. `id` must come from this registry's
-    /// [`MetricsRegistry::series_id`].
+    /// Records one sample of the series `id` names: a cadence tick adds a
+    /// point only when its value bits differ from the last point's, and the
+    /// run's `closing` sample always adds one, so the series ends at the
+    /// run's last sample. Samples must come at `t += cadence_ms` from the
+    /// run's first, then the closing one, for [`TimeSeries::samples`] to
+    /// give them back. Allocates nothing beyond the point. `id` must come
+    /// from this registry's [`MetricsRegistry::series_id`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range for this registry.
-    pub(crate) fn push_point(&mut self, id: SeriesId, t_ms: f64, value: f64) {
-        self.series[id.0].points.push(SamplePoint { t_ms, value });
+    pub(crate) fn push_point(&mut self, id: SeriesId, point: SamplePoint, closing: bool) {
+        let points = &mut self.series[id.0].points;
+        let repeat = points
+            .last()
+            .is_some_and(|last| last.value.to_bits() == point.value.to_bits());
+        if closing || !repeat {
+            points.push(point);
+        }
+    }
+
+    /// The series `id` names.
+    #[cfg(test)]
+    pub(crate) fn series_of(&self, id: SeriesId) -> &TimeSeries {
+        &self.series[id.0]
     }
 
     /// Looks up one metric value.
@@ -348,10 +409,16 @@ impl MetricsRegistry {
     /// * gauges take `other`'s value;
     /// * histograms merge ([`Histogram::merge`]);
     /// * series concatenate their points, this registry's first, so one
-    ///   key stays one series (and one exposition line).
+    ///   key stays one series (and one exposition line); both must sample
+    ///   on one cadence, which [`TimeSeries::samples`] expands them with.
     ///
     /// Sweeps merge cells stamped with their cell identity via
     /// [`MetricsRegistry::relabeled`], so their keys never overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a kind mismatch, or on a series key whose two sides
+    /// sample on different cadences.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (name, help) in &other.help {
             self.register_help(name, help);
@@ -369,7 +436,17 @@ impl MetricsRegistry {
                 .iter_mut()
                 .find(|t| t.name == s.name && t.labels == s.labels)
             {
-                Some(t) => t.points.extend_from_slice(&s.points),
+                Some(t) => {
+                    assert_eq!(
+                        t.cadence_ms.to_bits(),
+                        s.cadence_ms.to_bits(),
+                        "{} merged across cadences {} and {} ms",
+                        s.name,
+                        t.cadence_ms,
+                        s.cadence_ms
+                    );
+                    t.points.extend_from_slice(&s.points);
+                }
                 None => self.series.push(s.clone()),
             }
         }
@@ -392,6 +469,7 @@ impl MetricsRegistry {
             .map(|s| TimeSeries {
                 name: s.name.clone(),
                 labels: s.labels.with(pairs),
+                cadence_ms: s.cadence_ms,
                 points: s.points.clone(),
             })
             .collect();
@@ -631,23 +709,97 @@ mod tests {
         assert_eq!(order(&fwd)[0].1.get("class"), Some("bronze"));
     }
 
+    fn at(t_ms: f64, value: f64) -> SamplePoint {
+        SamplePoint { t_ms, value }
+    }
+
     #[test]
     fn series_accumulate_points_in_order() {
         let mut r = MetricsRegistry::new();
-        let id = r.series_id("queue_depth", "outstanding requests", &LabelSet::empty());
+        let labels = LabelSet::empty();
+        let id = r.series_id("queue_depth", "outstanding requests", &labels, 500.0);
         for k in 0..3 {
-            r.push_point(id, k as f64 * 500.0, k as f64);
+            r.push_point(id, at(k as f64 * 500.0, k as f64), false);
         }
         assert_eq!(
-            r.series_id("queue_depth", "", &LabelSet::empty()),
+            r.series_id("queue_depth", "", &labels, 500.0),
             id,
             "a second lookup finds the same series"
         );
         let s = r.find_series("queue_depth", &[]).expect("series exists");
+        assert_eq!(s.cadence_ms, 500.0);
         assert_eq!(s.points.len(), 3);
         assert_eq!(s.points[2].t_ms, 1000.0);
         assert_eq!(s.points[2].value, 2.0);
+        assert_eq!(s.samples().collect::<Vec<_>>(), s.points);
         assert!(r.find_series("queue_depth", &[("gpu", "0")]).is_none());
+    }
+
+    /// A sample whose value has the last point's bits adds no point, the
+    /// closing sample always does, and the expansion gives back every
+    /// sample, including `-0.0` apart from `0.0`, NaN, and a cadence
+    /// whose sums round (0.1 ms steps).
+    #[test]
+    fn repeated_samples_add_no_points_and_expand_back() {
+        let values = [
+            0.25,
+            0.25,
+            0.25,
+            3.0,
+            3.0,
+            0.0,
+            -0.0,
+            -0.0,
+            f64::NAN,
+            f64::NAN,
+            0.1 + 0.2,
+            0.3,
+            0.3,
+            0.3,
+        ];
+        for cadence in [500.0, 0.1, 1.0] {
+            let mut r = MetricsRegistry::new();
+            let id = r.series_id("busy", "", &LabelSet::empty(), cadence);
+            let mut taken = Vec::new();
+            let mut t = 0.0;
+            for &v in &values {
+                taken.push(at(t, v));
+                r.push_point(id, at(t, v), false);
+                t += cadence;
+            }
+            // The closing sample falls between ticks and repeats the value.
+            let closing = at(t - cadence / 2.0, 0.3);
+            taken.push(closing);
+            r.push_point(id, closing, true);
+
+            let s = &r.series()[0];
+            let kept: Vec<f64> = s.points.iter().map(|p| p.value).collect();
+            let want = [0.25, 3.0, 0.0, -0.0, f64::NAN, 0.1 + 0.2, 0.3, 0.3];
+            assert_eq!(kept.len(), want.len(), "cadence {cadence}: {kept:?}");
+            for (k, w) in kept.iter().zip(want) {
+                assert_eq!(k.to_bits(), w.to_bits(), "cadence {cadence}: {kept:?}");
+            }
+            let bits = |p: SamplePoint| (p.t_ms.to_bits(), p.value.to_bits());
+            assert_eq!(
+                s.samples().map(bits).collect::<Vec<_>>(),
+                taken.into_iter().map(bits).collect::<Vec<_>>(),
+                "cadence {cadence}"
+            );
+        }
+    }
+
+    /// A cadence that cannot move time still expands to the points alone.
+    #[test]
+    fn a_cadence_that_moves_no_time_ends_the_expansion() {
+        for cadence in [0.0, -1.0, f64::NAN] {
+            let series = TimeSeries {
+                name: "x".to_string(),
+                labels: LabelSet::empty(),
+                cadence_ms: cadence,
+                points: vec![at(0.0, 1.0), at(10.0, 2.0)],
+            };
+            assert_eq!(series.samples().count(), 2, "cadence {cadence}");
+        }
     }
 
     #[test]
@@ -655,8 +807,8 @@ mod tests {
         let mut cell = MetricsRegistry::new();
         cell.inc("shed_total", "sheds", LabelSet::empty(), 4);
         cell.set_gauge("util", "", LabelSet::empty(), 0.5);
-        let id = cell.series_id("queue_depth", "", &LabelSet::empty());
-        cell.push_point(id, 0.0, 1.0);
+        let id = cell.series_id("queue_depth", "", &LabelSet::empty(), 500.0);
+        cell.push_point(id, at(0.0, 1.0), true);
         let stamped = cell.relabeled(&[("streams", "8"), ("batched", "true")]);
         let labels = l(&[("batched", "true"), ("streams", "8")]);
         assert_eq!(stamped.counter("shed_total", &labels), 4);
@@ -673,29 +825,58 @@ mod tests {
         assert_eq!(sweep.series().len(), 2, "one series per key");
     }
 
+    /// One key's points expand with one cadence, so runs sampled on two
+    /// cadences cannot merge into one series.
+    #[test]
+    #[should_panic(expected = "merged across cadences")]
+    fn merging_one_key_across_cadences_panics() {
+        let mut runs = [250.0, 500.0].map(|cadence| {
+            let mut r = MetricsRegistry::new();
+            let id = r.series_id("queue_depth", "", &LabelSet::empty(), cadence);
+            r.push_point(id, at(0.0, 1.0), true);
+            r
+        });
+        let [a, b] = &mut runs;
+        a.merge(b);
+    }
+
     /// Merging one registry twice keeps one series per `(name, labels)`
-    /// key, with the points of both merges in merge order, and the
-    /// exposition prints one sample line per key.
+    /// key, with the points of both merges in merge order; each run's
+    /// closing point ends its expansion, so the merged series expands to
+    /// both runs' samples. The exposition prints one sample line per key.
     #[test]
     fn merging_twice_keeps_one_series_per_key() {
         let mut cell = MetricsRegistry::new();
-        let q = cell.series_id("queue_depth", "queued", &LabelSet::empty());
-        let burn = cell.series_id("burn", "burn rate", &l(&[("class", "gold")]));
+        let q = cell.series_id("queue_depth", "queued", &LabelSet::empty(), 500.0);
+        let burn = cell.series_id("burn", "burn rate", &l(&[("class", "gold")]), 500.0);
         for k in 0..3 {
-            cell.push_point(q, k as f64 * 500.0, 1.0 + k as f64);
-            cell.push_point(burn, k as f64 * 500.0, 0.5);
+            let closing = k == 2;
+            cell.push_point(q, at(k as f64 * 500.0, 1.0 + k as f64), closing);
+            cell.push_point(burn, at(k as f64 * 500.0, 0.5), closing);
         }
         let mut merged = MetricsRegistry::new();
         merged.merge(&cell);
         merged.merge(&cell);
         assert_eq!(merged.series().len(), 2);
-        let points = &merged
-            .find_series("queue_depth", &[])
-            .expect("queue series")
-            .points;
-        let once = &cell.series()[0].points;
-        assert_eq!(points.len(), 2 * once.len());
-        assert_eq!((&points[..3], &points[3..]), (&once[..], &once[..]));
+        for (name, once) in [("queue_depth", 3), ("burn", 2)] {
+            let cell_series = cell.find_series(name, &[]).expect("cell series");
+            let points = &merged.find_series(name, &[]).expect("merged series").points;
+            assert_eq!(cell_series.points.len(), once, "{name}");
+            assert_eq!(points.len(), 2 * once, "{name}");
+            assert_eq!(
+                (&points[..once], &points[once..]),
+                (&cell_series.points[..], &cell_series.points[..])
+            );
+            let samples: Vec<SamplePoint> = cell_series.samples().collect();
+            assert_eq!(samples.len(), 3, "{name}");
+            let twice: Vec<SamplePoint> = samples.iter().chain(&samples).copied().collect();
+            let expanded: Vec<SamplePoint> = merged
+                .find_series(name, &[])
+                .expect("merged")
+                .samples()
+                .collect();
+            assert_eq!(expanded, twice, "{name}");
+        }
         let prom = prometheus_text(&merged);
         let mut samples: Vec<&str> = prom.lines().filter(|l| !l.starts_with('#')).collect();
         let lines = samples.len();

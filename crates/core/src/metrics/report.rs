@@ -5,7 +5,7 @@
 //! per-class SLO error-budget accounting. Pure string assembly — callers
 //! decide where the bytes go.
 
-use super::{names, LabelSet, MetricValue, MetricsRegistry, TimeSeries};
+use super::{names, LabelSet, MetricValue, MetricsRegistry, SamplePoint};
 
 /// Preferred display order for SLO classes; anything else sorts after.
 const CLASS_ORDER: [&str; 3] = ["gold", "silver", "bronze"];
@@ -14,12 +14,10 @@ fn fmt(v: f64) -> String {
     format!("{v:.4}")
 }
 
-/// Mean of a series' samples with `start <= t < end`; `None` if no sample
-/// falls in the bucket.
-fn bucket_mean(series: Option<&TimeSeries>, start: f64, end: f64) -> Option<f64> {
-    let s = series?;
-    let vals: Vec<f64> = s
-        .points
+/// Mean of a series' samples with `start <= t < end`, added in sampling
+/// order; `None` if no sample falls in the bucket.
+fn bucket_mean(samples: &[SamplePoint], start: f64, end: f64) -> Option<f64> {
+    let vals: Vec<f64> = samples
         .iter()
         .filter(|p| p.t_ms >= start && p.t_ms < end)
         .map(|p| p.value)
@@ -56,8 +54,9 @@ fn classes(registry: &MetricsRegistry, name: &str) -> Vec<String> {
 }
 
 /// Renders the time-bucketed utilization table plus the SLO error-budget
-/// table. `bucket_ms` is the virtual-time bucket width; sampled points
-/// are averaged within each bucket.
+/// table. `bucket_ms` is the virtual-time bucket width; each series is
+/// expanded to every sample it stands for ([`super::TimeSeries::samples`])
+/// and the samples are averaged within each bucket.
 ///
 /// # Panics
 ///
@@ -69,6 +68,8 @@ pub fn utilization_report(registry: &MetricsRegistry, bucket_ms: f64) -> String 
     );
     let mut out = String::new();
 
+    // A series' closing sample is its last point, so the points reach the
+    // horizon without expanding every series.
     let horizon = registry
         .series()
         .iter()
@@ -76,12 +77,20 @@ pub fn utilization_report(registry: &MetricsRegistry, bucket_ms: f64) -> String 
         .fold(0.0_f64, f64::max);
     let buckets = ((horizon / bucket_ms).floor() as usize) + 1;
 
-    let queue = registry.find_series(names::QUEUE_DEPTH, &[]);
-    let outstanding = registry.find_series(names::OUTSTANDING_BATCHES, &[]);
-    let busy = registry.find_series(names::GPU_BUSY_FRACTION, &[]);
-    let occupancy = registry.find_series(names::BATCH_OCCUPANCY, &[]);
-    let shed = registry.find_series(names::SHED_SAMPLED, &[]);
-    let degraded = registry.find_series(names::DEGRADED_SAMPLED, &[]);
+    // The table's columns, each series expanded once.
+    let columns = [
+        names::QUEUE_DEPTH,
+        names::OUTSTANDING_BATCHES,
+        names::GPU_BUSY_FRACTION,
+        names::BATCH_OCCUPANCY,
+        names::SHED_SAMPLED,
+        names::DEGRADED_SAMPLED,
+    ]
+    .map(|name| {
+        registry
+            .find_series(name, &[])
+            .map_or_else(Vec::new, |s| s.samples().collect::<Vec<_>>())
+    });
 
     out.push_str(&format!(
         "utilization by {:.0} ms bucket (virtual time; sampled means)\n",
@@ -93,14 +102,7 @@ pub fn utilization_report(registry: &MetricsRegistry, bucket_ms: f64) -> String 
     ));
     for b in 0..buckets {
         let (start, end) = (b as f64 * bucket_ms, (b + 1) as f64 * bucket_ms);
-        let cells = [
-            bucket_mean(queue, start, end),
-            bucket_mean(outstanding, start, end),
-            bucket_mean(busy, start, end),
-            bucket_mean(occupancy, start, end),
-            bucket_mean(shed, start, end),
-            bucket_mean(degraded, start, end),
-        ];
+        let cells = columns.each_ref().map(|c| bucket_mean(c, start, end));
         if cells.iter().all(Option::is_none) {
             continue;
         }
@@ -185,13 +187,21 @@ mod tests {
 
     fn fleet_like_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
-        let queue = r.series_id(names::QUEUE_DEPTH, "", &LabelSet::empty());
+        let queue = r.series_id(names::QUEUE_DEPTH, "", &LabelSet::empty(), 500.0);
         for (t, q) in [(0.0, 1.0), (500.0, 3.0), (1000.0, 5.0), (1500.0, 2.0)] {
-            r.push_point(queue, t, q);
+            r.push_point(queue, SamplePoint { t_ms: t, value: q }, t == 1500.0);
         }
-        let busy = r.series_id(names::GPU_BUSY_FRACTION, "", &LabelSet::empty());
-        for (t, u) in [(0.0, 0.0), (500.0, 0.5), (1000.0, 0.75), (1500.0, 0.8)] {
-            r.push_point(busy, t, u);
+        // The busy fraction holds 0.5 over three ticks: one point stands for
+        // them, and the report expands it back.
+        let busy = r.series_id(names::GPU_BUSY_FRACTION, "", &LabelSet::empty(), 500.0);
+        for (t, u) in [
+            (0.0, 0.25),
+            (500.0, 0.5),
+            (1000.0, 0.5),
+            (1500.0, 0.5),
+            (2000.0, 0.8),
+        ] {
+            r.push_point(busy, SamplePoint { t_ms: t, value: u }, t == 2000.0);
         }
         for class in ["gold", "bronze"] {
             let labels = LabelSet::new(&[("class", class)]);
@@ -217,9 +227,25 @@ mod tests {
 
     #[test]
     fn report_buckets_and_budget_rows() {
-        let report = utilization_report(&fleet_like_registry(), 1000.0);
+        let r = fleet_like_registry();
+        let busy = r.find_series(names::GPU_BUSY_FRACTION, &[]).expect("busy");
+        assert_eq!(busy.points.len(), 3, "repeated samples add no point");
+        let report = utilization_report(&r, 1000.0);
         // Two samples land in bucket [0, 1000): mean queue (1+3)/2 = 2.
         assert!(report.contains("2.0000"), "bucketed queue mean missing");
+        // Bucket [1000, 2000) averages the busy fraction's two expanded
+        // samples (0.5, 0.5), not its one point; [0, 1000) is (0.25+0.5)/2.
+        let row = |t: &str| {
+            report
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(t))
+                .unwrap_or_else(|| panic!("no {t} row in:\n{report}"))
+                .split_whitespace()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("0")[3], "0.3750");
+        assert_eq!(row("1000")[3], "0.5000");
+        assert_eq!(row("2000")[3], "0.8000");
         // Classes render in priority order, gold before bronze.
         let gold = report.find(" gold").expect("gold row");
         let bronze = report.find("bronze").expect("bronze row");

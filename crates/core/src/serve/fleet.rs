@@ -27,7 +27,9 @@ use super::stream::{
 };
 use super::ServeConfig;
 use crate::latency::{amortized_member_ms, batch_ms, overlay_ms, FEATURE_EXTRACTION_MS};
-use crate::metrics::{burn_rate, names, BudgetCrossing, LabelSet, MetricsRegistry, SeriesId};
+use crate::metrics::{
+    burn_rate, names, BudgetCrossing, LabelSet, MetricsRegistry, SamplePoint, SeriesId,
+};
 use crate::telemetry::{
     Attr, EventKind, Histogram, Recorder, TelemetryConfig, TelemetryLog, Track,
 };
@@ -235,11 +237,62 @@ const GAUGE_SERIES: [(&str, &str); 6] = [
 /// The fleet's sampled series in the registry, each resolved on its first
 /// sample (so creation order is first-sample order and no series is left
 /// without points) and addressed by index after that.
-#[derive(Default)]
 struct SampledSeries {
+    /// The run's sampling cadence (ms), which every series records.
+    cadence_ms: f64,
     gauges: Option<[SeriesId; 6]>,
     /// One burn series per class, in `burn_series_labels` order.
     burn: [Option<SeriesId>; 3],
+    /// Every sample taken, in order, which unit tests compare with each
+    /// series' expansion at the end of the run.
+    #[cfg(test)]
+    taken: Vec<(SeriesId, SamplePoint)>,
+}
+
+impl SampledSeries {
+    fn new(cadence_ms: f64) -> Self {
+        Self {
+            cadence_ms,
+            gauges: None,
+            burn: [None; 3],
+            #[cfg(test)]
+            taken: Vec::new(),
+        }
+    }
+
+    /// Records one sample of series `id` ([`MetricsRegistry::push_point`]).
+    fn push(&mut self, reg: &mut MetricsRegistry, id: SeriesId, point: SamplePoint, closing: bool) {
+        #[cfg(test)]
+        self.taken.push((id, point));
+        reg.push_point(id, point, closing);
+    }
+
+    /// Asserts that each series expands to every sample taken of it, bit
+    /// for bit.
+    #[cfg(test)]
+    fn assert_lossless(&self, reg: &MetricsRegistry) {
+        let bits = |p: SamplePoint| (p.t_ms.to_bits(), p.value.to_bits());
+        let ids = self
+            .gauges
+            .into_iter()
+            .flatten()
+            .chain(self.burn.into_iter().flatten());
+        for id in ids {
+            let series = reg.series_of(id);
+            let taken: Vec<_> = self
+                .taken
+                .iter()
+                .filter(|(of, _)| *of == id)
+                .map(|&(_, p)| bits(p))
+                .collect();
+            let expanded: Vec<_> = series.samples().map(bits).collect();
+            assert_eq!(
+                expanded, taken,
+                "{} {:?} does not expand to its samples",
+                series.name, series.labels
+            );
+        }
+    }
 }
 
 /// The stream counters the sampler reads: one stream's, or their running
@@ -367,16 +420,19 @@ impl InFlight {
     }
 }
 
-/// Samples the fleet's live gauges at virtual time `t` into time-series.
+/// Samples the fleet's live gauges at virtual time `t` into time-series;
+/// `closing` marks the run's last sample.
 /// Called from inside the single-threaded event loop, so the sampled state
 /// is a pure function of the config and the samples are byte-identical
 /// across `--jobs` counts. A tick costs O(classes + series): it reads the
 /// running class tallies, not the streams, and once every series exists
-/// it allocates only its points.
+/// it allocates only the points of values that changed.
+#[allow(clippy::too_many_arguments)]
 fn take_sample(
     reg: &mut MetricsRegistry,
     series: &mut SampledSeries,
     t: SimTime,
+    closing: bool,
     tallies: &ClassTallies,
     sched: &BatchScheduler,
     outstanding_batches: usize,
@@ -397,28 +453,30 @@ fn take_sample(
         shed as f64,
         degraded as f64,
     ];
-    let gauges = series.gauges.get_or_insert_with(|| {
-        GAUGE_SERIES.map(|(name, help)| reg.series_id(name, help, &LabelSet::empty()))
+    let gauges = *series.gauges.get_or_insert_with(|| {
+        GAUGE_SERIES
+            .map(|(name, help)| reg.series_id(name, help, &LabelSet::empty(), series.cadence_ms))
     });
-    for (&id, value) in gauges.iter().zip(values) {
-        reg.push_point(id, t_ms, value);
+    for (id, value) in gauges.into_iter().zip(values) {
+        series.push(reg, id, SamplePoint { t_ms, value }, closing);
     }
-    for (((class, labels), tally), id) in burn_labels.iter().zip(tallies).zip(&mut series.burn) {
+    // A copy of the burn ids, so `series.push` can borrow `series` below.
+    let mut burn = series.burn;
+    for (((class, labels), tally), id) in burn_labels.iter().zip(tallies).zip(&mut burn) {
         if let Some(tally) = tally {
             let id = *id.get_or_insert_with(|| {
                 reg.series_id(
                     names::BURN_SAMPLED,
                     "error-budget burn rate at the sample time",
                     labels,
+                    series.cadence_ms,
                 )
             });
-            reg.push_point(
-                id,
-                t_ms,
-                burn_rate(tally.misses, tally.cycles, class.error_budget()),
-            );
+            let value = burn_rate(tally.misses, tally.cycles, class.error_budget());
+            series.push(reg, id, SamplePoint { t_ms, value }, closing);
         }
     }
+    series.burn = burn;
 }
 
 /// Runs one fleet to completion. See the module docs for the event loop.
@@ -459,7 +517,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     let mut registry = MetricsRegistry::new();
     let burn_labels = burn_series_labels();
     let mut tallies = scan_tallies(&burn_labels, &streams);
-    let mut sampled = SampledSeries::default();
+    let mut sampled = SampledSeries::new(cadence_ms);
     let mut next_sample = SimTime::ZERO;
     let mut last_now = SimTime::ZERO;
 
@@ -479,6 +537,7 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
                     &mut registry,
                     &mut sampled,
                     next_sample,
+                    false,
                     &tallies,
                     &sched,
                     in_flight.len(),
@@ -528,18 +587,21 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     }
     debug_assert!(in_flight.len() == 0, "batches left in flight at drain");
     if mcfg.enabled && last_now > SimTime::ZERO {
-        // One closing sample at the final event time, so every series ends
-        // at the true horizon.
+        // One closing sample at the final event time, kept whatever its
+        // value, so every series ends at that time.
         take_sample(
             &mut registry,
             &mut sampled,
             last_now,
+            true,
             &tallies,
             &sched,
             in_flight.len(),
             &burn_labels,
         );
     }
+    #[cfg(test)]
+    sampled.assert_lossless(&registry);
 
     // One pass over the per-stream stats builds the totals and the class
     // slices (index order everywhere).
@@ -1031,7 +1093,9 @@ mod tests {
     }
 
     /// `run_fleet` compares its running class tallies with a full scan of
-    /// the streams at every sample tick when built for unit tests. These
+    /// the streams at every sample tick when built for unit tests, and at
+    /// the end of the run each series' expansion with every sample it
+    /// took (`SampledSeries::assert_lossless`). These
     /// fleets reach every counter the tallies keep: quiet ones, and
     /// brownouts on a small queue that retry, shed and degrade, in each
     /// scheme.
@@ -1067,7 +1131,7 @@ mod tests {
                 let shed = reg
                     .find_series(names::SHED_SAMPLED, &[])
                     .expect("shed series");
-                assert!(shed.points.len() > 10, "{label}: too few ticks");
+                assert!(shed.samples().count() > 10, "{label}: too few ticks");
                 let last = shed.points.last().expect("points").value;
                 assert_eq!(last, r.shed as f64, "{label}: closing sample");
             }

@@ -113,49 +113,27 @@ pub fn good_features_in_boxes(
     }
     let margin = params.block_radius + 1;
 
-    let inside_mask = |x: u32, y: u32| -> bool {
-        let p = Point2::new(x as f32, y as f32);
-        boxes.iter().any(|b| b.contains(p))
-    };
-
-    // Min-eigenvalue response map, scanned in parallel row bands (band
-    // results concatenate back to exact raster order, so output is
-    // independent of the band count). Only the rows the boxes reach are
-    // visited, and each row is evaluated as contiguous x-spans, a
-    // conservative superset of the masked columns, through
-    // [`min_eig_span`]: row slices hoisted once per span, the 3x3 window
-    // fully unrolled, responses written to a row buffer and filtered in a
-    // second loop. The exact `inside_mask` test still gates every emitted
-    // candidate, and the per-pixel accumulation order is that of the
-    // per-pixel reference scan, so responses are bit-identical to it.
+    // Min-eigenvalue response map, scanned in row bands when the scan is
+    // large enough to pay for the threads. Only the rows the boxes reach
+    // are visited.
     let y_end = h.saturating_sub(margin);
     // Never below `margin`: images narrower than two margins have no
     // interior columns, and the span clamps need `margin <= x_end`.
     let x_end = w.saturating_sub(margin).max(margin);
-    let (row_lo, row_hi) = mask_rows(boxes, margin, y_end);
-    let scan_rows = row_hi.saturating_sub(row_lo) as usize;
-    let bands = crate::parallel::scan_bands(scan_rows);
-    let ranges = crate::parallel::band_ranges(scan_rows, bands);
-    let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
-        let mut band: Vec<(f32, u32, u32)> = Vec::new();
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        let mut eig: Vec<f32> = Vec::new();
-        for y in row_lo + s as u32..row_lo + e as u32 {
+    let rows = mask_rows(boxes, margin, y_end);
+    let mut spans = Vec::new();
+    let scanned: usize = (rows.0..rows.1)
+        .map(|y| {
             spans.clear();
             mask_row_spans(boxes, y, margin, x_end, &mut spans);
-            for &(x0, x1) in &spans {
-                eig.clear();
-                eig.resize(x1.saturating_sub(x0) as usize, 0.0);
-                min_eig_span(grad, r, y, x0, &mut eig);
-                for (x, &min_eig) in (x0..x1).zip(&eig) {
-                    if min_eig > 0.0 && inside_mask(x, y) {
-                        band.push((min_eig, x, y));
-                    }
-                }
-            }
-        }
-        band
-    });
+            spans
+                .iter()
+                .map(|&(x0, x1)| x1.saturating_sub(x0) as usize)
+                .sum::<usize>()
+        })
+        .sum();
+    let bands = crate::parallel::scan_bands(scanned);
+    let per_band = masked_responses(grad, r, boxes, margin, x_end, rows, bands);
     let max_response = per_band
         .iter()
         .flatten()
@@ -368,6 +346,52 @@ fn min_eig_span(grad: &GradientField, r: i64, y: u32, x0: u32, out: &mut [f32]) 
     }
 }
 
+/// The positive min-eigenvalue responses `(response, x, y)` of the masked
+/// pixels in rows `[rows.0, rows.1)`, scanned over `bands` row bands. The
+/// bands concatenate back to exact raster order, so the output is
+/// independent of the band count. Each row is evaluated as contiguous
+/// x-spans within `[margin, x_end)`, a conservative superset of the masked
+/// columns, through [`min_eig_span`]: row slices hoisted once per span, the
+/// 3x3 window fully unrolled, responses written to a row buffer and
+/// filtered in a second loop. The exact mask test still gates every
+/// emitted candidate, and the per-pixel accumulation order is that of the
+/// per-pixel reference scan, so responses are bit-identical to it.
+fn masked_responses(
+    grad: &GradientField,
+    r: i64,
+    boxes: &[BoundingBox],
+    margin: u32,
+    x_end: u32,
+    (row_lo, row_hi): (u32, u32),
+    bands: usize,
+) -> Vec<Vec<(f32, u32, u32)>> {
+    let inside_mask = |x: u32, y: u32| -> bool {
+        let p = Point2::new(x as f32, y as f32);
+        boxes.iter().any(|b| b.contains(p))
+    };
+    let ranges = crate::parallel::band_ranges(row_hi.saturating_sub(row_lo) as usize, bands);
+    Executor::new(bands).map(&ranges, |_, &(s, e)| {
+        let mut band: Vec<(f32, u32, u32)> = Vec::new();
+        let mut spans: Vec<(u32, u32)> = Vec::new();
+        let mut eig: Vec<f32> = Vec::new();
+        for y in row_lo + s as u32..row_lo + e as u32 {
+            spans.clear();
+            mask_row_spans(boxes, y, margin, x_end, &mut spans);
+            for &(x0, x1) in &spans {
+                eig.clear();
+                eig.resize(x1.saturating_sub(x0) as usize, 0.0);
+                min_eig_span(grad, r, y, x0, &mut eig);
+                for (x, &min_eig) in (x0..x1).zip(&eig) {
+                    if min_eig > 0.0 && inside_mask(x, y) {
+                        band.push((min_eig, x, y));
+                    }
+                }
+            }
+        }
+        band
+    })
+}
+
 /// Collects the sorted, disjoint x-spans of row `y` (clamped to
 /// `[margin, x_end)`) that could contain a masked pixel: a *conservative
 /// superset* of `BoundingBox::contains` coverage, widened by a pixel on
@@ -471,6 +495,34 @@ mod tests {
     fn detect(img: &GrayImage, params: &GoodFeaturesParams) -> Vec<Corner> {
         let frame = BoundingBox::new(0.0, 0.0, img.width() as f32, img.height() as f32);
         detect_in(img, params, &[frame])
+    }
+
+    /// The response scan gives the same responses in the same order over
+    /// any band count, so where `scan_bands` draws its line moves
+    /// wall-clock only.
+    #[test]
+    fn band_count_does_not_change_the_responses() {
+        let img = checker(96, 80, 6);
+        let mut pyr = Pyramid::build(&img, 1);
+        let whole = [PixelRect::new(0, 0, 96, 80)];
+        pyr.ensure_gradients(0, &whole, &mut ScratchPool::new());
+        let grad = pyr.tiled_gradients()[0].field();
+        let boxes = [
+            BoundingBox::new(5.5, 3.0, 40.0, 50.25),
+            BoundingBox::new(30.0, 40.0, 60.0, 38.0),
+        ];
+        let (margin, rows) = (2, mask_rows(&boxes, 2, 78));
+        let scan = |bands| -> Vec<(f32, u32, u32)> {
+            masked_responses(grad, 1, &boxes, margin, 94, rows, bands)
+                .into_iter()
+                .flatten()
+                .collect()
+        };
+        let one = scan(1);
+        assert!(one.len() > 100, "only {} responses", one.len());
+        for bands in [2, 3, 7] {
+            assert_eq!(scan(bands), one, "{bands} bands");
+        }
     }
 
     #[test]

@@ -420,7 +420,8 @@ pub fn good_features_from_gradients_reference(
 
     let y_end = h.saturating_sub(margin);
     let scan_rows = y_end.saturating_sub(margin) as usize;
-    let bands = crate::parallel::scan_bands(scan_rows);
+    let scan_cols = w.saturating_sub(margin).saturating_sub(margin) as usize;
+    let bands = crate::parallel::scan_bands(scan_rows * scan_cols);
     let ranges = crate::parallel::band_ranges(scan_rows, bands);
     let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
         let mut band: Vec<(f32, u32, u32)> = Vec::new();

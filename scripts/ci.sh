@@ -148,6 +148,22 @@ EOF
         --json target/ci-results/fleet_metrics_b.json
     cmp target/ci-results/fleet_metrics_a.prom target/ci-results/fleet_metrics_b.prom
     cmp target/ci-results/fleet_metrics_a.json target/ci-results/fleet_metrics_b.json
+    if command -v python3 >/dev/null 2>&1; then
+        python3 - <<'EOF'
+import json
+with open("target/ci-results/fleet_metrics_a.json") as f:
+    doc = json.load(f)
+series = doc["series"]
+assert series, "no sampled series in the fleet snapshot"
+for s in series:
+    name, t, v = s["name"], s["t_ms"], s["value"]
+    assert s["cadence_ms"] > 0, f"{name}: cadence {s['cadence_ms']}"
+    assert len(t) == len(v) > 0, f"{name}: {len(t)} times, {len(v)} values"
+    assert all(a < b for a, b in zip(t, t[1:])), f"{name}: t_ms not increasing"
+points = sum(len(s["t_ms"]) for s in series)
+print(f"metrics snapshot OK: {len(series)} series, {points} change points")
+EOF
+    fi
 
     echo "== telemetry determinism suite (chrome trace bytes across jobs)"
     cargo test -q --offline -p adavp-bench --test parallel_determinism \

@@ -461,11 +461,11 @@ fn serve_outputs_match_their_golden_digests() {
         ("json", 0x5a0ba7e5f2229f0e),
         ("stdout", 0x3e54739515454c00),
         ("prom", 0xabb20acef363bd82),
-        ("metrics-json", 0x15aa68a4c0e349b3),
+        ("metrics-json", 0x8371e18ee6e1679e),
     ];
     let golden_fleet: [(&str, u64); 4] = [
         ("prom", 0xa9992f9e11a74da4),
-        ("json", 0xc6a6de743b1c34d9),
+        ("json", 0x743e2d1c8a7f212e),
         ("utilization", 0xb797a1dd93e46a43),
         ("burn-alerts", 7),
     ];
@@ -529,7 +529,7 @@ fn long_brownout_fleet_matches_its_golden_digests() {
     ];
     let golden: [(&str, u64); 3] = [
         ("prom", 0x4c83b5ded0e9281c),
-        ("json", 0xf48299aa687c1378),
+        ("json", 0xe361e24933042b24),
         ("utilization", 0x7711dccccadc827a),
     ];
     assert_eq!(got, golden, "long fleet digests changed; got {got:#x?}");

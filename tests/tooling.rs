@@ -6,9 +6,12 @@
 use adavp::core::analysis::{analyze, switch_gaps, usage_shares};
 use adavp::core::eval::{evaluate_on_clip, EvalConfig};
 use adavp::core::export::{trace_to_json, write_frame_csv, write_trace_json};
+use adavp::core::metrics::{json_snapshot, MetricsConfig};
 use adavp::core::pipeline::{MpdtPipeline, PipelineConfig, SettingPolicy, VideoProcessor};
+use adavp::core::serve::{run_fleet, BatchConfig, ServeConfig};
 use adavp::core::telemetry::{self, chrome::chrome_trace_json, TelemetryConfig, Track};
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
+use adavp::sim::FaultProfile;
 use adavp::video::clip::VideoClip;
 use adavp::video::export::{draw_boxes, export_clip, read_pgm, write_pgm};
 use adavp::video::scenario::Scenario;
@@ -253,6 +256,52 @@ fn chrome_trace_export_is_valid_json_with_three_tracks() {
     assert!(json_check::validate("{\"a\": [1, 2,]}").is_err());
     assert!(json_check::validate("{\"a\": 1} extra").is_err());
     assert!(json_check::validate("{\"a\": 01e}").is_err());
+}
+
+/// A small brownout fleet's metrics snapshot (`adavp metrics --json`, the
+/// metrics JSON writer, which is also hand-formatted) is one well-formed
+/// document, and each series is a cadence plus two columns of equal
+/// length, `t_ms` strictly increasing up to the closing sample.
+#[test]
+fn fleet_metrics_snapshot_is_valid_json_with_columnar_series() {
+    let cfg = ServeConfig {
+        streams: ServeConfig::synthetic_streams(4, 6, 3),
+        batch: BatchConfig {
+            gpus: 1,
+            ..BatchConfig::default()
+        },
+        faults: FaultProfile::brownout(3),
+        metrics: MetricsConfig::enabled(),
+        ..ServeConfig::default()
+    };
+    let report = run_fleet(&cfg);
+    let registry = &report.metrics.as_ref().expect("metrics enabled").registry;
+    let json = json_snapshot(registry);
+    json_check::validate(&json).expect("metrics snapshot must be valid JSON");
+    assert!(!registry.series().is_empty(), "no series sampled");
+    let column = |line: &str, key: &str| -> Vec<f64> {
+        let start = line.find(key).expect("column") + key.len();
+        let end = start + line[start..].find(']').expect("column end");
+        line[start..end]
+            .split(',')
+            .map(|v| v.parse().expect("number"))
+            .collect()
+    };
+    let lines: Vec<&str> = json.lines().filter(|l| l.contains("\"t_ms\": [")).collect();
+    assert_eq!(lines.len(), registry.series().len());
+    let closing = registry.series()[0].points.last().map(|p| p.t_ms);
+    for (line, series) in lines.iter().zip(registry.series()) {
+        assert!(line.contains("\"cadence_ms\": 500, "), "{line}");
+        let (t, value) = (column(line, "\"t_ms\": ["), column(line, "\"value\": ["));
+        assert_eq!(t.len(), value.len(), "{line}");
+        assert_eq!(t.len(), series.points.len(), "{line}");
+        assert!(t.windows(2).all(|w| w[0] < w[1]), "{line}");
+        assert_eq!(
+            t.last().copied(),
+            closing,
+            "every series ends at the closing sample"
+        );
+    }
 }
 
 /// The committed kernel bench record (`kernels_bench` formats its JSON by

@@ -588,7 +588,10 @@ pub fn run_fleet(cfg: &ServeConfig) -> FleetReport {
     debug_assert!(in_flight.len() == 0, "batches left in flight at drain");
     if mcfg.enabled && last_now > SimTime::ZERO {
         // One closing sample at the final event time, kept whatever its
-        // value, so every series ends at that time.
+        // value, so every series ends at that time. That time can be one
+        // publish interval before `report.horizon_ms`: a stream's last
+        // cycle finishes at `now + publish_ms` (`finish_cycle`), where no
+        // event is queued.
         take_sample(
             &mut registry,
             &mut sampled,

@@ -18,10 +18,10 @@
 //! | `good_features_in_boxes_640x360` | `good_features_masked_reference_640x360` | 3x |
 //! | LK `optimized` | LK `baseline` | 3x |
 //!
-//! A pooled vs a fresh pyramid build and parallel vs sequential LK are
-//! recorded in the same `speedups` section without a floor. When a gated
-//! ratio falls below its floor the bench still writes the file, then exits
-//! 1 naming the pair, its ratio and its floor.
+//! A pooled vs a fresh pyramid build is recorded in the same `speedups`
+//! section without a floor. Every kernel and oracle runs on the calling
+//! thread. When a gated ratio falls below its floor the bench still writes
+//! the file, then exits 1 naming the pair, its ratio and its floor.
 //!
 //! Run with `cargo run --release -p adavp-vision --bin kernels_bench [PATH]`
 //! (the output path defaults to `BENCH_kernels.json` in the current
@@ -442,7 +442,7 @@ fn main() {
     let next_frame_pyr = Pyramid::build(&shifted(&frame, 3, -2), TRACKER_LEVELS);
     let mut lk_prev = Pyramid::build_with(&frame, TRACKER_LEVELS, &mut pool);
     assert_eq!(
-        tracker_lk.track_pyramids_sequential(&mut lk_prev, &next_frame_pyr, &features, &mut pool),
+        tracker_lk.track_pyramids(&mut lk_prev, &next_frame_pyr, &features, &mut pool),
         track_pyramids_baseline(&tracker_lk, &frame_pyr, &next_frame_pyr, &features),
         "LK diverged from the baseline at 640x360"
     );
@@ -451,7 +451,7 @@ fn main() {
     entries.push(Entry {
         name: "lk_tracker_640x360x4",
         ns_per_op: bench_ns(|| {
-            black_box(tracker_lk.track_pyramids_sequential(
+            black_box(tracker_lk.track_pyramids(
                 black_box(&mut lk_prev),
                 black_box(&next_frame_pyr),
                 &features,
@@ -519,7 +519,7 @@ fn main() {
     );
     st_pyr.recycle(&mut pool);
 
-    // --- Pyramidal LK multi-point: baseline vs optimized vs parallel --------
+    // --- Pyramidal LK multi-point: baseline vs optimized ---------------------
     let lk = PyramidalLk::new(LkParams::default());
     let pts: Vec<Point2> = {
         let mut v = Vec::new();
@@ -547,9 +547,9 @@ fn main() {
     let mut prev_pyr = Pyramid::build(&img, PYRAMID_LEVELS);
     let next_pyr = Pyramid::build(&next_img, PYRAMID_LEVELS);
 
-    let [optimized_ns, baseline_ns, parallel_ns, opt_fresh_ns] = bench_rounds(|k| match k {
+    let [optimized_ns, baseline_ns, opt_fresh_ns] = bench_rounds(|k| match k {
         0 => {
-            black_box(lk.track_pyramids_sequential(
+            black_box(lk.track_pyramids(
                 black_box(&mut prev_pyr),
                 black_box(&next_pyr),
                 &pts,
@@ -564,17 +564,9 @@ fn main() {
                 &pts,
             ));
         }
-        2 => {
-            black_box(lk.track_pyramids_parallel(
-                black_box(&mut prev_pyr),
-                black_box(&next_pyr),
-                &pts,
-                &mut pool,
-            ));
-        }
         _ => {
             let mut p = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-            black_box(lk.track_pyramids_sequential(&mut p, black_box(&next_pyr), &pts, &mut pool));
+            black_box(lk.track_pyramids(&mut p, black_box(&next_pyr), &pts, &mut pool));
             p.recycle(&mut pool);
         }
     });
@@ -584,15 +576,10 @@ fn main() {
         [optimized_ns, baseline_ns],
         Some(LK_FLOOR),
     ));
-    speedups.push(Speedup::new(
-        "lk_multipoint.parallel",
-        "lk_multipoint.optimized",
-        [parallel_ns, optimized_ns],
-        None,
-    ));
 
-    // Sanity: all three paths agree bit-for-bit, each on a fresh reference
-    // pyramid whose pooled planes hold stale gradients of another frame.
+    // Sanity: both paths agree bit-for-bit, the optimized one on a fresh
+    // reference pyramid whose pooled planes hold stale gradients of another
+    // frame.
     let mut stale = Pyramid::build_with(&next_img, PYRAMID_LEVELS, &mut pool);
     for level in 0..stale.levels() {
         let im = stale.level(level);
@@ -602,16 +589,9 @@ fn main() {
     stale.recycle(&mut pool);
     let a = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
     let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-    let b = lk.track_pyramids_sequential(&mut fresh, &next_pyr, &pts, &mut pool);
+    let b = lk.track_pyramids(&mut fresh, &next_pyr, &pts, &mut pool);
     fresh.recycle(&mut pool);
     assert_eq!(a, b, "baseline and optimized LK diverged");
-    let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-    assert_eq!(
-        b,
-        lk.track_pyramids_parallel(&mut fresh, &next_pyr, &pts, &mut pool),
-        "parallel LK diverged"
-    );
-    fresh.recycle(&mut pool);
 
     for sp in &speedups {
         let floor = sp
@@ -629,8 +609,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"image\": \"{IMG_W}x{IMG_H}\", \"pyramid_levels\": {PYRAMID_LEVELS}, \
-         \"threads\": {}, \"target_isa\": \"{}\"}},",
-        adavp_vision::parallel::max_threads(),
+         \"target_isa\": \"{}\"}},",
         // Compile-time ISA level (no runtime probing): reflects the baseline the
         // binary was built for, e.g. the x86-64-v3 pin in .cargo/config.toml.
         if cfg!(target_feature = "avx2") {
@@ -662,7 +641,7 @@ fn main() {
         json,
         "  \"lk_multipoint\": {{\"points\": {}, \"baseline_ns_per_frame\": {baseline_ns}, \
          \"optimized_ns_per_frame\": {optimized_ns}, \"optimized_fresh_pyramid_ns_per_frame\": \
-         {opt_fresh_ns}, \"parallel_ns_per_frame\": {parallel_ns}}},",
+         {opt_fresh_ns}}},",
         pts.len(),
     );
     let _ = writeln!(

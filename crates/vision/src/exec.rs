@@ -2,9 +2,10 @@
 //!
 //! It runs a list of independent work items over a bounded worker pool:
 //! clip renders, training runs and per-clip scheme evaluations in the
-//! harness, and the row or point bands of one kernel call (see
-//! [`parallel`](crate::parallel)). It is built
-//! on `std::thread::scope` — the build environment is offline, so no
+//! harness, and the cells of the serve sweep. It is the workspace's only
+//! level of parallelism: every vision kernel runs on its caller's thread,
+//! so the thread count is the `jobs` this executor was built with. It is
+//! built on `std::thread::scope` — the build environment is offline, so no
 //! rayon — and keeps three guarantees:
 //!
 //! 1. **Bit-identical results.** Items are claimed from a shared atomic
@@ -15,7 +16,9 @@
 //!    item (true for everything seeded in this workspace).
 //! 2. **Counter transparency.** Worker threads start with fresh
 //!    thread-local [`crate::perf`] counters which are merged into the
-//!    calling thread after the join.
+//!    calling thread after the join, so a snapshot taken around a map
+//!    counts the same work at any `jobs` (the `experiments` binary's
+//!    scratch-pool line reads one after the whole run).
 //! 3. **Graceful degradation.** With `jobs <= 1` (or one item) the map runs
 //!    inline on the calling thread with no spawn cost.
 //!
@@ -33,6 +36,12 @@
 
 use crate::perf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The host's core count (`std::thread::available_parallelism`, 1 when
+/// unknown): the default `jobs` of [`Executor::available`].
+fn max_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
 
 /// A bounded pool of worker threads mapping closures over index ranges,
 /// with results collected in index order.
@@ -57,10 +66,10 @@ impl Executor {
         Self::new(1)
     }
 
-    /// An executor sized to the host
+    /// An executor sized to the host: one job per core
     /// (`std::thread::available_parallelism`, 1 when unknown).
     pub fn available() -> Self {
-        Self::new(crate::parallel::max_threads())
+        Self::new(max_threads())
     }
 
     /// The concurrency bound this executor was built with.
@@ -157,6 +166,11 @@ impl Default for Executor {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn max_threads_is_positive() {
+        assert!(max_threads() >= 1);
+    }
 
     #[test]
     fn zero_jobs_is_clamped() {

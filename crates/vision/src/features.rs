@@ -7,7 +7,6 @@
 //! suppression with a minimum inter-corner distance — the same contract as
 //! OpenCV's `goodFeaturesToTrack`.
 
-use crate::exec::Executor;
 use crate::geometry::{BoundingBox, PixelRect, Point2};
 use crate::gradient::GradientField;
 use crate::perf;
@@ -113,30 +112,15 @@ pub fn good_features_in_boxes(
     }
     let margin = params.block_radius + 1;
 
-    // Min-eigenvalue response map, scanned in row bands when the scan is
-    // large enough to pay for the threads. Only the rows the boxes reach
-    // are visited.
+    // Min-eigenvalue response map over the rows the boxes reach.
     let y_end = h.saturating_sub(margin);
     // Never below `margin`: images narrower than two margins have no
     // interior columns, and the span clamps need `margin <= x_end`.
     let x_end = w.saturating_sub(margin).max(margin);
     let rows = mask_rows(boxes, margin, y_end);
-    let mut spans = Vec::new();
-    let scanned: usize = (rows.0..rows.1)
-        .map(|y| {
-            spans.clear();
-            mask_row_spans(boxes, y, margin, x_end, &mut spans);
-            spans
-                .iter()
-                .map(|&(x0, x1)| x1.saturating_sub(x0) as usize)
-                .sum::<usize>()
-        })
-        .sum();
-    let bands = crate::parallel::scan_bands(scanned);
-    let per_band = masked_responses(grad, r, boxes, margin, x_end, rows, bands);
-    let max_response = per_band
+    let responses = masked_responses(grad, r, boxes, margin, x_end, rows);
+    let max_response = responses
         .iter()
-        .flatten()
         .fold(0.0f32, |acc, &(resp, _, _)| acc.max(resp));
     let threshold = max_response * params.quality_level;
 
@@ -150,7 +134,7 @@ pub fn good_features_in_boxes(
     let cell_of = |x: u32, y: u32| ((x as f32 / cell) as usize, (y as f32 / cell) as usize);
     let (mut gx0, mut gy0, mut gx1, mut gy1) = (usize::MAX, usize::MAX, 0, 0);
     let mut keys: Vec<u128> = Vec::new();
-    for &(resp, x, y) in per_band.iter().flatten() {
+    for &(resp, x, y) in &responses {
         if resp >= threshold {
             keys.push(rank_key(resp, x, y));
             let (cx, cy) = cell_of(x, y);
@@ -175,7 +159,8 @@ pub fn good_features_in_boxes(
         let mut ok = true;
         'outer: for ny in cy.saturating_sub(1)..=(cy + 1).min(grid_h - 1) {
             for nx in cx.saturating_sub(1)..=(cx + 1).min(grid_w - 1) {
-                for q in &grid[(ny - gy0) * local_w + nx - gx0] {
+                let cell = grid.get((ny - gy0) * local_w + nx - gx0);
+                for q in cell.into_iter().flatten() {
                     if p.distance_sq(*q) < min_d2 {
                         ok = false;
                         break 'outer;
@@ -184,7 +169,9 @@ pub fn good_features_in_boxes(
             }
         }
         if ok {
-            grid[(cy - gy0) * local_w + cx - gx0].push(p);
+            if let Some(cell) = grid.get_mut((cy - gy0) * local_w + cx - gx0) {
+                cell.push(p);
+            }
             out.push(Corner {
                 point: p,
                 response: resp,
@@ -250,112 +237,93 @@ impl RankedCandidates {
 
     fn next(&mut self) -> Option<(f32, u32, u32)> {
         if self.cursor == self.sorted_upto {
-            if self.sorted_upto == self.items.len() {
-                return None;
-            }
-            let tail = &mut self.items[self.sorted_upto..];
+            // Empty once every candidate is sorted; `n` is then 0 and the
+            // lookup below ends the sequence.
+            let tail = self.items.get_mut(self.sorted_upto..)?;
             let n = self.chunk.min(tail.len());
             if n < tail.len() {
                 tail.select_nth_unstable(n - 1);
             }
-            tail[..n].sort_unstable();
+            tail.split_at_mut(n).0.sort_unstable();
             self.sorted_upto += n;
             self.chunk = self.chunk.saturating_mul(2);
         }
-        let item = self.items[self.cursor];
+        let item = *self.items.get(self.cursor)?;
         self.cursor += 1;
         Some(unrank_key(item))
     }
 }
 
-/// Writes the Shi-Tomasi minimum eigenvalue of pixel `x0 + i` of row `y`
-/// into `out[i]`, for the whole of `out`.
-///
-/// The `block_radius == 1` case (the tracker's default) hoists the six
-/// gradient row slices once and fully unrolls the 3x3 window; writing into
-/// a buffer rather than filtering candidates on the fly lets the compiler
-/// vectorize across pixels (square roots included). The `sxx`/`sxy`/`syy`
-/// accumulation order matches the reference per-pixel loop statement for
-/// statement, and lanes are independent pixels, so responses are
-/// bit-identical. Larger radii take a generic path with per-`dy` hoisted
-/// rows, same order.
+/// Minimum eigenvalue of the structure tensor `[[sxx, sxy], [sxy, syy]]`.
 #[inline]
+fn min_eig(sxx: f32, sxy: f32, syy: f32) -> f32 {
+    let trace_half = (sxx + syy) / 2.0;
+    let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
+    trace_half - det_term.sqrt()
+}
+
+/// Writes the Shi-Tomasi minimum eigenvalue of pixel `x0 + i` of row `y`
+/// into `out[i]`, for the whole of `out`. The caller keeps every window
+/// inside the field (`x0 > r` and `x0 + out.len() + r <= width`).
+///
+/// The `block_radius == 1` case (the tracker's default) walks the six
+/// gradient rows with 3-wide `windows`, one step per pixel, so the
+/// compiler sees every tap's offset and vectorizes across pixels (square
+/// roots included). Larger radii sum each pixel's window rows one by one.
+/// Either way every pixel adds its taps in the reference per-pixel loop's
+/// order, row by row, and lanes are independent pixels, so responses are
+/// bit-identical.
 fn min_eig_span(grad: &GradientField, r: i64, y: u32, x0: u32, out: &mut [f32]) {
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
+    let side = 2 * r as usize + 1;
+    let lo = (i64::from(x0) - r) as usize;
+    let cols = lo..lo + out.len() + side - 1;
+    let row = |dy: i64| {
+        let row_y = (i64::from(y) + dy) as u32;
+        let gx = grad.gx_row(row_y).get(cols.clone()).unwrap_or_default();
+        let gy = grad.gy_row(row_y).get(cols.clone()).unwrap_or_default();
+        (gx, gy)
+    };
     if r == 1 {
-        let lo = (x0 - 1) as usize;
-        let hi = lo + n + 2;
-        let gxa = &grad.gx_row(y - 1)[lo..hi];
-        let gya = &grad.gy_row(y - 1)[lo..hi];
-        let gxb = &grad.gx_row(y)[lo..hi];
-        let gyb = &grad.gy_row(y)[lo..hi];
-        let gxc = &grad.gx_row(y + 1)[lo..hi];
-        let gyc = &grad.gy_row(y + 1)[lo..hi];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut sxx = 0.0f32;
-            let mut sxy = 0.0f32;
-            let mut syy = 0.0f32;
-            macro_rules! tap {
-                ($gxr:ident, $gyr:ident, $j:expr) => {{
-                    let gx = $gxr[$j];
-                    let gy = $gyr[$j];
-                    sxx += gx * gx;
-                    sxy += gx * gy;
-                    syy += gy * gy;
-                }};
-            }
-            tap!(gxa, gya, i);
-            tap!(gxa, gya, i + 1);
-            tap!(gxa, gya, i + 2);
-            tap!(gxb, gyb, i);
-            tap!(gxb, gyb, i + 1);
-            tap!(gxb, gyb, i + 2);
-            tap!(gxc, gyc, i);
-            tap!(gxc, gyc, i + 1);
-            tap!(gxc, gyc, i + 2);
-            // Minimum eigenvalue of [[sxx, sxy], [sxy, syy]].
-            let trace_half = (sxx + syy) / 2.0;
-            let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
-            *o = trace_half - det_term.sqrt();
-        }
-    } else {
-        for (x, o) in (x0..).zip(out.iter_mut()) {
-            let mut sxx = 0.0f32;
-            let mut sxy = 0.0f32;
-            let mut syy = 0.0f32;
-            for dy in -r..=r {
-                let row_y = (y as i64 + dy) as u32;
-                let gxr = grad.gx_row(row_y);
-                let gyr = grad.gy_row(row_y);
-                for dx in -r..=r {
-                    let xi = (x as i64 + dx) as usize;
-                    let gx = gxr[xi];
-                    let gy = gyr[xi];
+        let ((gxa, gya), (gxb, gyb), (gxc, gyc)) = (row(-1), row(0), row(1));
+        let rows = (gxa.windows(3).zip(gya.windows(3)))
+            .zip(gxb.windows(3).zip(gyb.windows(3)))
+            .zip(gxc.windows(3).zip(gyc.windows(3)));
+        for (o, ((a, b), c)) in out.iter_mut().zip(rows) {
+            let (mut sxx, mut sxy, mut syy) = (0.0f32, 0.0f32, 0.0f32);
+            for (gxs, gys) in [a, b, c] {
+                for (&gx, &gy) in gxs.iter().zip(gys) {
                     sxx += gx * gx;
                     sxy += gx * gy;
                     syy += gy * gy;
                 }
             }
-            let trace_half = (sxx + syy) / 2.0;
-            let det_term = ((sxx - syy) / 2.0).powi(2) + sxy * sxy;
-            *o = trace_half - det_term.sqrt();
+            *o = min_eig(sxx, sxy, syy);
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            let (mut sxx, mut sxy, mut syy) = (0.0f32, 0.0f32, 0.0f32);
+            for (gx_row, gy_row) in (-r..=r).map(row) {
+                let gxs = gx_row.get(i..i + side).unwrap_or_default();
+                let gys = gy_row.get(i..i + side).unwrap_or_default();
+                for (&gx, &gy) in gxs.iter().zip(gys) {
+                    sxx += gx * gx;
+                    sxy += gx * gy;
+                    syy += gy * gy;
+                }
+            }
+            *o = min_eig(sxx, sxy, syy);
         }
     }
 }
 
 /// The positive min-eigenvalue responses `(response, x, y)` of the masked
-/// pixels in rows `[rows.0, rows.1)`, scanned over `bands` row bands. The
-/// bands concatenate back to exact raster order, so the output is
-/// independent of the band count. Each row is evaluated as contiguous
-/// x-spans within `[margin, x_end)`, a conservative superset of the masked
-/// columns, through [`min_eig_span`]: row slices hoisted once per span, the
-/// 3x3 window fully unrolled, responses written to a row buffer and
-/// filtered in a second loop. The exact mask test still gates every
-/// emitted candidate, and the per-pixel accumulation order is that of the
-/// per-pixel reference scan, so responses are bit-identical to it.
+/// pixels in rows `[rows.0, rows.1)`, in raster order. Each row is
+/// evaluated as contiguous x-spans within `[margin, x_end)`, a
+/// conservative superset of the masked columns, through [`min_eig_span`]
+/// into a row buffer, filtered in a second loop. The exact mask test still
+/// gates every emitted candidate, and the per-pixel accumulation order is
+/// that of the per-pixel reference scan, so responses are bit-identical to
+/// it.
 fn masked_responses(
     grad: &GradientField,
     r: i64,
@@ -363,33 +331,29 @@ fn masked_responses(
     margin: u32,
     x_end: u32,
     (row_lo, row_hi): (u32, u32),
-    bands: usize,
-) -> Vec<Vec<(f32, u32, u32)>> {
+) -> Vec<(f32, u32, u32)> {
     let inside_mask = |x: u32, y: u32| -> bool {
         let p = Point2::new(x as f32, y as f32);
         boxes.iter().any(|b| b.contains(p))
     };
-    let ranges = crate::parallel::band_ranges(row_hi.saturating_sub(row_lo) as usize, bands);
-    Executor::new(bands).map(&ranges, |_, &(s, e)| {
-        let mut band: Vec<(f32, u32, u32)> = Vec::new();
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        let mut eig: Vec<f32> = Vec::new();
-        for y in row_lo + s as u32..row_lo + e as u32 {
-            spans.clear();
-            mask_row_spans(boxes, y, margin, x_end, &mut spans);
-            for &(x0, x1) in &spans {
-                eig.clear();
-                eig.resize(x1.saturating_sub(x0) as usize, 0.0);
-                min_eig_span(grad, r, y, x0, &mut eig);
-                for (x, &min_eig) in (x0..x1).zip(&eig) {
-                    if min_eig > 0.0 && inside_mask(x, y) {
-                        band.push((min_eig, x, y));
-                    }
+    let mut out: Vec<(f32, u32, u32)> = Vec::new();
+    let mut spans: Vec<(u32, u32)> = Vec::new();
+    let mut eig: Vec<f32> = Vec::new();
+    for y in row_lo..row_hi {
+        spans.clear();
+        mask_row_spans(boxes, y, margin, x_end, &mut spans);
+        for &(x0, x1) in &spans {
+            eig.clear();
+            eig.resize(x1.saturating_sub(x0) as usize, 0.0);
+            min_eig_span(grad, r, y, x0, &mut eig);
+            for (x, &min_eig) in (x0..x1).zip(&eig) {
+                if min_eig > 0.0 && inside_mask(x, y) {
+                    out.push((min_eig, x, y));
                 }
             }
         }
-        band
-    })
+    }
+    out
 }
 
 /// Collects the sorted, disjoint x-spans of row `y` (clamped to
@@ -421,16 +385,13 @@ fn mask_row_spans(
     out.sort_unstable();
     // Merge overlapping/adjacent spans so each pixel is scanned once and
     // emission order stays strictly increasing in x.
-    let mut merged: usize = 0;
-    for i in 1..out.len() {
-        if out[i].0 <= out[merged].1 {
-            out[merged].1 = out[merged].1.max(out[i].1);
-        } else {
-            merged += 1;
-            out[merged] = out[i];
+    out.dedup_by(|next, kept| {
+        let overlaps = next.0 <= kept.1;
+        if overlaps {
+            kept.1 = kept.1.max(next.1);
         }
-    }
-    out.truncate(if out.is_empty() { 0 } else { merged + 1 });
+        overlaps
+    });
 }
 
 /// Columns `[lo, hi)` that [`mask_row_spans`] scans for box `b` (before
@@ -495,34 +456,6 @@ mod tests {
     fn detect(img: &GrayImage, params: &GoodFeaturesParams) -> Vec<Corner> {
         let frame = BoundingBox::new(0.0, 0.0, img.width() as f32, img.height() as f32);
         detect_in(img, params, &[frame])
-    }
-
-    /// The response scan gives the same responses in the same order over
-    /// any band count, so where `scan_bands` draws its line moves
-    /// wall-clock only.
-    #[test]
-    fn band_count_does_not_change_the_responses() {
-        let img = checker(96, 80, 6);
-        let mut pyr = Pyramid::build(&img, 1);
-        let whole = [PixelRect::new(0, 0, 96, 80)];
-        pyr.ensure_gradients(0, &whole, &mut ScratchPool::new());
-        let grad = pyr.tiled_gradients()[0].field();
-        let boxes = [
-            BoundingBox::new(5.5, 3.0, 40.0, 50.25),
-            BoundingBox::new(30.0, 40.0, 60.0, 38.0),
-        ];
-        let (margin, rows) = (2, mask_rows(&boxes, 2, 78));
-        let scan = |bands| -> Vec<(f32, u32, u32)> {
-            masked_responses(grad, 1, &boxes, margin, 94, rows, bands)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        let one = scan(1);
-        assert!(one.len() > 100, "only {} responses", one.len());
-        for bands in [2, 3, 7] {
-            assert_eq!(scan(bands), one, "{bands} bands");
-        }
     }
 
     #[test]

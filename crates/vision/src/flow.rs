@@ -36,13 +36,12 @@
 //! its operands and its order. A row whose padded run would leave the
 //! image is sampled tap by tap instead, with the same values.
 //!
-//! On a host with more than one core, point sets of at least
-//! [`PyramidalLk::PARALLEL_MIN_POINTS`] fan out across threads; results are
-//! **bit-identical** to the sequential path because each point's computation
-//! is independent and results are collected in input order (see
-//! [`crate::parallel`] and the `lk_parity` tests).
+//! Points are tracked one after another on the calling thread, in input
+//! order; a caller that wants threads runs whole work items (clips, sweep
+//! cells) over an [`crate::exec::Executor`]. The `lk_parity` tests hold
+//! every point set, up to hundreds of points, to the baseline tracker bit
+//! for bit.
 
-use crate::exec::Executor;
 use crate::geometry::{PixelRect, Point2, Vec2};
 use crate::gradient::{GradientField, TiledGradients};
 use crate::image::GrayImage;
@@ -517,10 +516,6 @@ impl Default for PyramidalLk {
 }
 
 impl PyramidalLk {
-    /// Point-set size at which [`PyramidalLk::track_pyramids`] switches to
-    /// the parallel path (when more than one core is available).
-    pub const PARALLEL_MIN_POINTS: usize = 16;
-
     /// Creates a tracker with the given parameters.
     pub fn new(params: LkParams) -> Self {
         Self { params }
@@ -556,11 +551,8 @@ impl PyramidalLk {
     ///
     /// The pyramids must have been built from images of identical size.
     /// Computes the gradient tiles of `prev` that the points' windows read
-    /// and are not computed yet (planes and row buffers from `pool`), and
-    /// automatically parallelizes across points for sets of at least
-    /// [`PyramidalLk::PARALLEL_MIN_POINTS`] when more than one core is
-    /// available. The parallel and sequential paths return bit-identical
-    /// results.
+    /// and are not computed yet (planes and row buffers from `pool`), then
+    /// tracks the points in order on the calling thread.
     pub fn track_pyramids(
         &self,
         prev: &mut Pyramid,
@@ -568,57 +560,7 @@ impl PyramidalLk {
         points: &[Point2],
         pool: &mut ScratchPool,
     ) -> Vec<FlowResult> {
-        let bands = if points.len() >= Self::PARALLEL_MIN_POINTS {
-            crate::parallel::max_threads()
-        } else {
-            1
-        };
-        self.track_in_bands(prev, next, points, pool, bands)
-    }
-
-    /// [`PyramidalLk::track_pyramids`] forced down the sequential path
-    /// (no thread fan-out regardless of point count).
-    pub fn track_pyramids_sequential(
-        &self,
-        prev: &mut Pyramid,
-        next: &Pyramid,
-        points: &[Point2],
-        pool: &mut ScratchPool,
-    ) -> Vec<FlowResult> {
-        self.track_in_bands(prev, next, points, pool, 1)
-    }
-
-    /// [`PyramidalLk::track_pyramids`] forced down the parallel path:
-    /// points fan out over up to [`crate::parallel::max_threads`] threads.
-    ///
-    /// Results are bit-identical to
-    /// [`PyramidalLk::track_pyramids_sequential`]: every point's solve is
-    /// independent and performs the same floating-point operations in the
-    /// same order; only the assignment of points to threads differs, and
-    /// results are collected in input order.
-    pub fn track_pyramids_parallel(
-        &self,
-        prev: &mut Pyramid,
-        next: &Pyramid,
-        points: &[Point2],
-        pool: &mut ScratchPool,
-    ) -> Vec<FlowResult> {
-        self.track_in_bands(prev, next, points, pool, crate::parallel::max_threads())
-    }
-
-    /// Tracks `points` split over at most `bands` contiguous bands, band 0
-    /// on the calling thread (all of them when `bands` is 1).
-    fn track_in_bands(
-        &self,
-        prev: &mut Pyramid,
-        next: &Pyramid,
-        points: &[Point2],
-        pool: &mut ScratchPool,
-        bands: usize,
-    ) -> Vec<FlowResult> {
         let levels = prev.levels().min(next.levels());
-        // Every window's tiles are computed here, on the calling thread;
-        // the band workers only read them.
         self.ensure_windows(prev, levels, points, pool);
         let _timer = perf::ScopedTimer::new(|c| &mut c.flow_ns);
         perf::record(|c| {
@@ -627,15 +569,11 @@ impl PyramidalLk {
         });
         let prev: &Pyramid = prev;
         let grads = prev.tiled_gradients();
-        let ranges = crate::parallel::band_ranges(points.len(), bands);
-        let per_band = Executor::new(bands).map(&ranges, |_, &(s, e)| {
-            let mut cache = WindowCache::default();
-            let band = points.get(s..e).unwrap_or_default();
-            band.iter()
-                .map(|&p| self.track_one(prev, next, grads, levels, p, &mut cache))
-                .collect::<Vec<_>>()
-        });
-        per_band.into_iter().flatten().collect()
+        let mut cache = WindowCache::default();
+        points
+            .iter()
+            .map(|&p| self.track_one(prev, next, grads, levels, p, &mut cache))
+            .collect()
     }
 
     /// Computes the gradient tiles of `prev` that [`PyramidalLk::track_one`]
@@ -927,45 +865,6 @@ mod tests {
         let np = Pyramid::build(&next, lk.params().pyramid_levels);
         let b = lk.track_pyramids(&mut pp, &np, &pts, &mut ScratchPool::new());
         assert_eq!(a, b);
-    }
-
-    fn grid_points(w: u32, h: u32, step: u32) -> Vec<Point2> {
-        let mut pts = Vec::new();
-        let mut y = step;
-        while y < h - step {
-            let mut x = step;
-            while x < w - step {
-                pts.push(Point2::new(x as f32, y as f32));
-                x += step;
-            }
-            y += step;
-        }
-        pts
-    }
-
-    #[test]
-    fn parallel_matches_sequential_exactly() {
-        let prev = textured(128, 96);
-        let next = shifted(&prev, -2, 1);
-        let lk = PyramidalLk::default();
-        let pts = grid_points(128, 96, 10);
-        assert!(pts.len() >= PyramidalLk::PARALLEL_MIN_POINTS);
-        let np = Pyramid::build(&next, lk.params().pyramid_levels);
-        let run = |f: fn(
-            &PyramidalLk,
-            &mut Pyramid,
-            &Pyramid,
-            &[Point2],
-            &mut ScratchPool,
-        ) -> Vec<FlowResult>| {
-            let mut pp = Pyramid::build(&prev, lk.params().pyramid_levels);
-            f(&lk, &mut pp, &np, &pts, &mut ScratchPool::new())
-        };
-        let seq = run(PyramidalLk::track_pyramids_sequential);
-        let par = run(PyramidalLk::track_pyramids_parallel);
-        let auto = run(PyramidalLk::track_pyramids);
-        assert_eq!(seq, par, "parallel LK must be bit-identical");
-        assert_eq!(seq, auto);
     }
 
     #[test]

@@ -29,19 +29,19 @@
 //!   ([`pyramid::Pyramid::ensure_gradients`]); no tile is computed twice;
 //! * row loops run through the autovectorized [`simd`] helpers in `u16`
 //!   fixed point where the range allows, and are exact;
-//! * on a host with more than one core, Lucas-Kanade point sets and corner
-//!   response scans fan out across threads with **bit-identical** results
-//!   to the sequential path (see [`parallel`]);
-//! * the [`exec::Executor`] work queue runs whole offline work lists (clip
-//!   renders, training runs, dataset sweeps) over a jobs-bounded pool with
-//!   index-ordered, bit-identical results;
+//! * every kernel runs on its caller's thread; the [`exec::Executor`] work
+//!   queue, which runs whole offline work lists (clip renders, training
+//!   runs, dataset sweeps) over a jobs-bounded pool with index-ordered,
+//!   bit-identical results, is the only parallelism, so `--jobs` bounds
+//!   the threads;
 //! * the [`perf`] module counts kernel invocations, LK iterations, buffer
 //!   reuse, and per-kernel wall time on thread-local counters, so the
 //!   pipeline can report exactly how much work each frame cost.
 //!
 //! There is no runtime CPU probing anywhere (enforced by the `cpu-probe`
-//! adavp-lint rule): the thread count is the only thing read from the
-//! host, and it never changes a result. The plain-loop forms of the
+//! adavp-lint rule): the core count, the default `jobs` of
+//! [`exec::Executor::available`], is the only thing read from the host,
+//! and it never changes a result. The plain-loop forms of the
 //! kernels live on in the hidden `reference` module as test oracles.
 //!
 //! # Example
@@ -89,7 +89,6 @@ pub mod flow;
 pub mod geometry;
 pub mod gradient;
 pub mod image;
-pub mod parallel;
 pub mod perf;
 pub mod pyramid;
 #[doc(hidden)]

@@ -9,10 +9,10 @@
 //! build per new frame".
 //!
 //! Counters are **thread-local** so concurrent trackers (or concurrent
-//! tests) never observe each other's work. The crate's own parallel fan-out
-//! ([`crate::parallel`]) merges worker-thread counters back into the
-//! calling thread, so from the caller's perspective the numbers behave as
-//! if the work had run sequentially.
+//! tests) never observe each other's work. Every kernel runs on its
+//! caller's thread; the [`crate::exec::Executor`] merges its worker
+//! threads' counters back into the calling thread, so from the caller's
+//! perspective the numbers behave as if the map had run sequentially.
 //!
 //! # Example
 //!
@@ -234,9 +234,9 @@ pub fn reset() {
 
 /// Merges a worker thread's counters into the current thread.
 ///
-/// Called by [`crate::parallel`] after joining workers; public so external
-/// thread pools can preserve the "counters behave as if sequential"
-/// invariant too.
+/// Called by [`crate::exec::Executor`] after joining its workers; public
+/// so another thread pool can preserve the "counters behave as if
+/// sequential" invariant too.
 pub fn merge(delta: &KernelCounters) {
     record(|c| c.merge(delta));
 }

@@ -1,7 +1,6 @@
-//! Cross-path parity for pyramidal Lucas-Kanade: the optimized sequential
-//! path, the band-parallel path, and the retained reference baseline must
-//! produce bit-identical `FlowResult`s — the optimizations reorder work,
-//! never arithmetic.
+//! Cross-path parity for pyramidal Lucas-Kanade: the optimized tracker and
+//! the retained reference baseline must produce bit-identical
+//! `FlowResult`s — the optimizations reorder work, never arithmetic.
 
 use adavp_vision::flow::{LkParams, PyramidalLk};
 use adavp_vision::geometry::Point2;
@@ -50,10 +49,7 @@ fn all_lk_paths_bit_identical_across_shifts() {
     });
     let prev = textured(160, 120, 0.7);
     let prev_pyr = Pyramid::build(&prev, 3);
-    // Each path gets its own reference pyramid, so each computes its own
-    // gradient tiles.
-    let fresh_prev = || Pyramid::build(&prev, 3);
-    // Enough points to clear the parallel-dispatch threshold.
+    // A point set the size of a busy frame's.
     let pts = grid(160, 120, 8, 12);
     assert!(pts.len() >= 64);
 
@@ -62,27 +58,18 @@ fn all_lk_paths_bit_identical_across_shifts() {
         let next_pyr = Pyramid::build(&next, 3);
 
         let baseline = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
-        let sequential = lk.track_pyramids_sequential(
-            &mut fresh_prev(),
+        // A fresh reference pyramid, so the tracker computes its own
+        // gradient tiles.
+        let optimized = lk.track_pyramids(
+            &mut Pyramid::build(&prev, 3),
             &next_pyr,
             &pts,
             &mut ScratchPool::new(),
         );
         assert_eq!(
-            baseline, sequential,
-            "optimized sequential diverged from baseline at shift ({dx},{dy})"
+            baseline, optimized,
+            "optimized LK diverged from baseline at shift ({dx},{dy})"
         );
-
-        let parallel =
-            lk.track_pyramids_parallel(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new());
-        assert_eq!(
-            sequential, parallel,
-            "parallel diverged from sequential at shift ({dx},{dy})"
-        );
-
-        // The public dispatching entry point agrees with both.
-        let auto = lk.track_pyramids(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new());
-        assert_eq!(sequential, auto, "auto dispatch diverged at ({dx},{dy})");
     }
 }
 
@@ -136,8 +123,8 @@ fn flow_bits(results: &[adavp_vision::flow::FlowResult]) -> Vec<[u32; 5]> {
 /// or 17 taps reads 8, 8, 16, 16 or 24 columns) and the extra lanes are
 /// thrown away. Points up to a few columns inside the right and bottom
 /// border margins of every level make the padded run leave the image, so
-/// those rows take the per-tap path; both paths, the parallel split and
-/// NaN-poisoned pooled gradient planes must all reproduce the baseline.
+/// those rows take the per-tap path; both paths must reproduce the
+/// baseline over NaN-poisoned pooled gradient planes.
 #[test]
 fn padded_window_lanes_match_baseline_for_every_radius_near_borders() {
     let (w, h, levels) = (97u32, 75u32, 3u32);
@@ -170,28 +157,16 @@ fn padded_window_lanes_match_baseline_for_every_radius_near_borders() {
         for (dx, dy) in [(0, 0), (2, 1), (-1, -2)] {
             let next_pyr = Pyramid::build(&shifted(&prev, dx, dy), levels);
             let baseline = flow_bits(&track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts));
-            let poisoned = || {
-                let mut pool = ScratchPool::new();
-                for _ in 0..2 * levels {
-                    pool.recycle_f32(vec![f32::NAN; (w * h) as usize]);
-                }
-                pool
-            };
-            let mut pool = poisoned();
+            let mut pool = ScratchPool::new();
+            for _ in 0..2 * levels {
+                pool.recycle_f32(vec![f32::NAN; (w * h) as usize]);
+            }
             let mut fresh = Pyramid::build_with(&prev, levels, &mut pool);
-            let sequential = lk.track_pyramids_sequential(&mut fresh, &next_pyr, &pts, &mut pool);
+            let optimized = lk.track_pyramids(&mut fresh, &next_pyr, &pts, &mut pool);
             assert_eq!(
-                flow_bits(&sequential),
+                flow_bits(&optimized),
                 baseline,
                 "radius {radius}, shift ({dx},{dy})"
-            );
-            let mut pool = poisoned();
-            let mut fresh = Pyramid::build_with(&prev, levels, &mut pool);
-            let parallel = lk.track_pyramids_parallel(&mut fresh, &next_pyr, &pts, &mut pool);
-            assert_eq!(
-                flow_bits(&parallel),
-                baseline,
-                "parallel, radius {radius}, shift ({dx},{dy})"
             );
         }
     }

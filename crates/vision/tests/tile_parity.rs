@@ -196,12 +196,8 @@ fn lk_points_near_the_border_of_every_level_match_baseline() {
         let planes = 2 * levels as usize;
         let mut pool = nan_pool(len, planes);
         let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
-        let sequential = lk.track_pyramids_sequential(&mut prev_pyr, &next_pyr, &pts, &mut pool);
-        assert_eq!(flow_bits(&sequential), flow_bits(&baseline));
-        let mut pool = nan_pool(len, planes);
-        let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
-        let parallel = lk.track_pyramids_parallel(&mut prev_pyr, &next_pyr, &pts, &mut pool);
-        assert_eq!(flow_bits(&parallel), flow_bits(&baseline));
+        let optimized = lk.track_pyramids(&mut prev_pyr, &next_pyr, &pts, &mut pool);
+        assert_eq!(flow_bits(&optimized), flow_bits(&baseline));
     });
 }
 

@@ -124,7 +124,7 @@ fn gradients_bounded_by_intensity_range() {
 }
 
 #[test]
-fn parallel_lk_bit_identical_to_sequential() {
+fn lk_bit_identical_to_baseline() {
     check(24, 1, |rng| {
         let dx = rng.gen_range(-3i64..=3);
         let dy = rng.gen_range(-3i64..=3);
@@ -140,39 +140,23 @@ fn parallel_lk_bit_identical_to_sequential() {
         });
         let prev_pyr = Pyramid::build(&prev, 3);
         let next_pyr = Pyramid::build(&next, 3);
-        // Dense enough to clear the parallel-dispatch threshold.
+        // 140 points, a busy frame's worth.
         let mut pts = Vec::new();
         for gy in 0..10 {
             for gx in 0..14 {
                 pts.push(Point2::new(12.0 + gx as f32 * 8.0, 12.0 + gy as f32 * 8.0));
             }
         }
-        let fresh_prev = || Pyramid::build(&prev, 3);
-        let sequential = lk.track_pyramids_sequential(
-            &mut fresh_prev(),
+        let optimized = lk.track_pyramids(
+            &mut Pyramid::build(&prev, 3),
             &next_pyr,
             &pts,
             &mut ScratchPool::new(),
         );
         assert_eq!(
-            &sequential,
+            &optimized,
             &track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts),
             "optimized path diverged from the reference baseline"
-        );
-        assert_eq!(
-            &sequential,
-            &lk.track_pyramids_parallel(
-                &mut fresh_prev(),
-                &next_pyr,
-                &pts,
-                &mut ScratchPool::new()
-            ),
-            "parallel path diverged from sequential"
-        );
-        assert_eq!(
-            &sequential,
-            &lk.track_pyramids(&mut fresh_prev(), &next_pyr, &pts, &mut ScratchPool::new()),
-            "dispatching entry point diverged"
         );
     });
 }

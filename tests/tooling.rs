@@ -302,6 +302,14 @@ fn fleet_metrics_snapshot_is_valid_json_with_columnar_series() {
             "every series ends at the closing sample"
         );
     }
+    // The closing sample is at the final event; the horizon, the latest
+    // stream finish, may lie one publish interval later, never earlier.
+    let closing = closing.expect("a closing sample");
+    assert!(
+        closing <= report.horizon_ms,
+        "closing sample at {closing} ms is past the horizon {} ms",
+        report.horizon_ms
+    );
 }
 
 /// The committed kernel bench record (`kernels_bench` formats its JSON by
@@ -358,6 +366,46 @@ fn determinism_lint_passes_on_live_workspace() {
         outcome.files_scanned >= 70,
         "lint walked only {} files",
         outcome.files_scanned
+    );
+}
+
+/// One level of parallelism (DESIGN.md §9): the harness's
+/// `exec::Executor` is the only code in the vision crate that starts
+/// threads, and no kernel maps its own work over an executor. Scans the
+/// lexed tokens of every non-test item under `crates/vision/src`, so docs
+/// and `#[cfg(test)]` modules may name either; `exec.rs` is the one file
+/// allowed both, and `lib.rs` re-exports `Executor` without a path call.
+#[test]
+fn vision_kernels_start_no_threads() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/vision/src");
+    let mut files = vec![src];
+    let mut offenders = Vec::new();
+    let mut scanned = 0;
+    while let Some(path) = files.pop() {
+        if path.is_dir() {
+            for entry in fs::read_dir(&path).expect("read vision src dir") {
+                files.push(entry.expect("dir entry").path());
+            }
+            continue;
+        }
+        if path.extension().is_none_or(|e| e != "rs") || path.ends_with("exec.rs") {
+            continue;
+        }
+        scanned += 1;
+        let text = fs::read_to_string(&path).expect("read vision source");
+        let lexed = adavp_lint::lexer::strip_cfg_test(adavp_lint::lexer::lex(&text));
+        for w in lexed.tokens.windows(3) {
+            let (a, b, c) = (w[0].text.as_str(), w[1].text.as_str(), w[2].text.as_str());
+            if (a == "Executor" && b == "::") || (a == "std" && b == "::" && c == "thread") {
+                offenders.push(format!("{}:{}: {a}{b}{c}", path.display(), w[0].line));
+            }
+        }
+    }
+    assert!(scanned >= 12, "scanned only {scanned} vision sources");
+    assert!(
+        offenders.is_empty(),
+        "vision code outside exec.rs starts threads or maps an Executor:\n{}",
+        offenders.join("\n")
     );
 }
 

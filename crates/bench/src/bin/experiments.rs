@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! experiments <fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|table3|faults|
-//!              ablations|marlin-sweep|diag|diag-train|diag-moderate|all>...
+//!              adaptation-audit|ablations|marlin-sweep|all>...
 //!             [--scale smoke|standard|full] [--out results] [--jobs N]
 //! ```
 //!
 //! Each experiment prints an aligned table and writes a CSV under `--out`
-//! (default `results`). `all` runs every experiment except `ablations`,
-//! `marlin-sweep` and the `diag*` printouts. The whole line is checked by
+//! (default `results`). `all` runs every experiment except `ablations` and
+//! `marlin-sweep`. The whole line is checked by
 //! [`adavp_bench::cli::parse_args`] before the first experiment runs: an
 //! unknown name or flag, a missing or empty value, a repeated flag or
 //! `--jobs 0` exits with status 2. `--jobs N` bounds harness concurrency
@@ -17,15 +17,13 @@
 //! wall-clock. Defaults to the core count.
 
 use adavp_bench::ablations as abl;
+use adavp_bench::audit;
 use adavp_bench::cli::{parse_args, ExperimentsArgs};
 use adavp_bench::context::ExperimentContext;
 use adavp_bench::figures;
 use adavp_bench::report::{f1 as fmt1, f3, text_table, write_csv};
-use adavp_bench::runner::{run_scheme, SchemeResult};
+use adavp_bench::runner::SchemeResult;
 use adavp_bench::tables;
-use adavp_core::pipeline::Scheme;
-use adavp_detector::ModelSetting;
-use adavp_video::clip::VideoClip;
 use adavp_video::dataset::DatasetScale;
 use std::path::Path;
 use std::sync::Arc;
@@ -67,9 +65,7 @@ fn main() {
             "faults" => faults(&mut ctx, &out),
             "ablations" => ablations(&mut ctx, &out),
             "marlin-sweep" => marlin_sweep(&mut ctx, &out),
-            "diag" => diag(&mut ctx),
-            "diag-train" => diag_train(&mut ctx),
-            "diag-moderate" => diag_moderate(&mut ctx),
+            "adaptation-audit" => adaptation_audit(&mut ctx, &out),
             other => unreachable!("experiment {other} passed the name check"),
         }
         // Whatever this experiment spent beyond rendering and training is
@@ -101,107 +97,21 @@ fn main() {
     }
 }
 
-fn diag_moderate(ctx: &mut ExperimentContext) {
-    use adavp_video::scenario::Scenario;
-    let mut sum = [0.0f64; 2];
-    let mut n = 0;
-    for scenario in [
-        Scenario::CityStreet,
-        Scenario::Intersection,
-        Scenario::CarMountedDowntown,
-    ] {
-        for seed in [11u64, 22, 33] {
-            let clip = VideoClip::generate("m", &scenario.spec(), seed, 600);
-            let [a, b] = mpdt_512_608(ctx, std::slice::from_ref(&clip));
-            println!(
-                "{:<22} seed {seed}: 512 {:.3} | 608 {:.3}",
-                scenario.spec().name,
-                a.accuracy,
-                b.accuracy
-            );
-            sum[0] += a.accuracy;
-            sum[1] += b.accuracy;
-            n += 1;
-        }
-    }
-    println!(
-        "moderate band mean over {n} clips: 512 {:.3} | 608 {:.3}",
-        sum[0] / n as f64,
-        sum[1] / n as f64
-    );
+/// Writes `data` to `out/file` under the CSV `header`, then prints it as an
+/// aligned table under the `shown` header.
+fn emit(out: &Path, file: &str, shown: &[&str], header: &[&str], data: &[Vec<String>]) {
+    let _ = write_csv(&out.join(file), header, data);
+    println!("{}", text_table(shown, data));
 }
 
-/// MPDT-512 and MPDT-608 over clips outside the test set, under the
-/// context's configuration.
-fn mpdt_512_608(ctx: &ExperimentContext, clips: &[VideoClip]) -> [SchemeResult; 2] {
-    [ModelSetting::Yolo512, ModelSetting::Yolo608].map(|s| {
-        run_scheme(
-            &Scheme::Mpdt(s),
-            clips,
-            ctx.detector(),
-            ctx.pipeline(),
-            &ctx.eval(),
-            &ctx.exec,
-        )
-    })
-}
-
-fn diag_train(ctx: &mut ExperimentContext) {
-    let clips = ctx.train_clips().to_vec();
-    let [m512, m608] = mpdt_512_608(ctx, &clips);
-    println!("per-training-video accuracy (512 / 608):");
-    for (i, clip) in clips.iter().enumerate() {
-        println!(
-            "  {:<30} {:.3} / {:.3}",
-            clip.name(),
-            m512.per_video_accuracy[i],
-            m608.per_video_accuracy[i]
-        );
-    }
-    println!(
-        "train dataset: 512 {:.3} | 608 {:.3}",
-        m512.accuracy, m608.accuracy
-    );
-}
-
-fn diag(ctx: &mut ExperimentContext) {
-    let model = ctx.adaptation_model().clone();
-    println!("trained thresholds (current setting -> [v1 v2 v3]):");
-    for s in ModelSetting::ADAPTIVE {
-        let t = model.thresholds_for(s);
-        println!("  {s}: [{:.2} {:.2} {:.2}]", t[0], t[1], t[2]);
-    }
-    let adavp = ctx.run(&Scheme::AdaVp(model));
-    let m512 = ctx.run(&Scheme::Mpdt(ModelSetting::Yolo512));
-    let m608 = ctx.run(&Scheme::Mpdt(ModelSetting::Yolo608));
-    println!("\nper-video accuracy (AdaVP / MPDT-512 / MPDT-608) + AdaVP usage:");
-    for (i, clip) in ctx.test_clips().iter().enumerate() {
-        let trace = &adavp.evaluations[i].trace;
-        let mut counts = [0usize; 4];
-        for cy in &trace.cycles {
-            if let Some(k) = cy.setting.adaptive_index() {
-                counts[k] += 1;
-            }
-        }
-        let vels: Vec<f64> = trace.cycles.iter().filter_map(|c| c.velocity).collect();
-        let mv = if vels.is_empty() {
-            0.0
-        } else {
-            vels.iter().sum::<f64>() / vels.len() as f64
-        };
-        println!(
-            "  {:<26} {:.3} / {:.3} / {:.3}   usage 320/416/512/608 = {:?}  mean-vel {:.2}",
-            clip.name(),
-            adavp.per_video_accuracy[i],
-            m512.per_video_accuracy[i],
-            m608.per_video_accuracy[i],
-            counts,
-            mv,
-        );
-    }
-    println!(
-        "\ndataset: AdaVP {:.3} | MPDT-512 {:.3} | MPDT-608 {:.3}",
-        adavp.accuracy, m512.accuracy, m608.accuracy
+fn adaptation_audit(ctx: &mut ExperimentContext, out: &Path) {
+    let data = audit::csv_rows(&audit::adaptation_audit(ctx));
+    emit(
+        out,
+        "adaptation_audit.csv",
+        &audit::HEADER,
+        &audit::HEADER,
+        &data,
     );
 }
 
@@ -209,8 +119,13 @@ fn faults(ctx: &mut ExperimentContext, out: &Path) {
     use adavp_bench::faults as flt;
     let rows = flt::fault_sweep(ctx);
     let data = flt::sweep_rows(&rows);
-    println!("{}", text_table(&flt::SWEEP_HEADER, &data));
-    let _ = write_csv(&out.join("faults.csv"), &flt::SWEEP_HEADER, &data);
+    emit(
+        out,
+        "faults.csv",
+        &flt::SWEEP_HEADER,
+        &flt::SWEEP_HEADER,
+        &data,
+    );
     let _ = std::fs::write(out.join("faults.json"), flt::sweep_to_json(&rows));
     // Headline: how much accuracy does each scheme keep under stress?
     let acc = |scenario: &str, scheme: &str| {
@@ -247,15 +162,8 @@ fn ablations(ctx: &mut ExperimentContext, out: &Path) {
             f3(r.accuracy),
         ]);
     }
-    println!(
-        "{}",
-        text_table(&["ablation", "variant", "accuracy"], &data)
-    );
-    let _ = write_csv(
-        &out.join("ablations.csv"),
-        &["ablation", "variant", "accuracy"],
-        &data,
-    );
+    let header = ["ablation", "variant", "accuracy"];
+    emit(out, "ablations.csv", &header, &header, &data);
 }
 
 fn marlin_sweep(ctx: &mut ExperimentContext, out: &Path) {
@@ -264,9 +172,11 @@ fn marlin_sweep(ctx: &mut ExperimentContext, out: &Path) {
         .iter()
         .map(|(t, a)| vec![format!("{t:.1}"), f3(*a)])
         .collect();
-    println!("{}", text_table(&["trigger velocity", "accuracy"], &data));
-    let _ = write_csv(
-        &out.join("marlin_sweep.csv"),
+    let shown = ["trigger velocity", "accuracy"];
+    emit(
+        out,
+        "marlin_sweep.csv",
+        &shown,
         &["trigger", "accuracy"],
         &data,
     );
@@ -289,12 +199,11 @@ fn fig1(ctx: &mut ExperimentContext, out: &Path) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(&["setting", "latency (ms)", "F1 per frame"], &data)
-    );
-    let _ = write_csv(
-        &out.join("fig1.csv"),
+    let shown = ["setting", "latency (ms)", "F1 per frame"];
+    emit(
+        out,
+        "fig1.csv",
+        &shown,
         &["setting", "latency_ms", "f1"],
         &data,
     );
@@ -305,12 +214,13 @@ fn fig2(out: &Path) {
     let data: Vec<Vec<String>> = (0..r.fast.len())
         .map(|i| vec![(i + 1).to_string(), f3(r.fast[i]), f3(r.slow[i])])
         .collect();
-    println!(
-        "{}",
-        text_table(
-            &["frames since detection", "Video1 (fast)", "Video2 (slow)"],
-            &data
-        )
+    let shown = ["frames since detection", "Video1 (fast)", "Video2 (slow)"];
+    emit(
+        out,
+        "fig2.csv",
+        &shown,
+        &["frame", "fast_f1", "slow_f1"],
+        &data,
     );
     let below = |c: &[f64]| {
         figures::Fig2Result::first_below(c, 0.5)
@@ -321,11 +231,6 @@ fn fig2(out: &Path) {
         "first frame with F1 < 0.5: fast = {}, slow = {} (paper: 9 and 27)",
         below(&r.fast),
         below(&r.slow)
-    );
-    let _ = write_csv(
-        &out.join("fig2.csv"),
-        &["frame", "fast_f1", "slow_f1"],
-        &data,
     );
 }
 
@@ -349,22 +254,13 @@ fn table2(out: &Path) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(
-            &[
-                "component",
-                "virtual latency (ms)",
-                "real kernel wall time (ms)"
-            ],
-            &data
-        )
-    );
-    let _ = write_csv(
-        &out.join("table2.csv"),
-        &["component", "modeled_ms", "measured_ms"],
-        &data,
-    );
+    let shown = [
+        "component",
+        "virtual latency (ms)",
+        "real kernel wall time (ms)",
+    ];
+    let header = ["component", "modeled_ms", "measured_ms"];
+    emit(out, "table2.csv", &shown, &header, &data);
 }
 
 fn fig5(ctx: &mut ExperimentContext, out: &Path) {
@@ -381,29 +277,25 @@ fn fig5(ctx: &mut ExperimentContext, out: &Path) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(
-            &["frame", "MPDT-320 F1", "src", "MPDT-608 F1", "src"],
-            &data
-        )
-    );
-    let _ = write_csv(
-        &out.join("fig5.csv"),
-        &[
-            "frame",
-            "mpdt320_f1",
-            "mpdt320_src",
-            "mpdt608_f1",
-            "mpdt608_src",
-        ],
-        &data,
-    );
+    let shown = ["frame", "MPDT-320 F1", "src", "MPDT-608 F1", "src"];
+    let header = [
+        "frame",
+        "mpdt320_f1",
+        "mpdt320_src",
+        "mpdt608_f1",
+        "mpdt608_src",
+    ];
+    emit(out, "fig5.csv", &shown, &header, &data);
 }
 
 fn fig6(ctx: &mut ExperimentContext, out: &Path) {
     let results = figures::fig6(ctx);
-    print_accuracy_table(&results, out, "fig6.csv");
+    let data: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| vec![r.label.clone(), f3(r.accuracy)])
+        .collect();
+    let header = ["scheme", "accuracy"];
+    emit(out, "fig6.csv", &header, &header, &data);
     print_latency_percentiles(&results, out, "fig6_latency.csv");
     // Paper headline deltas.
     let get = |label: &str| {
@@ -453,24 +345,9 @@ fn print_latency_percentiles(results: &[Arc<SchemeResult>], out: &Path, file: &s
         return;
     }
     println!("cycle latency (ms), exact percentiles:");
-    println!(
-        "{}",
-        text_table(&["scheme", "p50", "p90", "p99", "cycles"], &data)
-    );
-    let _ = write_csv(
-        &out.join(file),
-        &["scheme", "p50_ms", "p90_ms", "p99_ms", "cycles"],
-        &data,
-    );
-}
-
-fn print_accuracy_table(results: &[Arc<SchemeResult>], out: &Path, file: &str) {
-    let data: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| vec![r.label.clone(), f3(r.accuracy)])
-        .collect();
-    println!("{}", text_table(&["scheme", "accuracy"], &data));
-    let _ = write_csv(&out.join(file), &["scheme", "accuracy"], &data);
+    let shown = ["scheme", "p50", "p90", "p99", "cycles"];
+    let header = ["scheme", "p50_ms", "p90_ms", "p99_ms", "cycles"];
+    emit(out, file, &shown, &header, &data);
 }
 
 fn fig7(ctx: &mut ExperimentContext, out: &Path) {
@@ -492,8 +369,8 @@ fn fig7(ctx: &mut ExperimentContext, out: &Path) {
             last.value
         );
     }
-    println!("{}", text_table(&["cycles per switch", "CDF"], &data));
-    let _ = write_csv(&out.join("fig7.csv"), &["cycles", "cdf"], &data);
+    let shown = ["cycles per switch", "CDF"];
+    emit(out, "fig7.csv", &shown, &["cycles", "cdf"], &data);
 }
 
 fn fig8(ctx: &mut ExperimentContext, out: &Path) {
@@ -502,8 +379,8 @@ fn fig8(ctx: &mut ExperimentContext, out: &Path) {
         .iter()
         .map(|(s, p)| vec![s.to_string(), f3(*p)])
         .collect();
-    println!("{}", text_table(&["setting", "usage share"], &data));
-    let _ = write_csv(&out.join("fig8.csv"), &["setting", "share"], &data);
+    let shown = ["setting", "usage share"];
+    emit(out, "fig8.csv", &shown, &["setting", "share"], &data);
 }
 
 fn fig9(ctx: &mut ExperimentContext, out: &Path) {
@@ -536,12 +413,9 @@ fn fig10(results: &[Arc<SchemeResult>], out: &Path) {
         .iter()
         .map(|(l, a70, a75)| vec![l.clone(), f3(*a70), f3(*a75)])
         .collect();
-    println!("{}", text_table(&["scheme", "α = 0.70", "α = 0.75"], &data));
-    let _ = write_csv(
-        &out.join("fig10.csv"),
-        &["scheme", "alpha_070", "alpha_075"],
-        &data,
-    );
+    let shown = ["scheme", "α = 0.70", "α = 0.75"];
+    let header = ["scheme", "alpha_070", "alpha_075"];
+    emit(out, "fig10.csv", &shown, &header, &data);
 }
 
 fn fig11(ctx: &mut ExperimentContext, out: &Path) {
@@ -550,12 +424,11 @@ fn fig11(ctx: &mut ExperimentContext, out: &Path) {
         .iter()
         .map(|(l, a, b)| vec![l.clone(), f3(*a), f3(*b)])
         .collect();
-    println!(
-        "{}",
-        text_table(&["scheme", "IoU = 0.5", "IoU = 0.6"], &data)
-    );
-    let _ = write_csv(
-        &out.join("fig11.csv"),
+    let shown = ["scheme", "IoU = 0.5", "IoU = 0.6"];
+    emit(
+        out,
+        "fig11.csv",
+        &shown,
         &["scheme", "iou_05", "iou_06"],
         &data,
     );
@@ -578,25 +451,18 @@ fn table3(ctx: &mut ExperimentContext, out: &Path) {
             ]
         })
         .collect();
-    println!(
-        "{}",
-        text_table(
-            &["scheme", "GPU wh", "CPU wh", "SoC wh", "DDR wh", "Total wh", "accuracy", "latency"],
-            &data
-        )
-    );
-    let _ = write_csv(
-        &out.join("table3.csv"),
-        &[
-            "scheme",
-            "gpu_wh",
-            "cpu_wh",
-            "soc_wh",
-            "ddr_wh",
-            "total_wh",
-            "accuracy",
-            "latency_mult",
-        ],
-        &data,
-    );
+    let shown = [
+        "scheme", "GPU wh", "CPU wh", "SoC wh", "DDR wh", "Total wh", "accuracy", "latency",
+    ];
+    let header = [
+        "scheme",
+        "gpu_wh",
+        "cpu_wh",
+        "soc_wh",
+        "ddr_wh",
+        "total_wh",
+        "accuracy",
+        "latency_mult",
+    ];
+    emit(out, "table3.csv", &shown, &header, &data);
 }

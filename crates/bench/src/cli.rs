@@ -8,20 +8,25 @@ use adavp_vision::exec::Executor;
 use std::path::PathBuf;
 
 /// What `all`, or no name at all, runs.
-const ALL: [&str; 12] = [
-    "fig1", "fig2", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table3",
+const ALL: [&str; 13] = [
+    "fig1",
+    "fig2",
+    "table2",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table3",
     "faults",
+    "adaptation-audit",
 ];
 
-/// The experiments `all` leaves out: the ablations, the MARLIN trigger
-/// sweep and the diagnostic printouts.
-const EXTRA: [&str; 5] = [
-    "ablations",
-    "marlin-sweep",
-    "diag",
-    "diag-train",
-    "diag-moderate",
-];
+/// The experiments `all` leaves out: the ablations and the MARLIN trigger
+/// sweep.
+const EXTRA: [&str; 2] = ["ablations", "marlin-sweep"];
 
 /// A checked `experiments` command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,6 +148,7 @@ mod tests {
             ("fig6 --bogus 1", "unknown flag: --bogus"),
             ("fig6 --faults", "unknown flag: --faults"),
             ("all fig99", "unknown experiment: fig99"),
+            ("fig6 diag", "unknown experiment: diag"),
         ] {
             let err = parse(line).unwrap_err();
             assert!(err.contains(named), "{line:?}: {err}");

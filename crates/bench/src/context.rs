@@ -1,6 +1,7 @@
 //! Shared experiment context: datasets, evaluation config, the trained
-//! adaptation model, and every scheme's run over the test set (each
-//! computed once, reused by every figure, table and ablation).
+//! adaptation model with the chunk samples it was fitted to, and every
+//! scheme's run over the test set (each computed once, reused by every
+//! figure, table and ablation).
 //!
 //! The context also owns the harness [`Executor`]: every fan-out point of
 //! the offline pipeline (clip rendering, threshold training, per-clip
@@ -11,7 +12,9 @@
 //! report.
 
 use crate::runner::{run_scheme, SchemeResult};
-use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
+use adavp_core::adaptation::{
+    train_adaptation_model_with, AdaptationModel, ClipExamples, TrainerConfig,
+};
 use adavp_core::eval::EvalConfig;
 use adavp_core::pipeline::{PipelineConfig, Scheme};
 use adavp_detector::DetectorConfig;
@@ -50,6 +53,7 @@ pub struct ExperimentContext {
     test_clips: Option<Vec<VideoClip>>,
     train_clips: Option<Vec<VideoClip>>,
     model: Option<AdaptationModel>,
+    examples: Vec<ClipExamples>,
     runs: Vec<(Scheme, Arc<SchemeResult>)>,
     timings: PhaseTimings,
 }
@@ -79,6 +83,7 @@ impl ExperimentContext {
             test_clips: None,
             train_clips: None,
             model: None,
+            examples: Vec::new(),
             runs: Vec::new(),
             timings: PhaseTimings::default(),
         }
@@ -138,13 +143,24 @@ impl ExperimentContext {
             self.train_clips();
             let clips = self.train_clips.as_deref().expect("just generated");
             let t0 = Instant::now();
-            self.model = Some(train_adaptation_model_with(clips, &cfg, &self.exec));
+            let (model, examples) = train_adaptation_model_with(clips, &cfg, &self.exec);
             self.timings.train_s += t0.elapsed().as_secs_f64();
+            (self.model, self.examples) = (Some(model), examples);
             // The training corpus is large at full scale; free it once the
-            // model exists (regenerated on demand if needed again).
+            // model exists (regenerated on demand if needed again). The
+            // chunk samples stay.
             self.train_clips = None;
         }
         self.model.as_ref().expect("just trained")
+    }
+
+    /// The named chunk samples the trainer fitted
+    /// [`ExperimentContext::adaptation_model`] to, in training-set order
+    /// (training on first use). Empty when the model was set with
+    /// [`ExperimentContext::set_adaptation_model`].
+    pub fn training_examples(&mut self) -> &[ClipExamples] {
+        self.adaptation_model();
+        &self.examples
     }
 
     /// `scheme` evaluated over the test set under this context's
@@ -188,9 +204,11 @@ impl ExperimentContext {
         self.runs.clear();
     }
 
-    /// Overrides the adaptation model (e.g. to skip training in smoke runs).
+    /// Overrides the adaptation model (e.g. to skip training in smoke runs);
+    /// there are then no training samples.
     pub fn set_adaptation_model(&mut self, model: AdaptationModel) {
         self.model = Some(model);
+        self.examples.clear();
     }
 
     /// Cumulative per-phase wall-clock so far.

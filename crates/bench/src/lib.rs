@@ -22,11 +22,13 @@
 //! | Fig. 11 (IoU-threshold sensitivity) | [`figures::fig11`] |
 //! | Table III (energy & accuracy) | [`tables::table3`] |
 //! | Robustness under injected faults (ours) | [`faults::fault_sweep`] |
+//! | §IV-D3 chunk labels vs a hindsight oracle (ours) | [`audit::adaptation_audit`] |
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod audit;
 pub mod cli;
 pub mod context;
 pub mod faults;

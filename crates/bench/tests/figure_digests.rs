@@ -2,16 +2,16 @@
 //! scheme runs, including the ablations that rerun MPDT-512 under an edited
 //! pipeline configuration, plus the outputs that read the calibrations
 //! behind those runs: Table II's modeled tracker latencies, Fig. 1's
-//! detector error model, the fault sweep's degradation rules and the
-//! thresholds the offline trainer learns. A smoke context (three test
-//! clips, the default adaptation model) is run once; each output's `{:?}`
-//! rendering is digested with FNV-1a, so any change to how the runs are
-//! computed, shared or rescored that moves a single bit of a result fails
-//! here.
+//! detector error model, the fault sweep's degradation rules, the
+//! thresholds the offline trainer learns and the adaptation audit of them.
+//! A smoke context (three test clips, the default adaptation model) is run
+//! once; each output's `{:?}` rendering is digested with FNV-1a, so any
+//! change to how the runs are computed, shared or rescored that moves a
+//! single bit of a result fails here.
 
 use adavp_bench::context::ExperimentContext;
 use adavp_bench::runner::SchemeResult;
-use adavp_bench::{ablations, faults, figures, tables};
+use adavp_bench::{ablations, audit, faults, figures, tables};
 use adavp_core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
 use adavp_detector::ModelSetting;
 use adavp_rng::{fnv1a, FNV1A_OFFSET};
@@ -50,12 +50,16 @@ fn table2_modeled() -> u64 {
 }
 
 /// The thresholds the offline trainer learns from the first four smoke
-/// training clips, per current setting.
-fn trained_thresholds() -> u64 {
+/// training clips, per current setting, and the adaptation audit of that
+/// training over the context's test clips.
+fn trained_thresholds_and_audit(ctx: &mut ExperimentContext) -> (u64, u64) {
     let exec = Executor::sequential();
     let clips = render_all(&training_set(DatasetScale::Smoke)[..4], &exec);
-    let model = train_adaptation_model_with(&clips, &TrainerConfig::default(), &exec);
-    digest(&ModelSetting::ADAPTIVE.map(|s| model.thresholds_for(s)))
+    let (model, examples) = train_adaptation_model_with(&clips, &TrainerConfig::default(), &exec);
+    (
+        digest(&ModelSetting::ADAPTIVE.map(|s| model.thresholds_for(s))),
+        digest(&audit::audit_with(ctx, &model, &examples)),
+    )
 }
 
 #[test]
@@ -65,6 +69,7 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
     ctx.limit_test_clips(3);
 
     let fig6 = figures::fig6(&mut ctx);
+    let (thresholds, audit) = trained_thresholds_and_audit(&mut ctx);
 
     let actual: Vec<(&str, u64)> = vec![
         ("fig5", digest(&figures::fig5(&mut ctx, 40))),
@@ -96,9 +101,10 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
         ("table2", table2_modeled()),
         ("fig1", digest(&figures::fig1(&mut ctx, 60))),
         ("fault_sweep", digest(&faults::fault_sweep(&mut ctx))),
-        ("trained_thresholds", trained_thresholds()),
+        ("trained_thresholds", thresholds),
+        ("adaptation_audit", audit),
     ];
-    let golden: [(&str, u64); 18] = [
+    let golden: [(&str, u64); 19] = [
         ("fig5", 0xbc229eb2ea93b7a1),
         ("fig6", 0x9bdfd023d62bb11b),
         ("fig7", 0x47fdae03657dbfb9),
@@ -117,6 +123,7 @@ fn figures_tables_and_ablations_match_their_golden_digests() {
         ("fig1", 0xda6bcb6fd0da9048),
         ("fault_sweep", 0x41b5869d8a7c17a7),
         ("trained_thresholds", 0xb6820e2cc7aed9cb),
+        ("adaptation_audit", 0xde9446d6a690f962),
     ];
     let report: String = actual
         .iter()

@@ -3,8 +3,8 @@
 //! results byte-identical to the sequential run for any jobs count.
 
 use adavp_bench::context::ExperimentContext;
-use adavp_bench::figures;
 use adavp_bench::report::{f3, write_csv};
+use adavp_bench::{audit, figures};
 use adavp_core::adaptation::{train_adaptation_model_with, TrainerConfig};
 use adavp_detector::ModelSetting;
 use adavp_video::dataset::{render_all, training_set, DatasetScale};
@@ -29,11 +29,13 @@ fn jobs_do_not_change_results() {
         }
     }
 
-    // 2. Threshold training: bitwise-identical thresholds across jobs.
+    // 2. Threshold training: bitwise-identical thresholds and chunk samples
+    // across jobs (Debug prints every f64 in round-trip form).
     let cfg = TrainerConfig::default();
-    let model_seq = train_adaptation_model_with(&clips_seq, &cfg, &seq);
-    let model_par = train_adaptation_model_with(&clips_par, &cfg, &par);
+    let (model_seq, examples_seq) = train_adaptation_model_with(&clips_seq, &cfg, &seq);
+    let (model_par, examples_par) = train_adaptation_model_with(&clips_par, &cfg, &par);
     assert_eq!(model_seq, model_par);
+    assert_eq!(format!("{examples_seq:?}"), format!("{examples_par:?}"));
     for s in ModelSetting::ADAPTIVE {
         let (a, b) = (model_seq.thresholds_for(s), model_par.thresholds_for(s));
         for k in 0..3 {
@@ -43,8 +45,10 @@ fn jobs_do_not_change_results() {
 
     // 3. Scheme evaluation: the fig6 result CSV is byte-identical for
     // jobs 1 vs jobs 4. Rows carry full-precision per-video accuracies
-    // (f64 Display round-trips), so byte equality means bit equality.
-    let run = |jobs: usize, tag: &str| {
+    // (f64 Display round-trips), so byte equality means bit equality. The
+    // adaptation audit of each side's training, a fold over those runs,
+    // writes a byte-identical CSV too.
+    let run = |jobs: usize, tag: &str, training| {
         let mut ctx = ExperimentContext::with_jobs(DatasetScale::Smoke, jobs);
         // Training parity is asserted above; share one model here so this
         // stage isolates evaluation.
@@ -61,13 +65,21 @@ fn jobs_do_not_change_results() {
             .collect();
         let path = std::env::temp_dir().join(format!("adavp_determinism_{tag}.csv"));
         write_csv(&path, &["scheme", "accuracy"], &rows).expect("write csv");
-        std::fs::read(&path).expect("read csv")
+        let audit_rows = audit::csv_rows(&audit::audit_with(&mut ctx, &model_seq, training));
+        let audit_path = std::env::temp_dir().join(format!("adavp_audit_{tag}.csv"));
+        write_csv(&audit_path, &audit::HEADER, &audit_rows).expect("write csv");
+        let read = |p| std::fs::read(p).expect("read csv");
+        (read(&path), read(&audit_path))
     };
-    let csv_seq = run(1, "jobs1");
-    let csv_par = run(4, "jobs4");
+    let (csv_seq, audit_seq) = run(1, "jobs1", &examples_seq);
+    let (csv_par, audit_par) = run(4, "jobs4", &examples_par);
     assert_eq!(
         csv_seq, csv_par,
         "fig6 result CSV must be byte-identical for jobs 1 vs jobs 4"
+    );
+    assert_eq!(
+        audit_seq, audit_par,
+        "adaptation audit CSV must be byte-identical for jobs 1 vs jobs 4"
     );
     // The fig6 grid includes the cascaded and confidence-triggered schemes,
     // so the byte-identity above covers them too; pin their presence so a

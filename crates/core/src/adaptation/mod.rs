@@ -12,6 +12,6 @@ pub mod trainer;
 
 pub use model::AdaptationModel;
 pub use trainer::{
-    learn_thresholds, train_adaptation_model, train_adaptation_model_with, TrainerConfig,
+    chunk_accuracy, learn_thresholds, train_adaptation_model_with, ClipExamples, TrainerConfig,
     TrainingExample,
 };

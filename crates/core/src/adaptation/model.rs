@@ -56,7 +56,7 @@ impl AdaptationModel {
 
     /// A reasonable untrained default (px/frame at 640x360), close to what
     /// training on the synthetic corpus produces. Prefer
-    /// [`train_adaptation_model`](crate::adaptation::train_adaptation_model)
+    /// [`train_adaptation_model_with`](crate::adaptation::train_adaptation_model_with)
     /// for experiments.
     pub fn default_model() -> Self {
         Self::uniform([1.1, 2.6, 5.5])

@@ -39,17 +39,6 @@ pub struct TrainingExample {
 }
 
 impl TrainingExample {
-    /// A hard-labeled example (the paper's original formulation): the best
-    /// class gets accuracy 1, all others 0.
-    pub fn hard(velocity: f64, best_class: usize) -> Self {
-        let mut f1 = [0.0; 4];
-        f1[best_class.min(3)] = 1.0;
-        Self {
-            velocity,
-            f1_by_class: f1,
-        }
-    }
-
     /// The class with the highest accuracy (ties → lower class = heavier
     /// setting).
     pub fn best_class(&self) -> usize {
@@ -69,8 +58,24 @@ impl TrainingExample {
     }
 }
 
+/// One training clip's name and chunk samples: `.1[si]` holds, in chunk
+/// order, the chunks whose velocity was measured under
+/// `ModelSetting::ADAPTIVE[si]`.
+pub type ClipExamples = (String, [Vec<TrainingExample>; 4]);
+
 /// Chunk length in frames (paper: 1 second = 30 frames).
 pub const CHUNK_FRAMES: usize = 30;
+
+/// Per-chunk accuracy of one run's frame scores: for each chunk of
+/// [`CHUNK_FRAMES`] frames (the last may be shorter), the fraction of
+/// frames with F1 ≥ [`F1_THRESHOLD`]. It is the evaluation metric taken
+/// per chunk, so the learner optimizes what the system is judged on.
+pub fn chunk_accuracy(frame_f1: &[f64]) -> Vec<f64> {
+    frame_f1
+        .chunks(CHUNK_FRAMES)
+        .map(|w| w.iter().filter(|&&f| f >= F1_THRESHOLD).count() as f64 / w.len() as f64)
+        .collect()
+}
 
 /// Trainer configuration.
 #[derive(Debug, Clone, Default)]
@@ -175,51 +180,31 @@ struct SettingObservation {
 fn observe_setting(clip: &VideoClip, si: usize, cfg: &TrainerConfig) -> SettingObservation {
     let setting = ModelSetting::ADAPTIVE[si];
     let gt = ground_truth_boxes(clip, cfg.eval.ground_truth);
-    let n_chunks = clip.len().div_ceil(CHUNK_FRAMES);
-    let class = setting_to_class(setting);
-    let mut chunk_f1 = vec![0.0f64; n_chunks];
-    let mut chunk_vel = vec![None::<f64>; n_chunks];
-    if n_chunks == 0 {
-        return SettingObservation {
-            class,
-            chunk_f1,
-            chunk_vel,
-        };
-    }
-
     let mut pipeline = MpdtPipeline::new(
         SimulatedDetector::new(cfg.detector.clone()),
         SettingPolicy::Fixed(setting),
         cfg.pipeline.clone(),
     );
     let trace = pipeline.process(clip);
-    let scores = score_trace(&trace, &gt, IOU_THRESHOLD);
-    for (ci, window) in scores.chunks(CHUNK_FRAMES).enumerate() {
-        // Chunk accuracy uses the same statistic as the evaluation
-        // metric — the fraction of frames with F1 above the threshold —
-        // so the learner optimizes what the system is judged on.
-        let good = window.iter().filter(|&&f| f >= F1_THRESHOLD).count();
-        chunk_f1[ci] = good as f64 / window.len() as f64;
-    }
-    // Assign each cycle's velocity to the chunk holding its detected frame.
-    let mut sums = vec![(0.0f64, 0u32); n_chunks];
+    let chunk_f1 = chunk_accuracy(&score_trace(&trace, &gt, IOU_THRESHOLD));
+    // Assign each cycle's velocity to the chunk holding its detected frame
+    // (an empty clip has no cycles).
+    let mut sums = vec![(0.0f64, 0u32); chunk_f1.len()];
     for cy in &trace.cycles {
         if let Some(v) = cy.velocity {
-            let ci = (cy.detected_frame as usize / CHUNK_FRAMES).min(n_chunks - 1);
+            let ci = (cy.detected_frame as usize / CHUNK_FRAMES).min(sums.len() - 1);
             sums[ci].0 += v;
             sums[ci].1 += 1;
         }
     }
-    let mut last = None;
-    for (ci, (s, c)) in sums.into_iter().enumerate() {
-        let v = if c > 0 { Some(s / c as f64) } else { last };
-        chunk_vel[ci] = v;
-        if v.is_some() {
-            last = v;
-        }
+    // A chunk without a velocity of its own takes the last one before it.
+    let (mut chunk_vel, mut last) = (Vec::with_capacity(sums.len()), None);
+    for (s, c) in sums {
+        last = (c > 0).then(|| s / c as f64).or(last);
+        chunk_vel.push(last);
     }
     SettingObservation {
-        class,
+        class: setting_to_class(setting),
         chunk_f1,
         chunk_vel,
     }
@@ -247,61 +232,58 @@ fn merge_observations(obs: &[SettingObservation; 4]) -> [Vec<TrainingExample>; 4
     out
 }
 
-/// Collects per-current-setting training examples from one clip.
-///
-/// Returns `examples[si]` = chunk samples with velocity measured under
-/// `ModelSetting::ADAPTIVE[si]`.
-pub fn collect_examples(clip: &VideoClip, cfg: &TrainerConfig) -> [Vec<TrainingExample>; 4] {
-    let obs: [SettingObservation; 4] = std::array::from_fn(|si| observe_setting(clip, si, cfg));
-    merge_observations(&obs)
-}
-
-/// Trains a full [`AdaptationModel`] from a set of training clips.
-pub fn train_adaptation_model(clips: &[VideoClip], cfg: &TrainerConfig) -> AdaptationModel {
-    train_adaptation_model_with(clips, cfg, &Executor::sequential())
-}
-
-/// [`train_adaptation_model`] fanning its `clips.len() × 4` MPDT runs —
-/// the dominant cost of the offline sweep — across `exec`.
+/// Trains an [`AdaptationModel`] from a set of training clips, fanning the
+/// `clips.len() × 4` MPDT runs — the dominant cost of the offline sweep —
+/// across `exec`. Returns the model and each clip's chunk samples, in clip
+/// order, so audits read the labels the thresholds were fitted to.
 ///
 /// Each `(clip, setting)` run is an independent pure function of its
 /// inputs, and the observations are merged in fixed `(clip, chunk,
-/// setting)` order afterwards, so the trained model is bit-identical for
-/// every jobs setting (pinned by `parallel_training_is_bit_identical`).
+/// setting)` order afterwards, so the trained model and the samples are
+/// bit-identical for every jobs setting (pinned by
+/// `parallel_training_is_bit_identical`).
 pub fn train_adaptation_model_with(
     clips: &[VideoClip],
     cfg: &TrainerConfig,
     exec: &Executor,
-) -> AdaptationModel {
+) -> (AdaptationModel, Vec<ClipExamples>) {
     let jobs: Vec<(usize, usize)> = (0..clips.len())
         .flat_map(|c| (0..4).map(move |si| (c, si)))
         .collect();
     let observations: Vec<SettingObservation> =
         exec.map(&jobs, |_, &(c, si)| observe_setting(&clips[c], si, cfg));
 
-    let mut per_setting: [Vec<TrainingExample>; 4] = Default::default();
     let mut iter = observations.into_iter();
-    for _clip in clips {
-        let obs: [SettingObservation; 4] =
-            std::array::from_fn(|_| iter.next().expect("4 observations per clip"));
-        let ex = merge_observations(&obs);
-        for (si, v) in ex.into_iter().enumerate() {
-            per_setting[si].extend(v);
-        }
-    }
-    let mut thresholds = [[0.0f64; 3]; 4];
-    for (si, samples) in per_setting.iter().enumerate() {
-        thresholds[si] = learn_thresholds(samples);
-    }
-    AdaptationModel::from_thresholds(thresholds)
+    let examples: Vec<ClipExamples> = clips
+        .iter()
+        .map(|clip| {
+            let obs = std::array::from_fn(|_| iter.next().expect("4 per clip"));
+            (clip.name().to_string(), merge_observations(&obs))
+        })
+        .collect();
+    let thresholds = std::array::from_fn(|si| {
+        let samples: Vec<TrainingExample> = examples
+            .iter()
+            .flat_map(|(_, ex)| ex[si].iter().copied())
+            .collect();
+        learn_thresholds(&samples)
+    });
+    (AdaptationModel::from_thresholds(thresholds), examples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ex(v: f64, c: usize) -> TrainingExample {
-        TrainingExample::hard(v, c)
+    /// A hard-labeled example (the paper's original formulation): the
+    /// best class gets accuracy 1, all others 0.
+    fn ex(velocity: f64, best_class: usize) -> TrainingExample {
+        let mut f1_by_class = [0.0; 4];
+        f1_by_class[best_class] = 1.0;
+        TrainingExample {
+            velocity,
+            f1_by_class,
+        }
     }
 
     #[test]
@@ -468,9 +450,16 @@ mod tests {
         };
         let clips = vec![mk(Scenario::Highway, 1), mk(Scenario::MeetingRoom, 2)];
         let cfg = TrainerConfig::default();
-        let model = train_adaptation_model(&clips, &cfg);
+        let (model, examples) = train_adaptation_model_with(&clips, &cfg, &Executor::sequential());
         let t = model.thresholds_for(ModelSetting::Yolo512);
         assert!(t[0] <= t[1] && t[1] <= t[2]);
+        // One sample list per clip and current setting, at most one sample
+        // per 30-frame chunk.
+        assert_eq!(examples.len(), 2);
+        assert!(examples
+            .iter()
+            .flat_map(|(_, ex)| ex)
+            .all(|ex| ex.len() <= 3));
     }
 
     #[test]
@@ -492,8 +481,8 @@ mod tests {
         let seq = train_adaptation_model_with(&clips, &cfg, &Executor::sequential());
         for jobs in [2, 4, 9] {
             let par = train_adaptation_model_with(&clips, &cfg, &Executor::new(jobs));
-            // PartialEq over the raw f64 thresholds: bitwise equality.
-            assert_eq!(par, seq, "jobs={jobs}");
+            // Debug renders every f64 in round-trip form: bitwise equality.
+            assert_eq!(format!("{par:?}"), format!("{seq:?}"), "jobs={jobs}");
         }
     }
 }

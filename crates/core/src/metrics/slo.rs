@@ -113,12 +113,6 @@ impl SloTracker {
     pub fn burn_rate(&self) -> f64 {
         burn_rate(self.misses, self.cycles, self.budget)
     }
-
-    /// Fraction of the budget still unspent: `1 - burn`. Negative once the
-    /// budget is overdrawn.
-    pub fn budget_remaining(&self) -> f64 {
-        1.0 - self.burn_rate()
-    }
 }
 
 #[cfg(test)]
@@ -137,14 +131,12 @@ mod tests {
         assert_eq!(t.misses(), 3);
         assert_eq!(t.burn_rate(), (3.0 / 20.0) / 0.05);
         assert!((t.burn_rate() - 3.0).abs() < 1e-12);
-        assert!((t.budget_remaining() - -2.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_tracker_burns_nothing() {
         let t = SloTracker::new(0.01);
         assert_eq!(t.burn_rate(), 0.0);
-        assert_eq!(t.budget_remaining(), 1.0);
     }
 
     #[test]

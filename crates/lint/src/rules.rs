@@ -151,11 +151,6 @@ pub fn rule_names() -> Vec<&'static str> {
     RULES.iter().map(|r| r.name).collect()
 }
 
-/// Look a rule up by name.
-pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.name == name)
-}
-
 /// Render a forbidden token sequence for messages (`["Instant","::","now"]`
 /// → `Instant::now`).
 pub fn pattern_display(pat: &[&str]) -> String {

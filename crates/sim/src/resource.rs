@@ -55,12 +55,6 @@ impl Resource {
         self.busy_until
     }
 
-    /// Whether the resource is idle at `t` — i.e. `t` falls inside none of
-    /// the scheduled busy intervals.
-    pub fn is_idle_at(&self, t: SimTime) -> bool {
-        !self.intervals.iter().any(|iv| t >= iv.start && t < iv.end)
-    }
-
     /// Schedules a task that wants to start at `earliest` and run for
     /// `duration`. The task is queued behind any current occupancy.
     ///
@@ -143,8 +137,6 @@ mod tests {
         r.schedule(ms(0.0), ms(10.0));
         let (s, e) = r.schedule(ms(100.0), ms(10.0));
         assert_eq!((s, e), (ms(100.0), ms(110.0)));
-        assert!(r.is_idle_at(ms(50.0)));
-        assert!(!r.is_idle_at(ms(105.0)));
     }
 
     #[test]
@@ -209,8 +201,6 @@ mod tests {
         // A later burst queues behind the real work in turn.
         let (bs, be) = r.occupy(ms(60.0), ms(10.0));
         assert_eq!((bs, be), (ms(80.0), ms(90.0)));
-        assert!(r.is_idle_at(ms(5.0)));
-        assert!(!r.is_idle_at(ms(85.0)));
     }
 
     #[test]

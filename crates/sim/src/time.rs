@@ -43,11 +43,6 @@ impl SimTime {
         self.0
     }
 
-    /// Seconds since the epoch.
-    pub fn as_secs(&self) -> f64 {
-        self.0 / 1000.0
-    }
-
     /// Hours since the epoch (energy integration uses watt-hours).
     pub fn as_hours(&self) -> f64 {
         self.0 / 3_600_000.0
@@ -120,7 +115,6 @@ mod tests {
     fn construction_and_conversion() {
         let t = SimTime::from_secs(2.0);
         assert_eq!(t.as_ms(), 2000.0);
-        assert_eq!(t.as_secs(), 2.0);
         assert!((SimTime::from_ms(3_600_000.0).as_hours() - 1.0).abs() < 1e-12);
     }
 

@@ -58,11 +58,6 @@ impl<'a> FrameStream<'a> {
         Some(idx.min(self.clip.len() as u64 - 1))
     }
 
-    /// Whether frame `index` has been captured by time `t_ms`.
-    pub fn is_captured(&self, index: u64, t_ms: f64) -> bool {
-        index < self.clip.len() as u64 && self.arrival_ms(index) <= t_ms
-    }
-
     /// The frame at `index`.
     ///
     /// # Panics
@@ -80,14 +75,6 @@ impl<'a> FrameStream<'a> {
     /// Whether the stream has no frames.
     pub fn is_empty(&self) -> bool {
         self.clip.is_empty()
-    }
-
-    /// Indices of the frames accumulated strictly between two detector
-    /// frames — the temporary buffer the tracker works through (§IV-C).
-    pub fn accumulated_between(&self, after: u64, before: u64) -> std::ops::Range<u64> {
-        let lo = after + 1;
-        let hi = before.min(self.len());
-        lo..hi.max(lo)
     }
 }
 
@@ -118,25 +105,11 @@ mod tests {
     }
 
     #[test]
-    fn arrival_and_capture() {
+    fn arrival_times() {
         let c = clip(10);
         let s = FrameStream::new(&c);
         assert_eq!(s.arrival_ms(0), 0.0);
         assert!((s.arrival_ms(3) - 100.0).abs() < 0.01);
-        assert!(s.is_captured(3, 100.0));
-        assert!(!s.is_captured(3, 99.9));
-        assert!(!s.is_captured(10, 1e9), "past-the-end frame never captured");
-    }
-
-    #[test]
-    fn accumulated_range() {
-        let c = clip(30);
-        let s = FrameStream::new(&c);
-        assert_eq!(s.accumulated_between(0, 12), 1..12);
-        // Nothing between adjacent frames.
-        assert!(s.accumulated_between(5, 6).is_empty());
-        // Range clamped to clip length.
-        assert_eq!(s.accumulated_between(25, 99), 26..30);
     }
 
     #[test]

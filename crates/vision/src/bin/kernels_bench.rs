@@ -18,10 +18,11 @@
 //! | `good_features_in_boxes_640x360` | `good_features_masked_reference_640x360` | 3x |
 //! | LK `optimized` | LK `baseline` | 3x |
 //!
-//! A pooled vs a fresh pyramid build is recorded in the same `speedups`
-//! section without a floor. Every kernel and oracle runs on the calling
-//! thread. When a gated ratio falls below its floor the bench still writes
-//! the file, then exits 1 naming the pair, its ratio and its floor.
+//! A pooled vs a fresh 4-level pyramid build at 640x360 is recorded in the
+//! same `speedups` section without a floor. Every kernel and oracle runs on
+//! the calling thread. When a gated ratio falls below its floor the bench
+//! still writes the file, then exits 1 naming the pair, its ratio and its
+//! floor.
 //!
 //! Run with `cargo run --release -p adavp-vision --bin kernels_bench [PATH]`
 //! (the output path defaults to `BENCH_kernels.json` in the current
@@ -197,9 +198,6 @@ fn main() {
     eprintln!("image: {IMG_W}x{IMG_H}, pyramid levels: {PYRAMID_LEVELS}");
 
     let frame_pixels = (IMG_W * IMG_H) as u64;
-    let pyramid_pixels: u64 = (0..PYRAMID_LEVELS)
-        .map(|l| ((IMG_W >> l) * (IMG_H >> l)) as u64)
-        .sum();
 
     // --- Pyramid level: streamed blur + downsample ----------------------------
     let (half_w, half_h) = (IMG_W / 2, IMG_H / 2);
@@ -253,36 +251,6 @@ fn main() {
         pixels: frame_pixels,
         note: "scalar oracle for the separable Scharr kernel",
     });
-
-    // --- Pyramid build: pooled vs fresh ------------------------------------
-    // Pooled: the steady state, each pyramid recycled back into the pool.
-    let pyramid_ns = bench_rounds(|k| {
-        if k == 0 {
-            let p = Pyramid::build_with(black_box(&img), PYRAMID_LEVELS, &mut pool);
-            black_box(&p);
-            p.recycle(&mut pool);
-        } else {
-            black_box(Pyramid::build(black_box(&img), PYRAMID_LEVELS));
-        }
-    });
-    entries.push(Entry {
-        name: "pyramid_build_fresh_256x3",
-        ns_per_op: pyramid_ns[1],
-        pixels: pyramid_pixels,
-        note: "allocating build (no pool reuse)",
-    });
-    entries.push(Entry {
-        name: "pyramid_build_pooled_256x3",
-        ns_per_op: pyramid_ns[0],
-        pixels: pyramid_pixels,
-        note: "steady-state build via ScratchPool (allocation-free)",
-    });
-    speedups.push(Speedup::new(
-        "pyramid_build_pooled_256x3",
-        "pyramid_build_fresh_256x3",
-        pyramid_ns,
-        None,
-    ));
 
     // --- Demand-driven gradients and masked Shi-Tomasi, 640x360 ------------
     let frame = textured(FRAME_W, FRAME_H);
@@ -423,16 +391,35 @@ fn main() {
     let frame_pyramid_px: u64 = (0..TRACKER_LEVELS)
         .map(|l| u64::from((FRAME_W >> l) * (FRAME_H >> l)))
         .sum();
-    entries.push(Entry {
-        name: "pyramid_build_pooled_640x360x4",
-        ns_per_op: bench_ns(|| {
+    // Pooled (the steady state, each pyramid recycled back into the pool)
+    // against a build that allocates every level.
+    let pyramid_ns = bench_rounds(|k| {
+        if k == 0 {
             let p = Pyramid::build_with(black_box(&frame), TRACKER_LEVELS, &mut pool);
             black_box(&p);
             p.recycle(&mut pool);
-        }),
+        } else {
+            black_box(Pyramid::build(black_box(&frame), TRACKER_LEVELS));
+        }
+    });
+    entries.push(Entry {
+        name: "pyramid_build_pooled_640x360x4",
+        ns_per_op: pyramid_ns[0],
         pixels: frame_pyramid_px,
         note: "steady-state 4-level build via ScratchPool, 640x360",
     });
+    entries.push(Entry {
+        name: "pyramid_build_fresh_640x360x4",
+        ns_per_op: pyramid_ns[1],
+        pixels: frame_pyramid_px,
+        note: "allocating 4-level build (no pool reuse), 640x360",
+    });
+    speedups.push(Speedup::new(
+        "pyramid_build_pooled_640x360x4",
+        "pyramid_build_fresh_640x360x4",
+        pyramid_ns,
+        None,
+    ));
     // LK with the tracker's parameters over the demand case's 18 features.
     let tracker_lk = PyramidalLk::new(LkParams {
         pyramid_levels: TRACKER_LEVELS,

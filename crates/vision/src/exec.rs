@@ -77,11 +77,6 @@ impl Executor {
         self.jobs
     }
 
-    /// Whether maps run inline on the calling thread.
-    pub fn is_sequential(&self) -> bool {
-        self.jobs == 1
-    }
-
     /// Applies `f(index)` for every index in `0..len`, returning results in
     /// index order. Work items are claimed dynamically from a shared queue,
     /// so uneven item costs still load-balance across the pool.
@@ -175,7 +170,6 @@ mod tests {
     #[test]
     fn zero_jobs_is_clamped() {
         assert_eq!(Executor::new(0).jobs(), 1);
-        assert!(Executor::new(0).is_sequential());
     }
 
     #[test]

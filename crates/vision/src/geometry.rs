@@ -79,11 +79,6 @@ impl Vec2 {
     pub fn norm(&self) -> f32 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
-
-    /// Squared Euclidean length (no square root).
-    pub fn norm_sq(&self) -> f32 {
-        self.x * self.x + self.y * self.y
-    }
 }
 
 impl fmt::Display for Vec2 {
@@ -186,13 +181,6 @@ impl BoundingBox {
             width: width.max(0.0),
             height: height.max(0.0),
         }
-    }
-
-    /// Creates a box from two opposite corners.
-    pub fn from_corners(a: Point2, b: Point2) -> Self {
-        let left = a.x.min(b.x);
-        let top = a.y.min(b.y);
-        Self::new(left, top, (a.x - b.x).abs(), (a.y - b.y).abs())
     }
 
     /// Creates a box centred on `center` with the given size.
@@ -386,7 +374,6 @@ mod tests {
         c += b;
         assert_eq!(c, Vec2::new(4.0, 1.0));
         assert_eq!(Vec2::ZERO.norm(), 0.0);
-        assert_eq!(a.norm_sq(), 5.0);
     }
 
     #[test]
@@ -407,14 +394,6 @@ mod tests {
         assert_eq!(b.width, 0.0);
         assert!(b.is_empty());
         assert_eq!(b.area(), 0.0);
-    }
-
-    #[test]
-    fn bbox_from_corners_order_independent() {
-        let a = BoundingBox::from_corners(Point2::new(5.0, 8.0), Point2::new(1.0, 2.0));
-        let b = BoundingBox::from_corners(Point2::new(1.0, 2.0), Point2::new(5.0, 8.0));
-        assert_eq!(a, b);
-        assert_eq!(a, BoundingBox::new(1.0, 2.0, 4.0, 6.0));
     }
 
     #[test]

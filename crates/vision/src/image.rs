@@ -133,16 +133,6 @@ impl GrayImage {
         self.data[self.index(x, y)]
     }
 
-    /// Pixel value at `(x, y)`, or `None` when out of bounds.
-    #[inline]
-    pub fn try_get(&self, x: u32, y: u32) -> Option<u8> {
-        if x < self.width && y < self.height {
-            Some(self.data[self.index(x, y)])
-        } else {
-            None
-        }
-    }
-
     /// Sets the pixel at `(x, y)`.
     ///
     /// # Panics
@@ -250,9 +240,6 @@ mod tests {
         assert_eq!(img.get(3, 2), 23);
         img.set(3, 2, 99);
         assert_eq!(img.get(3, 2), 99);
-        assert_eq!(img.try_get(4, 0), None);
-        assert_eq!(img.try_get(0, 3), None);
-        assert_eq!(img.try_get(1, 1), Some(11));
     }
 
     #[test]

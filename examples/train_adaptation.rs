@@ -11,12 +11,13 @@
 //! cargo run --release --example train_adaptation
 //! ```
 
-use adavp::core::adaptation::{train_adaptation_model, AdaptationModel, TrainerConfig};
+use adavp::core::adaptation::{train_adaptation_model_with, AdaptationModel, TrainerConfig};
 use adavp::core::eval::{evaluate_on_clip, EvalConfig};
 use adavp::core::pipeline::{MpdtPipeline, PipelineConfig, SettingPolicy};
 use adavp::detector::{DetectorConfig, ModelSetting, SimulatedDetector};
 use adavp::video::clip::VideoClip;
 use adavp::video::scenario::Scenario;
+use adavp::vision::exec::Executor;
 
 fn main() {
     // A compact training corpus: one fast, one medium, one slow scenario.
@@ -34,7 +35,8 @@ fn main() {
     .collect();
 
     println!("training thresholds (4 MPDT runs per video)...");
-    let model = train_adaptation_model(&train, &TrainerConfig::default());
+    let (model, _) =
+        train_adaptation_model_with(&train, &TrainerConfig::default(), &Executor::sequential());
 
     println!("\nlearned velocity thresholds (px/frame):");
     println!("current setting | v1 (->608) | v2 (->512) | v3 (->416), above -> 320");

@@ -95,7 +95,7 @@ if [ "$NO_BENCH" != "1" ]; then
 
     echo "== parallel harness smoke (every memoized-run reader at --jobs 2; ablations.csv matches the committed smoke-scale record)"
     cargo run --release -p adavp-bench --bin experiments -- \
-        fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 ablations \
+        fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 ablations adaptation-audit \
         --scale smoke --jobs 2 --out target/ci-results
     cmp target/ci-results/ablations.csv results/ablations.csv
 

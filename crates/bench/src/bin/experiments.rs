@@ -89,7 +89,7 @@ fn main() {
     let kernels = adavp_vision::perf::snapshot().counts();
     if let Some(rate) = kernels.scratch_hit_rate() {
         println!(
-            "scratch pool: {:.1}% buffer reuse ({} reused / {} allocated)",
+            "kernel buffers: {:.1}% reused ({} reused / {} allocated)",
             rate * 100.0,
             kernels.buffers_reused,
             kernels.buffers_allocated,

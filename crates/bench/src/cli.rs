@@ -31,7 +31,8 @@ const EXTRA: [&str; 2] = ["ablations", "marlin-sweep"];
 /// A checked `experiments` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentsArgs {
-    /// Experiments to run, in command-line order (`all` expanded).
+    /// Experiments to run, in command-line order (`all` expanded in place,
+    /// each name once).
     pub experiments: Vec<&'static str>,
     /// `--scale` (standard by default).
     pub scale: DatasetScale,
@@ -72,18 +73,24 @@ fn flag_values<'a>(
 }
 
 /// Parses `experiments`' arguments (without the program name): experiment
-/// names and `--flag value` pairs in any order. An unknown experiment or
+/// names and `--flag value` pairs in any order. `all` stands for every
+/// experiment but the ablations and the MARLIN sweep, at its place in the
+/// line, and a name already listed is skipped. An unknown experiment or
 /// flag, a flag with no value or given twice, an unknown scale and a
 /// `--jobs` that is not a positive integer are errors.
 pub fn parse_args(args: &[String]) -> Result<ExperimentsArgs, String> {
     let mut names: Vec<&'static str> = Vec::new();
     let flags = flag_values(args, &["scale", "out", "jobs"], |a| {
-        let name = ALL
-            .into_iter()
-            .chain(EXTRA)
-            .chain(["all"])
-            .find(|n| *n == a);
-        names.push(name.ok_or_else(|| format!("unknown experiment: {a}"))?);
+        let expanded = match ALL.into_iter().chain(EXTRA).find(|n| *n == a) {
+            Some(name) => vec![name],
+            None if a == "all" => ALL.to_vec(),
+            None => return Err(format!("unknown experiment: {a}")),
+        };
+        for name in expanded {
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
         Ok(())
     })?;
     let value = |name: &str| flags.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
@@ -101,7 +108,7 @@ pub fn parse_args(args: &[String]) -> Result<ExperimentsArgs, String> {
             .filter(|&n| n > 0)
             .ok_or_else(|| format!("--jobs expects a positive integer, got {v:?}"))?,
     };
-    if names.is_empty() || names.contains(&"all") {
+    if names.is_empty() {
         names = ALL.to_vec();
     }
     Ok(ExperimentsArgs {
@@ -133,6 +140,15 @@ mod tests {
         assert_eq!(all.scale, DatasetScale::Standard);
         assert_eq!(all.out, PathBuf::from("results"));
         assert_eq!(parse_args(&[]).unwrap().experiments, ALL);
+        // `all` expands in place: named extras around it still run, in
+        // command-line order, and a repeated name runs once.
+        let extras = parse("all ablations marlin-sweep").unwrap();
+        assert_eq!(extras.experiments, [&ALL[..], &EXTRA[..]].concat());
+        let around = parse("marlin-sweep all fig6 ablations").unwrap();
+        assert_eq!(
+            around.experiments,
+            [&["marlin-sweep"][..], &ALL[..], &["ablations"][..]].concat()
+        );
     }
 
     #[test]

@@ -107,11 +107,14 @@ pub fn learn_thresholds(samples: &[TrainingExample]) -> [f64; 3] {
     let n = sorted.len();
 
     // prefix[c][i] = total regret of assigning the first i samples to class c.
-    let mut prefix = vec![[0.0f64; 4]; n + 1];
-    for i in 0..n {
-        for (c, cell) in prefix[i].into_iter().enumerate().collect::<Vec<_>>() {
-            prefix[i + 1][c] = cell + sorted[i].regret(c);
+    let mut prefix = Vec::with_capacity(n + 1);
+    let mut row = [0.0f64; 4];
+    prefix.push(row);
+    for sample in &sorted {
+        for (c, cell) in row.iter_mut().enumerate() {
+            *cell += sample.regret(c);
         }
+        prefix.push(row);
     }
     let cost = |j: usize, i: usize, c: usize| prefix[i][c] - prefix[j][c];
 

@@ -619,8 +619,8 @@ impl<'c> ClipRun<'c> {
     }
 
     /// Folds the tracker work since the last fold — deterministic kernel
-    /// counts and the ScratchPool hit-rate — into the last detection span,
-    /// with the last cycle's buffered and tracked frame counts.
+    /// counts and the kernel buffer reuse rate — into the last detection
+    /// span, with the last cycle's buffered and tracked frame counts.
     pub fn fold_kernel_counts(&mut self) {
         if !self.rec.on() {
             return;
@@ -689,7 +689,8 @@ fn detect_activity(setting: ModelSetting) -> Activity {
 }
 
 /// Span attributes for a cycle's deterministic kernel-count delta plus the
-/// ScratchPool hit-rate — the fold of `adavp_vision::perf` into telemetry.
+/// kernel buffer reuse rate (`scratch_hit_rate`) — the fold of
+/// `adavp_vision::perf` into telemetry.
 /// Only count fields appear; the wall-clock `*_ns` fields would break the
 /// byte-identity contract.
 fn kernel_attrs(delta: &KernelCounts) -> Vec<Attr> {

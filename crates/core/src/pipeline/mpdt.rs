@@ -205,7 +205,7 @@ impl<D: Detector> VideoProcessor for MpdtPipeline<D> {
                     c.switched = switched;
                 }
                 // Fold this cycle's deterministic tracker work (kernel
-                // counts, ScratchPool hit-rate) into its detection span.
+                // counts, buffer reuse rate) into its detection span.
                 run.fold_kernel_counts();
 
                 cur = next;

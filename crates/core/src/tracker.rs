@@ -24,7 +24,6 @@ use adavp_vision::geometry::{BoundingBox, Point2, Vec2};
 use adavp_vision::image::GrayImage;
 use adavp_vision::perf::{self, KernelCounters};
 use adavp_vision::pyramid::Pyramid;
-use adavp_vision::scratch::ScratchPool;
 
 /// How a box's motion vector is derived from its features' flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +103,7 @@ pub struct StepWork {
     pub lk_iterations: u64,
     /// Buffers freshly heap-allocated by vision kernels.
     pub buffers_allocated: u64,
-    /// Buffers recycled from the tracker's scratch pool.
+    /// Buffers a pyramid rebuild kept and refilled in place.
     pub buffers_reused: u64,
     /// Nanoseconds spent building pyramids.
     pub pyramid_ns: u64,
@@ -149,9 +148,10 @@ pub struct ObjectTracker {
     boxes: Vec<TrackedBox>,
     features: Vec<TrackedFeature>,
     reference: Option<Pyramid>,
-    /// Reusable kernel buffers: pyramids and gradient planes are recycled
-    /// here when replaced, so steady-state stepping allocates nothing.
-    scratch: ScratchPool,
+    /// The pyramid the last step retired, without gradient planes (they
+    /// moved to the reference). The next frame rebuilds it in place, so
+    /// steady-state stepping allocates nothing.
+    spare: Option<Pyramid>,
 }
 
 impl ObjectTracker {
@@ -164,7 +164,7 @@ impl ObjectTracker {
             boxes: Vec::new(),
             features: Vec::new(),
             reference: None,
-            scratch: ScratchPool::new(),
+            spare: None,
         }
     }
 
@@ -195,18 +195,18 @@ impl ObjectTracker {
     /// reference (the common case: the detector ran on the frame the last
     /// [`step`](Self::step) ended on), the carried-forward pyramid — and the
     /// gradient tiles already computed on it — are reused instead of being
-    /// rebuilt.
+    /// rebuilt. Any other frame is rebuilt into the carried pyramid's
+    /// buffers.
     ///
     /// Returns the number of features extracted.
     pub fn reset(&mut self, image: &GrayImage, detections: &[(ObjectClass, BoundingBox)]) -> usize {
         let pyramid = match self.reference.take() {
             Some(p) if p.base() == image => p,
-            other => {
-                if let Some(p) = other {
-                    p.recycle(&mut self.scratch);
-                }
-                Pyramid::build_with(image, self.config.lk.pyramid_levels, &mut self.scratch)
+            Some(mut p) => {
+                p.rebuild(image);
+                p
             }
+            None => self.pyramid_of(image),
         };
         self.reset_with_pyramid(pyramid, detections)
     }
@@ -214,7 +214,8 @@ impl ObjectTracker {
     /// Like [`reset`](Self::reset), but takes an already-built pyramid of the
     /// reference frame — for callers that have one in hand (e.g. a pipeline
     /// that pyramided the frame for its own purposes) and want to avoid any
-    /// rebuild.
+    /// rebuild. Build it with the tracker's `lk.pyramid_levels`: the tracker
+    /// rebuilds it in place for a later frame once it is retired.
     pub fn reset_with_pyramid(
         &mut self,
         mut pyramid: Pyramid,
@@ -233,12 +234,7 @@ impl ObjectTracker {
         // box; the LK steps that track out of this reference frame reuse
         // them.
         for (idx, tb) in self.boxes.iter_mut().enumerate() {
-            let corners = good_features_in_boxes(
-                &mut pyramid,
-                &self.config.features,
-                &[tb.bbox],
-                &mut self.scratch,
-            );
+            let corners = good_features_in_boxes(&mut pyramid, &self.config.features, &[tb.bbox]);
             if corners.is_empty() {
                 tb.stale = true;
                 continue;
@@ -256,6 +252,18 @@ impl ObjectTracker {
         self.features.len()
     }
 
+    /// A pyramid of `image`: the spare rebuilt in place, or a fresh build
+    /// when there is none yet.
+    fn pyramid_of(&mut self, image: &GrayImage) -> Pyramid {
+        match self.spare.take() {
+            Some(mut p) => {
+                p.rebuild(image);
+                p
+            }
+            None => Pyramid::build(image, self.config.lk.pyramid_levels),
+        }
+    }
+
     /// Tracks from the current reference frame into `next`, which is
     /// `frame_gap` camera frames later, shifting all boxes.
     ///
@@ -265,7 +273,7 @@ impl ObjectTracker {
         self.reference.as_ref()?;
         let before = perf::snapshot();
         let gap = frame_gap.max(1) as f64;
-        let next_pyr = Pyramid::build_with(next, self.config.lk.pyramid_levels, &mut self.scratch);
+        let mut next_pyr = self.pyramid_of(next);
 
         let alive_idx: Vec<usize> = (0..self.features.len())
             .filter(|&i| self.features[i].alive)
@@ -273,9 +281,10 @@ impl ObjectTracker {
         let points: Vec<Point2> = alive_idx.iter().map(|&i| self.features[i].point).collect();
         // LK computes the reference's gradient tiles under its windows.
         let reference = self.reference.as_mut().expect("checked above");
-        let results = self
-            .lk
-            .track_pyramids(reference, &next_pyr, &points, &mut self.scratch);
+        let results = self.lk.track_pyramids(reference, &next_pyr, &points);
+        // The reference's gradients are read for the last time: its planes
+        // move to the next reference, so the spare holds none.
+        next_pyr.swap_gradients(reference);
 
         let mut sum_motion = 0.0f64;
         let mut tracked = 0usize;
@@ -327,9 +336,7 @@ impl ObjectTracker {
             }
         }
 
-        if let Some(old) = self.reference.replace(next_pyr) {
-            old.recycle(&mut self.scratch);
-        }
+        self.spare = self.reference.replace(next_pyr);
         Some(StepStats {
             mean_velocity: if tracked > 0 {
                 Some(sum_motion / tracked as f64 / gap)
@@ -688,8 +695,8 @@ mod tests {
         let clip = slow_clip(8);
         let mut tracker = ObjectTracker::new(TrackerConfig::default());
         tracker.reset(&clip.frame(0).image, &gt_pairs(&clip, 0));
-        // Warm the scratch pool: the first few steps stock it with pyramid
-        // levels, gradient planes and convolution intermediates.
+        // Warm up: the first steps build the reference and the spare
+        // pyramid, and the LK reads allocate their gradient planes.
         for i in 1..4 {
             tracker.step(&clip.frame(i).image, 1).unwrap();
         }
@@ -700,6 +707,22 @@ mod tests {
                 "frame {i}: steady-state step must allocate no kernel buffers"
             );
             assert!(stats.work.buffers_reused > 0, "frame {i}");
+        }
+        // A detection on a frame other than the reference rebuilds the
+        // reference in place, and the steps after it allocate nothing
+        // either.
+        let before = perf::snapshot();
+        assert!(tracker.reset(&clip.frame(5).image, &gt_pairs(&clip, 5)) > 0);
+        let work = perf::snapshot().since(&before);
+        assert_eq!(work.pyramid_builds, 1, "reset on a new frame rebuilds");
+        assert_eq!(
+            work.buffers_allocated, 0,
+            "reset must allocate no kernel buffers"
+        );
+        assert!(work.buffers_reused > 0);
+        for i in 6..8 {
+            let stats = tracker.step(&clip.frame(i).image, 1).unwrap();
+            assert_eq!(stats.work.buffers_allocated, 0, "frame {i} after reset");
         }
     }
 

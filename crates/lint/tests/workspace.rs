@@ -106,7 +106,6 @@ fn report_lists_exactly_the_audited_waivers() {
             1,
         ),
         ("panic-surface", "crates/vision/src/image.rs", Inline, 1),
-        ("panic-surface", "crates/vision/src/pyramid.rs", Inline, 1),
         ("wallclock", "crates/bench/src", Policy, 1),
         (
             "wallclock",

@@ -18,7 +18,9 @@
 //! | `good_features_in_boxes_640x360` | `good_features_masked_reference_640x360` | 3x |
 //! | LK `optimized` | LK `baseline` | 3x |
 //!
-//! A pooled vs a fresh 4-level pyramid build at 640x360 is recorded in the
+//! The tracker's per-frame pyramid at 640x360, a 4-level
+//! [`Pyramid::rebuild`] in place plus the tracker's gradient tiles, is
+//! recorded against the same work on a freshly allocated pyramid in the
 //! same `speedups` section without a floor. Every kernel and oracle runs on
 //! the calling thread. When a gated ratio falls below its floor the bench
 //! still writes the file, then exits 1 naming the pair, its ratio and its
@@ -39,7 +41,6 @@ use adavp_vision::reference::{
     blur_downsample_into_scalar, good_features_from_gradients_reference, scharr_gradients,
     scharr_gradients_into_scalar, track_pyramids_baseline,
 };
-use adavp_vision::scratch::ScratchPool;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -191,7 +192,6 @@ fn main() {
 
     let img = textured(IMG_W, IMG_H);
     let next_img = shifted(&img, 3, -2);
-    let mut pool = ScratchPool::new();
     let mut entries: Vec<Entry> = Vec::new();
     let mut speedups: Vec<Speedup> = Vec::new();
 
@@ -203,8 +203,8 @@ fn main() {
     let (half_w, half_h) = (IMG_W / 2, IMG_H / 2);
     let mut level_out = GrayImage::new(half_w, half_h);
     let mut level_scalar_out = GrayImage::new(half_w, half_h);
-    blur_downsample_into(&img, &mut level_out, &mut pool);
-    blur_downsample_into_scalar(&img, &mut level_scalar_out, &mut pool);
+    blur_downsample_into(&img, &mut level_out);
+    blur_downsample_into_scalar(&img, &mut level_scalar_out);
     assert_eq!(
         level_out.as_bytes(),
         level_scalar_out.as_bytes(),
@@ -212,10 +212,10 @@ fn main() {
     );
     let blur_ns = bench_rounds(|k| {
         if k == 0 {
-            blur_downsample_into(black_box(&img), &mut level_out, &mut pool);
+            blur_downsample_into(black_box(&img), &mut level_out);
             black_box(&level_out);
         } else {
-            blur_downsample_into_scalar(black_box(&img), &mut level_scalar_out, &mut pool);
+            blur_downsample_into_scalar(black_box(&img), &mut level_scalar_out);
             black_box(&level_scalar_out);
         }
     });
@@ -223,7 +223,7 @@ fn main() {
         name: "blur_downsample_256",
         ns_per_op: blur_ns[0],
         pixels: frame_pixels,
-        note: "row-streamed 5-tap blur + 2x2 box downsample, pooled ring, 256x256 -> 128x128",
+        note: "row-streamed 5-tap blur + 2x2 box downsample, 256x256 -> 128x128",
     });
     entries.push(Entry {
         name: "blur_downsample_scalar_256",
@@ -245,7 +245,7 @@ fn main() {
     entries.push(Entry {
         name: "scharr_scalar_256",
         ns_per_op: bench_ns(|| {
-            scharr_gradients_into_scalar(black_box(&img), &mut field_scalar, &mut pool);
+            scharr_gradients_into_scalar(black_box(&img), &mut field_scalar);
             black_box(&field_scalar);
         }),
         pixels: frame_pixels,
@@ -259,7 +259,7 @@ fn main() {
     let mut all_tiles = TiledGradients::new();
     let all_tiles_ns = bench_ns(|| {
         all_tiles.clear();
-        all_tiles.ensure(black_box(&frame), &whole, &mut pool);
+        all_tiles.ensure(black_box(&frame), &whole);
         black_box(&all_tiles);
     });
     entries.push(Entry {
@@ -311,7 +311,7 @@ fn main() {
     let tracker_ns = bench_ns(|| {
         for ((level, rects), tiles) in demand.iter().enumerate().zip(&mut level_tiles) {
             tiles.clear();
-            tiles.ensure(black_box(frame_pyr.level(level)), rects, &mut pool);
+            tiles.ensure(black_box(frame_pyr.level(level)), rects);
         }
         black_box(&level_tiles);
     });
@@ -357,8 +357,8 @@ fn main() {
     // Each case is checked against its oracle before it is timed.
     let mut frame_half = GrayImage::new(FRAME_W / 2, FRAME_H / 2);
     let mut frame_half_scalar = GrayImage::new(FRAME_W / 2, FRAME_H / 2);
-    blur_downsample_into(&frame, &mut frame_half, &mut pool);
-    blur_downsample_into_scalar(&frame, &mut frame_half_scalar, &mut pool);
+    blur_downsample_into(&frame, &mut frame_half);
+    blur_downsample_into_scalar(&frame, &mut frame_half_scalar);
     assert_eq!(
         frame_half.as_bytes(),
         frame_half_scalar.as_bytes(),
@@ -367,55 +367,63 @@ fn main() {
     entries.push(Entry {
         name: "blur_downsample_640x360",
         ns_per_op: bench_ns(|| {
-            blur_downsample_into(black_box(&frame), &mut frame_half, &mut pool);
+            blur_downsample_into(black_box(&frame), &mut frame_half);
             black_box(&frame_half);
         }),
         pixels: frame_px,
         note: "row-streamed blur + downsample, one pyramid level, 640x360 -> 320x180",
     });
-    // Every level of a pooled build equals the oracles composed down from
-    // the one above it.
-    let pooled = Pyramid::build_with(&frame, TRACKER_LEVELS, &mut pool);
-    assert_eq!(pooled.levels(), TRACKER_LEVELS as usize);
-    for level in 1..pooled.levels() {
-        let above = pooled.level(level - 1);
+    // Every level of a pyramid rebuilt over the frame, from a stale one,
+    // equals the oracles composed down from the level above it.
+    let mut rebuilt = Pyramid::build(&shifted(&frame, 5, 3), TRACKER_LEVELS);
+    rebuilt.rebuild(&frame);
+    assert_eq!(rebuilt.levels(), TRACKER_LEVELS as usize);
+    for level in 1..rebuilt.levels() {
+        let above = rebuilt.level(level - 1);
         let mut oracle = GrayImage::new(above.width() / 2, above.height() / 2);
-        blur_downsample_into_scalar(above, &mut oracle, &mut pool);
+        blur_downsample_into_scalar(above, &mut oracle);
         assert_eq!(
-            pooled.level(level),
+            rebuilt.level(level),
             &oracle,
             "pyramid level {level} diverged from the composed oracles"
         );
     }
-    pooled.recycle(&mut pool);
     let frame_pyramid_px: u64 = (0..TRACKER_LEVELS)
         .map(|l| u64::from((FRAME_W >> l) * (FRAME_H >> l)))
         .sum();
-    // Pooled (the steady state, each pyramid recycled back into the pool)
-    // against a build that allocates every level.
+    // The tracker's per-frame pyramid work, its levels and the tiles its
+    // boxes and windows read: rebuilt in place (the steady state) against
+    // built into freshly allocated levels and gradient planes.
+    let ensure_demand = |pyr: &mut Pyramid| {
+        for (level, rects) in demand.iter().enumerate() {
+            pyr.ensure_gradients(level, rects);
+        }
+    };
     let pyramid_ns = bench_rounds(|k| {
         if k == 0 {
-            let p = Pyramid::build_with(black_box(&frame), TRACKER_LEVELS, &mut pool);
-            black_box(&p);
-            p.recycle(&mut pool);
+            rebuilt.rebuild(black_box(&frame));
+            ensure_demand(&mut rebuilt);
+            black_box(&rebuilt);
         } else {
-            black_box(Pyramid::build(black_box(&frame), TRACKER_LEVELS));
+            let mut fresh = Pyramid::build(black_box(&frame), TRACKER_LEVELS);
+            ensure_demand(&mut fresh);
+            black_box(fresh);
         }
     });
     entries.push(Entry {
-        name: "pyramid_build_pooled_640x360x4",
+        name: "pyramid_rebuild_640x360x4",
         ns_per_op: pyramid_ns[0],
         pixels: frame_pyramid_px,
-        note: "steady-state 4-level build via ScratchPool, 640x360",
+        note: "4-level rebuild in place + the tracker's tiles, 640x360",
     });
     entries.push(Entry {
         name: "pyramid_build_fresh_640x360x4",
         ns_per_op: pyramid_ns[1],
         pixels: frame_pyramid_px,
-        note: "allocating 4-level build (no pool reuse), 640x360",
+        note: "4-level build into fresh buffers + the tracker's tiles, 640x360",
     });
     speedups.push(Speedup::new(
-        "pyramid_build_pooled_640x360x4",
+        "pyramid_rebuild_640x360x4",
         "pyramid_build_fresh_640x360x4",
         pyramid_ns,
         None,
@@ -427,9 +435,9 @@ fn main() {
     });
     assert_eq!(tracker_lk.params().window_radius, 7);
     let next_frame_pyr = Pyramid::build(&shifted(&frame, 3, -2), TRACKER_LEVELS);
-    let mut lk_prev = Pyramid::build_with(&frame, TRACKER_LEVELS, &mut pool);
+    let mut lk_prev = Pyramid::build(&frame, TRACKER_LEVELS);
     assert_eq!(
-        tracker_lk.track_pyramids(&mut lk_prev, &next_frame_pyr, &features, &mut pool),
+        tracker_lk.track_pyramids(&mut lk_prev, &next_frame_pyr, &features),
         track_pyramids_baseline(&tracker_lk, &frame_pyr, &next_frame_pyr, &features),
         "LK diverged from the baseline at 640x360"
     );
@@ -442,14 +450,12 @@ fn main() {
                 black_box(&mut lk_prev),
                 black_box(&next_frame_pyr),
                 &features,
-                &mut pool,
             ));
         }),
         // One 15x15 window per feature per level.
         pixels: features.len() as u64 * 15 * 15 * u64::from(TRACKER_LEVELS),
         note: "pyramidal LK, radius 7, 4 levels, 3 boxes x 6 features, tiles computed, 640x360",
     });
-    lk_prev.recycle(&mut pool);
 
     // Masked Shi-Tomasi with the tracker's parameters over one 120x80 box.
     let st_params = GoodFeaturesParams {
@@ -459,7 +465,7 @@ fn main() {
         block_radius: 1,
     };
     let one_box = [boxes[0]];
-    let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
+    let mut st_pyr = Pyramid::build(&frame, PYRAMID_LEVELS);
     let full = scharr_gradients(&frame);
     // The first (warm-up) call computes the box's tiles; the timed calls
     // find them computed and time the scan and suppression.
@@ -469,7 +475,6 @@ fn main() {
                 &mut st_pyr,
                 &st_params,
                 black_box(&one_box),
-                &mut pool,
             ));
         } else {
             black_box(good_features_from_gradients_reference(
@@ -479,7 +484,6 @@ fn main() {
             ));
         }
     });
-    st_pyr.recycle(&mut pool);
     entries.push(Entry {
         name: "good_features_in_boxes_640x360",
         ns_per_op: st_ns[0],
@@ -498,13 +502,12 @@ fn main() {
         st_ns,
         Some(SHI_TOMASI_FLOOR),
     ));
-    let mut st_pyr = Pyramid::build_with(&frame, PYRAMID_LEVELS, &mut pool);
+    st_pyr.rebuild(&frame);
     assert_eq!(
-        good_features_in_boxes(&mut st_pyr, &st_params, &one_box, &mut pool),
+        good_features_in_boxes(&mut st_pyr, &st_params, &one_box),
         good_features_from_gradients_reference(&full, &st_params, Some(&one_box)),
         "demand-driven Shi-Tomasi diverged from the reference"
     );
-    st_pyr.recycle(&mut pool);
 
     // --- Pyramidal LK multi-point: baseline vs optimized ---------------------
     let lk = PyramidalLk::new(LkParams::default());
@@ -529,19 +532,15 @@ fn main() {
     // path computes the gradient tiles under its windows once per
     // reference pyramid, so `optimized` reuses them across calls the way
     // the tracker reuses its carried-forward reference, and
-    // `optimized+fresh-pyramid` builds a new reference inside the timed
+    // `optimized+fresh-pyramid` rebuilds the reference inside the timed
     // region so tile computation is part of the per-frame cost.
     let mut prev_pyr = Pyramid::build(&img, PYRAMID_LEVELS);
     let next_pyr = Pyramid::build(&next_img, PYRAMID_LEVELS);
+    let mut per_frame = Pyramid::build(&img, PYRAMID_LEVELS);
 
     let [optimized_ns, baseline_ns, opt_fresh_ns] = bench_rounds(|k| match k {
         0 => {
-            black_box(lk.track_pyramids(
-                black_box(&mut prev_pyr),
-                black_box(&next_pyr),
-                &pts,
-                &mut pool,
-            ));
+            black_box(lk.track_pyramids(black_box(&mut prev_pyr), black_box(&next_pyr), &pts));
         }
         1 => {
             black_box(track_pyramids_baseline(
@@ -552,9 +551,8 @@ fn main() {
             ));
         }
         _ => {
-            let mut p = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-            black_box(lk.track_pyramids(&mut p, black_box(&next_pyr), &pts, &mut pool));
-            p.recycle(&mut pool);
+            per_frame.rebuild(&img);
+            black_box(lk.track_pyramids(&mut per_frame, black_box(&next_pyr), &pts));
         }
     });
     speedups.push(Speedup::new(
@@ -564,20 +562,18 @@ fn main() {
         Some(LK_FLOOR),
     ));
 
-    // Sanity: both paths agree bit-for-bit, the optimized one on a fresh
-    // reference pyramid whose pooled planes hold stale gradients of another
-    // frame.
-    let mut stale = Pyramid::build_with(&next_img, PYRAMID_LEVELS, &mut pool);
+    // Sanity: both paths agree bit-for-bit, the optimized one on a
+    // reference pyramid rebuilt from one whose planes hold every gradient
+    // of another frame.
+    let mut stale = Pyramid::build(&next_img, PYRAMID_LEVELS);
     for level in 0..stale.levels() {
         let im = stale.level(level);
         let r = PixelRect::new(0, 0, im.width() as i64, im.height() as i64);
-        stale.ensure_gradients(level, &[r], &mut pool);
+        stale.ensure_gradients(level, &[r]);
     }
-    stale.recycle(&mut pool);
+    stale.rebuild(&img);
     let a = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
-    let mut fresh = Pyramid::build_with(&img, PYRAMID_LEVELS, &mut pool);
-    let b = lk.track_pyramids(&mut fresh, &next_pyr, &pts, &mut pool);
-    fresh.recycle(&mut pool);
+    let b = lk.track_pyramids(&mut stale, &next_pyr, &pts);
     assert_eq!(a, b, "baseline and optimized LK diverged");
 
     for sp in &speedups {

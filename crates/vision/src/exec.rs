@@ -18,7 +18,7 @@
 //!    thread-local [`crate::perf`] counters which are merged into the
 //!    calling thread after the join, so a snapshot taken around a map
 //!    counts the same work at any `jobs` (the `experiments` binary's
-//!    scratch-pool line reads one after the whole run).
+//!    buffer-reuse line reads one after the whole run).
 //! 3. **Graceful degradation.** With `jobs <= 1` (or one item) the map runs
 //!    inline on the calling thread with no spawn cost.
 //!

@@ -11,7 +11,6 @@ use crate::geometry::{BoundingBox, PixelRect, Point2};
 use crate::gradient::GradientField;
 use crate::perf;
 use crate::pyramid::Pyramid;
-use crate::scratch::ScratchPool;
 
 /// A detected corner: location plus its Shi-Tomasi response.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +54,7 @@ impl Default for GoodFeaturesParams {
 /// on objects (§V of the paper). A box covering the frame scans the whole
 /// image. Only the gradient tiles the scan reads are computed; they are the
 /// pyramid's own, so the Lucas-Kanade steps that track out of this pyramid
-/// reuse them. Gradient buffers come from `pool`.
+/// reuse them.
 ///
 /// Returns corners sorted by descending response, after quality filtering
 /// and minimum-distance suppression.
@@ -67,12 +66,11 @@ impl Default for GoodFeaturesParams {
 /// use adavp_vision::geometry::BoundingBox;
 /// use adavp_vision::image::GrayImage;
 /// use adavp_vision::pyramid::Pyramid;
-/// use adavp_vision::scratch::ScratchPool;
 /// let img = GrayImage::from_fn(64, 64, |x, y| if x > 30 && y > 30 { 220 } else { 10 });
 /// let mut pyr = Pyramid::build(&img, 1);
 /// let boxes = [BoundingBox::new(16.0, 16.0, 32.0, 32.0)];
 /// let params = GoodFeaturesParams::default();
-/// let corners = good_features_in_boxes(&mut pyr, &params, &boxes, &mut ScratchPool::new());
+/// let corners = good_features_in_boxes(&mut pyr, &params, &boxes);
 /// // The single corner of the bright square is found.
 /// assert!(corners.iter().any(|c| (c.point.x - 30.0).abs() < 3.0 && (c.point.y - 30.0).abs() < 3.0));
 /// ```
@@ -80,7 +78,6 @@ pub fn good_features_in_boxes(
     pyr: &mut Pyramid,
     params: &GoodFeaturesParams,
     boxes: &[BoundingBox],
-    pool: &mut ScratchPool,
 ) -> Vec<Corner> {
     let r = params.block_radius as i64;
     let rects: Vec<PixelRect> = boxes
@@ -98,7 +95,7 @@ pub fn good_features_in_boxes(
             )
         })
         .collect();
-    pyr.ensure_gradients(0, &rects, pool);
+    pyr.ensure_gradients(0, &rects);
     let Some(grad) = pyr.tiled_gradients().first().map(|g| g.field()) else {
         return Vec::new();
     };
@@ -449,7 +446,7 @@ mod tests {
         boxes: &[BoundingBox],
     ) -> Vec<Corner> {
         let mut pyr = Pyramid::build(img, 1);
-        good_features_in_boxes(&mut pyr, params, boxes, &mut ScratchPool::new())
+        good_features_in_boxes(&mut pyr, params, boxes)
     }
 
     /// Corners anywhere in `img`: one box covering the frame.

@@ -47,7 +47,6 @@ use crate::gradient::{GradientField, TiledGradients};
 use crate::image::GrayImage;
 use crate::perf;
 use crate::pyramid::Pyramid;
-use crate::scratch::ScratchPool;
 use crate::simd;
 use std::fmt;
 
@@ -541,27 +540,25 @@ impl PyramidalLk {
     /// next step's reference — prefer [`PyramidalLk::track_pyramids`] to
     /// reuse pyramids and the gradient tiles already computed on them.
     pub fn track(&self, prev: &GrayImage, next: &GrayImage, points: &[Point2]) -> Vec<FlowResult> {
-        let mut pool = ScratchPool::new();
-        let mut prev_pyr = Pyramid::build_with(prev, self.params.pyramid_levels, &mut pool);
-        let next_pyr = Pyramid::build_with(next, self.params.pyramid_levels, &mut pool);
-        self.track_pyramids(&mut prev_pyr, &next_pyr, points, &mut pool)
+        let mut prev_pyr = Pyramid::build(prev, self.params.pyramid_levels);
+        let next_pyr = Pyramid::build(next, self.params.pyramid_levels);
+        self.track_pyramids(&mut prev_pyr, &next_pyr, points)
     }
 
     /// Tracks `points` between two prebuilt pyramids.
     ///
     /// The pyramids must have been built from images of identical size.
     /// Computes the gradient tiles of `prev` that the points' windows read
-    /// and are not computed yet (planes and row buffers from `pool`), then
-    /// tracks the points in order on the calling thread.
+    /// and are not computed yet, then tracks the points in order on the
+    /// calling thread.
     pub fn track_pyramids(
         &self,
         prev: &mut Pyramid,
         next: &Pyramid,
         points: &[Point2],
-        pool: &mut ScratchPool,
     ) -> Vec<FlowResult> {
         let levels = prev.levels().min(next.levels());
-        self.ensure_windows(prev, levels, points, pool);
+        self.ensure_windows(prev, levels, points);
         let _timer = perf::ScopedTimer::new(|c| &mut c.flow_ns);
         perf::record(|c| {
             c.lk_calls += 1;
@@ -583,13 +580,7 @@ impl PyramidalLk {
     /// `floor(pl.x) + wx`, and bilinear sampling reads one column further,
     /// so reads span `floor(pl.x) - r ..= floor(pl.x) + r + 2`; the rect
     /// adds one column of slack on the left. Rows are the same.
-    fn ensure_windows(
-        &self,
-        prev: &mut Pyramid,
-        levels: usize,
-        points: &[Point2],
-        pool: &mut ScratchPool,
-    ) {
+    fn ensure_windows(&self, prev: &mut Pyramid, levels: usize, points: &[Point2]) {
         let r = self.params.window_radius as i64;
         let mut rects = Vec::with_capacity(points.len());
         for level in 0..levels {
@@ -609,7 +600,7 @@ impl PyramidalLk {
                     cy + r + 3,
                 ));
             }
-            prev.ensure_gradients(level, &rects, pool);
+            prev.ensure_gradients(level, &rects);
         }
     }
 
@@ -863,7 +854,7 @@ mod tests {
         let a = lk.track(&prev, &next, &pts);
         let mut pp = Pyramid::build(&prev, lk.params().pyramid_levels);
         let np = Pyramid::build(&next, lk.params().pyramid_levels);
-        let b = lk.track_pyramids(&mut pp, &np, &pts, &mut ScratchPool::new());
+        let b = lk.track_pyramids(&mut pp, &np, &pts);
         assert_eq!(a, b);
     }
 
@@ -986,9 +977,8 @@ mod tests {
         let mut pp = Pyramid::build(&prev, lk.params().pyramid_levels);
         let np = Pyramid::build(&next, lk.params().pyramid_levels);
         let pts = [Point2::new(40.0, 40.0), Point2::new(60.0, 30.0)];
-        let mut pool = ScratchPool::new();
         crate::perf::reset();
-        let _ = lk.track_pyramids(&mut pp, &np, &pts, &mut pool);
+        let _ = lk.track_pyramids(&mut pp, &np, &pts);
         let s1 = crate::perf::snapshot();
         assert_eq!(s1.lk_calls, 1);
         assert_eq!(s1.lk_points, 2);
@@ -1009,13 +999,13 @@ mod tests {
             .sum();
         assert_eq!(s1.gradient_tiles, tiles as u64);
         // A second call over the same reference pyramid computes nothing.
-        let _ = lk.track_pyramids(&mut pp, &np, &pts, &mut pool);
+        let _ = lk.track_pyramids(&mut pp, &np, &pts);
         let s2 = crate::perf::snapshot();
         assert_eq!(s2.lk_calls, 2);
         assert_eq!(s2.gradient_tiles, s1.gradient_tiles);
         // No points, no gradients.
         let mut fresh = Pyramid::build(&prev, lk.params().pyramid_levels);
-        let _ = lk.track_pyramids(&mut fresh, &np, &[], &mut pool);
+        let _ = lk.track_pyramids(&mut fresh, &np, &[]);
         assert_eq!(crate::perf::snapshot().gradient_tiles, s1.gradient_tiles);
     }
 }

@@ -7,17 +7,17 @@
 //!
 //! Gradients are computed on demand in tiles ([`TiledGradients`]), only
 //! where a reader asks for them. The kernel runs as **row-slice passes**
-//! through the [`crate::simd`] helpers and takes its intermediate buffers
-//! from a [`crate::scratch::ScratchPool`], so the per-frame hot path
-//! allocates nothing. All intermediate values are small integers, exactly
-//! representable in `f32`, and the final division is by a power of two, so
-//! the results equal the plain-loop oracles in `reference` bit for
-//! bit.
+//! through the [`crate::simd`] helpers into planes and row buffers the
+//! field owns and keeps across [`TiledGradients::clear`], so a pyramid
+//! rebuilt for each frame ([`crate::pyramid::Pyramid::rebuild`]) computes
+//! its gradients without allocating. All intermediate values are small
+//! integers, exactly representable in `f32`, and the final division is by
+//! a power of two, so the results equal the plain-loop oracles in
+//! `reference` bit for bit.
 
 use crate::geometry::PixelRect;
 use crate::image::GrayImage;
 use crate::perf;
-use crate::scratch::ScratchPool;
 use crate::simd;
 
 /// Horizontal and vertical image derivatives as `f32` planes.
@@ -179,8 +179,9 @@ enum Tile {
 ///
 /// The tracker reads gradients only inside the Shi-Tomasi boxes and the
 /// Lucas-Kanade windows, a small share of each pyramid level. This field
-/// keeps full-size `gx`/`gy` planes (taken from a [`ScratchPool`] on first
-/// use and never zeroed) plus a per-tile "computed" bitmap;
+/// owns full-size `gx`/`gy` planes (allocated on first use, kept by
+/// [`TiledGradients::clear`] and never re-zeroed), the row buffers of the
+/// kernel, and a per-tile "computed" bitmap;
 /// [`TiledGradients::ensure`] fills only the tiles a read needs that are
 /// not computed yet. Every value is an integer tap sum times 1/32, so a
 /// computed tile is bit-identical to the same pixels of a whole-frame
@@ -193,11 +194,10 @@ enum Tile {
 /// use adavp_vision::geometry::PixelRect;
 /// use adavp_vision::gradient::TiledGradients;
 /// use adavp_vision::image::GrayImage;
-/// use adavp_vision::scratch::ScratchPool;
 /// let img = GrayImage::from_fn(100, 70, |x, y| (x * 3 + y * 5) as u8);
 /// let mut tiled = TiledGradients::new();
 /// // Five pixels of one tile row: a single 32x4 tile.
-/// tiled.ensure(&img, &[PixelRect::new(40, 8, 45, 12)], &mut ScratchPool::new());
+/// tiled.ensure(&img, &[PixelRect::new(40, 8, 45, 12)]);
 /// assert_eq!(tiled.tiles_computed(), 1);
 /// // Inside the ramp the gradient is its slope.
 /// assert_eq!(tiled.get(42, 9), Some((3.0, 5.0)));
@@ -206,6 +206,10 @@ enum Tile {
 #[derive(Debug, Clone)]
 pub struct TiledGradients {
     field: GradientField,
+    /// The kernel's row buffers: the vertical smoothing of one span row
+    /// (`width + 2` values), then a ring of three horizontally smoothed
+    /// rows (`width` each).
+    rows: Vec<u16>,
     tiles: Vec<Tile>,
     tiles_x: usize,
 }
@@ -221,6 +225,7 @@ impl TiledGradients {
     pub fn new() -> Self {
         Self {
             field: GradientField::empty(),
+            rows: Vec::new(),
             tiles: Vec::new(),
             tiles_x: 0,
         }
@@ -236,16 +241,17 @@ impl TiledGradients {
     /// missing across the whole run. Asked for every tile, this is a single
     /// full-frame pass. The work is timed under
     /// [`perf::KernelCounters::gradient_ns`] and counted in
-    /// `gradient_tiles`. The planes and row buffers come from `pool`. A
-    /// field used with an image of another size starts over.
-    pub fn ensure(&mut self, img: &GrayImage, rects: &[PixelRect], pool: &mut ScratchPool) {
+    /// `gradient_tiles`. A field used with an image of another size starts
+    /// over.
+    pub fn ensure(&mut self, img: &GrayImage, rects: &[PixelRect]) {
         let (w, h) = (img.width(), img.height());
         if w == 0 || h == 0 {
             return;
         }
-        self.bind(w, h, pool);
+        self.bind(w, h);
         let Self {
             field,
+            rows,
             tiles,
             tiles_x,
         } = self;
@@ -275,8 +281,7 @@ impl TiledGradients {
         let _timer = perf::ScopedTimer::new(|c| &mut c.gradient_ns);
         perf::record(|c| c.gradient_tiles += wanted);
         let (wu, hu) = (w as usize, h as usize);
-        let mut vbuf = pool.take_u16(wu + 2);
-        let mut ring = [pool.take_u16(wu), pool.take_u16(wu), pool.take_u16(wu)];
+        let (vbuf, ring) = rows.split_at_mut(wu + 2);
         let is_wanted = |tiles: &[Tile], ty: usize, tx: usize| {
             tx < tiles_x && tiles.get(ty * tiles_x + tx) == Some(&Tile::Wanted)
         };
@@ -296,7 +301,7 @@ impl TiledGradients {
                     ty_end += 1;
                 }
                 let span = (tx * tw, (end * tw).min(wu), ty * th, (ty_end * th).min(hu));
-                let filled = scharr_span(img, field, span, &mut vbuf, &mut ring);
+                let filled = scharr_span(img, field, span, vbuf, ring);
                 debug_assert!(filled.is_some(), "tile span {span:?} out of bounds");
                 for r in ty..ty_end {
                     if let Some(run) = tiles.get_mut(r * tiles_x + tx..r * tiles_x + end) {
@@ -306,27 +311,19 @@ impl TiledGradients {
                 tx = end;
             }
         }
-        pool.recycle_u16(vbuf);
-        let [r0, r1, r2] = ring;
-        pool.recycle_u16(r0);
-        pool.recycle_u16(r1);
-        pool.recycle_u16(r2);
     }
 
-    /// Sizes the planes and the tile bitmap for a `w x h` image, taking the
-    /// planes from `pool` on first use. Keeps computed tiles when the size
-    /// is unchanged.
-    fn bind(&mut self, w: u32, h: u32, pool: &mut ScratchPool) {
+    /// Sizes the planes, the row buffers and the tile bitmap for a `w x h`
+    /// image, keeping buffers with the room ([`perf::fit`]). Keeps computed
+    /// tiles when the size is unchanged and the field was not cleared.
+    fn bind(&mut self, w: u32, h: u32) {
         if (self.field.width, self.field.height) == (w, h) && !self.tiles.is_empty() {
             return;
         }
         let len = w as usize * h as usize;
-        if self.field.gx.capacity() == 0 {
-            self.field.gx = pool.take_f32(len);
-            self.field.gy = pool.take_f32(len);
-        }
-        self.field.gx.resize(len, 0.0);
-        self.field.gy.resize(len, 0.0);
+        perf::fit(&mut self.field.gx, len);
+        perf::fit(&mut self.field.gy, len);
+        perf::fit(&mut self.rows, 4 * w as usize + 2);
         self.field.width = w;
         self.field.height = h;
         self.tiles_x = w.div_ceil(TILE_W) as usize;
@@ -335,9 +332,10 @@ impl TiledGradients {
             .resize(self.tiles_x * h.div_ceil(TILE_H) as usize, Tile::Missing);
     }
 
-    /// Forgets every computed tile (the planes stay, for reuse).
+    /// Forgets every computed tile. The planes and row buffers stay, for
+    /// the next [`TiledGradients::ensure`] to refill.
     pub fn clear(&mut self) {
-        self.tiles.fill(Tile::Missing);
+        self.tiles.clear();
     }
 
     /// Number of tiles computed so far.
@@ -362,14 +360,6 @@ impl TiledGradients {
     pub(crate) fn field(&self) -> &GradientField {
         &self.field
     }
-
-    /// Returns the planes to `pool`.
-    pub(crate) fn recycle(self, pool: &mut ScratchPool) {
-        if self.field.gx.capacity() > 0 {
-            pool.recycle_f32(self.field.gx);
-            pool.recycle_f32(self.field.gy);
-        }
-    }
 }
 
 /// Scharr gradients of `img` over the pixels `[x0, x1) x [y0, y1)` of
@@ -383,14 +373,14 @@ impl TiledGradients {
 /// `16 * 255 = 4080`, exact in `u16`), and the differences are scaled by
 /// the power of two 1/32, so every value is bit-identical to the two-pass
 /// `reference::scharr_gradients_into_scalar`. `vbuf` holds at least
-/// `x1 - x0 + 2` values, and `ring` three rows of at least `x1 - x0`.
+/// `x1 - x0 + 2` values, and `ring` three rows of the image width.
 /// Returns `None` only if a span or buffer is out of bounds.
 fn scharr_span(
     img: &GrayImage,
     field: &mut GradientField,
     span: (usize, usize, usize, usize),
     vbuf: &mut [u16],
-    ring: &mut [Vec<u16>],
+    ring: &mut [u16],
 ) -> Option<()> {
     const NORM: f32 = 1.0 / 32.0;
     let (x0, x1, y0, y1) = span;
@@ -398,6 +388,8 @@ fn scharr_span(
     let n = x1 - x0;
     let data = img.as_bytes();
     let row = |y: usize| data.get(y * w..y * w + w);
+    // Ring slot of smoothed row `y`: the span's `n` values of the slot.
+    let slot = |y: usize| (y % 3) * w..(y % 3) * w + n;
     // Horizontal [3 10 3] smoothing of image row `y` over the span.
     let hsmooth = |y: usize, dst: &mut [u16]| -> Option<()> {
         let mid = row(y)?;
@@ -448,12 +440,12 @@ fn scharr_span(
         // The ring holds the horizontal smoothing of rows next_hs-3 ..
         // next_hs-1; up and dn are always among them once dn is filled.
         while next_hs <= dn {
-            hsmooth(next_hs, ring.get_mut(next_hs % 3)?.get_mut(..n)?)?;
+            hsmooth(next_hs, ring.get_mut(slot(next_hs))?)?;
             next_hs += 1;
         }
         simd::diff_norm_row(
-            ring.get(dn % 3)?.get(..n)?,
-            ring.get(up % 3)?.get(..n)?,
+            ring.get(slot(dn))?,
+            ring.get(slot(up))?,
             NORM,
             field.gy.get_mut(at + x0..at + x1)?,
         );
@@ -469,7 +461,7 @@ mod tests {
     fn scharr(img: &GrayImage) -> GradientField {
         let mut tiled = TiledGradients::new();
         let whole = PixelRect::new(0, 0, img.width().into(), img.height().into());
-        tiled.ensure(img, &[whole], &mut ScratchPool::new());
+        tiled.ensure(img, &[whole]);
         tiled.field().clone()
     }
 

@@ -112,6 +112,15 @@ impl GrayImage {
         &self.data[start..start + w]
     }
 
+    /// Resizes the image to `width x height` in place, keeping its buffer
+    /// when it has the room ([`crate::perf`] counts which). The pixels are
+    /// left unspecified, for a kernel to overwrite.
+    pub(crate) fn reshape(&mut self, width: u32, height: u32) {
+        crate::perf::fit(&mut self.data, width as usize * height as usize);
+        self.width = width;
+        self.height = height;
+    }
+
     /// Consumes the image and returns the raw pixel bytes.
     pub fn into_raw(self) -> Vec<u8> {
         self.data

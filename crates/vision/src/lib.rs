@@ -20,9 +20,11 @@
 //! The kernels are written for a per-frame tracking loop, and each has one
 //! implementation:
 //!
-//! * every kernel writes into caller-provided buffers recycled through a
-//!   [`scratch::ScratchPool`], so steady-state frame processing performs
-//!   no heap allocations;
+//! * a [`pyramid::Pyramid`] owns every buffer its kernels write (level
+//!   images, gradient planes, row rings), and
+//!   [`pyramid::Pyramid::rebuild`] rewrites them in place for the next
+//!   frame, so steady-state frame processing performs no heap
+//!   allocations;
 //! * each [`pyramid::Pyramid`] computes its per-level Scharr gradients on
 //!   demand, one tile at a time, only where corner detection and the
 //!   Lucas-Kanade windows read them
@@ -52,7 +54,6 @@
 //! use adavp_vision::geometry::{BoundingBox, Point2};
 //! use adavp_vision::image::GrayImage;
 //! use adavp_vision::pyramid::Pyramid;
-//! use adavp_vision::scratch::ScratchPool;
 //!
 //! // A synthetic textured image and a copy shifted right by 2 pixels.
 //! let img = GrayImage::from_fn(96, 96, |x, y| {
@@ -65,17 +66,16 @@
 //!
 //! // Corners inside one object box, then tracked into the next frame.
 //! let lk = PyramidalLk::new(LkParams::default());
-//! let mut pool = ScratchPool::new();
 //! let levels = lk.params().pyramid_levels;
-//! let mut prev = Pyramid::build_with(&img, levels, &mut pool);
-//! let next = Pyramid::build_with(&shifted, levels, &mut pool);
+//! let mut prev = Pyramid::build(&img, levels);
+//! let next = Pyramid::build(&shifted, levels);
 //! let object = [BoundingBox::new(16.0, 16.0, 64.0, 64.0)];
 //! let params = GoodFeaturesParams::default();
-//! let corners = good_features_in_boxes(&mut prev, &params, &object, &mut pool);
+//! let corners = good_features_in_boxes(&mut prev, &params, &object);
 //! assert!(!corners.is_empty());
 //!
 //! let pts: Vec<Point2> = corners.iter().map(|c| c.point).collect();
-//! let tracked = lk.track_pyramids(&mut prev, &next, &pts, &mut pool);
+//! let tracked = lk.track_pyramids(&mut prev, &next, &pts);
 //! let ok = tracked.iter().filter(|t| t.found).count();
 //! assert!(ok > 0);
 //! ```
@@ -93,7 +93,6 @@ pub mod perf;
 pub mod pyramid;
 #[doc(hidden)]
 pub mod reference;
-pub mod scratch;
 pub mod simd;
 
 pub use exec::Executor;
@@ -103,4 +102,3 @@ pub use geometry::{BoundingBox, Point2, Vec2};
 pub use image::GrayImage;
 pub use perf::KernelCounters;
 pub use pyramid::Pyramid;
-pub use scratch::ScratchPool;

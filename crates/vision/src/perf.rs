@@ -14,6 +14,12 @@
 //! threads' counters back into the calling thread, so from the caller's
 //! perspective the numbers behave as if the map had run sequentially.
 //!
+//! Two counters show whether the per-frame path allocates: every kernel
+//! buffer (pyramid level, gradient plane, row ring) is sized through one
+//! helper, which counts a fresh allocation in `buffers_allocated` and a
+//! buffer that a [`crate::pyramid::Pyramid::rebuild`] kept in
+//! `buffers_reused`.
+//!
 //! # Example
 //!
 //! ```
@@ -54,9 +60,11 @@ pub struct KernelCounters {
     pub lk_points: u64,
     /// Newton iterations executed inside Lucas-Kanade.
     pub lk_iterations: u64,
-    /// Pixel/gradient buffers freshly allocated from the heap.
+    /// Kernel buffers (pyramid levels, gradient planes, row rings) freshly
+    /// allocated from the heap.
     pub buffers_allocated: u64,
-    /// Pixel/gradient buffers recycled from a [`crate::scratch::ScratchPool`].
+    /// Kernel buffers a [`crate::pyramid::Pyramid::rebuild`] kept and
+    /// refilled in place.
     pub buffers_reused: u64,
     /// Image rows processed by the `u16` fixed-point blur and box
     /// downsample kernels.
@@ -171,9 +179,9 @@ pub struct KernelCounts {
     pub lk_points: u64,
     /// Newton iterations executed inside Lucas-Kanade.
     pub lk_iterations: u64,
-    /// Pixel/gradient buffers freshly allocated from the heap.
+    /// Kernel buffers freshly allocated from the heap.
     pub buffers_allocated: u64,
-    /// Pixel/gradient buffers recycled from a [`crate::scratch::ScratchPool`].
+    /// Kernel buffers kept and refilled in place.
     pub buffers_reused: u64,
     /// Image rows processed by the fixed-point blur and downsample kernels.
     /// Structural: for a given input this is identical across runs and
@@ -182,7 +190,7 @@ pub struct KernelCounts {
 }
 
 impl KernelCounts {
-    /// [`crate::scratch::ScratchPool`] hit rate:
+    /// Share of kernel buffers reused rather than allocated:
     /// `buffers_reused / (buffers_allocated + buffers_reused)`.
     /// `None` when no buffer was requested at all.
     pub fn scratch_hit_rate(&self) -> Option<f64> {
@@ -250,6 +258,28 @@ pub(crate) fn record(f: impl FnOnce(&mut KernelCounters)) {
     });
 }
 
+/// A `len`-value buffer of `T::default()`, counted in
+/// [`KernelCounters::buffers_allocated`]. Zero-filled memory comes from the
+/// allocator already zeroed, so pages a kernel never writes are never
+/// touched.
+pub(crate) fn alloc<T: Clone + Default>(len: usize) -> Vec<T> {
+    record(|c| c.buffers_allocated += 1);
+    vec![T::default(); len]
+}
+
+/// Sizes a kernel buffer to `len` values that its kernel overwrites before
+/// reading. A buffer with the room is kept, truncated or extended in place
+/// and never re-zeroed, and counted in [`KernelCounters::buffers_reused`];
+/// one without is replaced by [`alloc`].
+pub(crate) fn fit<T: Clone + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.capacity() < len.max(1) {
+        *buf = alloc(len);
+        return;
+    }
+    record(|c| c.buffers_reused += 1);
+    buf.resize(len, T::default());
+}
+
 /// RAII timer: adds the elapsed nanoseconds to one counter field on drop.
 pub(crate) struct ScopedTimer {
     start: Instant,
@@ -277,6 +307,25 @@ impl Drop for ScopedTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fit_keeps_a_buffer_with_room_and_never_rezeroes_it() {
+        reset();
+        let mut buf: Vec<u16> = Vec::new();
+        fit(&mut buf, 8);
+        assert_eq!((buf.len(), snapshot().buffers_allocated), (8, 1));
+        buf.fill(7);
+        fit(&mut buf, 4);
+        fit(&mut buf, 6);
+        assert_eq!(&buf[..4], &[7; 4], "a kept buffer is truncated, not memset");
+        assert_eq!(buf.len(), 6);
+        let s = snapshot();
+        assert_eq!((s.buffers_allocated, s.buffers_reused), (1, 2));
+        // Too little room: a fresh zeroed buffer replaces it.
+        fit(&mut buf, 64);
+        assert_eq!(buf, vec![0; 64]);
+        assert_eq!(snapshot().buffers_allocated, 2);
+    }
 
     #[test]
     fn snapshot_diff_and_reset() {

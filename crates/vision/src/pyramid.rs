@@ -16,14 +16,15 @@
 //!   operations are those of the two-pass oracles
 //!   (`reference::gaussian_blur_into_scalar` then
 //!   `reference::downsample_into_scalar`), so the bytes are identical.
-//! * **Buffer reuse** — [`Pyramid::build_with`] takes every pixel and
-//!   intermediate buffer from a [`ScratchPool`], and [`Pyramid::recycle`]
-//!   returns them, so a tracker that builds one pyramid per frame reaches a
-//!   steady state with **zero** heap allocations (observable through
-//!   [`crate::perf`]). Pooled buffers are handed back without re-zeroing
-//!   (`ScratchPool::take_sized` truncates instead of memsetting), so the
-//!   steady-state build does strictly less work than a fresh one — every
-//!   kernel overwrites its full output.
+//! * **Buffer ownership** — a pyramid owns its level images, its
+//!   per-level gradient planes and the row buffers of its kernels.
+//!   [`Pyramid::rebuild`] rewrites them in place for a new frame and
+//!   forgets every computed gradient tile, so a tracker that keeps its
+//!   retired pyramid and rebuilds it reaches a steady state with **zero**
+//!   heap allocations (observable through [`crate::perf`]). A kept buffer
+//!   is truncated, never re-zeroed: every kernel overwrites what it reads,
+//!   so a rebuild does strictly less work than a fresh build, and the
+//!   gradient planes (the largest buffers) keep their pages.
 //! * **Demand-driven gradients** — each level carries a
 //!   [`TiledGradients`] field. Readers state what they read through
 //!   [`Pyramid::ensure_gradients`], which computes only the Scharr tiles
@@ -36,7 +37,6 @@ use crate::geometry::PixelRect;
 use crate::gradient::TiledGradients;
 use crate::image::GrayImage;
 use crate::perf;
-use crate::scratch::ScratchPool;
 use crate::simd;
 
 /// A Gaussian image pyramid (level 0 = full resolution), with
@@ -48,54 +48,82 @@ use crate::simd;
 /// use adavp_vision::image::GrayImage;
 /// use adavp_vision::pyramid::Pyramid;
 /// let img = GrayImage::new(64, 48);
-/// let pyr = Pyramid::build(&img, 3);
+/// let mut pyr = Pyramid::build(&img, 3);
 /// assert_eq!(pyr.levels(), 3);
 /// assert_eq!(pyr.level(1).width(), 32);
 /// assert_eq!(pyr.level(2).width(), 16);
+/// // The next frame reuses every buffer.
+/// let before = adavp_vision::perf::snapshot();
+/// pyr.rebuild(&GrayImage::from_fn(64, 48, |x, _| x as u8));
+/// assert_eq!(adavp_vision::perf::snapshot().since(&before).buffers_allocated, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pyramid {
+    /// The most levels [`Pyramid::rebuild`] builds.
+    max_levels: u32,
     levels: Vec<GrayImage>,
     /// One gradient field per level; tiles are computed on demand.
     grads: Vec<TiledGradients>,
+    /// The level kernel's row buffers, sized for the base width.
+    rows: LevelRows,
 }
 
 impl Pyramid {
     /// Minimum side length below which no further levels are built.
     pub const MIN_SIDE: u32 = 8;
 
-    /// Builds a pyramid with at most `max_levels` levels (at least 1).
+    /// Builds a pyramid with at most `max_levels` levels (at least 1),
+    /// allocating every buffer.
     ///
     /// Level construction stops early when the next level would have a side
-    /// shorter than [`Pyramid::MIN_SIDE`] pixels. Allocating wrapper around
-    /// [`Pyramid::build_with`]; per-frame callers should hold a
-    /// [`ScratchPool`] and use `build_with` to reuse buffers.
+    /// shorter than [`Pyramid::MIN_SIDE`] pixels. A per-frame caller keeps
+    /// a retired pyramid and calls [`Pyramid::rebuild`] instead.
     pub fn build(base: &GrayImage, max_levels: u32) -> Self {
-        Self::build_with(base, max_levels, &mut ScratchPool::new())
+        let mut pyr = Self {
+            max_levels: max_levels.max(1),
+            levels: Vec::new(),
+            grads: Vec::new(),
+            rows: LevelRows::default(),
+        };
+        pyr.rebuild(base);
+        pyr
     }
 
-    /// Builds a pyramid taking every buffer (levels, row rings) from
-    /// `pool`. Recycle retired pyramids with [`Pyramid::recycle`] to make
-    /// steady-state construction allocation-free.
-    pub fn build_with(base: &GrayImage, max_levels: u32, pool: &mut ScratchPool) -> Self {
+    /// Rebuilds the pyramid over `base` in place, with the depth it was
+    /// built with, and forgets every computed gradient tile
+    /// ([`TiledGradients::clear`]).
+    ///
+    /// Level images, gradient planes and row buffers with the room are
+    /// kept and overwritten, not re-zeroed; the levels and tiles are those
+    /// of a fresh [`Pyramid::build`] bit for bit. [`perf`] counts each kept
+    /// buffer in `buffers_reused` (a gradient plane when a read next asks
+    /// for its level) and each one that had to grow in
+    /// `buffers_allocated`, so a same-size rebuild allocates nothing.
+    pub fn rebuild(&mut self, base: &GrayImage) {
         let _timer = perf::ScopedTimer::new(|c| &mut c.pyramid_ns);
         perf::record(|c| c.pyramid_builds += 1);
-        let max_levels = max_levels.max(1);
-        let mut levels = Vec::with_capacity(max_levels as usize);
-        levels.push(pool.take_image_copy(base));
-        while (levels.len() as u32) < max_levels {
-            // adavp-lint: allow(panic-surface) — levels starts with the base image pushed two lines up
-            let last = levels.last().expect("pyramid has at least one level");
-            let (w, h) = (last.width(), last.height());
-            if w / 2 < Self::MIN_SIDE || h / 2 < Self::MIN_SIDE {
-                break;
-            }
-            let mut next = pool.take_image(w / 2, h / 2);
-            blur_downsample_into(last, &mut next, pool);
-            levels.push(next);
+        let (w, h) = (base.width(), base.height());
+        let depth = (1..self.max_levels)
+            .take_while(|&l| (w >> l) >= Self::MIN_SIDE && (h >> l) >= Self::MIN_SIDE)
+            .count()
+            + 1;
+        self.levels.resize_with(depth, || GrayImage::new(0, 0));
+        self.grads.resize_with(depth, TiledGradients::new);
+        self.grads.iter_mut().for_each(TiledGradients::clear);
+        if depth > 1 {
+            self.rows.fit(w as usize);
         }
-        let grads = levels.iter().map(|_| TiledGradients::new()).collect();
-        Self { levels, grads }
+        let Some((first, rest)) = self.levels.split_first_mut() else {
+            return;
+        };
+        first.reshape(w, h);
+        first.as_mut_bytes().copy_from_slice(base.as_bytes());
+        let mut above: &GrayImage = first;
+        for level in rest {
+            level.reshape(above.width() / 2, above.height() / 2);
+            blur_downsample_with(above, level, &mut self.rows);
+            above = level;
+        }
     }
 
     /// Number of levels actually built.
@@ -114,7 +142,7 @@ impl Pyramid {
 
     /// The full-resolution base image.
     pub fn base(&self) -> &GrayImage {
-        &self.levels[0]
+        self.level(0)
     }
 
     /// Iterator over levels from coarsest to finest (the order in which
@@ -125,11 +153,23 @@ impl Pyramid {
 
     /// Makes the Scharr gradients of `level` exact on every pixel of every
     /// rect (clipped to the level), computing only the tiles that are not
-    /// computed yet. The gradient planes and row buffers come from `pool`.
-    /// A `level` past the last one is ignored.
-    pub fn ensure_gradients(&mut self, level: usize, rects: &[PixelRect], pool: &mut ScratchPool) {
+    /// computed yet, into the level's own planes. A `level` past the last
+    /// one is ignored.
+    pub fn ensure_gradients(&mut self, level: usize, rects: &[PixelRect]) {
         if let (Some(img), Some(grads)) = (self.levels.get(level), self.grads.get_mut(level)) {
-            grads.ensure(img, rects, pool);
+            grads.ensure(img, rects);
+        }
+    }
+
+    /// Exchanges the gradient planes of `self` and `other` and forgets every
+    /// computed tile of both. A tracker hands the planes of the reference
+    /// it retires to the pyramid that becomes its reference, the only one
+    /// whose gradients it reads, so it keeps one set of planes, not two.
+    pub fn swap_gradients(&mut self, other: &mut Self) {
+        std::mem::swap(&mut self.grads, &mut other.grads);
+        for pyr in [self, other] {
+            pyr.grads.resize_with(pyr.levels.len(), TiledGradients::new);
+            pyr.grads.iter_mut().for_each(TiledGradients::clear);
         }
     }
 
@@ -139,22 +179,27 @@ impl Pyramid {
     pub(crate) fn tiled_gradients(&self) -> &[TiledGradients] {
         &self.grads
     }
-
-    /// Consumes the pyramid, returning every level and gradient buffer to
-    /// `pool` for reuse by future builds.
-    pub fn recycle(self, pool: &mut ScratchPool) {
-        for level in self.levels {
-            pool.recycle_image(level);
-        }
-        for grads in self.grads {
-            grads.recycle(pool);
-        }
-    }
 }
 
 /// Source rows of horizontal blur [`blur_downsample_into`] keeps: the two
 /// blurred rows under output row `y` read source rows `2y - 2 ..= 2y + 3`.
 const RING_ROWS: usize = 6;
+
+/// The row buffers of the level kernel: two vertically blurred byte rows
+/// and a ring of [`RING_ROWS`] horizontally blurred `u16` rows.
+#[derive(Debug, Clone, Default)]
+struct LevelRows {
+    bytes: Vec<u8>,
+    ring: Vec<u16>,
+}
+
+impl LevelRows {
+    /// Sizes both buffers for sources up to `width` pixels wide.
+    fn fit(&mut self, width: usize) {
+        perf::fit(&mut self.bytes, 2 * width);
+        perf::fit(&mut self.ring, RING_ROWS * width);
+    }
+}
 
 /// One pyramid step: the 5-tap binomial blur `[1 4 6 4 1] / 16` of `src`
 /// (replicated borders), 2x2 box-downsampled into `out`, which must be
@@ -171,8 +216,8 @@ const RING_ROWS: usize = 6;
 /// counters are those of the two-pass build this kernel replaced: one blur
 /// and `height` fixed-point rows, even though the last row of an
 /// odd-height source is never blurred vertically, then one downsample and
-/// its output rows (unless a side is 1 pixel). The ring and the two
-/// blurred rows come from `pool`.
+/// its output rows (unless a side is 1 pixel). This standalone form
+/// allocates its two row buffers per call; a [`Pyramid`] keeps its own.
 ///
 /// # Panics
 ///
@@ -183,13 +228,19 @@ const RING_ROWS: usize = 6;
 /// ```
 /// use adavp_vision::image::GrayImage;
 /// use adavp_vision::pyramid::blur_downsample_into;
-/// use adavp_vision::scratch::ScratchPool;
 /// let flat = GrayImage::from_fn(9, 7, |_, _| 90);
 /// let mut half = GrayImage::new(4, 3);
-/// blur_downsample_into(&flat, &mut half, &mut ScratchPool::new());
+/// blur_downsample_into(&flat, &mut half);
 /// assert!(half.as_bytes().iter().all(|&v| v == 90));
 /// ```
-pub fn blur_downsample_into(src: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
+pub fn blur_downsample_into(src: &GrayImage, out: &mut GrayImage) {
+    let mut rows = LevelRows::default();
+    rows.fit(src.width() as usize);
+    blur_downsample_with(src, out, &mut rows);
+}
+
+/// [`blur_downsample_into`] over `rows`, sized for at least `src`'s width.
+fn blur_downsample_with(src: &GrayImage, out: &mut GrayImage, rows: &mut LevelRows) {
     let (w, h) = (src.width() as usize, src.height() as usize);
     let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
     assert!(
@@ -207,12 +258,11 @@ pub fn blur_downsample_into(src: &GrayImage, out: &mut GrayImage, pool: &mut Scr
     if w == 0 || h == 0 {
         return;
     }
-    let mut rows = pool.take_image(src.width(), 2);
-    let mut ring = pool.take_u16(RING_ROWS * w);
-    let streamed = stream_level(src, out, rows.as_mut_bytes(), &mut ring);
-    debug_assert!(streamed.is_some(), "level buffers are sized above");
-    pool.recycle_u16(ring);
-    pool.recycle_image(rows);
+    let streamed = stream_level(src, out, &mut rows.bytes, &mut rows.ring);
+    debug_assert!(
+        streamed.is_some(),
+        "row buffers are sized for the base width"
+    );
 }
 
 /// The body of [`blur_downsample_into`] over its buffers: `rows` holds two
@@ -343,7 +393,7 @@ mod tests {
 
     fn level_of(img: &GrayImage) -> GrayImage {
         let mut out = GrayImage::new((img.width() / 2).max(1), (img.height() / 2).max(1));
-        blur_downsample_into(img, &mut out, &mut ScratchPool::new());
+        blur_downsample_into(img, &mut out);
         out
     }
 
@@ -373,16 +423,23 @@ mod tests {
     }
 
     #[test]
-    fn pooled_build_matches_plain_build() {
-        let img = GrayImage::from_fn(96, 64, |x, y| {
-            (x.wrapping_mul(7) ^ y.wrapping_mul(13)) as u8
-        });
+    fn rebuild_matches_fresh_build() {
+        let pattern = |w: u32, h: u32, k: u32| {
+            GrayImage::from_fn(w, h, move |x, y| {
+                (x.wrapping_mul(7 + k) ^ y.wrapping_mul(13)) as u8
+            })
+        };
+        let img = pattern(96, 64, 0);
         let plain = Pyramid::build(&img, 4);
-        let mut pool = ScratchPool::new();
-        let pooled = Pyramid::build_with(&img, 4, &mut pool);
-        assert_eq!(plain.levels(), pooled.levels());
-        for l in 0..plain.levels() {
-            assert_eq!(plain.level(l), pooled.level(l), "level {l} differs");
+        // Over a stale frame of the same size, a smaller one and a larger
+        // one: kept buffers shrink or grow, and the depth follows the base.
+        for (w, h) in [(96, 64), (40, 20), (130, 90)] {
+            let mut rebuilt = Pyramid::build(&pattern(w, h, 5), 4);
+            rebuilt.rebuild(&img);
+            assert_eq!(plain.levels(), rebuilt.levels(), "from {w}x{h}");
+            for l in 0..plain.levels() {
+                assert_eq!(plain.level(l), rebuilt.level(l), "level {l} from {w}x{h}");
+            }
         }
     }
 
@@ -392,29 +449,50 @@ mod tests {
         PixelRect::new(0, 0, im.width() as i64, im.height() as i64)
     }
 
+    /// Asks every level of `pyr` for every tile.
+    fn ensure_all(pyr: &mut Pyramid) {
+        for l in 0..pyr.levels() {
+            let r = whole(pyr, l);
+            pyr.ensure_gradients(l, &[r]);
+        }
+    }
+
     #[test]
-    fn steady_state_build_is_allocation_free() {
+    fn steady_state_rebuild_is_allocation_free() {
         let img = GrayImage::from_fn(80, 80, |x, y| (x + y) as u8);
-        let mut pool = ScratchPool::new();
-        let mut p1 = Pyramid::build_with(&img, 4, &mut pool);
-        for l in 0..p1.levels() {
-            let r = whole(&p1, l);
-            p1.ensure_gradients(l, &[r], &mut pool);
-        }
-        p1.recycle(&mut pool);
+        let mut pyr = Pyramid::build(&img, 4);
+        ensure_all(&mut pyr);
         perf::reset();
-        let mut p2 = Pyramid::build_with(&img, 4, &mut pool);
-        for l in 0..p2.levels() {
-            let r = whole(&p2, l);
-            p2.ensure_gradients(l, &[r], &mut pool);
-        }
+        pyr.rebuild(&GrayImage::from_fn(80, 80, |x, y| (x * y) as u8));
+        ensure_all(&mut pyr);
         let work = perf::snapshot();
         assert_eq!(
             work.buffers_allocated, 0,
-            "steady-state build+gradients must only reuse pooled buffers"
+            "steady-state rebuild+gradients must only reuse owned buffers"
         );
-        assert!(work.buffers_reused > 0);
+        // Four levels, two row buffers, and two planes plus a row ring per
+        // level.
+        assert_eq!(work.buffers_reused, 4 + 2 + 4 * 3);
         assert_eq!(work.pyramid_builds, 1);
+    }
+
+    #[test]
+    fn swap_gradients_moves_planes_and_forgets_tiles() {
+        let img = GrayImage::from_fn(64, 48, |x, y| (x * 3 + y) as u8);
+        let mut with = Pyramid::build(&img, 3);
+        ensure_all(&mut with);
+        let mut without = Pyramid::build(&img, 2);
+        without.swap_gradients(&mut with);
+        for pyr in [&with, &without] {
+            assert_eq!(pyr.tiled_gradients().len(), pyr.levels());
+            assert!(pyr
+                .tiled_gradients()
+                .iter()
+                .all(|g| g.tiles_computed() == 0));
+        }
+        perf::reset();
+        ensure_all(&mut without);
+        assert_eq!(perf::snapshot().buffers_allocated, 0, "the planes moved");
     }
 
     #[test]
@@ -428,7 +506,6 @@ mod tests {
         // 100x70 is 4x18 tiles at level 0.
         let img = GrayImage::from_fn(100, 70, |x, y| (x * 2 + y) as u8);
         let mut pyr = Pyramid::build(&img, 2);
-        let mut pool = ScratchPool::new();
         assert_eq!(
             pyr.tiled_gradients()[0].tiles_computed(),
             0,
@@ -438,14 +515,14 @@ mod tests {
         // Two overlapping rects: tile columns 0..2 x rows 1..5 (8 tiles)
         // and columns 1..3 x rows 2..10 (16), sharing 3.
         let rects = [PixelRect::new(5, 5, 40, 20), PixelRect::new(33, 10, 70, 40)];
-        pyr.ensure_gradients(0, &rects, &mut pool);
+        pyr.ensure_gradients(0, &rects);
         assert_eq!(perf::snapshot().gradient_tiles, 21);
         assert_eq!(pyr.tiled_gradients()[0].tiles_computed(), 21);
-        pyr.ensure_gradients(0, &rects, &mut pool);
-        pyr.ensure_gradients(0, &rects[1..], &mut pool);
+        pyr.ensure_gradients(0, &rects);
+        pyr.ensure_gradients(0, &rects[1..]);
         assert_eq!(perf::snapshot().gradient_tiles, 21, "no tile recomputed");
         let r = whole(&pyr, 0);
-        pyr.ensure_gradients(0, &[r], &mut pool);
+        pyr.ensure_gradients(0, &[r]);
         assert_eq!(perf::snapshot().gradient_tiles, 72, "only the other 51");
         assert_eq!(
             pyr.tiled_gradients()[1].tiles_computed(),
@@ -461,15 +538,17 @@ mod tests {
         let img = GrayImage::from_fn(75, 41, |x, y| {
             (x.wrapping_mul(31) ^ y.wrapping_mul(17)) as u8
         });
-        // NaN-filled pooled planes: a pixel the tiles skipped cannot pass.
-        let mut pool = ScratchPool::new();
-        for _ in 0..6 {
-            pool.recycle_f32(vec![f32::NAN; 75 * 41]);
-        }
-        let mut pyr = Pyramid::build_with(&img, 3, &mut pool);
+        // Planes holding every gradient of another frame: a pixel the
+        // tiles skipped keeps a stale value and cannot pass.
+        let stale = GrayImage::from_fn(75, 41, |x, y| {
+            (x.wrapping_mul(11) ^ y.wrapping_mul(59)).wrapping_add(x * y) as u8
+        });
+        let mut pyr = Pyramid::build(&stale, 3);
+        ensure_all(&mut pyr);
+        pyr.rebuild(&img);
         for l in 0..pyr.levels() {
             let r = whole(&pyr, l);
-            pyr.ensure_gradients(l, &[r], &mut pool);
+            pyr.ensure_gradients(l, &[r]);
             let g = &pyr.tiled_gradients()[l];
             let fresh = scharr_gradients(pyr.level(l));
             for y in 0..fresh.height() {
@@ -494,7 +573,7 @@ mod tests {
     fn clone_keeps_computed_tiles() {
         let img = GrayImage::from_fn(32, 32, |x, y| (x + y) as u8);
         let mut pyr = Pyramid::build(&img, 2);
-        pyr.ensure_gradients(1, &[PixelRect::new(0, 0, 4, 4)], &mut ScratchPool::new());
+        pyr.ensure_gradients(1, &[PixelRect::new(0, 0, 4, 4)]);
         let cloned = pyr.clone();
         assert_eq!(cloned.tiled_gradients()[1].tiles_computed(), 1);
         assert_eq!(cloned.levels(), pyr.levels());

@@ -19,7 +19,6 @@ use crate::gradient::GradientField;
 use crate::image::GrayImage;
 use crate::perf;
 use crate::pyramid::Pyramid;
-use crate::scratch::ScratchPool;
 
 /// The 5-tap binomial blur `[1 4 6 4 1] / 16` of the whole image, in two
 /// separable passes with `u32` accumulators and plain per-pixel loops: the
@@ -29,7 +28,7 @@ use crate::scratch::ScratchPool;
 ///
 /// Panics if `out` dimensions differ from `img`.
 // adavp-lint: allow(cast-truncation, item=gaussian_blur_into_scalar, bound=255) — u8 pixels widen to u32; acc <= 4080 so acc/16 <= 255 fits both the u16 staging row and the final u8 store
-pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
+pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage) {
     assert!(
         out.width() == img.width() && out.height() == img.height(),
         "blur output must match input dimensions"
@@ -41,7 +40,7 @@ pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mu
     let data = img.as_bytes();
 
     // Horizontal pass into a u16 plane (max 255 * 16 = 4080 < 65535).
-    let mut tmp = pool.take_u16(w * h);
+    let mut tmp: Vec<u16> = perf::alloc(w * h);
     for y in 0..h {
         let src = &data[y * w..(y + 1) * w];
         let dst = &mut tmp[y * w..(y + 1) * w];
@@ -94,7 +93,6 @@ pub fn gaussian_blur_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mu
             *d = (acc / 16).min(255) as u8;
         }
     }
-    pool.recycle_u16(tmp);
 }
 
 /// The 2x2 box downsample of the whole image into
@@ -148,17 +146,17 @@ pub fn downsample_into_scalar(img: &GrayImage, out: &mut GrayImage) {
 }
 
 /// [`crate::pyramid::blur_downsample_into`] as its two oracles composed:
-/// [`gaussian_blur_into_scalar`] into a whole blurred image from `pool`,
-/// then [`downsample_into_scalar`]. Produces identical bytes.
+/// [`gaussian_blur_into_scalar`] into a whole blurred image, then
+/// [`downsample_into_scalar`]. Produces identical bytes.
 ///
 /// # Panics
 ///
 /// Panics if `out` has the wrong dimensions.
-pub fn blur_downsample_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &mut ScratchPool) {
-    let mut blurred = pool.take_image(img.width(), img.height());
-    gaussian_blur_into_scalar(img, &mut blurred, pool);
+pub fn blur_downsample_into_scalar(img: &GrayImage, out: &mut GrayImage) {
+    let mut blurred = GrayImage::new(0, 0);
+    blurred.reshape(img.width(), img.height());
+    gaussian_blur_into_scalar(img, &mut blurred);
     downsample_into_scalar(&blurred, out);
-    pool.recycle_image(blurred);
 }
 
 /// Scharr derivatives of the whole of `img` (normalized by 1/32, replicate
@@ -166,20 +164,16 @@ pub fn blur_downsample_into_scalar(img: &GrayImage, out: &mut GrayImage, pool: &
 /// field.
 pub fn scharr_gradients(img: &GrayImage) -> GradientField {
     let mut field = GradientField::empty();
-    scharr_gradients_into_scalar(img, &mut field, &mut ScratchPool::new());
+    scharr_gradients_into_scalar(img, &mut field);
     field
 }
 
 /// Two-pass separable Scharr over the whole image, with plain per-pixel
-/// loops and full smoothing planes from `pool`: the oracle for the tiles of
+/// loops and full smoothing planes: the oracle for the tiles of
 /// [`crate::gradient::TiledGradients`]. Counted in
 /// [`perf::KernelCounters::gradient_fields`].
 // adavp-lint: allow(cast-truncation, item=scharr_gradients_into_scalar, bound=4080) — same fixed-point bounds as the vectorized path: smoothing acc <= 16*255 = 4080, differences in [-4080, 4080]
-pub fn scharr_gradients_into_scalar(
-    img: &GrayImage,
-    field: &mut GradientField,
-    pool: &mut ScratchPool,
-) {
+pub fn scharr_gradients_into_scalar(img: &GrayImage, field: &mut GradientField) {
     let _timer = perf::ScopedTimer::new(|c| &mut c.gradient_ns);
     perf::record(|c| c.gradient_fields += 1);
     let w = img.width() as usize;
@@ -192,8 +186,8 @@ pub fn scharr_gradients_into_scalar(
     field.gy.clear();
     field.gy.resize(len, 0.0);
 
-    let mut vsmooth = pool.take_u16(len);
-    let mut hsmooth = pool.take_u16(len);
+    let mut vsmooth: Vec<u16> = perf::alloc(len);
+    let mut hsmooth: Vec<u16> = perf::alloc(len);
     let data = img.as_bytes();
     for y in 0..h {
         let up = &data[y.saturating_sub(1) * w..y.saturating_sub(1) * w + w];
@@ -236,9 +230,6 @@ pub fn scharr_gradients_into_scalar(
             gyr[x] = (dn[x] as i32 - up[x] as i32) as f32 * NORM;
         }
     }
-
-    pool.recycle_u16(vsmooth);
-    pool.recycle_u16(hsmooth);
 }
 
 /// [`PyramidalLk::track_pyramids`] as first written: it differentiates
@@ -498,6 +489,7 @@ pub fn good_features_from_gradients_reference(
 mod tests {
     use super::*;
     use crate::features::good_features_in_boxes;
+    use crate::geometry::PixelRect;
     use crate::pyramid::blur_downsample_into;
 
     fn pattern(w: u32, h: u32, a: u32, b: u32, c: u32) -> GrayImage {
@@ -517,20 +509,19 @@ mod tests {
                     .into_iter()
                     .map(|s| (s, (67, 29, 1))),
             );
-        let mut pool = ScratchPool::new();
         for ((w, h), (a, b, c)) in shapes {
             let img = pattern(w, h, a, b, c);
             let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
             let mut fast = GrayImage::new(nw, nh);
-            blur_downsample_into(&img, &mut fast, &mut pool);
+            blur_downsample_into(&img, &mut fast);
             let mut scalar = GrayImage::new(nw, nh);
-            blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
+            blur_downsample_into_scalar(&img, &mut scalar);
             assert_eq!(fast, scalar, "level bytes diverged at {w}x{h}");
         }
         // Saturating content survives both u16 stages.
         let max = GrayImage::from_fn(9, 9, |_, _| 255);
         let mut fast = GrayImage::new(4, 4);
-        blur_downsample_into(&max, &mut fast, &mut pool);
+        blur_downsample_into(&max, &mut fast);
         assert!(fast.as_bytes().iter().all(|&v| v == 255));
     }
 
@@ -546,6 +537,9 @@ mod tests {
     fn masked_scan_matches_reference_bit_for_bit() {
         let img = GrayImage::from_fn(64, 48, |x, y| {
             ((x.wrapping_mul(113) ^ y.wrapping_mul(59)).wrapping_add(x * y / 3)) as u8
+        });
+        let stale = GrayImage::from_fn(64, 48, |x, y| {
+            ((x.wrapping_mul(37) ^ y.wrapping_mul(71)).wrapping_add(x + y)) as u8
         });
         let grad = scharr_gradients(&img);
         let masks: [&[BoundingBox]; 7] = [
@@ -586,13 +580,13 @@ mod tests {
             };
             for boxes in masks {
                 let reference = good_features_from_gradients_reference(&grad, &params, Some(boxes));
-                // The demand path reads only the tiles it computed; the
-                // NaN-filled planes make any other read show.
-                let mut pool = ScratchPool::new();
-                pool.recycle_f32(vec![f32::NAN; 64 * 48]);
-                pool.recycle_f32(vec![f32::NAN; 64 * 48]);
-                let mut pyr = Pyramid::build_with(&img, 1, &mut pool);
-                let demand = good_features_in_boxes(&mut pyr, &params, boxes, &mut pool);
+                // The demand path reads only the tiles it computed; planes
+                // holding a stale frame's gradients make any other read
+                // show.
+                let mut pyr = Pyramid::build(&stale, 1);
+                pyr.ensure_gradients(0, &[PixelRect::new(0, 0, 64, 48)]);
+                pyr.rebuild(&img);
+                let demand = good_features_in_boxes(&mut pyr, &params, boxes);
                 assert_eq!(demand, reference, "radius {radius}, mask {boxes:?}");
             }
         }
@@ -622,7 +616,6 @@ mod tests {
         ];
         let whole = [BoundingBox::new(0.0, 0.0, 96.0, 80.0)];
         let mut pyr = Pyramid::build(&img, 1);
-        let mut pool = ScratchPool::new();
         for max_corners in [0usize, 1, 3, 7, 33, 100, 500, 10_000] {
             let params = GoodFeaturesParams {
                 max_corners,
@@ -630,7 +623,7 @@ mod tests {
                 ..Default::default()
             };
             for boxes in [&two[..], &whole[..]] {
-                let fast = good_features_in_boxes(&mut pyr, &params, boxes, &mut pool);
+                let fast = good_features_in_boxes(&mut pyr, &params, boxes);
                 let reference = good_features_from_gradients_reference(&grad, &params, Some(boxes));
                 assert_eq!(fast, reference, "diverged at max_corners {max_corners}");
             }

@@ -3,11 +3,10 @@
 //! `FlowResult`s — the optimizations reorder work, never arithmetic.
 
 use adavp_vision::flow::{LkParams, PyramidalLk};
-use adavp_vision::geometry::Point2;
+use adavp_vision::geometry::{PixelRect, Point2};
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::Pyramid;
 use adavp_vision::reference::track_pyramids_baseline;
-use adavp_vision::scratch::ScratchPool;
 
 fn textured(w: u32, h: u32, phase: f32) -> GrayImage {
     GrayImage::from_fn(w, h, |x, y| {
@@ -60,12 +59,7 @@ fn all_lk_paths_bit_identical_across_shifts() {
         let baseline = track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts);
         // A fresh reference pyramid, so the tracker computes its own
         // gradient tiles.
-        let optimized = lk.track_pyramids(
-            &mut Pyramid::build(&prev, 3),
-            &next_pyr,
-            &pts,
-            &mut ScratchPool::new(),
-        );
+        let optimized = lk.track_pyramids(&mut Pyramid::build(&prev, 3), &next_pyr, &pts);
         assert_eq!(
             baseline, optimized,
             "optimized LK diverged from baseline at shift ({dx},{dy})"
@@ -74,7 +68,7 @@ fn all_lk_paths_bit_identical_across_shifts() {
 }
 
 #[test]
-fn pooled_and_plain_pyramids_track_identically() {
+fn rebuilt_and_fresh_pyramids_track_identically() {
     let lk = PyramidalLk::new(LkParams {
         pyramid_levels: 3,
         ..LkParams::default()
@@ -83,27 +77,40 @@ fn pooled_and_plain_pyramids_track_identically() {
     let next = shifted(&prev, 2, 1);
     let pts = grid(128, 96, 10, 12);
 
-    let mut plain_prev = Pyramid::build(&prev, 3);
-    let plain_next = Pyramid::build(&next, 3);
-    let expected = lk.track_pyramids(&mut plain_prev, &plain_next, &pts, &mut ScratchPool::new());
+    let mut fresh_prev = Pyramid::build(&prev, 3);
+    let fresh_next = Pyramid::build(&next, 3);
+    let expected = lk.track_pyramids(&mut fresh_prev, &fresh_next, &pts);
 
-    // Recycled buffers (including previously-dirtied ones) must not leak
+    // Rebuilt buffers, dirtied by tracking another frame, must not leak
     // into results.
-    let mut pool = ScratchPool::new();
-    let mut warm = Pyramid::build_with(&textured(128, 96, 4.2), 3, &mut pool);
-    let _ = lk.track_pyramids(&mut warm, &plain_next, &grid(128, 96, 4, 8), &mut pool);
-    warm.recycle(&mut pool);
-    let mut pooled_prev = Pyramid::build_with(&prev, 3, &mut pool);
-    let pooled_next = Pyramid::build_with(&next, 3, &mut pool);
+    let mut rebuilt_prev = Pyramid::build(&textured(128, 96, 4.2), 3);
+    let _ = lk.track_pyramids(&mut rebuilt_prev, &fresh_next, &grid(128, 96, 4, 8));
+    let mut rebuilt_next = Pyramid::build(&textured(128, 96, 0.3), 3);
+    rebuilt_prev.rebuild(&prev);
+    rebuilt_next.rebuild(&next);
     assert_eq!(
         expected,
-        lk.track_pyramids(&mut pooled_prev, &pooled_next, &pts, &mut pool),
-        "pooled pyramids changed LK results"
+        lk.track_pyramids(&mut rebuilt_prev, &rebuilt_next, &pts),
+        "rebuilt pyramids changed LK results"
     );
 }
 
-/// `FlowResult`s as raw bits, so a NaN read from a poisoned plane cannot
-/// compare equal by accident.
+/// A pyramid of a frame unlike every test frame, with every gradient tile
+/// of every level computed: rebuilt over a test frame, its planes hold
+/// stale values wherever a tile is not recomputed.
+fn stale_pyramid(w: u32, h: u32, levels: u32) -> Pyramid {
+    let stale = GrayImage::from_fn(w, h, |x, y| (x.wrapping_mul(97) ^ y.wrapping_mul(29)) as u8);
+    let mut pyr = Pyramid::build(&stale, levels);
+    for level in 0..pyr.levels() {
+        let im = pyr.level(level);
+        let whole = PixelRect::new(0, 0, im.width().into(), im.height().into());
+        pyr.ensure_gradients(level, &[whole]);
+    }
+    pyr
+}
+
+/// `FlowResult`s as raw bits, so a stale read cannot compare equal by
+/// accident and `-0.0` cannot hide behind `0.0`.
 fn flow_bits(results: &[adavp_vision::flow::FlowResult]) -> Vec<[u32; 5]> {
     results
         .iter()
@@ -124,7 +131,7 @@ fn flow_bits(results: &[adavp_vision::flow::FlowResult]) -> Vec<[u32; 5]> {
 /// thrown away. Points up to a few columns inside the right and bottom
 /// border margins of every level make the padded run leave the image, so
 /// those rows take the per-tap path; both paths must reproduce the
-/// baseline over NaN-poisoned pooled gradient planes.
+/// baseline over gradient planes holding every gradient of another frame.
 #[test]
 fn padded_window_lanes_match_baseline_for_every_radius_near_borders() {
     let (w, h, levels) = (97u32, 75u32, 3u32);
@@ -157,12 +164,9 @@ fn padded_window_lanes_match_baseline_for_every_radius_near_borders() {
         for (dx, dy) in [(0, 0), (2, 1), (-1, -2)] {
             let next_pyr = Pyramid::build(&shifted(&prev, dx, dy), levels);
             let baseline = flow_bits(&track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts));
-            let mut pool = ScratchPool::new();
-            for _ in 0..2 * levels {
-                pool.recycle_f32(vec![f32::NAN; (w * h) as usize]);
-            }
-            let mut fresh = Pyramid::build_with(&prev, levels, &mut pool);
-            let optimized = lk.track_pyramids(&mut fresh, &next_pyr, &pts, &mut pool);
+            let mut rebuilt = stale_pyramid(w, h, levels);
+            rebuilt.rebuild(&prev);
+            let optimized = lk.track_pyramids(&mut rebuilt, &next_pyr, &pts);
             assert_eq!(
                 flow_bits(&optimized),
                 baseline,

@@ -3,14 +3,13 @@
 //! (`reference::gaussian_blur_into_scalar`) followed by a box downsample
 //! (`reference::downsample_into_scalar`), and a build records the same
 //! structural counters the two-pass build did, since traces carry
-//! `fixed_point_rows` and the scratch-pool hit rate.
+//! `fixed_point_rows` and the buffer reuse rate.
 
 use adavp_vision::geometry::PixelRect;
 use adavp_vision::image::GrayImage;
 use adavp_vision::perf;
 use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::blur_downsample_into_scalar;
-use adavp_vision::scratch::ScratchPool;
 
 /// Xorshift noise: saturating values and no smooth structure to hide an
 /// off-by-one row or column.
@@ -24,17 +23,6 @@ fn noisy(w: u32, h: u32, seed: u32) -> GrayImage {
     })
 }
 
-/// A pool whose byte and `u16` buffers hold stale garbage, so a kernel that
-/// skips a pixel or ring row shows.
-fn dirty_pool() -> ScratchPool {
-    let mut pool = ScratchPool::new();
-    for seed in 1..4 {
-        pool.recycle_image(noisy(700, 400, seed));
-        pool.recycle_u16(vec![0xBEEF; 700 * 400]);
-    }
-    pool
-}
-
 const SIZES: [(u32, u32); 4] = [(16, 16), (17, 9), (33, 17), (641, 361)];
 
 #[test]
@@ -46,114 +34,130 @@ fn streamed_level_matches_composed_oracles() {
         ] {
             let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
             let mut streamed = GrayImage::new(nw, nh);
-            blur_downsample_into(&img, &mut streamed, &mut dirty_pool());
+            blur_downsample_into(&img, &mut streamed);
             let mut oracle = GrayImage::new(nw, nh);
-            blur_downsample_into_scalar(&img, &mut oracle, &mut ScratchPool::new());
+            blur_downsample_into_scalar(&img, &mut oracle);
             assert_eq!(streamed, oracle, "{w}x{h}");
         }
     }
 }
 
 #[test]
-fn pooled_builds_match_composed_oracles_level_by_level() {
-    let mut pool = dirty_pool();
+fn rebuilds_match_composed_oracles_level_by_level() {
+    // One pyramid rebuilt over every size in turn, starting from a larger
+    // noisy frame: its level and row buffers hold stale bytes, so a kernel
+    // that skips a pixel or ring row shows.
+    let mut pyr = Pyramid::build(&noisy(700, 400, 1), 4);
     for (w, h) in SIZES {
         let img = noisy(w, h, 7 * w + h);
-        let pyr = Pyramid::build_with(&img, 4, &mut pool);
+        pyr.rebuild(&img);
         assert_eq!(pyr.level(0), &img);
         for level in 1..pyr.levels() {
             let above = pyr.level(level - 1);
             let mut oracle = GrayImage::new(above.width() / 2, above.height() / 2);
-            blur_downsample_into_scalar(above, &mut oracle, &mut ScratchPool::new());
+            blur_downsample_into_scalar(above, &mut oracle);
             assert_eq!(pyr.level(level), &oracle, "level {level} of {w}x{h}");
         }
-        pyr.recycle(&mut pool);
     }
 }
 
 /// `[gaussian_blurs, downsamples, fixed_point_rows, buffers_allocated,
-/// buffers_reused]` recorded by one `Pyramid::build_with`.
+/// buffers_reused]` recorded by `work`.
 type BuildCounts = [u64; 5];
 
-fn build_counts(img: &GrayImage, levels: u32, pool: &mut ScratchPool) -> (Pyramid, BuildCounts) {
+fn counts(work: impl FnOnce()) -> BuildCounts {
     let before = perf::snapshot();
-    let pyr = Pyramid::build_with(img, levels, pool);
+    work();
     let d = perf::snapshot().since(&before);
-    let counts = [
+    [
         d.gaussian_blurs,
         d.downsamples,
         d.fixed_point_rows,
         d.buffers_allocated,
         d.buffers_reused,
-    ];
-    (pyr, counts)
+    ]
 }
 
-/// The per-build counter deltas of the two-pass build (a whole blurred
-/// image and a whole `u16` plane per level), recorded before the level
-/// kernel was streamed. Odd heights count the blurred row the downsample
-/// never reads (641x361: 361 + 180 + 180 + 90 + 90 + 45 rows).
+/// The blur, downsample and row counts of the two-pass build (a whole
+/// blurred image and a whole `u16` plane per level), recorded before the
+/// level kernel was streamed. Odd heights count the blurred row the
+/// downsample never reads (641x361: 361 + 180 + 180 + 90 + 90 + 45 rows).
+/// A build allocates each level and the two row buffers, and a rebuild
+/// keeps them; the gradient planes and row ring of each level are
+/// allocated by the first read of a built pyramid and kept by the first
+/// read after a rebuild.
 #[test]
 fn builds_record_the_counts_of_the_two_pass_build() {
-    // (w, h, levels): cold pool, warm pool (previous build recycled), a
-    // build while the previous pyramid and its gradients are held, and the
-    // next build once that one is recycled (the tracker's pattern).
+    // (w, h, levels): build, whole-level gradients of every level, rebuild,
+    // and the same gradients again (the tracker's pattern).
     let expected: [((u32, u32, u32), [BuildCounts; 4]); 4] = [
         (
             (640, 360, 4),
             [
-                [3, 3, 945, 6, 4],
-                [3, 3, 945, 0, 10],
-                [3, 3, 945, 4, 6],
-                [3, 3, 945, 0, 10],
+                [3, 3, 945, 6, 0],
+                [0, 0, 0, 12, 0],
+                [3, 3, 945, 0, 6],
+                [0, 0, 0, 0, 12],
             ],
         ),
         (
             (641, 361, 4),
             [
-                [3, 3, 946, 6, 4],
-                [3, 3, 946, 0, 10],
-                [3, 3, 946, 4, 6],
-                [3, 3, 946, 0, 10],
+                [3, 3, 946, 6, 0],
+                [0, 0, 0, 12, 0],
+                [3, 3, 946, 0, 6],
+                [0, 0, 0, 0, 12],
             ],
         ),
         (
             (33, 17, 3),
             [
                 [1, 1, 25, 4, 0],
+                [0, 0, 0, 6, 0],
                 [1, 1, 25, 0, 4],
-                [1, 1, 25, 2, 2],
-                [1, 1, 25, 0, 4],
+                [0, 0, 0, 0, 6],
             ],
         ),
         (
             (16, 16, 2),
             [
                 [1, 1, 24, 4, 0],
+                [0, 0, 0, 6, 0],
                 [1, 1, 24, 0, 4],
-                [1, 1, 24, 2, 2],
-                [1, 1, 24, 0, 4],
+                [0, 0, 0, 0, 6],
             ],
         ),
     ];
-    for ((w, h, levels), [cold, warm, held, after]) in expected {
-        let img = GrayImage::from_fn(w, h, |x, y| (x.wrapping_mul(7) ^ y.wrapping_mul(13)) as u8);
-        let mut pool = ScratchPool::new();
-        let (first, counts) = build_counts(&img, levels, &mut pool);
-        assert_eq!(counts, cold, "cold pool, {w}x{h}x{levels}");
-        first.recycle(&mut pool);
-        let (mut second, counts) = build_counts(&img, levels, &mut pool);
-        assert_eq!(counts, warm, "warm pool, {w}x{h}x{levels}");
-        for level in 0..second.levels() {
-            let im = second.level(level);
+    let whole_levels = |pyr: &mut Pyramid| {
+        for level in 0..pyr.levels() {
+            let im = pyr.level(level);
             let whole = PixelRect::new(0, 0, im.width().into(), im.height().into());
-            second.ensure_gradients(level, &[whole], &mut pool);
+            pyr.ensure_gradients(level, &[whole]);
         }
-        let (third, counts) = build_counts(&img, levels, &mut pool);
-        assert_eq!(counts, held, "previous pyramid held, {w}x{h}x{levels}");
-        second.recycle(&mut pool);
-        let (_, counts) = build_counts(&img, levels, &mut pool);
-        assert_eq!(counts, after, "previous pyramid recycled, {w}x{h}x{levels}");
-        third.recycle(&mut pool);
+    };
+    for ((w, h, levels), [build, grads, rebuild, regrads]) in expected {
+        let img = GrayImage::from_fn(w, h, |x, y| (x.wrapping_mul(7) ^ y.wrapping_mul(13)) as u8);
+        let mut pyr = None;
+        assert_eq!(
+            counts(|| pyr = Some(Pyramid::build(&img, levels))),
+            build,
+            "build, {w}x{h}x{levels}"
+        );
+        let mut pyr = pyr.expect("built above");
+        assert_eq!(
+            counts(|| whole_levels(&mut pyr)),
+            grads,
+            "gradients, {w}x{h}x{levels}"
+        );
+        assert_eq!(
+            counts(|| pyr.rebuild(&img)),
+            rebuild,
+            "rebuild, {w}x{h}x{levels}"
+        );
+        assert_eq!(
+            counts(|| whole_levels(&mut pyr)),
+            regrads,
+            "gradients after a rebuild, {w}x{h}x{levels}"
+        );
     }
 }

@@ -13,7 +13,6 @@ use adavp_vision::gradient::{GradientField, TiledGradients};
 use adavp_vision::image::GrayImage;
 use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::{blur_downsample_into_scalar, scharr_gradients_into_scalar};
-use adavp_vision::scratch::ScratchPool;
 
 /// Deterministic texture with structure at several scales.
 fn textured(w: u32, h: u32, phase: f32) -> GrayImage {
@@ -73,14 +72,13 @@ fn images_for(w: u32, h: u32) -> Vec<GrayImage> {
 
 #[test]
 fn streamed_level_matches_composed_oracles_on_adversarial_shapes() {
-    let mut pool = ScratchPool::new();
     for &(w, h) in SHAPES {
         for img in images_for(w, h) {
             let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
             let mut fast = GrayImage::new(nw, nh);
             let mut scalar = GrayImage::new(nw, nh);
-            blur_downsample_into(&img, &mut fast, &mut pool);
-            blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
+            blur_downsample_into(&img, &mut fast);
+            blur_downsample_into_scalar(&img, &mut scalar);
             assert_eq!(
                 fast.as_bytes(),
                 scalar.as_bytes(),
@@ -92,14 +90,9 @@ fn streamed_level_matches_composed_oracles_on_adversarial_shapes() {
 
 /// Asks `tiled` for every tile of `img` and asserts each pixel equals
 /// `scalar` bit for bit.
-fn assert_tiles_match(
-    img: &GrayImage,
-    tiled: &mut TiledGradients,
-    scalar: &GradientField,
-    pool: &mut ScratchPool,
-) {
+fn assert_tiles_match(img: &GrayImage, tiled: &mut TiledGradients, scalar: &GradientField) {
     let (w, h) = (img.width(), img.height());
-    tiled.ensure(img, &[PixelRect::new(0, 0, w.into(), h.into())], pool);
+    tiled.ensure(img, &[PixelRect::new(0, 0, w.into(), h.into())]);
     for y in 0..h {
         for x in 0..w {
             let (gx, gy) = tiled.get(x, y).expect("every tile was asked for");
@@ -114,40 +107,41 @@ fn assert_tiles_match(
 
 #[test]
 fn scharr_tiles_match_scalar_bits_on_adversarial_shapes() {
-    let mut pool = ScratchPool::new();
     for &(w, h) in SHAPES {
         for img in images_for(w, h) {
             let mut scalar = GradientField::empty();
-            scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
-            assert_tiles_match(&img, &mut TiledGradients::new(), &scalar, &mut pool);
+            scharr_gradients_into_scalar(&img, &mut scalar);
+            assert_tiles_match(&img, &mut TiledGradients::new(), &scalar);
         }
     }
 }
 
 #[test]
-fn dirtied_pool_does_not_leak_into_kernel_output() {
-    // Mirror lk_parity's pooled test: warm the pool with a different frame so
-    // every recycled buffer holds stale bytes, then demand byte parity with
-    // fresh-buffer scalar runs. `take_sized` hands buffers back un-zeroed, so
-    // this proves every kernel overwrites its full output.
-    let mut pool = ScratchPool::new();
-    let mut warm = Pyramid::build_with(&textured(96, 80, 4.2), 3, &mut pool);
-    warm.ensure_gradients(0, &[PixelRect::new(0, 0, 96, 80)], &mut pool);
-    warm.recycle(&mut pool);
-
+fn stale_buffers_do_not_leak_into_kernel_output() {
+    // Mirror lk_parity's rebuilt-pyramid test: fill every buffer with a
+    // different frame, then demand byte parity with fresh-buffer
+    // scalar runs. A rebuild keeps its buffers un-zeroed, so this proves
+    // every kernel overwrites its full output.
+    let stale = textured(96, 80, 4.2);
+    let mut pyr = Pyramid::build(&stale, 3);
+    pyr.ensure_gradients(0, &[PixelRect::new(0, 0, 96, 80)]);
     let img = noisy(77, 41, 0xdead_beef);
-    let mut fast = GrayImage::new(38, 20);
-    let mut fresh_pool = ScratchPool::new();
+    pyr.rebuild(&img);
     let mut scalar = GrayImage::new(38, 20);
-    blur_downsample_into(&img, &mut fast, &mut pool);
-    blur_downsample_into_scalar(&img, &mut scalar, &mut fresh_pool);
+    blur_downsample_into_scalar(&img, &mut scalar);
     assert_eq!(
-        fast.as_bytes(),
+        pyr.level(1).as_bytes(),
         scalar.as_bytes(),
-        "blur + downsample leaked pool bytes"
+        "blur + downsample leaked stale bytes"
     );
 
+    // A field of the same size keeps its tile grid, so only `clear` stands
+    // between the stale gradients and the reads.
+    let same_size = textured(77, 41, 4.2);
+    let mut tiled = TiledGradients::new();
+    tiled.ensure(&same_size, &[PixelRect::new(0, 0, 77, 41)]);
+    tiled.clear();
     let mut scalar_field = GradientField::empty();
-    scharr_gradients_into_scalar(&img, &mut scalar_field, &mut fresh_pool);
-    assert_tiles_match(&img, &mut TiledGradients::new(), &scalar_field, &mut pool);
+    scharr_gradients_into_scalar(&img, &mut scalar_field);
+    assert_tiles_match(&img, &mut tiled, &scalar_field);
 }

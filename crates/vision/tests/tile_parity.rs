@@ -2,9 +2,10 @@
 //! the Lucas-Kanade windows that read them, and the box-bounded Shi-Tomasi
 //! scan must reproduce the whole-field oracles bit for bit.
 //!
-//! Every pooled gradient plane starts out filled with NaN, so a read from a
-//! tile that was never computed poisons the result instead of passing on
-//! stale data.
+//! Every gradient plane starts out holding the gradients of another frame
+//! (a pyramid rebuilt over the test frame, or a cleared field), so a read
+//! from a tile that was never recomputed changes the result instead of
+//! passing.
 
 use adavp_rng::{check, Rng};
 use adavp_vision::features::{good_features_in_boxes, GoodFeaturesParams};
@@ -16,16 +17,29 @@ use adavp_vision::pyramid::Pyramid;
 use adavp_vision::reference::{
     good_features_from_gradients_reference, scharr_gradients, track_pyramids_baseline,
 };
-use adavp_vision::scratch::ScratchPool;
 use std::f32::consts::TAU;
 
-/// A pool holding `planes` NaN-filled `f32` planes of `len` values.
-fn nan_pool(len: usize, planes: usize) -> ScratchPool {
-    let mut pool = ScratchPool::new();
-    for _ in 0..planes {
-        pool.recycle_f32(vec![f32::NAN; len]);
+/// A `w x h` frame unlike every test frame.
+fn stale_frame(w: u32, h: u32) -> GrayImage {
+    GrayImage::from_fn(w, h, |x, y| (x.wrapping_mul(97) ^ y.wrapping_mul(29)) as u8)
+}
+
+/// A whole-frame rect of `img`.
+fn whole(img: &GrayImage) -> PixelRect {
+    PixelRect::new(0, 0, img.width().into(), img.height().into())
+}
+
+/// A pyramid of [`stale_frame`] with every tile of every level computed,
+/// then rebuilt over `img`: its planes hold stale gradients until a tile is
+/// recomputed.
+fn rebuilt_over(img: &GrayImage, levels: u32) -> Pyramid {
+    let mut pyr = Pyramid::build(&stale_frame(img.width(), img.height()), levels);
+    for level in 0..pyr.levels() {
+        let r = whole(pyr.level(level));
+        pyr.ensure_gradients(level, &[r]);
     }
-    pool
+    pyr.rebuild(img);
+    pyr
 }
 
 fn noise(w: u32, h: u32, rng: &mut Rng) -> GrayImage {
@@ -66,8 +80,10 @@ fn ensured_tiles_match_full_scharr_bit_for_bit() {
         let (w, h) = (side(rng), side(rng));
         let img = noise(w, h, rng);
         let full = scharr_gradients(&img);
-        let mut pool = nan_pool((w * h) as usize, 2);
+        let stale = stale_frame(w, h);
         let mut tiled = TiledGradients::new();
+        tiled.ensure(&stale, &[whole(&stale)]);
+        tiled.clear();
         let mut asked = vec![false; (w * h) as usize];
         for _ in 0..rng.gen_range(1u32..=5) {
             // Rects partly or wholly off the image, empty ones included.
@@ -80,7 +96,7 @@ fn ensured_tiles_match_full_scharr_bit_for_bit() {
                     PixelRect::new(x0, y0, x1, y1)
                 })
                 .collect();
-            tiled.ensure(&img, &rects, &mut pool);
+            tiled.ensure(&img, &rects);
             for r in rects.iter().filter_map(|r| r.clipped(w, h)) {
                 for y in r.y0..r.y1 {
                     for x in r.x0..r.x1 {
@@ -129,8 +145,7 @@ fn ensured_tiles_match_full_scharr_bit_for_bit() {
     });
 }
 
-/// `FlowResult`s as raw bits, so NaN from an unfilled tile cannot compare
-/// equal by accident and `-0.0` cannot hide behind `0.0`.
+/// `FlowResult`s as raw bits, so `-0.0` cannot hide behind `0.0`.
 fn flow_bits(results: &[FlowResult]) -> Vec<[u32; 5]> {
     results
         .iter()
@@ -192,11 +207,8 @@ fn lk_points_near_the_border_of_every_level_match_baseline() {
 
         let baseline =
             track_pyramids_baseline(&lk, &Pyramid::build(&prev, levels), &next_pyr, &pts);
-        let len = (w * h) as usize;
-        let planes = 2 * levels as usize;
-        let mut pool = nan_pool(len, planes);
-        let mut prev_pyr = Pyramid::build_with(&prev, levels, &mut pool);
-        let optimized = lk.track_pyramids(&mut prev_pyr, &next_pyr, &pts, &mut pool);
+        let mut prev_pyr = rebuilt_over(&prev, levels);
+        let optimized = lk.track_pyramids(&mut prev_pyr, &next_pyr, &pts);
         assert_eq!(flow_bits(&optimized), flow_bits(&baseline));
     });
 }
@@ -234,7 +246,7 @@ fn shi_tomasi_in_boxes_matches_reference_bit_for_bit() {
             .map(|_| random_box(w, h, rng))
             .collect();
         // Half the cases keep every candidate (no cap, tiny minimum
-        // distance), so a single poisoned response changes the output.
+        // distance), so a single stale response changes the output.
         let keep_all = rng.gen::<bool>();
         let params = GoodFeaturesParams {
             max_corners: if keep_all {
@@ -252,9 +264,8 @@ fn shi_tomasi_in_boxes_matches_reference_bit_for_bit() {
         };
         let reference =
             good_features_from_gradients_reference(&scharr_gradients(&img), &params, Some(&boxes));
-        let mut pool = nan_pool((w * h) as usize, 2);
-        let mut pyr = Pyramid::build_with(&img, 1, &mut pool);
-        let demand = good_features_in_boxes(&mut pyr, &params, &boxes, &mut pool);
+        let mut pyr = rebuilt_over(&img, 1);
+        let demand = good_features_in_boxes(&mut pyr, &params, &boxes);
         assert_eq!(demand, reference, "boxes {boxes:?}, params {params:?}");
     });
 }
@@ -290,9 +301,8 @@ fn box_edges_around_a_tile_boundary_match_reference() {
             ];
             for b in boxes {
                 let reference = good_features_from_gradients_reference(&grad, &params, Some(&[b]));
-                let mut pool = nan_pool(80 * 72, 2);
-                let mut pyr = Pyramid::build_with(&img, 1, &mut pool);
-                let demand = good_features_in_boxes(&mut pyr, &params, &[b], &mut pool);
+                let mut pyr = rebuilt_over(&img, 1);
+                let demand = good_features_in_boxes(&mut pyr, &params, &[b]);
                 assert_eq!(demand, reference, "box {b:?}, radius {block_radius}");
             }
         }

@@ -10,7 +10,6 @@ use adavp_vision::pyramid::{blur_downsample_into, Pyramid};
 use adavp_vision::reference::{
     blur_downsample_into_scalar, scharr_gradients_into_scalar, track_pyramids_baseline,
 };
-use adavp_vision::scratch::ScratchPool;
 use std::f32::consts::TAU;
 
 /// Smooth textured image parameterized by three phases — every instance is
@@ -60,7 +59,7 @@ fn corners_always_inside_image() {
         let frame = [BoundingBox::new(0.0, 0.0, w as f32, h as f32)];
         let mut pyr = Pyramid::build(&img, 1);
         let params = GoodFeaturesParams::default();
-        for c in good_features_in_boxes(&mut pyr, &params, &frame, &mut ScratchPool::new()) {
+        for c in good_features_in_boxes(&mut pyr, &params, &frame) {
             assert!(c.point.x >= 0.0 && c.point.x < w as f32);
             assert!(c.point.y >= 0.0 && c.point.y < h as f32);
             assert!(c.response > 0.0);
@@ -94,7 +93,7 @@ fn pyramid_level_preserves_mean_intensity() {
         let p1 = rng.gen_range(0.0f32..TAU);
         let img = textured(64, 64, p1, 1.0, 2.0);
         let mut half = GrayImage::new(32, 32);
-        blur_downsample_into(&img, &mut half, &mut ScratchPool::new());
+        blur_downsample_into(&img, &mut half);
         // Smoothing and box averaging redistribute but do not create or
         // destroy intensity (up to rounding and border effects).
         assert!((img.mean() - half.mean()).abs() < 3.0);
@@ -107,11 +106,7 @@ fn gradients_bounded_by_intensity_range() {
         let p1 = rng.gen_range(0.0f32..TAU);
         let img = textured(48, 48, p1, 0.5, 1.5);
         let mut g = TiledGradients::new();
-        g.ensure(
-            &img,
-            &[PixelRect::new(0, 0, 48, 48)],
-            &mut ScratchPool::new(),
-        );
+        g.ensure(&img, &[PixelRect::new(0, 0, 48, 48)]);
         for y in 0..48 {
             for x in 0..48 {
                 // Normalized Scharr of an 8-bit image can never exceed 255.
@@ -147,12 +142,7 @@ fn lk_bit_identical_to_baseline() {
                 pts.push(Point2::new(12.0 + gx as f32 * 8.0, 12.0 + gy as f32 * 8.0));
             }
         }
-        let optimized = lk.track_pyramids(
-            &mut Pyramid::build(&prev, 3),
-            &next_pyr,
-            &pts,
-            &mut ScratchPool::new(),
-        );
+        let optimized = lk.track_pyramids(&mut Pyramid::build(&prev, 3), &next_pyr, &pts);
         assert_eq!(
             &optimized,
             &track_pyramids_baseline(&lk, &prev_pyr, &next_pyr, &pts),
@@ -179,11 +169,10 @@ fn streamed_level_matches_composed_oracles_on_arbitrary_images() {
             (s >> 8) as u8
         });
         let (nw, nh) = ((w / 2).max(1), (h / 2).max(1));
-        let mut pool = ScratchPool::new();
         let mut fast = GrayImage::new(nw, nh);
         let mut scalar = GrayImage::new(nw, nh);
-        blur_downsample_into(&img, &mut fast, &mut pool);
-        blur_downsample_into_scalar(&img, &mut scalar, &mut pool);
+        blur_downsample_into(&img, &mut fast);
+        blur_downsample_into_scalar(&img, &mut scalar);
         assert_eq!(fast.as_bytes(), scalar.as_bytes(), "{w}x{h}");
     });
 }
@@ -201,11 +190,10 @@ fn scharr_fast_path_bit_identical_to_scalar_on_arbitrary_images() {
             s ^= s << 5;
             (s >> 8) as u8
         });
-        let mut pool = ScratchPool::new();
         let mut tiled = TiledGradients::new();
-        tiled.ensure(&img, &[PixelRect::new(0, 0, w.into(), h.into())], &mut pool);
+        tiled.ensure(&img, &[PixelRect::new(0, 0, w.into(), h.into())]);
         let mut scalar = GradientField::empty();
-        scharr_gradients_into_scalar(&img, &mut scalar, &mut pool);
+        scharr_gradients_into_scalar(&img, &mut scalar);
         // Bit-level comparison: the fused ring pass reorders work, never
         // arithmetic, so even NaN-free float equality must be exact.
         for y in 0..h {

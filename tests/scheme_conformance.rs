@@ -327,67 +327,67 @@ fn sequential_schemes_match_their_golden_digests() {
     let golden: [(&str, [u64; 3]); 28] = [
         (
             "MARLIN/highway/quiet",
-            [0x67d781aab8150eb6, 0xbbd40bb03fd99342, 0xbfc4b1db62c58f65],
+            [0x67d781aab8150eb6, 0x2a8f651e0e1f910d, 0xbfc4b1db62c58f65],
         ),
         (
             "MARLIN/highway/stress",
-            [0xf3747496745aca5c, 0xc774497dbbcc02fc, 0xf1f077f1048a820d],
+            [0xf3747496745aca5c, 0xf97d6c61017170b7, 0xf1f077f1048a820d],
         ),
         (
             "MARLIN/meeting/quiet",
-            [0xbaf20e30ea4c470d, 0xf1c623cb61595f17, 0xb71d292bff77afe3],
+            [0xbaf20e30ea4c470d, 0x3569a2b32ceea54d, 0xb71d292bff77afe3],
         ),
         (
             "MARLIN/meeting/stress",
-            [0x4aacc8ada567e07c, 0x09ed68dbd86db06b, 0x7c174c0036140932],
+            [0x4aacc8ada567e07c, 0x2fc0ff612bb5760a, 0x7c174c0036140932],
         ),
         (
             "CTD/highway/quiet",
-            [0x2e78a840e55d345a, 0xf722199da7ace5c3, 0xc10dba5ad58161cf],
+            [0x2e78a840e55d345a, 0xb6bfeec599387480, 0xc10dba5ad58161cf],
         ),
         (
             "CTD/highway/stress",
-            [0x36ff0c16d03ece79, 0xffdde196771de136, 0x2ff52b7be73536c1],
+            [0x36ff0c16d03ece79, 0x2c7438f5f7e64c45, 0x2ff52b7be73536c1],
         ),
         (
             "CTD/meeting/quiet",
-            [0x5e3e9342f184aa44, 0x0855220bdbb5e6a8, 0x5901961b818eb1fa],
+            [0x5e3e9342f184aa44, 0x381ba92c125ba683, 0x5901961b818eb1fa],
         ),
         (
             "CTD/meeting/stress",
-            [0x7cc39b1fd56a7321, 0x42f98b418eca57c5, 0xcba1d016265dfe1c],
+            [0x7cc39b1fd56a7321, 0x50d2a1d2cf7f0a5a, 0xcba1d016265dfe1c],
         ),
         (
             "MPDT/highway/quiet",
-            [0xdb9f8e158fafe700, 0x63796634a10d1e9c, 0x8dfe0780c265bcb7],
+            [0xdb9f8e158fafe700, 0x2b4329c0de741437, 0x8dfe0780c265bcb7],
         ),
         (
             "MPDT/highway/stress",
-            [0x6932ffe9e71c59d1, 0x7f4623bd8e93f3fb, 0xeaf5c54949a4474b],
+            [0x6932ffe9e71c59d1, 0x5afad7a3ee43be79, 0xeaf5c54949a4474b],
         ),
         (
             "MPDT/meeting/quiet",
-            [0xdb206f243e5cff6b, 0xa4f9ad0427566e0d, 0x5054e0e2fa507fdb],
+            [0xdb206f243e5cff6b, 0x748cf97ff530b902, 0x5054e0e2fa507fdb],
         ),
         (
             "MPDT/meeting/stress",
-            [0x7798610ff522c5e9, 0x6fdf364344bd6f00, 0x6f271247ce69378a],
+            [0x7798610ff522c5e9, 0x66a535268602b1f8, 0x6f271247ce69378a],
         ),
         (
             "AdaVP/highway/quiet",
-            [0x13eeaa1bd05cae80, 0x8790a3fa03e9a358, 0x93ed1c43a9fcf093],
+            [0x13eeaa1bd05cae80, 0xbd38ddaa9b58ef63, 0x93ed1c43a9fcf093],
         ),
         (
             "AdaVP/highway/stress",
-            [0xc01a40d6c6375ade, 0x1bc249334eac75ff, 0x5ce836c7f613cb5a],
+            [0xc01a40d6c6375ade, 0x9e16e659932e4b89, 0x5ce836c7f613cb5a],
         ),
         (
             "AdaVP/meeting/quiet",
-            [0x5d6798cd066c4d37, 0x3438028b308f72df, 0xb7d5b227356a3c76],
+            [0x5d6798cd066c4d37, 0xfafc2cb47d76cf52, 0xb7d5b227356a3c76],
         ),
         (
             "AdaVP/meeting/stress",
-            [0x33b747380f0b7858, 0xd37c3c289cb7c4e5, 0xc7f2cfa499d12090],
+            [0x33b747380f0b7858, 0xc10d9534c026bded, 0xc7f2cfa499d12090],
         ),
         (
             "WithoutTracking/highway/quiet",
